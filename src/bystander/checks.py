@@ -11,7 +11,7 @@ import numpy as np
 
 from .neural import LSTMCell, MLP, grad_check
 from .qmix import MixingNet
-from .rewards import RewardModel
+from .rewards import RewardModel, episode_sum_loss_grad
 from .tabular import (
     brute_force_joint_argmax,
     composed_argmax,
@@ -242,33 +242,25 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
     return worst
 
 
-def episode_sum_gradient_residual(seeds=GRAD_SEEDS, steps: int = 6) -> float:
-    """Gradient of the squared episode-sum loss (ground truth minus summed
-    per-step estimates) through the recurrent unroll."""
+def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 1)) -> float:
+    """Gradient of the mean squared episode-sum loss as the shipped
+    reward-model update accumulates it, on a ragged batch so that the
+    padding and the step mask are checked too."""
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         model = RewardModel(4, 8, rng)
-        ep = rng.normal(size=(steps, 4))
-        gt = float(rng.normal())
+        episodes = [rng.normal(size=(steps, 4)) for steps in lengths]
+        gts = rng.normal(size=len(lengths))
 
         def loss_fn():
-            return float((gt - model.episode_sums([ep])[0]) ** 2)
+            err = model.episode_sums(episodes) - gts
+            return float(err @ err) / len(episodes)
 
         def backward_fn():
             for p in model.params():
                 p.zero_grad()
-            state = model.cell.initial_state(batch=1)
-            caches = []
-            total = 0.0
-            for t in range(steps):
-                y, state, cache = model.cell.step(ep[t : t + 1], state)
-                caches.append(cache)
-                total += float(y[0])
-            dy = np.array([2.0 * (total - gt)])
-            dh = dc = None
-            for cache in reversed(caches):
-                _, dh, dc = model.cell.backward_step(cache, dy, dh, dc)
+            episode_sum_loss_grad(model, episodes, gts)
 
         worst = max(worst, grad_check(loss_fn, model.params(), backward_fn=backward_fn).max_rel_error)
     return worst

@@ -120,6 +120,8 @@ def _cmd_train_adversary(args) -> int:
     policy_path = out / "adversaries.npz"
     save_policy(policy_path, result.policy)
     manifest.add_artifact(policy_path)
+    for suffix in ("adversary_train_learner_steps.csv", "adversary_train_curve.csv"):
+        manifest.add_artifact(out / suffix)
     manifest.finalize(mpath)
     print(f"under-attack win rate: {result.under_attack_win_rate:.3f}")
     print(f"policy: {policy_path}")

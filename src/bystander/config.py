@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import ConfigError
 from .envs import PRESETS, CorridorConfig, SkirmishConfig
@@ -174,6 +176,9 @@ def config_to_text(kv: dict[str, str]) -> str:
     return "\n".join(f"{k} = {v}" for k, v in sorted(kv.items())) + "\n"
 
 
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @dataclass
 class RunManifest:
     """Atomic record of what a run was: config, seeds, code version, and the
@@ -188,6 +193,13 @@ class RunManifest:
     finished: str = ""
     status: str = "running"
     artifacts: list[str] = field(default_factory=list)
+    # policy bits depend on numpy and the BLAS thread count, so the run
+    # records them; None in a manifest written before they were recorded
+    numpy_version: str | None = np.__version__
+    cpu_count: int | None = field(default_factory=os.cpu_count)
+    thread_env: dict[str, str | None] | None = field(
+        default_factory=lambda: {name: os.environ.get(name) for name in THREAD_ENV_VARS}
+    )
 
     def __post_init__(self) -> None:
         if not self.config_digest:
@@ -215,6 +227,8 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text())
+        for name in ("numpy_version", "cpu_count", "thread_env"):
+            data.setdefault(name, None)
         return cls(**data)
 
     def verify(self) -> bool:

@@ -163,12 +163,8 @@ class RecurrentState:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh form never overflows, so it needs no split by sign
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ContractViolation, StepOutcome, StructuralError, TrainingFault
-from .neural import Adam, LSTMCell, RecurrentState
+from .neural import Adam, LSTMCell, LSTMStepCache, RecurrentState
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,73 @@ class RewardModel:
         y, nxt, _ = self.cell.step(concat_obs, state)
         return float(y), nxt
 
+    def unroll(
+        self, episodes: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, list[LSTMStepCache], np.ndarray]:
+        """Run B episodes of (T_i, input_dim) through the cell together.
+
+        The episodes are zero-padded to (T_max, B, input_dim) and every tick
+        is one batched cell step over all B rows, each row starting from the
+        zero state. A (T_max, B) step mask is 1 on real steps and 0 on
+        padding; padding comes after an episode's last step, so it never
+        changes that episode's outputs, and the mask drops it from the sums.
+        Returns the per-episode output sums (B,), the per-tick caches and
+        the mask.
+        """
+        eps = [np.asarray(ep, dtype=float) for ep in episodes]
+        for ep in eps:
+            if ep.ndim != 2 or ep.shape[1] != self.input_dim:
+                raise StructuralError(f"episode layout {ep.shape} incompatible")
+        lengths = np.array([len(ep) for ep in eps], dtype=int)
+        x = np.zeros((int(lengths.max(initial=0)), len(eps), self.input_dim))
+        for k, ep in enumerate(eps):
+            x[: len(ep), k] = ep
+        live = (np.arange(len(x))[:, None] < lengths).astype(float)
+        state = self.cell.initial_state(batch=len(eps))
+        sums = np.zeros(len(eps))
+        caches = []
+        for t in range(len(x)):
+            y, state, cache = self.cell.step(x[t], state)
+            sums += y * live[t]
+            caches.append(cache)
+        return sums, caches, live
+
     def episode_sums(self, episodes: Sequence[np.ndarray]) -> np.ndarray:
-        """Sum of per-step estimates for each (T_i, input_dim) episode."""
-        sums = np.zeros(len(episodes))
-        for k, ep in enumerate(episodes):
-            state = self.initial_state()
-            total = 0.0
-            for row in np.asarray(ep, dtype=float):
-                y, state = self.estimate_step(row, state)
-                total += y
-            sums[k] = total
-        return sums
+        """Sum of per-step estimates for each (T_i, input_dim) episode, from
+        one padded, masked unroll of the whole batch."""
+        return self.unroll(episodes)[0]
+
+
+def episode_sum_loss_grad(
+    model: RewardModel,
+    episodes: Sequence[np.ndarray],
+    ground_truths: Sequence[float],
+) -> float:
+    """Mean squared episode-sum error of a minibatch; adds its gradient to
+    the model's parameter grads and returns the loss.
+
+    Each episode is a (T, input_dim) array of concatenated bystander
+    observations; its target is the scalar terminal ground truth. One
+    padded unroll covers the batch and one batched backward step runs per
+    tick. Every real step of episode k gets the same upstream gradient
+    2 * err_k / B; padded steps get zero, and the hidden and cell
+    gradients they pass back are masked to zero, so padding adds nothing
+    to any gradient.
+    """
+    if len(episodes) != len(ground_truths):
+        raise StructuralError("episodes and ground truths must align")
+    if not episodes:
+        raise StructuralError("need at least one episode")
+    sums, caches, live = model.unroll(episodes)
+    n = len(episodes)
+    err = sums - np.asarray(ground_truths, dtype=float)
+    dy = 2.0 * err / n
+    dh = dc = None
+    for t in reversed(range(len(caches))):
+        _, dh, dc = model.cell.backward_step(caches[t], dy * live[t], dh, dc)
+        dh = dh * live[t][:, None]
+        dc = dc * live[t][:, None]
+    return float(err @ err) / n
 
 
 def reward_model_update(
@@ -150,41 +206,14 @@ def reward_model_update(
     ground_truths: Sequence[float],
     optimizer: Adam,
 ) -> float:
-    """One optimizer step on the mean squared episode-sum error.
-
-    Each episode is a (T, input_dim) array of concatenated bystander
-    observations; its target is the scalar terminal ground truth. Gradients
-    flow through the full recurrent unroll of every episode.
-    """
-    if len(episodes) != len(ground_truths):
-        raise StructuralError("episodes and ground truths must align")
-    if not episodes:
-        raise StructuralError("need at least one episode")
-    n = len(episodes)
-    loss = 0.0
+    """One optimizer step on the mean squared episode-sum error of a
+    minibatch (see `episode_sum_loss_grad`); returns the loss."""
     optimizer.zero_grad()
-    for ep, gt in zip(episodes, ground_truths):
-        ep = np.asarray(ep, dtype=float)
-        if ep.ndim != 2 or ep.shape[1] != model.input_dim:
-            raise StructuralError(f"episode layout {ep.shape} incompatible")
-        state = model.cell.initial_state(batch=1)
-        caches = []
-        total = 0.0
-        for t in range(ep.shape[0]):
-            y, state, cache = model.cell.step(ep[t : t + 1], state)
-            caches.append(cache)
-            total += float(y[0])
-        err = total - float(gt)
-        loss += err * err / n
-        # d(loss)/d(y_t) is the same for every step of this episode
-        dy = np.array([2.0 * err / n])
-        dh = dc = None
-        for cache in reversed(caches):
-            _, dh, dc = model.cell.backward_step(cache, dy, dh, dc)
+    loss = episode_sum_loss_grad(model, episodes, ground_truths)
     if not np.isfinite(loss):
         raise TrainingFault("reward model loss is not finite")
     optimizer.step()
-    return float(loss)
+    return loss
 
 
 class EpisodeEstimator:

@@ -109,7 +109,6 @@ def run_episode(
     if reward_provider is not None:
         reward_provider.begin_episode()
 
-    adversary_agents = env.agents(Party.ADVERSARY)
     records: list[StepRecord] = []
     est_inputs: list[np.ndarray] = []
     prep: dict[str, list] = {k: [] for k in ("obs", "avail", "actions", "rewards", "cond")}
@@ -143,6 +142,7 @@ def run_episode(
             for agent, a in zip(env.agents(p), chosen):
                 actions[agent] = int(a)
         nxt, outcome = env.step(state, actions)
+        next_views = party_views(nxt)
         signals = outcome.failure_signals
         native = env.victim_task_reward(state, actions, nxt, outcome)
         victim_return += native
@@ -151,10 +151,8 @@ def run_episode(
         # computed after the state update, so the estimate can see what the
         # joint action just did
         adv_concat = None
-        if adversary_agents and Party.ADVERSARY in views:
-            adv_concat = np.stack(
-                [env.observe(nxt, a) for a in adversary_agents]
-            ).reshape(-1)
+        if Party.ADVERSARY in next_views:
+            adv_concat = next_views[Party.ADVERSARY][0].reshape(-1)
             est_inputs.append(adv_concat)
 
         reward = 0.0
@@ -195,7 +193,7 @@ def run_episode(
             prep["cond"].append(conditioning_vec(views, state))
 
         state = nxt
-        views = party_views(state)
+        views = next_views
         if learning_party is not None:
             _, stacked, masks = views[learning_party]
             next_obs_list.append(stacked)

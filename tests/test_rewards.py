@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bystander.checks import episode_sum_gradient_residual
 from bystander.core import ContractViolation, StepOutcome, StructuralError, TrainingFault
 from bystander.neural import Adam
 from bystander.rewards import (
@@ -151,6 +152,8 @@ def test_update_rejects_misaligned_batch():
         reward_model_update(model, [np.zeros((2, 2))], [1.0, 2.0], Adam(model.params()))
     with pytest.raises(StructuralError):
         reward_model_update(model, [], [], Adam(model.params()))
+    with pytest.raises(StructuralError):
+        reward_model_update(model, [np.zeros((3, 2)), np.zeros((2, 3))], [1.0, 2.0], Adam(model.params()))
 
 
 def test_loss_nonnegative_and_decreases_on_synthetic_corpus():
@@ -173,3 +176,63 @@ def test_estimator_clipping():
     est = EpisodeEstimator(model, clip=5.0)
     assert est.step(np.zeros(2)) == 5.0
     assert est.estimates[0] > 5.0  # raw value recorded unclipped
+
+
+def per_episode_update(model, episodes, ground_truths, optimizer):
+    """Reference: the same update with every episode unrolled on its own,
+    one batch-1 cell step at a time."""
+    n = len(episodes)
+    loss = 0.0
+    optimizer.zero_grad()
+    for ep, gt in zip(episodes, ground_truths):
+        state = model.cell.initial_state(batch=1)
+        caches = []
+        total = 0.0
+        for t in range(len(ep)):
+            y, state, cache = model.cell.step(ep[t : t + 1], state)
+            caches.append(cache)
+            total += float(y[0])
+        err = total - gt
+        loss += err * err / n
+        dh = dc = None
+        for cache in reversed(caches):
+            _, dh, dc = model.cell.backward_step(cache, np.array([2.0 * err / n]), dh, dc)
+    optimizer.step()
+    return loss
+
+
+# ragged batches: a length-1 episode, a single-episode batch, a batch of
+# equal lengths and one whose longest episode is not first
+RAGGED_BATCHES = [[7, 3, 1, 12], [1], [5, 5], [2, 9, 1, 4, 6, 8, 3], [4]]
+
+
+def test_batched_update_matches_per_episode_reference():
+    rng = np.random.default_rng(21)
+    batched, reference = (RewardModel(5, 8, np.random.default_rng(9)) for _ in range(2))
+    opt_b = Adam(batched.params(), learning_rate=1e-2)
+    opt_r = Adam(reference.params(), learning_rate=1e-2)
+    for k in range(20):
+        lengths = RAGGED_BATCHES[k % len(RAGGED_BATCHES)]
+        episodes = [rng.normal(size=(T, 5)) for T in lengths]
+        gts = list(rng.uniform(0.0, 20.0, size=len(lengths)))
+        loss_b = reward_model_update(batched, episodes, gts, opt_b)
+        loss_r = per_episode_update(reference, episodes, gts, opt_r)
+        assert loss_b == pytest.approx(loss_r, rel=1e-12, abs=0.0)
+    for pb, pr in zip(batched.params(), reference.params()):
+        np.testing.assert_allclose(pb.values, pr.values, rtol=0.0, atol=1e-12)
+
+
+def test_batched_episode_sums_match_one_at_a_time():
+    rng = np.random.default_rng(22)
+    model = RewardModel(5, 8, rng)
+    for lengths in RAGGED_BATCHES:
+        episodes = [rng.normal(size=(T, 5)) for T in lengths]
+        one_at_a_time = []
+        for ep in episodes:
+            est = EpisodeEstimator(model, clip=np.inf)
+            one_at_a_time.append(sum(est.step(row) for row in ep))
+        np.testing.assert_allclose(model.episode_sums(episodes), one_at_a_time, rtol=0.0, atol=1e-12)
+
+
+def test_shipped_episode_sum_gradient_matches_finite_differences():
+    assert episode_sum_gradient_residual(seeds=(0,)) < 1e-4
