@@ -242,10 +242,11 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
     return worst
 
 
-def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 1)) -> float:
+def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
     """Gradient of the mean squared episode-sum loss as the shipped
-    reward-model update accumulates it, on a ragged batch so that the
-    padding and the step mask are checked too."""
+    reward-model update accumulates it, on a ragged batch whose longest
+    episode is not first, so that the unroll's reordering and the rows
+    leaving it as their episodes end are checked too."""
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)

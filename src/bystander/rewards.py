@@ -136,35 +136,42 @@ class RewardModel:
     ) -> tuple[np.ndarray, list[LSTMStepCache], np.ndarray]:
         """Run B episodes of (T_i, input_dim) through the cell together.
 
-        The episodes are zero-padded to (T_max, B, input_dim) and every tick
-        is one batched cell step over all B rows, each row starting from the
-        zero state. A (T_max, B) step mask is 1 on real steps and 0 on
-        padding; padding comes after an episode's last step, so it never
-        changes that episode's outputs, and the mask drops it from the sums.
-        Returns the per-episode output sums (B,), the per-tick caches and
-        the mask.
+        The episodes are ordered longest first (ties keep their input
+        order) and zero-padded to (T_max, B, input_dim); every row starts
+        from the zero state. At tick t the rows still inside their episode
+        are a prefix of that order, and only they go through the batched
+        cell step, so padding is never computed and the work of an unroll
+        follows the real steps, not B * T_max. Returns the per-episode
+        output sums (B,) in input order, the per-tick caches (the cache of
+        tick t holds its live rows) and the order: row j of the unroll is
+        episode order[j].
         """
         eps = [np.asarray(ep, dtype=float) for ep in episodes]
         for ep in eps:
             if ep.ndim != 2 or ep.shape[1] != self.input_dim:
                 raise StructuralError(f"episode layout {ep.shape} incompatible")
         lengths = np.array([len(ep) for ep in eps], dtype=int)
+        order = np.argsort(-lengths, kind="stable")
         x = np.zeros((int(lengths.max(initial=0)), len(eps), self.input_dim))
-        for k, ep in enumerate(eps):
-            x[: len(ep), k] = ep
-        live = (np.arange(len(x))[:, None] < lengths).astype(float)
+        for j, k in enumerate(order):
+            x[: lengths[k], j] = eps[k]
+        live = (lengths[order] > np.arange(len(x))[:, None]).sum(axis=1)
         state = self.cell.initial_state(batch=len(eps))
         sums = np.zeros(len(eps))
         caches = []
-        for t in range(len(x)):
-            y, state, cache = self.cell.step(x[t], state)
-            sums += y * live[t]
+        for t, n in enumerate(live):
+            if n < len(state.hidden):
+                state = RecurrentState(state.hidden[:n], state.cell[:n])
+            y, state, cache = self.cell.step(x[t, :n], state)
+            sums[:n] += y
             caches.append(cache)
-        return sums, caches, live
+        out = np.empty(len(eps))
+        out[order] = sums
+        return out, caches, order
 
     def episode_sums(self, episodes: Sequence[np.ndarray]) -> np.ndarray:
         """Sum of per-step estimates for each (T_i, input_dim) episode, from
-        one padded, masked unroll of the whole batch."""
+        one unroll of the whole batch (see `unroll`)."""
         return self.unroll(episodes)[0]
 
 
@@ -178,25 +185,25 @@ def episode_sum_loss_grad(
 
     Each episode is a (T, input_dim) array of concatenated bystander
     observations; its target is the scalar terminal ground truth. One
-    padded unroll covers the batch and one batched backward step runs per
-    tick. Every real step of episode k gets the same upstream gradient
-    2 * err_k / B; padded steps get zero, and the hidden and cell
-    gradients they pass back are masked to zero, so padding adds nothing
-    to any gradient.
+    unroll covers the batch and one batched backward step runs per tick,
+    on that tick's live rows. Every real step of episode k gets the same
+    upstream gradient 2 * err_k / B. A row's hidden and cell gradients
+    start at zero on its last step, and no step past an episode's end is
+    computed, so padding adds nothing to any gradient.
     """
     if len(episodes) != len(ground_truths):
         raise StructuralError("episodes and ground truths must align")
     if not episodes:
         raise StructuralError("need at least one episode")
-    sums, caches, live = model.unroll(episodes)
+    sums, caches, order = model.unroll(episodes)
     n = len(episodes)
     err = sums - np.asarray(ground_truths, dtype=float)
-    dy = 2.0 * err / n
-    dh = dc = None
-    for t in reversed(range(len(caches))):
-        _, dh, dc = model.cell.backward_step(caches[t], dy * live[t], dh, dc)
-        dh = dh * live[t][:, None]
-        dc = dc * live[t][:, None]
+    dy = (2.0 * err / n)[order]
+    dh = np.zeros((n, model.hidden))
+    dc = np.zeros((n, model.hidden))
+    for cache in reversed(caches):
+        k = len(cache.h)
+        _, dh[:k], dc[:k] = model.cell.backward_step(cache, dy[:k], dh[:k], dc[:k])
     return float(err @ err) / n
 
 

@@ -236,3 +236,13 @@ def test_batched_episode_sums_match_one_at_a_time():
 
 def test_shipped_episode_sum_gradient_matches_finite_differences():
     assert episode_sum_gradient_residual(seeds=(0,)) < 1e-4
+
+
+def test_unroll_steps_only_live_rows():
+    rng = np.random.default_rng(23)
+    model = RewardModel(5, 8, rng)
+    lengths = [2, 9, 1, 4, 6, 8, 3]
+    sums, caches, order = model.unroll([rng.normal(size=(T, 5)) for T in lengths])
+    assert [lengths[k] for k in order] == sorted(lengths, reverse=True)
+    assert [len(c.h) for c in caches] == [sum(T > t for T in lengths) for t in range(max(lengths))]
+    assert sums.shape == (len(lengths),)
