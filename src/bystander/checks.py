@@ -171,8 +171,12 @@ def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
             mlp.backward(cache, 2.0 * (y - target))
 
         def kink_gap():
+            # distance of the nearest rectifier pre-activation from zero
             _, cache = mlp.forward(x)
-            return cache.kink_gap
+            return min(
+                float(np.min(np.abs(layer.forward(inputs)[0])))
+                for layer, inputs in zip(mlp.layers[:-1], cache.layer_inputs)
+            )
 
         return loss_fn, backward_fn, mlp.params(), kink_gap
 

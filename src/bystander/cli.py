@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration/usage error, 3 missing dependency
 (e.g. checkpoint), 4 training fault. All outputs land under --out (or
 $BYSTANDER_OUT, default ./runs); every run writes a manifest first and
-finalizes it on completion.
+finalizes it on completion, as "done" or as "failed" with the error.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ def _start_manifest(args, kv: dict[str, str], out: Path, command: str) -> tuple[
     manifest = RunManifest(command=command, config_text=config_to_text(kv), seed=args.seed)
     path = out / "manifest.json"
     manifest.write(path)
+    args.started.append((manifest, path))
     return manifest, path
 
 
@@ -234,17 +235,28 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    args.started = []  # (manifest, path) of every manifest the command writes
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(args, exc, "config error", EXIT_CONFIG)
     except FileNotFoundError as exc:
-        print(f"dependency error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENCY
+        return _fail(args, exc, "dependency error", EXIT_DEPENDENCY)
     except (TrainingFault, TrainingFailed) as exc:
-        print(f"training fault: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+        return _fail(args, exc, "training fault", EXIT_TRAINING)
+    except BaseException as exc:
+        _fail(args, exc, type(exc).__name__, None)
+        raise
+
+
+def _fail(args, exc: BaseException, kind: str, code: int | None) -> int | None:
+    """Report a failed command and finalise the manifests it started."""
+    message = f"{kind}: {exc}"
+    print(message, file=sys.stderr)
+    for manifest, path in args.started:
+        if manifest.status == "running":
+            manifest.finalize(path, "failed", error=message)
+    return code
 
 
 def main() -> None:

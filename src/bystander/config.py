@@ -200,6 +200,9 @@ class RunManifest:
     thread_env: dict[str, str | None] | None = field(
         default_factory=lambda: {name: os.environ.get(name) for name in THREAD_ENV_VARS}
     )
+    # why a failed run stopped; None while running, when done, and in a
+    # manifest written before failures were recorded
+    error: str | None = None
 
     def __post_init__(self) -> None:
         if not self.config_digest:
@@ -219,15 +222,16 @@ class RunManifest:
         tmp.write_text(payload)
         os.replace(tmp, path)
 
-    def finalize(self, path, status: str = "done") -> None:
+    def finalize(self, path, status: str = "done", error: str | None = None) -> None:
         self.finished = _now()
         self.status = status
+        self.error = error
         self.write(path)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text())
-        for name in ("numpy_version", "cpu_count", "thread_env"):
+        for name in ("numpy_version", "cpu_count", "thread_env", "error"):
             data.setdefault(name, None)
         return cls(**data)
 

@@ -295,7 +295,3 @@ def derive_seed(master: int, stream: str, counter: int) -> int:
     """
     digest = hashlib.sha256(f"{master}:{stream}:{counter}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def make_rng(master: int, stream: str, counter: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, stream, counter))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,9 +87,8 @@ class Linear:
 
 @dataclass
 class MLPCache:
+    # the rectifier masks are layer_inputs[i + 1] > 0, so they are not kept
     layer_inputs: list[np.ndarray]
-    relu_masks: list[np.ndarray]
-    kink_gap: float
     consumed: bool = False
 
 
@@ -107,6 +106,17 @@ class MLP:
             for i in range(len(dims) - 1)
         ]
 
+    @classmethod
+    def from_params(cls, name: str, dims: Sequence[int], params: Mapping[str, ParamTensor]) -> "MLP":
+        """An MLP sharing existing tensors, looked up as `<name>.l<i>.w`/`.b`."""
+        mlp = cls.__new__(cls)
+        mlp.name, mlp.dims, mlp.layers = name, tuple(dims), [Linear.__new__(Linear) for _ in dims[1:]]
+        for i, layer in enumerate(mlp.layers):
+            layer.w, layer.b = params[f"{name}.l{i}.w"], params[f"{name}.l{i}.b"]
+            if (layer.w.shape, layer.b.shape) != ((dims[i + 1], dims[i]), (dims[i + 1],)):
+                raise StructuralError(f"{name}.l{i}: shapes do not match dims {mlp.dims}")
+        return mlp
+
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -119,20 +129,14 @@ class MLP:
             raise StructuralError(
                 f"{self.name}: input width {x.shape[1]} != {self.dims[0]}"
             )
-        inputs, masks = [], []
-        kink_gap = np.inf
+        inputs = []
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            y, cache_x = layer.forward(x)
-            inputs.append(cache_x)
-            if i < len(self.layers) - 1:
-                kink_gap = min(kink_gap, float(np.min(np.abs(y))) if y.size else np.inf)
-                mask = y > 0
-                masks.append(mask)
-                x = y * mask
-            else:
-                x = y
-        out = x[0] if squeeze else x
-        return out, MLPCache(inputs, masks, kink_gap)
+            inputs.append(x)
+            x, _ = layer.forward(x)
+            if i < last:
+                x = np.maximum(x, 0.0)
+        return (x[0] if squeeze else x), MLPCache(inputs)
 
     def backward(self, cache: MLPCache, dy: np.ndarray) -> np.ndarray:
         if cache.consumed:
@@ -143,7 +147,7 @@ class MLP:
             dy = dy[None, :]
         for i in reversed(range(len(self.layers))):
             if i < len(self.layers) - 1:
-                dy = dy * cache.relu_masks[i]
+                dy = dy * (cache.layer_inputs[i + 1] > 0)
             dy = self.layers[i].backward(cache.layer_inputs[i], dy)
         return dy
 
@@ -384,18 +388,24 @@ def grad_check(
 
 # --- checkpoint container -----------------------------------------------
 #
+# The one checkpoint format, for trained nets and frozen policies alike.
 # Versioned npz: flat float64 arrays keyed "p/<name>" plus moment arrays
 # "m/<name>", "v/<name>" when optimizer state is included, and a JSON meta
-# blob with shapes and hyperparameters in stable (sorted) order.
+# blob with shapes, hyperparameters and the caller's `fields` (a frozen
+# policy's party, frame stack and per-agent nets) in stable (sorted) order.
+# Readers look parameters up by name, never by their order in the meta.
 
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, params: Sequence[ParamTensor], optimizer: Adam | None = None) -> None:
+def save_checkpoint(
+    path, params: Sequence[ParamTensor], optimizer: Adam | None = None, fields: dict | None = None
+) -> None:
     arrays: dict[str, np.ndarray] = {}
     meta: dict = {
         "version": CHECKPOINT_VERSION,
         "params": {p.name: list(p.shape) for p in sorted(params, key=lambda p: p.name)},
+        "fields": fields or {},
     }
     for p in params:
         arrays[f"p/{p.name}"] = p.values
@@ -418,16 +428,16 @@ def save_checkpoint(path, params: Sequence[ParamTensor], optimizer: Adam | None 
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None]:
-    """Load named ParamTensors (grads zeroed) and raw optimizer state.
+def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None, dict]:
+    """Load named ParamTensors (grads zeroed), raw optimizer state and fields.
 
-    Returns (params_by_name, optimizer_meta_or_None); optimizer_meta carries
-    the hyperparameters plus 'first_moment'/'second_moment' dicts.
+    Returns (params_by_name, optimizer_meta_or_None, fields); optimizer_meta
+    carries the hyperparameters plus 'first_moment'/'second_moment' dicts.
     """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise StructuralError(f"unsupported checkpoint version {meta['version']}")
+        if meta.get("version") != CHECKPOINT_VERSION or "params" not in meta:
+            raise StructuralError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint")
         params = {}
         for name, shape in meta["params"].items():
             values = data[f"p/{name}"]
@@ -437,7 +447,7 @@ def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None]:
             opt = dict(meta["optimizer"])
             opt["first_moment"] = {n: data[f"m/{n}"].copy() for n in meta["params"]}
             opt["second_moment"] = {n: data[f"v/{n}"].copy() for n in meta["params"]}
-    return params, opt
+    return params, opt, meta.get("fields", {})
 
 
 def restore_optimizer(optimizer: Adam, opt_meta: dict) -> None:

@@ -96,9 +96,6 @@ class RuleBasedCalculator:
             )
         return weighted_reward(self.weights, signals)
 
-    def ground_truth_immediate(self) -> float:
-        return 0.0
-
 
 class RewardModel:
     """Recurrent estimator of the bystander party's per-step reward.

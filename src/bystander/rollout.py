@@ -82,7 +82,6 @@ class RolloutResult:
     outcome: StepOutcome
     victim_return: float
     party_return: float
-    estimator_inputs: np.ndarray | None
 
 
 def run_episode(
@@ -110,7 +109,6 @@ def run_episode(
         reward_provider.begin_episode()
 
     records: list[StepRecord] = []
-    est_inputs: list[np.ndarray] = []
     prep: dict[str, list] = {k: [] for k in ("obs", "avail", "actions", "rewards", "cond")}
     next_obs_list: list = []
     next_avail_list: list = []
@@ -153,7 +151,6 @@ def run_episode(
         adv_concat = None
         if Party.ADVERSARY in next_views:
             adv_concat = next_views[Party.ADVERSARY][0].reshape(-1)
-            est_inputs.append(adv_concat)
 
         reward = 0.0
         if reward_provider is not None:
@@ -202,9 +199,8 @@ def run_episode(
         if outcome.terminal:
             break
 
-    est_arr = np.stack(est_inputs) if est_inputs else None
     if reward_provider is not None:
-        reward_provider.end_episode(outcome=outcome, estimator_inputs=est_arr)
+        reward_provider.end_episode(outcome=outcome)
 
     prepared = None
     if learning_party is not None:
@@ -230,5 +226,4 @@ def run_episode(
         outcome=outcome,
         victim_return=victim_return,
         party_return=party_return,
-        estimator_inputs=est_arr,
     )

@@ -231,41 +231,3 @@ def random_instance(
 
 def random_adv_policy(rng: np.random.Generator, mdp: TabularMDP) -> np.ndarray:
     return rng.dirichlet(np.ones(mdp.n_adv_actions), size=mdp.n_states)
-
-
-# --- plain-text fixture format ---------------------------------------------
-
-def save_tabular(path, mdp: TabularMDP) -> None:
-    with open(path, "w") as fh:
-        S, Aa, Av, At, _ = mdp.transitions.shape
-        fh.write("tabular-mdp v1\n")
-        fh.write(f"dims {S} {Aa} {Av} {At} {mdp.n_paths}\n")
-        fh.write(f"gamma {mdp.gamma!r}\n")
-        for name, arr in (
-            ("transitions", mdp.transitions),
-            ("rewards", mdp.rewards),
-            ("victim_policy", mdp.victim_policy),
-            ("third_policy", mdp.third_policy),
-        ):
-            fh.write(f"{name}\n")
-            fh.write(" ".join(repr(float(x)) for x in arr.ravel()) + "\n")
-
-
-def load_tabular(path) -> TabularMDP:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if lines[0] != "tabular-mdp v1":
-        raise StructuralError(f"unknown fixture header {lines[0]!r}")
-    S, Aa, Av, At, P = (int(x) for x in lines[1].split()[1:])
-    gamma = float(lines[2].split()[1])
-    arrays = {}
-    for i in range(3, len(lines), 2):
-        name = lines[i]
-        arrays[name] = np.array([float(x) for x in lines[i + 1].split()])
-    return TabularMDP(
-        transitions=arrays["transitions"].reshape(S, Aa, Av, At, S),
-        rewards=arrays["rewards"].reshape(S, Aa, Av, At, P),
-        gamma=gamma,
-        victim_policy=arrays["victim_policy"].reshape(S, Av),
-        third_policy=arrays["third_policy"].reshape(S, At),
-    )

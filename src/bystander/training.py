@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +21,7 @@ import numpy as np
 from .core import ConfigError, Party, TrainingFault, derive_seed
 from .envs import make_env
 from .envs.base import Environment
-from .neural import Adam, MLP, ParamTensor
+from .neural import Adam, MLP, load_checkpoint, save_checkpoint
 from .qmix import (
     MASK_SENTINEL,
     AgentQNet,
@@ -36,7 +36,6 @@ from .rewards import (
     RuleBasedCalculator,
     WeightVector,
     reward_model_update,
-    rule_based_terminal_reward,
 )
 from .rollout import Controller, EpsilonGreedyController, RandomController, run_episode
 
@@ -114,59 +113,53 @@ class TrainingFailed(RuntimeError):
 class FrozenPolicy:
     """Immutable greedy snapshot of one party's Q networks.
 
-    Parameters are copied and marked read-only; acting is a pure function of
-    the (stacked) observations, so replays are bit-identical forever.
+    Holds copies of the agents' MLPs whose values are read-only and acts
+    through MLP.forward, so acting is a pure function of the (stacked)
+    observations and replays are bit-identical forever. save_policy and
+    load_policy move it through the neural checkpoint format.
     """
 
-    def __init__(self, party: Party, nets: Sequence[AgentQNet], stack_frames: int = 1):
+    def __init__(self, party: Party, mlps: Sequence[MLP], stack_frames: int = 1):
         self.party = party
         self.stack_frames = stack_frames
-        self.obs_dim = nets[0].obs_dim if nets else 0
-        self.n_actions = nets[0].n_actions if nets else 0
-        self._params: list[list[ParamTensor]] = []
-        self._dims = []
-        for net in nets:
-            copies = [p.copy() for p in net.params()]
-            for p in copies:
+        self.mlps: list[MLP] = []
+        for mlp in mlps:
+            copies = {p.name: p.copy() for p in mlp.params()}
+            for p in copies.values():
                 p.values.setflags(write=False)
-            self._params.append(copies)
-            self._dims.append(net.mlp.dims)
+            self.mlps.append(MLP.from_params(mlp.name, mlp.dims, copies))
+        self.obs_dim = self.mlps[0].dims[0] if self.mlps else 0
+        self.n_actions = self.mlps[0].dims[-1] if self.mlps else 0
 
     @property
     def n_agents(self) -> int:
-        return len(self._params)
-
-    def _forward(self, i: int, obs: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(obs)
-        params = self._params[i]
-        n_layers = len(params) // 2
-        for layer in range(n_layers):
-            w, b = params[2 * layer], params[2 * layer + 1]
-            x = x @ w.array.T + b.array
-            if layer < n_layers - 1:
-                x = np.maximum(x, 0.0)
-        return x
+        return len(self.mlps)
 
     def act(self, obs_mat: np.ndarray, mask_mat: np.ndarray) -> np.ndarray:
         actions = np.zeros(self.n_agents, dtype=int)
-        for i in range(self.n_agents):
-            q = self._forward(i, obs_mat[i])[0]
-            q = np.where(mask_mat[i], q, MASK_SENTINEL)
-            actions[i] = int(np.argmax(q))
+        for i, mlp in enumerate(self.mlps):
+            q, _ = mlp.forward(obs_mat[i])
+            actions[i] = int(np.argmax(np.where(mask_mat[i], q, MASK_SENTINEL)))
         return actions
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for copies in self._params:
-            for p in copies:
+        for mlp in self.mlps:
+            for p in mlp.params():
                 h.update(p.values.tobytes())
         return h.hexdigest()
 
+    def check_fits(self, env: Environment, party: Party) -> None:
+        """ConfigError unless this policy was made for `party` of an env
+        shaped like `env` (agent count, stacked observation width, actions)."""
+        have = (self.party.label, self.n_agents, self.obs_dim, self.n_actions)
+        d = env.descriptor
+        need = (party.label, len(env.agents(party)), d.obs_dim(party) * self.stack_frames, d.n_actions(party))
+        if have != need:
+            raise ConfigError(f"policy (party, agents, obs_dim, n_actions) {have} does not fit the env's {need}")
+
     def as_controller(self) -> "FrozenController":
         return FrozenController(self)
-
-    def named_params(self) -> dict[str, ParamTensor]:
-        return {p.name: p for copies in self._params for p in copies}
 
 
 class FrozenController(Controller):
@@ -190,17 +183,14 @@ class VictimTaskProvider:
     def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
         return native_reward
 
-    def end_episode(self, outcome, estimator_inputs) -> None:
+    def end_episode(self, outcome) -> None:
         pass
 
 
 class TraditionalProvider:
     """Baseline bystander reward: the negated victim task reward. Reading the
-    victims' reward channel is an oracle-only evaluation device."""
-
-    def __init__(self, victim_reward_access: bool):
-        if not victim_reward_access:
-            raise ConfigError("traditional reward requires victim_reward_access")
+    victims' reward channel is an oracle-only evaluation device, which
+    TrainingConfig refuses unless victim_reward_access is set."""
 
     def begin_episode(self) -> None:
         pass
@@ -208,7 +198,7 @@ class TraditionalProvider:
     def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
         return -native_reward
 
-    def end_episode(self, outcome, estimator_inputs) -> None:
+    def end_episode(self, outcome) -> None:
         pass
 
 
@@ -228,7 +218,7 @@ class RuleImmediateProvider:
             r += self.calc.terminal_reward(outcome).value
         return r
 
-    def end_episode(self, outcome, estimator_inputs) -> None:
+    def end_episode(self, outcome) -> None:
         pass
 
 
@@ -271,7 +261,7 @@ class EstimationProvider:
             return self.calc.terminal_reward(outcome).value if outcome.terminal else 0.0
         return estimate
 
-    def end_episode(self, outcome, estimator_inputs) -> None:
+    def end_episode(self, outcome) -> None:
         gt = self.calc.terminal_reward(outcome).value
         inputs = self._estimator.episode_inputs()
         if len(inputs):
@@ -457,7 +447,7 @@ def train_party(
             curve.append((episode + 1, rate))
             returns_since_eval = []
 
-    policy = FrozenPolicy(party, pair.nets, cfg.stack_frames)
+    policy = FrozenPolicy(party, [net.mlp for net in pair.nets], cfg.stack_frames)
     final_rate = curve[-1][1] if curve else float("nan")
     reward_model = getattr(reward_provider, "model", None)
     return PartyTrainingResult(policy, pair, metrics, curve, final_rate, reward_model)
@@ -516,7 +506,7 @@ class AdversaryTrainingResult:
 def _make_provider(env: Environment, cfg: TrainingConfig, label: str):
     weights = _weights_for(env)
     if cfg.reward_mode is RewardMode.TRADITIONAL:
-        return TraditionalProvider(cfg.victim_reward_access)
+        return TraditionalProvider()
     if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
         return RuleImmediateProvider(RuleBasedCalculator(weights, cfg.r_fail, oracle_access=True))
     n_adv = len(env.agents(Party.ADVERSARY))
@@ -548,6 +538,7 @@ def train_adversaries(
     env = make_env(env_config)
     if not env.agents(Party.ADVERSARY):
         raise ConfigError("environment has no bystander agents to train")
+    frozen_victims.check_fits(env, Party.VICTIM)
     label = "adversary_train"
     provider = _make_provider(env, cfg, label)
     other = {Party.VICTIM: frozen_victims.as_controller()}
@@ -588,6 +579,9 @@ def retrain_victims_defense(
     if not isinstance(frozen_adversaries, FrozenPolicy):
         raise ConfigError("defense retraining accepts only frozen bystander policies")
     env = make_env(env_config)
+    frozen_adversaries.check_fits(env, Party.ADVERSARY)
+    if original_victims is not None:
+        original_victims.check_fits(env, Party.VICTIM)
     adv_checksum = frozen_adversaries.checksum()
     other = {Party.ADVERSARY: frozen_adversaries.as_controller()}
     result = train_party(
@@ -607,8 +601,6 @@ def retrain_victims_defense(
         env_config, retrained, frozen_adversaries, cfg.eval_episodes, cfg.seed
     )[0]
     after_no = evaluate_win_rate(env_config, retrained, None, cfg.eval_episodes, cfg.seed)[0]
-    if retrained.checksum() != result.policy.checksum():
-        raise TrainingFault("retrained policy changed after freezing")
     if after_no < cfg.competence_floor:
         raise TrainingFailed(
             f"retrained victims reached win rate {after_no:.3f} < floor {cfg.competence_floor}",
@@ -640,22 +632,18 @@ def evaluate_win_rate(
     if adversary_policy is None:
         env_config = replace(env_config, adversary_count=0)
     env = make_env(env_config)
+    victim_policy.check_fits(env, Party.VICTIM)
     controllers: dict[Party, Controller] = {Party.VICTIM: victim_policy.as_controller()}
-    if adversary_policy is None:
-        pass
+    if isinstance(adversary_policy, FrozenPolicy):
+        adversary_policy.check_fits(env, Party.ADVERSARY)
+        controllers[Party.ADVERSARY] = adversary_policy.as_controller()
     elif adversary_policy == "random":
         controllers[Party.ADVERSARY] = RandomController(
             np.random.default_rng(derive_seed(seed, "eval.random_adv", 0))
         )
-    elif isinstance(adversary_policy, FrozenPolicy):
-        controllers[Party.ADVERSARY] = adversary_policy.as_controller()
-    else:
+    elif adversary_policy is not None:
         raise ConfigError(f"unsupported adversary policy {adversary_policy!r}")
-    wins = 0
-    for k in range(episodes):
-        result = run_episode(env, controllers, derive_seed(seed, "eval.episode", k))
-        wins += int(result.outcome.victim_success)
-    rate = wins / episodes
+    rate = evaluate_party(env, controllers, episodes, seed, "eval.episode")
     return rate, wilson_half_width(rate, episodes)
 
 
@@ -669,54 +657,24 @@ def wilson_half_width(p_hat: float, n: int, z: float = 1.959963984540054) -> flo
 
 
 def save_policy(path, policy: FrozenPolicy) -> None:
-    """Write a frozen policy as a versioned npz; round-trips bit-exactly."""
-    import json
-
-    arrays: dict[str, np.ndarray] = {}
-    meta = {
-        "version": 1,
-        "party": policy.party.label,
-        "stack_frames": policy.stack_frames,
-        "dims": [list(d) for d in policy._dims],
-        "names": [[p.name for p in copies] for copies in policy._params],
-    }
-    for i, copies in enumerate(policy._params):
-        for p in copies:
-            arrays[f"a{i}/{p.name}"] = p.values
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
+    """Write a frozen policy as a neural checkpoint whose fields hold its
+    party, frame stack and per-agent (name, dims); round-trips bit-exactly."""
+    save_checkpoint(
+        path,
+        [p for mlp in policy.mlps for p in mlp.params()],
+        fields={
+            "party": policy.party.label,
+            "stack_frames": policy.stack_frames,
+            "agents": [[mlp.name, list(mlp.dims)] for mlp in policy.mlps],
+        },
     )
-    np.savez(path, **arrays)
 
 
 def load_policy(path) -> FrozenPolicy:
-    import json
-
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["version"] != 1:
-            raise ConfigError(f"unsupported policy version {meta['version']}")
-        policy = FrozenPolicy.__new__(FrozenPolicy)
-        policy.party = Party.from_label(meta["party"])
-        policy.stack_frames = int(meta["stack_frames"])
-        policy._dims = [tuple(d) for d in meta["dims"]]
-        policy._params = []
-        for i, names in enumerate(meta["names"]):
-            copies = []
-            for name in names:
-                values = data[f"a{i}/{name}"].copy()
-                shape = _shape_for(name, policy._dims[i])
-                p = ParamTensor(name, shape, values, np.zeros_like(values))
-                p.values.setflags(write=False)
-                copies.append(p)
-            policy._params.append(copies)
-        policy.obs_dim = policy._dims[0][0] if policy._dims else 0
-        policy.n_actions = policy._dims[0][-1] if policy._dims else 0
-    return policy
-
-
-def _shape_for(name: str, dims: tuple[int, ...]) -> tuple[int, ...]:
-    layer = int(name.rsplit(".l", 1)[1].split(".")[0])
-    if name.endswith(".w"):
-        return (dims[layer + 1], dims[layer])
-    return (dims[layer + 1],)
+    """Read a policy that save_policy wrote; any other file is a ConfigError."""
+    try:
+        params, _, fields = load_checkpoint(path)
+        mlps = [MLP.from_params(name, dims, params) for name, dims in fields["agents"]]
+        return FrozenPolicy(Party.from_label(fields["party"]), mlps, int(fields["stack_frames"]))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a frozen-policy checkpoint: {exc}") from None

@@ -1,7 +1,10 @@
 import json
 
-from bystander.cli import EXIT_OK, dispatch
+import pytest
+
+from bystander.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, dispatch
 from bystander.config import RunManifest
+from bystander.training import load_policy
 
 TINY = [
     "env.preset=skirmish-small",
@@ -57,9 +60,72 @@ def test_manifest_without_runtime_fields_still_loads(tmp_path):
     path = tmp_path / "manifest.json"
     RunManifest(command="evaluate", config_text="env.preset = skirmish-small\n", seed=0).write(path)
     data = json.loads(path.read_text())
-    for name in ("numpy_version", "cpu_count", "thread_env"):
+    for name in ("numpy_version", "cpu_count", "thread_env", "error"):
         del data[name]
     path.write_text(json.dumps(data))
     manifest = RunManifest.load(path)
     assert manifest.verify()
     assert (manifest.numpy_version, manifest.cpu_count, manifest.thread_env) == (None, None, None)
+    assert manifest.error is None
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """Victims and bystander checkpoints from one tiny pipeline run."""
+    root = tmp_path_factory.mktemp("pipeline")
+    assert _run("train-victim", root) == EXIT_OK
+    victims = root / "train-victim" / "victims.npz"
+    assert _run("train-adversary", root, [f"victim_checkpoint={victims}"]) == EXIT_OK
+    return victims, root / "train-adversary" / "adversaries.npz"
+
+
+def _manifest(out):
+    return RunManifest.load(out / "manifest.json")
+
+
+def test_failed_run_marks_manifest_failed(tmp_path):
+    assert _run("train-victim", tmp_path, ["train.competence_floor=0.99"]) == EXIT_TRAINING
+    manifest = _manifest(tmp_path / "train-victim")
+    assert manifest.status == "failed"
+    assert manifest.finished
+    assert manifest.error.startswith("training fault: victims reached win rate")
+
+
+def test_checkpoint_from_wrong_env_fails_as_config_error(tmp_path, trained):
+    victims, _ = trained
+    extra = ["env.preset=corridor-small", f"victim_checkpoint={victims}"]
+    assert _run("evaluate", tmp_path, extra) == EXIT_CONFIG
+    manifest = _manifest(tmp_path / "evaluate")
+    assert manifest.status == "failed"
+    assert manifest.error.startswith("config error: policy (party, agents, obs_dim, n_actions)")
+    assert not (tmp_path / "evaluate" / "eval.csv").exists()
+
+
+def test_evaluate_under_attack_writes_its_table(tmp_path, trained):
+    victims, adversaries = trained
+    extra = [f"victim_checkpoint={victims}", f"adversary_checkpoint={adversaries}"]
+    assert _run("evaluate", tmp_path, extra) == EXIT_OK
+    out = tmp_path / "evaluate"
+    manifest = _manifest(out)
+    assert (manifest.status, manifest.error) == ("done", None)
+    assert manifest.artifacts == [str(out / "eval.csv")]
+    header, row = (out / "eval.csv").read_text().splitlines()
+    assert header == "win_rate,halfwidth,episodes"
+    assert row.endswith(",2")
+
+
+def test_defend_retrain_is_reproducible(tmp_path, trained):
+    victims, adversaries = trained
+    extra = [f"victim_checkpoint={victims}", f"adversary_checkpoint={adversaries}"]
+    checksums = []
+    for run in ("first", "second"):
+        assert _run("defend-retrain", tmp_path / run, extra) == EXIT_OK
+        out = tmp_path / run / "defend-retrain"
+        manifest = _manifest(out)
+        assert manifest.status == "done"
+        for name in ("rq5_table.csv", "retrained_victims.npz"):
+            assert str(out / name) in manifest.artifacts
+            assert (out / name).exists()
+        checksums.append(load_policy(out / "retrained_victims.npz").checksum())
+    assert checksums[0] == checksums[1]
+    assert checksums[0] != load_policy(victims).checksum()

@@ -214,7 +214,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         opt.step()
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, mlp.params(), opt)
-    params, opt_meta = load_checkpoint(path)
+    params, opt_meta, fields = load_checkpoint(path)
+    assert fields == {}
     for p in mlp.params():
         assert np.array_equal(params[p.name].values, p.values)
     mlp2 = MLP("m", [4, 6, 2], np.random.default_rng(99))

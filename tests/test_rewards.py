@@ -83,7 +83,6 @@ def test_calculator_modes():
     deployed = RuleBasedCalculator(w, 20.0)
     signals = np.array([0.0, 1.0 / 60.0])
     assert oracle.immediate_reward(signals) == pytest.approx(0.3 / 60.0)
-    assert deployed.ground_truth_immediate() == 0.0
     with pytest.raises(ContractViolation):
         deployed.immediate_reward(signals)
 

@@ -1,5 +1,23 @@
-from bystander.envs import PRESETS
-from bystander.training import RewardMode, TrainingConfig, train_adversaries, train_victims
+import json
+import re
+
+import numpy as np
+import pytest
+
+from bystander.cli import EXIT_CONFIG, dispatch
+from bystander.core import ConfigError, Party
+from bystander.envs import PRESETS, make_env
+from bystander.qmix import AgentQNet
+from bystander.rollout import EpsilonGreedyController
+from bystander.training import (
+    FrozenPolicy,
+    RewardMode,
+    TrainingConfig,
+    load_policy,
+    save_policy,
+    train_adversaries,
+    train_victims,
+)
 
 TINY = dict(
     episodes=12,
@@ -13,20 +31,129 @@ TINY = dict(
 )
 
 
-def test_same_seed_estimation_attack_is_bit_identical():
-    env_cfg = PRESETS["skirmish-small"]
-    victims = train_victims(env_cfg, TrainingConfig(**TINY, seed=3)).policy
+@pytest.fixture(scope="module")
+def tiny_victims():
+    return train_victims(PRESETS["skirmish-small"], TrainingConfig(**TINY, seed=3)).policy
+
+
+@pytest.mark.parametrize("mode", ["traditional", "rule_immediate", "estimation"])
+def test_same_seed_attack_is_bit_identical(tiny_victims, mode):
     cfg = TrainingConfig(
         **TINY,
-        reward_mode=RewardMode.ESTIMATION,
+        reward_mode=RewardMode(mode),
+        victim_reward_access=mode == "traditional",
         warmup_episodes=4,
         model_hidden=16,
         model_batch=4,
         seed=4,
     )
-    first, second = (train_adversaries(env_cfg, victims, cfg) for _ in range(2))
+    first, second = (train_adversaries(PRESETS["skirmish-small"], tiny_victims, cfg) for _ in range(2))
     assert first.policy.checksum() == second.policy.checksum()
+    assert (first.reward_model is not None) == (mode == "estimation")
     first_model, second_model = (
-        b"".join(p.values.tobytes() for p in r.reward_model.params()) for r in (first, second)
+        b"".join(p.values.tobytes() for p in r.reward_model.params()) if r.reward_model else b""
+        for r in (first, second)
     )
     assert first_model == second_model
+
+
+def test_traditional_mode_needs_victim_reward_access():
+    with pytest.raises(ConfigError, match="victim_reward_access"):
+        TrainingConfig(reward_mode=RewardMode.TRADITIONAL)
+    TrainingConfig(reward_mode=RewardMode.TRADITIONAL, victim_reward_access=True)
+
+
+# --- frozen policies and their checkpoints -----------------------------------
+
+
+def _nets(obs_dim=6, n_actions=4, n_agents=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return [AgentQNet(f"v{i}", obs_dim, n_actions, 8, rng) for i in range(n_agents)]
+
+
+def _masked_observations(rng, n_agents=3, obs_dim=6, n_actions=4):
+    obs = rng.normal(size=(n_agents, obs_dim))
+    masks = rng.random((n_agents, n_actions)) < 0.5
+    masks[np.arange(n_agents), rng.integers(n_actions, size=n_agents)] = True
+    return obs, masks
+
+
+def test_policy_round_trip_keeps_checksum_fields_and_actions(tmp_path):
+    policy = FrozenPolicy(Party.ADVERSARY, [net.mlp for net in _nets()], stack_frames=2)
+    path = tmp_path / "policy.npz"
+    save_policy(path, policy)
+    loaded = load_policy(path)
+    assert loaded.checksum() == policy.checksum()
+    assert (loaded.party, loaded.stack_frames) == (Party.ADVERSARY, 2)
+    assert (loaded.n_agents, loaded.obs_dim, loaded.n_actions) == (3, 6, 4)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        obs, masks = _masked_observations(rng)
+        assert np.array_equal(loaded.act(obs, masks), policy.act(obs, masks))
+
+
+def test_frozen_values_are_read_only_copies(tmp_path):
+    nets = _nets()
+    policy = FrozenPolicy(Party.VICTIM, [net.mlp for net in nets])
+    before = policy.checksum()
+    for p in nets[0].params():
+        p.values += 1.0
+    assert policy.checksum() == before
+    save_policy(tmp_path / "policy.npz", policy)
+    for frozen in (policy, load_policy(tmp_path / "policy.npz")):
+        for mlp in frozen.mlps:
+            for p in mlp.params():
+                assert not p.values.flags.writeable
+                with pytest.raises(ValueError):
+                    p.values[0] = 0.0
+
+
+def _write_former_policy_format(path, policy):
+    # the layout policies were saved in before they used the neural
+    # checkpoint format: "a<i>/<name>" arrays and a meta without "params"
+    meta = {
+        "version": 1,
+        "party": policy.party.label,
+        "stack_frames": policy.stack_frames,
+        "dims": [list(mlp.dims) for mlp in policy.mlps],
+        "names": [[p.name for p in mlp.params()] for mlp in policy.mlps],
+    }
+    arrays = {f"a{i}/{p.name}": p.values for i, mlp in enumerate(policy.mlps) for p in mlp.params()}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "former.npz"
+    _write_former_policy_format(path, FrozenPolicy(Party.VICTIM, [net.mlp for net in _nets()]))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_policy(path)
+    argv = ["evaluate", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--set", f"victim_checkpoint={path}"]) == EXIT_CONFIG
+
+
+def test_frozen_act_matches_greedy_controller_over_source_nets():
+    nets = _nets()
+    policy = FrozenPolicy(Party.VICTIM, [net.mlp for net in nets])
+    greedy = EpsilonGreedyController(nets, np.random.default_rng(0))
+    assert greedy.epsilon == 0.0
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        obs, masks = _masked_observations(rng)
+        assert np.array_equal(policy.act(obs, masks), greedy.act(obs, masks))
+
+
+def test_check_fits_refuses_wrong_party_and_shapes():
+    env = make_env(PRESETS["skirmish-small"])
+    d = env.descriptor
+    nets = _nets(d.obs_dim(Party.VICTIM), d.n_actions(Party.VICTIM), len(env.agents(Party.VICTIM)))
+    mlps = [net.mlp for net in nets]
+    FrozenPolicy(Party.VICTIM, mlps).check_fits(env, Party.VICTIM)
+    with pytest.raises(ConfigError, match="does not fit"):
+        FrozenPolicy(Party.VICTIM, mlps).check_fits(env, Party.ADVERSARY)
+    with pytest.raises(ConfigError, match="does not fit"):
+        FrozenPolicy(Party.VICTIM, mlps, stack_frames=2).check_fits(env, Party.VICTIM)
+    with pytest.raises(ConfigError, match="does not fit"):
+        FrozenPolicy(Party.VICTIM, mlps[:-1]).check_fits(env, Party.VICTIM)
+    with pytest.raises(ConfigError, match="does not fit"):
+        FrozenPolicy(Party.VICTIM, mlps).check_fits(make_env(PRESETS["corridor-small"]), Party.VICTIM)
