@@ -235,8 +235,9 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
             mixer.backward(cache, 2.0 * q_tot)
 
         def kink_gap():
-            _, cache = mixer.forward(q, cond)
-            return cache.kink_gap
+            # distance of the nearest |.|-transformed hypernetwork output from zero
+            hypers = (mixer.hyper_w1, mixer.hyper_w2)
+            return min(float(np.min(np.abs(lin.forward(cond)[0]))) for lin in hypers)
 
         return loss_fn, backward_fn, mixer.params(), kink_gap
 

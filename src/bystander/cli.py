@@ -17,6 +17,7 @@ from .config import (
     RunManifest,
     apply_overrides,
     build_env_config,
+    build_experiment_settings,
     build_training_config,
     config_to_text,
     load_config,
@@ -28,7 +29,6 @@ from .training import (
     TrainingFailed,
     evaluate_win_rate,
     load_policy,
-    retrain_victims_defense,
     save_policy,
     train_adversaries,
     train_victims,
@@ -176,10 +176,7 @@ def _cmd_run_experiment(args) -> int:
     if not experiment_id:
         raise ConfigError("run-experiment needs --experiment or experiment.id")
     cfg = build_training_config(kv, seed=args.seed)
-    seeds = None
-    if kv.get("experiment.seeds"):
-        seeds = [int(s) for s in kv["experiment.seeds"].split(",")]
-    eval_episodes = int(kv.get("experiment.eval_episodes", "200"))
+    seeds, eval_episodes = build_experiment_settings(kv)
     spec = default_spec(experiment_id, cfg, seeds=seeds, eval_episodes=eval_episodes)
     if kv.get("victim_checkpoint"):
         spec = dataclasses.replace(spec, victim_checkpoint=kv["victim_checkpoint"])

@@ -58,14 +58,7 @@ KNOWN_ENV_KEYS = (
     | _field_names(CorridorConfig)
 )
 KNOWN_TRAIN_KEYS = _field_names(TrainingConfig)
-KNOWN_EXPERIMENT_KEYS = {
-    "id",
-    "env_presets",
-    "reward_modes",
-    "adversary_counts",
-    "seeds",
-    "eval_episodes",
-}
+KNOWN_EXPERIMENT_KEYS = {"id", "seeds", "eval_episodes"}
 KNOWN_TOP_KEYS = {"victim_checkpoint", "adversary_checkpoint"}
 
 
@@ -122,7 +115,9 @@ def _convert(name: str, value: str, typ) -> object:
     raise ConfigError(f"cannot convert key {name} of type {typ}")
 
 
-def _build_dataclass(cls, prefix: str, kv: dict[str, str], skip: set[str] = frozenset()):
+def _dataclass_kwargs(cls, prefix: str, kv: dict[str, str], skip: set[str] = frozenset()) -> dict:
+    """Converted `<prefix>.<field>` values of kv; a key that names no field
+    of cls (such as a corridor key for a skirmish env) is a ConfigError."""
     kwargs = {}
     by_name = {f.name: f for f in fields(cls)}
     for key, value in kv.items():
@@ -133,9 +128,9 @@ def _build_dataclass(cls, prefix: str, kv: dict[str, str], skip: set[str] = froz
             continue
         f = by_name.get(name)
         if f is None:
-            continue
+            raise ConfigError(f"config key {key!r} does not apply to {cls.__name__}")
         kwargs[name] = _convert(key, value, f.type)
-    return cls(**kwargs)
+    return kwargs
 
 
 def build_env_config(kv: dict[str, str]):
@@ -148,28 +143,30 @@ def build_env_config(kv: dict[str, str]):
         if preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
         base = PRESETS[preset_name]
-        cls = type(base)
-        overrides = {}
-        names = _field_names(cls)
-        for key, value in kv.items():
-            if key.startswith("env.") and key not in ("env.preset", "env.kind"):
-                name = key[4:]
-                if name in names:
-                    overrides[name] = _convert(key, value, {f.name: f for f in fields(cls)}[name].type)
-        return dataclasses.replace(base, **overrides)
-    if kind == "skirmish":
-        return _build_dataclass(SkirmishConfig, "env", kv, skip={"kind", "preset"})
-    if kind == "corridor":
-        return _build_dataclass(CorridorConfig, "env", kv, skip={"kind", "preset"})
-    raise ConfigError("config needs env.preset or env.kind = skirmish|corridor")
+        return dataclasses.replace(base, **_dataclass_kwargs(type(base), "env", kv, skip={"kind", "preset"}))
+    kinds = {"skirmish": SkirmishConfig, "corridor": CorridorConfig}
+    if kind not in kinds:
+        raise ConfigError("config needs env.preset or env.kind = skirmish|corridor")
+    return kinds[kind](**_dataclass_kwargs(kinds[kind], "env", kv, skip={"kind", "preset"}))
 
 
 def build_training_config(kv: dict[str, str], seed: int | None = None) -> TrainingConfig:
     validate_keys(kv)
-    cfg = _build_dataclass(TrainingConfig, "train", kv)
+    cfg = TrainingConfig(**_dataclass_kwargs(TrainingConfig, "train", kv))
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
+
+
+def build_experiment_settings(kv: dict[str, str]) -> tuple[list[int] | None, int]:
+    """(seeds, eval_episodes) of a sweep: `experiment.seeds` is a comma
+    list (None when unset, for the spec's default), `experiment.eval_episodes`
+    defaults to 200."""
+    validate_keys(kv)
+    seeds = None
+    if kv.get("experiment.seeds"):
+        seeds = [_convert("experiment.seeds", s, int) for s in kv["experiment.seeds"].split(",")]
+    return seeds, _convert("experiment.eval_episodes", kv.get("experiment.eval_episodes", "200"), int)
 
 
 def config_to_text(kv: dict[str, str]) -> str:

@@ -3,13 +3,19 @@
 Environments are functional: `reset` and `step` take and return immutable
 state values, so trajectories can be replayed and audited bit-exactly. An
 environment instance owns only its configuration and derived lookup tables.
+
+Policies and learners read a state only through the per-agent `observe` and
+`available_actions` (stacked per party by `observe_party`/`masks_party`).
+There is no global-state view: bystanders have none, and each party's mixer
+reads its own agents' observations. `positions`, `failure_signals` and
+`step_events` exist for audits and oracle-only rewards.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -112,16 +118,6 @@ class Environment(ABC):
     def positions(self, state) -> dict[AgentId, tuple]:
         """On-grid coordinates of every live unit/vehicle."""
         ...
-
-    @abstractmethod
-    def global_features(self, state) -> np.ndarray:
-        """Flat global-state feature vector. Only the learner's optional
-        centralized-conditioning ablation reads this; policies never do."""
-        ...
-
-    @property
-    def global_dim(self) -> int:
-        return len(self.global_features(self.reset(0)))
 
     @property
     def controllable_agents(self) -> tuple[AgentId, ...]:

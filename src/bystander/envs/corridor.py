@@ -185,18 +185,6 @@ class CorridorEnv(Environment):
     def positions(self, state: CorridorState) -> dict[AgentId, tuple]:
         return {v.agent: (v.lane, v.col) for v in state.vehicles if v.on_road}
 
-    def global_features(self, state: CorridorState) -> np.ndarray:
-        c = self.config
-        feats = [state.step_count / c.horizon]
-        for v in state.vehicles:
-            feats += [
-                v.lane / max(c.lanes - 1, 1),
-                v.col / c.goal_col,
-                v.speed / (c.speed_levels - 1),
-                1.0 if v.on_road else 0.0,
-            ]
-        return np.array(feats)
-
     def observe(self, state: CorridorState, agent: AgentId) -> np.ndarray:
         c = self.config
         me = state.vehicle(agent)

@@ -223,18 +223,6 @@ class SkirmishEnv(Environment):
     def positions(self, state: SkirmishState) -> dict[AgentId, tuple]:
         return {u.agent: (u.x, u.y) for u in state.units if u.alive}
 
-    def global_features(self, state: SkirmishState) -> np.ndarray:
-        c = self.config
-        w, h = c.grid_size
-        feats = [state.step_count / c.horizon]
-        for u in state.units:
-            feats += [
-                u.x / max(w - 1, 1) if u.alive else 0.0,
-                u.y / max(h - 1, 1) if u.alive else 0.0,
-                u.health / c.unit_health,
-            ]
-        return np.array(feats)
-
     # --- observation / masks ------------------------------------------------
 
     def observe(self, state: SkirmishState, agent: AgentId) -> np.ndarray:

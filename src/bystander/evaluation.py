@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Party, derive_seed
-from .envs import PRESETS, make_env
+from .core import ConfigError, derive_seed
+from .envs import PRESETS
 from .training import (
     DefenseResult,
-    FrozenPolicy,
     RewardMode,
     TrainingConfig,
     evaluate_win_rate,
@@ -30,7 +29,6 @@ from .training import (
     save_policy,
     train_adversaries,
     train_victims,
-    wilson_half_width,
 )
 
 EXPERIMENT_IDS = ("rq1", "rq2", "rq3", "rq4", "rq5")
@@ -45,7 +43,6 @@ class ExperimentSpec:
     seeds: list[int]
     eval_episodes: int
     train: TrainingConfig
-    train_enabled: bool = True
     victim_checkpoint: str | None = None
 
     def __post_init__(self) -> None:
@@ -112,8 +109,6 @@ def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -
         return src
     if path.exists():
         return path
-    if not spec.train_enabled:
-        raise FileNotFoundError(f"missing victim checkpoint: {path} (training disabled)")
     result = train_victims(env_cfg, spec.train, out_dir / f"victim_{env_label}")
     save_policy(path, result.policy)
     (out_dir / f"victims_{env_label}.json").write_text(
@@ -174,27 +169,33 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
     for label, env_cfg in spec.env_grid:
         victim_paths[label] = _victims_for(spec, label, env_cfg, out_dir)
 
+    jobs = [
+        (
+            env_cfg,
+            mode,
+            count,
+            seed,
+            victim_paths[label],
+            out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}",
+            spec.train,
+            spec.eval_episodes,
+        )
+        for label, env_cfg, mode, count in points
+        for seed in spec.seeds
+    ]
+    # one pool for the whole grid; map keeps job order, so the results of
+    # each point are the next len(spec.seeds) in grid order
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            all_results = list(pool.map(_run_grid_point, jobs))
+    else:
+        all_results = [_run_grid_point(j) for j in jobs]
+
     long_rows: list[tuple] = []
-    for label, env_cfg, mode, count in points:
+    S = len(spec.seeds)
+    for k, (label, _, mode, count) in enumerate(points):
         point = _point_label(label, mode, count)
-        jobs = [
-            (
-                env_cfg,
-                mode,
-                count,
-                seed,
-                victim_paths[label],
-                out_dir / point.replace("|", "_") / f"seed{seed}",
-                spec.train,
-                spec.eval_episodes,
-            )
-            for seed in spec.seeds
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_grid_point, jobs))
-        else:
-            results = [_run_grid_point(j) for j in jobs]
+        results = all_results[k * S : (k + 1) * S]
         under = np.array([r["under_attack"] for r in results])
         absent = np.array([r["no_attack_absent"] for r in results])
         random_rates = np.array([r["no_attack_random"] for r in results])

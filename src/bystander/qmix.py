@@ -6,7 +6,7 @@ squared-error update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,26 +17,7 @@ from .neural import Adam, Linear, MLP, ParamTensor
 MASK_SENTINEL = -1e9
 
 
-class AgentQNet:
-    """One agent's Q network: observation in, per-action values out."""
-
-    def __init__(self, name: str, obs_dim: int, n_actions: int, hidden: int, rng):
-        self.name = name
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
-        self.mlp = MLP(name, [obs_dim, hidden, hidden, n_actions], rng)
-
-    def params(self) -> list[ParamTensor]:
-        return self.mlp.params()
-
-    def forward(self, obs: np.ndarray):
-        return self.mlp.forward(obs)
-
-    def backward(self, cache, dq):
-        return self.mlp.backward(cache, dq)
-
-
-def agent_q_values(net: AgentQNet, obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def agent_q_values(net: MLP, obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Q values with unavailable actions pushed to the -1e9 sentinel."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
@@ -78,13 +59,13 @@ class MixCache:
     hb1_cache: np.ndarray
     hw2_cache: np.ndarray
     hv_cache: np.ndarray
-    kink_gap: float
     squeeze: bool
 
 
 class MixingNet:
-    """Monotone mixer: hypernetworks read the conditioning vector and emit
-    absolute-valued mixing weights, so dQ_tot/dQ_i >= 0 by construction."""
+    """Monotone mixer: hypernetworks read the conditioning vector (in the
+    learner, the party's concatenated observations) and emit absolute-valued
+    mixing weights, so dQ_tot/dQ_i >= 0 by construction."""
 
     def __init__(self, name: str, n_agents: int, cond_dim: int, embed: int, rng):
         self.name = name
@@ -123,15 +104,9 @@ class MixingNet:
         h_pre = np.einsum("bn,bne->be", q, w1) + b1
         h = _elu(h_pre)
         q_tot = (h * w2).sum(axis=1) + v[:, 0]
-        kink_gap = float(
-            min(
-                np.min(np.abs(w1_raw)) if w1_raw.size else np.inf,
-                np.min(np.abs(w2_raw)) if w2_raw.size else np.inf,
-            )
-        )
         cache = MixCache(
             q, w1_raw, w1, h_pre, h, w2_raw, w2,
-            hw1_cache, hb1_cache, hw2_cache, hv_cache, kink_gap, squeeze,
+            hw1_cache, hb1_cache, hw2_cache, hv_cache, squeeze,
         )
         return (float(q_tot[0]) if squeeze else q_tot), cache
 
@@ -161,28 +136,25 @@ def mix(mixer: MixingNet, per_agent_q: np.ndarray, conditioning: np.ndarray) -> 
 
 @dataclass
 class PreparedEpisode:
-    """Episode converted to dense arrays for the learner. Shapes: obs
-    (T, n, D), avail (T, n, A), actions (T, n), rewards (T,), terminal (T,),
-    cond/next_cond (T, C)."""
+    """Episode of T transitions as dense arrays for the learner, each state
+    stored once. Shapes: obs (T+1, n, D) and avail (T+1, n, A) over the
+    states s_0..s_T, actions (T, n), rewards (T,) and terminal (T,) per
+    transition; transition t runs from state t to state t+1."""
 
     obs: np.ndarray
     avail: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_obs: np.ndarray
-    next_avail: np.ndarray
     terminal: np.ndarray
-    cond: np.ndarray
-    next_cond: np.ndarray
 
     def __post_init__(self) -> None:
-        T = self.obs.shape[0]
-        for name in ("avail", "actions", "rewards", "next_obs", "next_avail", "terminal", "cond", "next_cond"):
-            if getattr(self, name).shape[0] != T:
+        T = self.rewards.shape[0]
+        for name, length in (("obs", T + 1), ("avail", T + 1), ("actions", T), ("terminal", T)):
+            if getattr(self, name).shape[0] != length:
                 raise StructuralError(f"misaligned episode arrays: {name}")
 
     def __len__(self) -> int:
-        return self.obs.shape[0]
+        return self.rewards.shape[0]
 
 
 class ReplayBuffer:
@@ -216,52 +188,39 @@ class ReplayBuffer:
 
 @dataclass
 class Batch:
-    """Padded stack of episodes; mask flags real (non-padding) steps."""
+    """Zero-padded stack of B episodes: obs (B, T+1, n, D), avail
+    (B, T+1, n, A) and per-transition actions, rewards and terminal
+    (B, T, ...); mask (B, T) flags real (non-padding) transitions."""
 
     obs: np.ndarray
     avail: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    next_obs: np.ndarray
-    next_avail: np.ndarray
     terminal: np.ndarray
-    cond: np.ndarray
-    next_cond: np.ndarray
     mask: np.ndarray
 
 
 def stack_batch(episodes: Sequence[PreparedEpisode]) -> Batch:
     B = len(episodes)
     T = max(len(e) for e in episodes)
-    first = episodes[0]
-    n, D = first.obs.shape[1:]
-    A = first.avail.shape[2]
-    C = first.cond.shape[1]
+    n, D = episodes[0].obs.shape[1:]
+    A = episodes[0].avail.shape[2]
     out = Batch(
-        obs=np.zeros((B, T, n, D)),
-        avail=np.zeros((B, T, n, A), dtype=bool),
+        obs=np.zeros((B, T + 1, n, D)),
+        avail=np.zeros((B, T + 1, n, A), dtype=bool),
         actions=np.zeros((B, T, n), dtype=int),
         rewards=np.zeros((B, T)),
-        next_obs=np.zeros((B, T, n, D)),
-        next_avail=np.zeros((B, T, n, A), dtype=bool),
         terminal=np.zeros((B, T), dtype=bool),
-        cond=np.zeros((B, T, C)),
-        next_cond=np.zeros((B, T, C)),
         mask=np.zeros((B, T), dtype=bool),
     )
     out.avail[..., 0] = True  # padding rows keep noop available for the argmax
-    out.next_avail[..., 0] = True
     for b, e in enumerate(episodes):
         L = len(e)
-        out.obs[b, :L] = e.obs
-        out.avail[b, :L] = e.avail
+        out.obs[b, : L + 1] = e.obs
+        out.avail[b, : L + 1] = e.avail
         out.actions[b, :L] = e.actions
         out.rewards[b, :L] = e.rewards
-        out.next_obs[b, :L] = e.next_obs
-        out.next_avail[b, :L] = e.next_avail
         out.terminal[b, :L] = e.terminal
-        out.cond[b, :L] = e.cond
-        out.next_cond[b, :L] = e.next_cond
         out.mask[b, :L] = True
     return out
 
@@ -270,16 +229,13 @@ class TargetNetworkPair:
     """Online nets plus a frozen copy refreshed every sync_interval learner
     steps."""
 
-    def __init__(self, nets: Sequence[AgentQNet], mixer: MixingNet, sync_interval: int, rng):
+    def __init__(self, nets: Sequence[MLP], mixer: MixingNet, sync_interval: int, rng):
         if sync_interval < 1:
             raise ValueError("sync_interval must be >= 1")
         self.nets = list(nets)
         self.mixer = mixer
         self.sync_interval = sync_interval
-        self.target_nets = [
-            AgentQNet(f"{n.name}.target", n.obs_dim, n.n_actions, n.mlp.dims[1], rng)
-            for n in self.nets
-        ]
+        self.target_nets = [MLP(f"{n.name}.target", n.dims, rng) for n in self.nets]
         self.target_mixer = MixingNet(
             f"{mixer.name}.target", mixer.n_agents, mixer.cond_dim, mixer.embed, rng
         )
@@ -307,23 +263,23 @@ class TargetNetworkPair:
 
 
 def greedy_joint_q(
-    nets: Sequence[AgentQNet],
+    nets: Sequence[MLP],
     mixer: MixingNet,
     obs: np.ndarray,
     avail: np.ndarray,
-    cond: np.ndarray,
 ) -> np.ndarray:
-    """Mixed Q of the decentralized greedy joint action, batched over rows.
+    """Mixed Q of the decentralized greedy joint action, batched over rows;
+    the mixer reads the party's concatenated observations.
 
-    obs (R, n, D), avail (R, n, A), cond (R, C) -> (R,).
+    obs (R, n, D), avail (R, n, A) -> (R,).
     """
-    R, n, _ = obs.shape
+    R, n, D = obs.shape
     chosen = np.zeros((R, n))
     for i, net in enumerate(nets):
         q, _ = net.forward(obs[:, i])
         q = np.where(avail[:, i], q, MASK_SENTINEL)
         chosen[:, i] = q.max(axis=1)
-    q_tot, _ = mixer.forward(chosen, cond)
+    q_tot, _ = mixer.forward(chosen, obs.reshape(R, n * D))
     return q_tot
 
 
@@ -339,10 +295,9 @@ def td_targets(
     rewards = np.asarray(rewards, dtype=float)
     if rewards.shape != (B, T):
         raise StructuralError(f"rewards {rewards.shape} misaligned with batch {(B, T)}")
-    flat_next = batch.next_obs.reshape(B * T, *batch.next_obs.shape[2:])
-    flat_avail = batch.next_avail.reshape(B * T, *batch.next_avail.shape[2:])
-    flat_cond = batch.next_cond.reshape(B * T, -1)
-    q_next = greedy_joint_q(pair.target_nets, pair.target_mixer, flat_next, flat_avail, flat_cond)
+    flat_next = batch.obs[:, 1:].reshape(B * T, *batch.obs.shape[2:])
+    flat_avail = batch.avail[:, 1:].reshape(B * T, *batch.avail.shape[2:])
+    q_next = greedy_joint_q(pair.target_nets, pair.target_mixer, flat_next, flat_avail)
     q_next = q_next.reshape(B, T)
     return rewards + gamma * np.where(batch.terminal, 0.0, q_next)
 
@@ -364,11 +319,10 @@ def learner_step(
     episodes = buffer.sample(batch_size, rng)
     batch = stack_batch(episodes)
     B, T = batch.mask.shape
-    n = batch.obs.shape[2]
+    n, D = batch.obs.shape[2:]
     targets = td_targets(batch, pair, batch.rewards, gamma)
 
-    flat_obs = batch.obs.reshape(B * T, n, -1)
-    flat_avail = batch.avail.reshape(B * T, n, -1)
+    flat_obs = batch.obs[:, :T].reshape(B * T, n, D)
     flat_actions = batch.actions.reshape(B * T, n)
     chosen = np.zeros((B * T, n))
     caches = []
@@ -376,7 +330,7 @@ def learner_step(
         q, cache = net.forward(flat_obs[:, i])
         caches.append(cache)
         chosen[:, i] = np.take_along_axis(q, flat_actions[:, i : i + 1], axis=1)[:, 0]
-    q_tot, mix_cache = pair.mixer.forward(chosen, batch.cond.reshape(B * T, -1))
+    q_tot, mix_cache = pair.mixer.forward(chosen, flat_obs.reshape(B * T, n * D))
     q_tot = q_tot.reshape(B, T)
 
     mask = batch.mask
@@ -390,7 +344,7 @@ def learner_step(
     d_qtot = (2.0 * err / count).reshape(B * T)
     dq = pair.mixer.backward(mix_cache, d_qtot)
     for i, net in enumerate(pair.nets):
-        dq_full = np.zeros((B * T, net.n_actions))
+        dq_full = np.zeros((B * T, net.dims[-1]))
         np.put_along_axis(dq_full, flat_actions[:, i : i + 1], dq[:, i : i + 1], axis=1)
         net.backward(caches[i], dq_full)
     optimizer.step()

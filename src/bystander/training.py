@@ -24,7 +24,6 @@ from .envs.base import Environment
 from .neural import Adam, MLP, load_checkpoint, save_checkpoint
 from .qmix import (
     MASK_SENTINEL,
-    AgentQNet,
     MixingNet,
     ReplayBuffer,
     TargetNetworkPair,
@@ -59,7 +58,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     hidden_size: int = 64
     mix_embed: int = 16
-    stack_frames: int = 1
     reward_mode: RewardMode = RewardMode.ESTIMATION
     victim_reward_access: bool = False
     r_fail: float = 20.0
@@ -71,7 +69,6 @@ class TrainingConfig:
     eval_interval: int = 500
     eval_episodes: int = 200
     competence_floor: float = 0.8
-    mixer_conditioning: str = "party_obs"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,10 +81,6 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
-        if self.stack_frames not in (1, 2):
-            raise ConfigError("stack_frames must be 1 or 2")
-        if self.mixer_conditioning not in ("party_obs", "global_state"):
-            raise ConfigError("mixer_conditioning must be party_obs or global_state")
         if self.reward_mode is RewardMode.TRADITIONAL and not self.victim_reward_access:
             raise ConfigError(
                 "traditional reward mode negates the victims' task reward; "
@@ -114,14 +107,13 @@ class FrozenPolicy:
     """Immutable greedy snapshot of one party's Q networks.
 
     Holds copies of the agents' MLPs whose values are read-only and acts
-    through MLP.forward, so acting is a pure function of the (stacked)
+    through MLP.forward, so acting is a pure function of the agents'
     observations and replays are bit-identical forever. save_policy and
     load_policy move it through the neural checkpoint format.
     """
 
-    def __init__(self, party: Party, mlps: Sequence[MLP], stack_frames: int = 1):
+    def __init__(self, party: Party, mlps: Sequence[MLP]):
         self.party = party
-        self.stack_frames = stack_frames
         self.mlps: list[MLP] = []
         for mlp in mlps:
             copies = {p.name: p.copy() for p in mlp.params()}
@@ -151,10 +143,10 @@ class FrozenPolicy:
 
     def check_fits(self, env: Environment, party: Party) -> None:
         """ConfigError unless this policy was made for `party` of an env
-        shaped like `env` (agent count, stacked observation width, actions)."""
+        shaped like `env` (agent count, observation width, actions)."""
         have = (self.party.label, self.n_agents, self.obs_dim, self.n_actions)
         d = env.descriptor
-        need = (party.label, len(env.agents(party)), d.obs_dim(party) * self.stack_frames, d.n_actions(party))
+        need = (party.label, len(env.agents(party)), d.obs_dim(party), d.n_actions(party))
         if have != need:
             raise ConfigError(f"policy (party, agents, obs_dim, n_actions) {have} does not fit the env's {need}")
 
@@ -165,7 +157,6 @@ class FrozenPolicy:
 class FrozenController(Controller):
     def __init__(self, policy: FrozenPolicy):
         self.policy = policy
-        self.stack_frames = policy.stack_frames
 
     def act(self, obs_mat, mask_mat):
         return self.policy.act(obs_mat, mask_mat)
@@ -180,7 +171,7 @@ class VictimTaskProvider:
     def begin_episode(self) -> None:
         pass
 
-    def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
+    def step(self, outcome, native_reward, adv_obs_concat) -> float:
         return native_reward
 
     def end_episode(self, outcome) -> None:
@@ -195,7 +186,7 @@ class TraditionalProvider:
     def begin_episode(self) -> None:
         pass
 
-    def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
+    def step(self, outcome, native_reward, adv_obs_concat) -> float:
         return -native_reward
 
     def end_episode(self, outcome) -> None:
@@ -212,8 +203,8 @@ class RuleImmediateProvider:
     def begin_episode(self) -> None:
         pass
 
-    def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
-        r = self.calc.immediate_reward(signals)
+    def step(self, outcome, native_reward, adv_obs_concat) -> float:
+        r = self.calc.immediate_reward(outcome.failure_signals)
         if outcome.terminal:
             r += self.calc.terminal_reward(outcome).value
         return r
@@ -253,7 +244,7 @@ class EstimationProvider:
     def begin_episode(self) -> None:
         self._estimator = EpisodeEstimator(self.model, self.clip)
 
-    def step(self, outcome, signals, native_reward, adv_obs_concat) -> float:
+    def step(self, outcome, native_reward, adv_obs_concat) -> float:
         if adv_obs_concat is None:
             raise ConfigError("estimation reward needs bystander observations")
         estimate = self._estimator.step(adv_obs_concat)
@@ -342,18 +333,13 @@ class PartyTrainingResult:
 
 def _build_learner(env: Environment, party: Party, cfg: TrainingConfig, seed_stream: str):
     n_agents = len(env.agents(party))
-    obs_dim = env.descriptor.obs_dim(party) * cfg.stack_frames
-    n_actions = env.descriptor.n_actions(party)
-    if cfg.mixer_conditioning == "global_state":
-        cond_dim = env.global_dim
-    else:
-        cond_dim = n_agents * obs_dim
+    obs_dim = env.descriptor.obs_dim(party)
+    dims = [obs_dim, cfg.hidden_size, cfg.hidden_size, env.descriptor.n_actions(party)]
     rng = np.random.default_rng(derive_seed(cfg.seed, f"{seed_stream}.init", 0))
-    nets = [
-        AgentQNet(f"{party.label}{i}", obs_dim, n_actions, cfg.hidden_size, rng)
-        for i in range(n_agents)
-    ]
-    mixer = MixingNet(f"{party.label}_mixer", n_agents, cond_dim, cfg.mix_embed, rng)
+    nets = [MLP(f"{party.label}{i}", dims, rng) for i in range(n_agents)]
+    # the mixer reads the party's own concatenated observations, not a
+    # global state: bystanders have none
+    mixer = MixingNet(f"{party.label}_mixer", n_agents, n_agents * obs_dim, cfg.mix_embed, rng)
     pair = TargetNetworkPair(nets, mixer, cfg.target_sync_interval, rng)
     optimizer = Adam(pair.online_params(), learning_rate=cfg.learning_rate)
     return pair, optimizer
@@ -395,7 +381,7 @@ def train_party(
     buffer = ReplayBuffer(cfg.buffer_capacity)
     explore_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.explore", 0))
     sample_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.sample", 0))
-    controller = EpsilonGreedyController(pair.nets, explore_rng, cfg.stack_frames)
+    controller = EpsilonGreedyController(pair.nets, explore_rng)
     controllers = dict(other_controllers)
     controllers[party] = controller
     metrics = MetricsWriter(out_dir, label)
@@ -418,12 +404,7 @@ def train_party(
         controller.epsilon = cfg.epsilon_at(episode)
         seed = derive_seed(cfg.seed, f"{label}.episode", episode)
         result = run_episode(
-            env,
-            controllers,
-            seed,
-            learning_party=party,
-            reward_provider=reward_provider,
-            conditioning=cfg.mixer_conditioning,
+            env, controllers, seed, learning_party=party, reward_provider=reward_provider
         )
         buffer.add(result.prepared)
         returns_since_eval.append(result.party_return)
@@ -433,7 +414,7 @@ def train_party(
             metrics.step_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
         if (episode + 1) % cfg.eval_interval == 0:
             checkpoint_policies()
-            greedy = EpsilonGreedyController(pair.nets, explore_rng, cfg.stack_frames)
+            greedy = EpsilonGreedyController(pair.nets, explore_rng)
             eval_controllers = dict(controllers)
             eval_controllers[party] = greedy
             rate = evaluate_party(
@@ -447,7 +428,7 @@ def train_party(
             curve.append((episode + 1, rate))
             returns_since_eval = []
 
-    policy = FrozenPolicy(party, [net.mlp for net in pair.nets], cfg.stack_frames)
+    policy = FrozenPolicy(party, pair.nets)
     final_rate = curve[-1][1] if curve else float("nan")
     reward_model = getattr(reward_provider, "model", None)
     return PartyTrainingResult(policy, pair, metrics, curve, final_rate, reward_model)
@@ -658,23 +639,24 @@ def wilson_half_width(p_hat: float, n: int, z: float = 1.959963984540054) -> flo
 
 def save_policy(path, policy: FrozenPolicy) -> None:
     """Write a frozen policy as a neural checkpoint whose fields hold its
-    party, frame stack and per-agent (name, dims); round-trips bit-exactly."""
+    party and per-agent (name, dims); round-trips bit-exactly."""
     save_checkpoint(
         path,
         [p for mlp in policy.mlps for p in mlp.params()],
         fields={
             "party": policy.party.label,
-            "stack_frames": policy.stack_frames,
             "agents": [[mlp.name, list(mlp.dims)] for mlp in policy.mlps],
         },
     )
 
 
 def load_policy(path) -> FrozenPolicy:
-    """Read a policy that save_policy wrote; any other file is a ConfigError."""
+    """Read a policy that save_policy wrote; any other file is a ConfigError.
+    Extra fields, such as the frame-stack count older files carry, are not
+    read; check_fits refuses a net wider than the env's observation."""
     try:
         params, _, fields = load_checkpoint(path)
         mlps = [MLP.from_params(name, dims, params) for name, dims in fields["agents"]]
-        return FrozenPolicy(Party.from_label(fields["party"]), mlps, int(fields["stack_frames"]))
+        return FrozenPolicy(Party.from_label(fields["party"]), mlps)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path} is not a frozen-policy checkpoint: {exc}") from None

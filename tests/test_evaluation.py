@@ -1,0 +1,36 @@
+from bystander import evaluation
+from bystander.evaluation import default_spec, run_experiment
+from bystander.training import TrainingConfig
+
+TINY = TrainingConfig(
+    episodes=4,
+    batch_size=2,
+    buffer_capacity=8,
+    hidden_size=8,
+    mix_embed=4,
+    eval_interval=2,
+    eval_episodes=3,
+    competence_floor=0.0,
+)
+
+
+def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(evaluation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountedPool)
+    spec = default_spec("rq2", TINY, seeds=[1, 2], eval_episodes=3)
+    for workers in (1, 2):
+        table = run_experiment(spec, tmp_path / f"w{workers}", workers=workers)
+        assert [row.label for row in table.rows] == [
+            f"skirmish-small|{mode}|adv2" for mode in ("traditional", "rule_immediate", "estimation")
+        ]
+    assert len(pools) == 1  # one pool for all three grid points
+    for name in ("rq2_table.csv", "rq2_curves_long.csv"):
+        one, two = ((tmp_path / f"w{w}" / name).read_bytes() for w in (1, 2))
+        assert one == two
+    assert len((tmp_path / "w1" / "rq2_curves_long.csv").read_text().splitlines()) == 1 + 3 * 2 * 2

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from bystander.core import ContractViolation, StructuralError, TrainingFault
-from bystander.neural import Adam
+from bystander.core import ContractViolation, StructuralError
+from bystander.neural import MLP, Adam
 from bystander.qmix import (
     MASK_SENTINEL,
-    AgentQNet,
-    Batch,
     MixingNet,
     PreparedEpisode,
     ReplayBuffer,
     TargetNetworkPair,
     agent_q_values,
+    greedy_joint_q,
     learner_step,
     mix,
     select_action,
@@ -21,7 +20,7 @@ from bystander.qmix import (
 
 
 def test_agent_q_values_zero_net_full_mask():
-    net = AgentQNet("a", 4, 3, 8, np.random.default_rng(0))
+    net = MLP("a", [4, 8, 8, 3], np.random.default_rng(0))
     for p in net.params():
         p.values[:] = 0.0
     q = agent_q_values(net, np.zeros(4), np.ones(3, dtype=bool))
@@ -29,7 +28,7 @@ def test_agent_q_values_zero_net_full_mask():
 
 
 def test_agent_q_values_masking_forces_argmax():
-    net = AgentQNet("a", 4, 3, 8, np.random.default_rng(1))
+    net = MLP("a", [4, 8, 8, 3], np.random.default_rng(1))
     mask = np.array([False, False, True])
     q = agent_q_values(net, np.random.default_rng(0).normal(size=4), mask)
     assert np.argmax(q) == 2
@@ -40,10 +39,10 @@ def test_agent_q_values_masking_forces_argmax():
 
 def test_agent_q_matches_independent_forward():
     rng = np.random.default_rng(2)
-    net = AgentQNet("a", 5, 4, 8, rng)
+    net = MLP("a", [5, 8, 8, 4], rng)
     obs = rng.normal(size=5)
-    ws = [l.w.array for l in net.mlp.layers]
-    bs = [l.b.array for l in net.mlp.layers]
+    ws = [l.w.array for l in net.layers]
+    bs = [l.b.array for l in net.layers]
     h1 = np.maximum(obs @ ws[0].T + bs[0], 0)
     h2 = np.maximum(h1 @ ws[1].T + bs[1], 0)
     expected = h2 @ ws[2].T + bs[2]
@@ -127,15 +126,11 @@ def test_mixer_shape_errors():
 
 def _episode(rng, T=4, n=2, D=3, A=3):
     return PreparedEpisode(
-        obs=rng.normal(size=(T, n, D)),
-        avail=np.ones((T, n, A), dtype=bool),
+        obs=rng.normal(size=(T + 1, n, D)),
+        avail=np.ones((T + 1, n, A), dtype=bool),
         actions=rng.integers(0, A, size=(T, n)),
         rewards=rng.normal(size=T),
-        next_obs=rng.normal(size=(T, n, D)),
-        next_avail=np.ones((T, n, A), dtype=bool),
         terminal=np.array([False] * (T - 1) + [True]),
-        cond=rng.normal(size=(T, n * D)),
-        next_cond=rng.normal(size=(T, n * D)),
     )
 
 
@@ -154,22 +149,23 @@ def test_replay_buffer_capacity_and_sampling():
 
 def test_prepared_episode_alignment_error():
     rng = np.random.default_rng(0)
-    with pytest.raises(StructuralError):
-        PreparedEpisode(
-            obs=rng.normal(size=(4, 2, 3)),
-            avail=np.ones((4, 2, 3), dtype=bool),
-            actions=np.zeros((4, 2), dtype=int),
-            rewards=np.zeros(3),  # misaligned
-            next_obs=rng.normal(size=(4, 2, 3)),
-            next_avail=np.ones((4, 2, 3), dtype=bool),
-            terminal=np.zeros(4, dtype=bool),
-            cond=np.zeros((4, 6)),
-            next_cond=np.zeros((4, 6)),
-        )
+    arrays = dict(
+        obs=rng.normal(size=(4, 2, 3)),
+        avail=np.ones((4, 2, 3), dtype=bool),
+        actions=np.zeros((3, 2), dtype=int),
+        rewards=np.zeros(3),
+        terminal=np.zeros(3, dtype=bool),
+    )
+    assert len(PreparedEpisode(**arrays)) == 3
+    for field in ("obs", "avail", "actions", "terminal"):
+        # states must number T+1, per-transition arrays T
+        short = {**arrays, field: arrays[field][:-1]}
+        with pytest.raises(StructuralError, match=field):
+            PreparedEpisode(**short)
 
 
 def _pair(rng, n=2, D=3, A=3, hidden=8, embed=4, sync=50):
-    nets = [AgentQNet(f"a{i}", D, A, hidden, rng) for i in range(n)]
+    nets = [MLP(f"a{i}", [D, hidden, hidden, A], rng) for i in range(n)]
     mixer = MixingNet("mx", n, n * D, embed, rng)
     return TargetNetworkPair(nets, mixer, sync, rng)
 
@@ -186,15 +182,7 @@ def test_td_targets_terminal_and_gamma():
     y0 = td_targets(batch, pair, batch.rewards, gamma=0.0)
     assert np.allclose(y0[0], ep.rewards)
     # hand substitution: y = r + gamma * greedy Q_tot
-    from bystander.qmix import greedy_joint_q
-
-    qn = greedy_joint_q(
-        pair.target_nets,
-        pair.target_mixer,
-        ep.next_obs,
-        ep.next_avail,
-        ep.next_cond,
-    )
+    qn = greedy_joint_q(pair.target_nets, pair.target_mixer, ep.obs[1:], ep.avail[1:])
     y9 = td_targets(batch, pair, batch.rewards, gamma=0.9)
     expect = ep.rewards + 0.9 * np.where(ep.terminal, 0.0, qn)
     assert np.allclose(y9[0], expect)
@@ -217,20 +205,17 @@ def test_learner_step_single_transition_hand_loss():
     rng = np.random.default_rng(9)
     pair = _pair(rng, n=1, D=2, A=2)
     ep = PreparedEpisode(
-        obs=rng.normal(size=(1, 1, 2)),
-        avail=np.ones((1, 1, 2), dtype=bool),
+        obs=rng.normal(size=(2, 1, 2)),
+        avail=np.ones((2, 1, 2), dtype=bool),
         actions=np.array([[1]]),
         rewards=np.array([5.0]),
-        next_obs=rng.normal(size=(1, 1, 2)),
-        next_avail=np.ones((1, 1, 2), dtype=bool),
         terminal=np.array([True]),
-        cond=rng.normal(size=(1, 2)),
-        next_cond=rng.normal(size=(1, 2)),
     )
-    # hand computation: terminal -> y = 5; loss = (q_tot - 5)^2
+    # hand computation: terminal -> y = 5; loss = (q_tot - 5)^2, the mixer
+    # reading the first state's observations
     q, _ = pair.nets[0].forward(ep.obs[0])
     chosen = q[:, 1]
-    q_tot, _ = pair.mixer.forward(chosen[None, :], ep.cond)
+    q_tot, _ = pair.mixer.forward(chosen[None, :], ep.obs[0].reshape(1, -1))
     expected_loss = float((q_tot[0] - 5.0) ** 2)
     buf = ReplayBuffer(2)
     buf.add(ep)
@@ -244,18 +229,14 @@ def test_learner_step_zero_error_leaves_params_fixed():
     pair = _pair(rng, n=1, D=2, A=2)
     # set rewards so targets equal current predictions exactly
     ep = PreparedEpisode(
-        obs=rng.normal(size=(1, 1, 2)),
-        avail=np.ones((1, 1, 2), dtype=bool),
+        obs=rng.normal(size=(2, 1, 2)),
+        avail=np.ones((2, 1, 2), dtype=bool),
         actions=np.array([[0]]),
         rewards=np.zeros(1),
-        next_obs=rng.normal(size=(1, 1, 2)),
-        next_avail=np.ones((1, 1, 2), dtype=bool),
         terminal=np.array([True]),
-        cond=rng.normal(size=(1, 2)),
-        next_cond=rng.normal(size=(1, 2)),
     )
     q, _ = pair.nets[0].forward(ep.obs[0])
-    q_tot, _ = pair.mixer.forward(q[:, 0][None, :], ep.cond)
+    q_tot, _ = pair.mixer.forward(q[:, 0][None, :], ep.obs[0].reshape(1, -1))
     ep.rewards[0] = q_tot[0]  # terminal target == prediction
     buf = ReplayBuffer(2)
     buf.add(ep)
@@ -285,7 +266,7 @@ def test_target_sync_schedule():
 
 def test_greedy_invariance_under_positive_scaling():
     rng = np.random.default_rng(12)
-    net = AgentQNet("a", 3, 4, 8, rng)
+    net = MLP("a", [3, 8, 8, 4], rng)
     obs = rng.normal(size=3)
     mask = np.ones(4, dtype=bool)
     q = agent_q_values(net, obs, mask)
@@ -316,33 +297,22 @@ def test_tabular_chain_convergence_to_value_iteration():
         return v
 
     def episode(rng, L=8):
-        s = int(rng.integers(2))
-        rows = {k: [] for k in ("obs", "avail", "act", "rew", "nobs", "nav", "cond", "ncond")}
+        states = [int(rng.integers(2))]
+        actions, rewards = [], []
         for _ in range(L):
-            a = int(rng.integers(2))
-            s2 = P[s][a]
-            rows["obs"].append(onehot(s)[None, :])
-            rows["avail"].append(np.ones((1, 2), dtype=bool))
-            rows["act"].append(np.array([a]))
-            rows["rew"].append(R[(s, a)])
-            rows["nobs"].append(onehot(s2)[None, :])
-            rows["nav"].append(np.ones((1, 2), dtype=bool))
-            rows["cond"].append(onehot(s))
-            rows["ncond"].append(onehot(s2))
-            s = s2
+            s, a = states[-1], int(rng.integers(2))
+            actions.append([a])
+            rewards.append(R[(s, a)])
+            states.append(P[s][a])
         return PreparedEpisode(
-            np.stack(rows["obs"]),
-            np.stack(rows["avail"]),
-            np.stack(rows["act"]),
-            np.array(rows["rew"]),
-            np.stack(rows["nobs"]),
-            np.stack(rows["nav"]),
-            np.zeros(L, dtype=bool),  # continuing task: bootstrap everywhere
-            np.stack(rows["cond"]),
-            np.stack(rows["ncond"]),
+            obs=np.stack([onehot(s)[None, :] for s in states]),
+            avail=np.ones((L + 1, 1, 2), dtype=bool),
+            actions=np.array(actions),
+            rewards=np.array(rewards),
+            terminal=np.zeros(L, dtype=bool),  # continuing task: bootstrap everywhere
         )
 
-    nets = [AgentQNet("a0", 2, 2, 32, rng)]
+    nets = [MLP("a0", [2, 32, 32, 2], rng)]
     mixer = MixingNet("mx", 1, 2, 8, rng)
     pair = TargetNetworkPair(nets, mixer, 50, rng)
     opt = Adam(pair.online_params(), learning_rate=1e-3)

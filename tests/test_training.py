@@ -7,7 +7,7 @@ import pytest
 from bystander.cli import EXIT_CONFIG, dispatch
 from bystander.core import ConfigError, Party
 from bystander.envs import PRESETS, make_env
-from bystander.qmix import AgentQNet
+from bystander.neural import MLP, save_checkpoint
 from bystander.rollout import EpsilonGreedyController
 from bystander.training import (
     FrozenPolicy,
@@ -68,7 +68,7 @@ def test_traditional_mode_needs_victim_reward_access():
 
 def _nets(obs_dim=6, n_actions=4, n_agents=3, seed=0):
     rng = np.random.default_rng(seed)
-    return [AgentQNet(f"v{i}", obs_dim, n_actions, 8, rng) for i in range(n_agents)]
+    return [MLP(f"v{i}", [obs_dim, 8, 8, n_actions], rng) for i in range(n_agents)]
 
 
 def _masked_observations(rng, n_agents=3, obs_dim=6, n_actions=4):
@@ -79,12 +79,12 @@ def _masked_observations(rng, n_agents=3, obs_dim=6, n_actions=4):
 
 
 def test_policy_round_trip_keeps_checksum_fields_and_actions(tmp_path):
-    policy = FrozenPolicy(Party.ADVERSARY, [net.mlp for net in _nets()], stack_frames=2)
+    policy = FrozenPolicy(Party.ADVERSARY, _nets())
     path = tmp_path / "policy.npz"
     save_policy(path, policy)
     loaded = load_policy(path)
     assert loaded.checksum() == policy.checksum()
-    assert (loaded.party, loaded.stack_frames) == (Party.ADVERSARY, 2)
+    assert loaded.party is Party.ADVERSARY
     assert (loaded.n_agents, loaded.obs_dim, loaded.n_actions) == (3, 6, 4)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -92,9 +92,18 @@ def test_policy_round_trip_keeps_checksum_fields_and_actions(tmp_path):
         assert np.array_equal(loaded.act(obs, masks), policy.act(obs, masks))
 
 
+def test_policy_file_with_frame_stack_field_still_loads(tmp_path):
+    # files written while policies carried a frame-stack count hold an extra
+    # "stack_frames" field; it is not read
+    policy = FrozenPolicy(Party.VICTIM, _nets())
+    fields = {"party": "victim", "stack_frames": 1, "agents": [[m.name, list(m.dims)] for m in policy.mlps]}
+    save_checkpoint(tmp_path / "policy.npz", [p for m in policy.mlps for p in m.params()], fields=fields)
+    assert load_policy(tmp_path / "policy.npz").checksum() == policy.checksum()
+
+
 def test_frozen_values_are_read_only_copies(tmp_path):
     nets = _nets()
-    policy = FrozenPolicy(Party.VICTIM, [net.mlp for net in nets])
+    policy = FrozenPolicy(Party.VICTIM, nets)
     before = policy.checksum()
     for p in nets[0].params():
         p.values += 1.0
@@ -114,7 +123,7 @@ def _write_former_policy_format(path, policy):
     meta = {
         "version": 1,
         "party": policy.party.label,
-        "stack_frames": policy.stack_frames,
+        "stack_frames": 1,
         "dims": [list(mlp.dims) for mlp in policy.mlps],
         "names": [[p.name for p in mlp.params()] for mlp in policy.mlps],
     }
@@ -125,7 +134,7 @@ def _write_former_policy_format(path, policy):
 
 def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
     path = tmp_path / "former.npz"
-    _write_former_policy_format(path, FrozenPolicy(Party.VICTIM, [net.mlp for net in _nets()]))
+    _write_former_policy_format(path, FrozenPolicy(Party.VICTIM, _nets()))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_policy(path)
     argv = ["evaluate", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
@@ -134,7 +143,7 @@ def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
 
 def test_frozen_act_matches_greedy_controller_over_source_nets():
     nets = _nets()
-    policy = FrozenPolicy(Party.VICTIM, [net.mlp for net in nets])
+    policy = FrozenPolicy(Party.VICTIM, nets)
     greedy = EpsilonGreedyController(nets, np.random.default_rng(0))
     assert greedy.epsilon == 0.0
     rng = np.random.default_rng(2)
@@ -146,13 +155,15 @@ def test_frozen_act_matches_greedy_controller_over_source_nets():
 def test_check_fits_refuses_wrong_party_and_shapes():
     env = make_env(PRESETS["skirmish-small"])
     d = env.descriptor
-    nets = _nets(d.obs_dim(Party.VICTIM), d.n_actions(Party.VICTIM), len(env.agents(Party.VICTIM)))
-    mlps = [net.mlp for net in nets]
+    n_victims = len(env.agents(Party.VICTIM))
+    mlps = _nets(d.obs_dim(Party.VICTIM), d.n_actions(Party.VICTIM), n_victims)
     FrozenPolicy(Party.VICTIM, mlps).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
         FrozenPolicy(Party.VICTIM, mlps).check_fits(env, Party.ADVERSARY)
+    # nets twice as wide as the observation, as a two-frame policy has
+    wide = _nets(2 * d.obs_dim(Party.VICTIM), d.n_actions(Party.VICTIM), n_victims)
     with pytest.raises(ConfigError, match="does not fit"):
-        FrozenPolicy(Party.VICTIM, mlps, stack_frames=2).check_fits(env, Party.VICTIM)
+        FrozenPolicy(Party.VICTIM, wide).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
         FrozenPolicy(Party.VICTIM, mlps[:-1]).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
