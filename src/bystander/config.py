@@ -135,16 +135,19 @@ def _dataclass_kwargs(cls, prefix: str, kv: dict[str, str], skip: set[str] = fro
 
 def build_env_config(kv: dict[str, str]):
     """Environment config from `env.*` keys; `env.preset` supplies defaults
-    that explicit keys then override."""
+    that explicit keys then override. An `env.kind` set next to a preset
+    must name the preset's kind."""
     validate_keys(kv)
     preset_name = kv.get("env.preset")
     kind = kv.get("env.kind")
+    kinds = {"skirmish": SkirmishConfig, "corridor": CorridorConfig}
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
         base = PRESETS[preset_name]
+        if kind is not None and kinds.get(kind) is not type(base):
+            raise ConfigError(f"env.kind = {kind!r} does not match env.preset = {preset_name!r}")
         return dataclasses.replace(base, **_dataclass_kwargs(type(base), "env", kv, skip={"kind", "preset"}))
-    kinds = {"skirmish": SkirmishConfig, "corridor": CorridorConfig}
     if kind not in kinds:
         raise ConfigError("config needs env.preset or env.kind = skirmish|corridor")
     return kinds[kind](**_dataclass_kwargs(kinds[kind], "env", kv, skip={"kind", "preset"}))

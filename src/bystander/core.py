@@ -8,10 +8,9 @@ mutable machinery and hand out fresh state objects on every step.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class AgentId:
         party, _, idx = key.partition("/")
         return cls(Party.from_label(party), int(idx))
 
-    def __repr__(self) -> str:  # keeps trajectory dumps readable
+    def __repr__(self) -> str:  # keeps audit messages readable
         return self.key
 
 
@@ -88,51 +87,36 @@ class StepOutcome:
             raise ValueError("failure signals must be finite and >= 0")
         object.__setattr__(self, "failure_signals", sig)
 
-    def to_dict(self) -> dict:
-        return {
-            "terminal": self.terminal,
-            "victim_success": self.victim_success,
-            "victim_failed": self.victim_failed,
-            "failure_signals": [float(x) for x in self.failure_signals],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "StepOutcome":
-        return cls(
-            terminal=bool(d["terminal"]),
-            victim_success=bool(d["victim_success"]),
-            victim_failed=bool(d["victim_failed"]),
-            failure_signals=np.asarray(d["failure_signals"], dtype=float),
-        )
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One transition as seen by the externally controlled agents."""
-
-    observations: Mapping[AgentId, np.ndarray]
-    available: Mapping[AgentId, np.ndarray]
-    actions: Mapping[AgentId, int]
-    failure_signals: np.ndarray
-    reward: float
-    outcome: StepOutcome
-
 
 @dataclass(frozen=True)
 class EpisodeTrajectory:
-    """Ordered step records plus the episode summary; the raw material for
-    both learners and the reward estimator."""
+    """The record of one played episode, held as the arrays the rollout
+    builds: per party, obs (T+1, n, D) and avail (T+1, n, A) over the states
+    s_0..s_T and actions (T, n); per transition, rewards (T,) and the T
+    StepOutcomes env.step returned. A learner reads its party's arrays;
+    audits replay the episode from `seed` through `joint_action`."""
 
-    records: tuple[StepRecord, ...]
-    final_outcome: StepOutcome
+    obs: Mapping[Party, np.ndarray]
+    avail: Mapping[Party, np.ndarray]
+    actions: Mapping[Party, np.ndarray]
+    rewards: np.ndarray
+    outcomes: tuple[StepOutcome, ...]
     seed: int
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.outcomes)
 
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([r.reward for r in self.records], dtype=float)
+    def final_outcome(self) -> StepOutcome:
+        return self.outcomes[-1]
+
+    def joint_action(self, t: int) -> dict[AgentId, int]:
+        """The actions of step t by agent; agent i of a party is row i."""
+        return {
+            AgentId(party, i): int(a)
+            for party, acts in self.actions.items()
+            for i, a in enumerate(acts[t])
+        }
 
 
 @dataclass(frozen=True)
@@ -165,126 +149,53 @@ class TrainingFault(RuntimeError):
 def validate_trajectory(traj: EpisodeTrajectory, descriptor) -> ValidationReport:
     """Check a trajectory against an environment descriptor.
 
-    Returns a pass/fail report listing every violated invariant. Structural
-    problems (wrong observation length) are reported with the record index.
+    Returns a pass/fail report listing every violated invariant. Array
+    shapes are checked per party against the T+1 states and T steps;
+    per-step problems are reported with the record (step) index.
     """
-    if not traj.records:
+    steps = len(traj.outcomes)
+    if not steps:
         raise StructuralError("trajectory has no records")
     violations: list[str] = []
-    horizon = descriptor.horizon
-    if len(traj.records) > horizon:
-        violations.append(f"length {len(traj.records)} exceeds horizon {horizon}")
-    for t, rec in enumerate(traj.records):
-        last = t == len(traj.records) - 1
-        if rec.outcome.terminal and not last:
+    if steps > descriptor.horizon:
+        violations.append(f"length {steps} exceeds horizon {descriptor.horizon}")
+    for t, out in enumerate(traj.outcomes):
+        last = t == steps - 1
+        if out.terminal and not last:
             violations.append(f"record {t}: terminal before end")
-        if last and not rec.outcome.terminal:
+        if last and not out.terminal:
             violations.append(f"record {t}: last record not terminal")
-        for agent, obs in rec.observations.items():
-            want = descriptor.obs_dim(agent.party)
-            if np.asarray(obs).shape != (want,):
-                violations.append(
-                    f"record {t} shape: {agent.key} observation "
-                    f"{np.asarray(obs).shape} != ({want},)"
-                )
-        for agent, mask in rec.available.items():
-            want = descriptor.n_actions(agent.party)
-            mask = np.asarray(mask)
-            if mask.shape != (want,):
-                violations.append(
-                    f"record {t} shape: {agent.key} mask {mask.shape} != ({want},)"
-                )
-            elif not mask.any():
-                violations.append(f"record {t}: {agent.key} has no available action")
-        for agent, action in rec.actions.items():
-            mask = np.asarray(rec.available.get(agent, ()))
-            if mask.size and not (0 <= action < mask.size and mask[action]):
-                violations.append(
-                    f"record {t}: {agent.key} action {action} not available"
-                )
-        sig = np.asarray(rec.failure_signals)
-        if sig.shape != (descriptor.n_failure_paths,):
+        if out.failure_signals.shape != (descriptor.n_failure_paths,):
             violations.append(
-                f"record {t} shape: signals {sig.shape} != ({descriptor.n_failure_paths},)"
+                f"record {t} shape: signals {out.failure_signals.shape} "
+                f"!= ({descriptor.n_failure_paths},)"
             )
-    if traj.final_outcome != traj.records[-1].outcome:
-        violations.append("final_outcome differs from last record outcome")
+    if np.shape(traj.rewards) != (steps,):
+        violations.append(f"shape: rewards {np.shape(traj.rewards)} != ({steps},)")
+    arrays = {"obs": traj.obs, "avail": traj.avail, "actions": traj.actions}
+    for party in sorted(set().union(*arrays.values())):
+        n, n_act = descriptor.party_counts[party], descriptor.n_actions(party)
+        want = {
+            "obs": (steps + 1, n, descriptor.obs_dim(party)),
+            "avail": (steps + 1, n, n_act),
+            "actions": (steps, n),
+        }
+        wrong = [
+            f"shape: {party.label} {name} {np.shape(arrays[name].get(party))} != {shape}"
+            for name, shape in want.items()
+            if np.shape(arrays[name].get(party)) != shape
+        ]
+        if wrong:
+            violations += wrong
+            continue
+        masks = traj.avail[party]
+        for (t, i), a in np.ndenumerate(traj.actions[party]):
+            key = AgentId(party, i).key
+            if not masks[t, i].any():
+                violations.append(f"record {t}: {key} has no available action")
+            if not (0 <= a < n_act and masks[t, i, a]):
+                violations.append(f"record {t}: {key} action {a} not available")
     return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-# --- line-delimited trajectory serialization ---------------------------------
-#
-# One JSON object per record, keys sorted; the final line is the outcome
-# summary {"final_outcome": ..., "seed": ..., "length": ...}.
-
-def trajectory_to_lines(traj: EpisodeTrajectory) -> list[str]:
-    lines = []
-    for t, rec in enumerate(traj.records):
-        lines.append(
-            json.dumps(
-                {
-                    "t": t,
-                    "obs": {a.key: [float(x) for x in o] for a, o in rec.observations.items()},
-                    "avail": {a.key: [bool(b) for b in m] for a, m in rec.available.items()},
-                    "actions": {a.key: int(x) for a, x in rec.actions.items()},
-                    "signals": [float(x) for x in rec.failure_signals],
-                    "reward": float(rec.reward),
-                    "outcome": rec.outcome.to_dict(),
-                },
-                sort_keys=True,
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "final_outcome": traj.final_outcome.to_dict(),
-                "length": len(traj.records),
-                "seed": traj.seed,
-            },
-            sort_keys=True,
-        )
-    )
-    return lines
-
-
-def trajectory_from_lines(lines: Sequence[str]) -> EpisodeTrajectory:
-    if len(lines) < 2:
-        raise StructuralError("trajectory stream needs >= 1 record plus summary")
-    summary = json.loads(lines[-1])
-    records = []
-    for line in lines[:-1]:
-        d = json.loads(line)
-        records.append(
-            StepRecord(
-                observations={
-                    AgentId.from_key(k): np.asarray(v, dtype=float)
-                    for k, v in d["obs"].items()
-                },
-                available={
-                    AgentId.from_key(k): np.asarray(v, dtype=bool)
-                    for k, v in d["avail"].items()
-                },
-                actions={AgentId.from_key(k): int(v) for k, v in d["actions"].items()},
-                failure_signals=np.asarray(d["signals"], dtype=float),
-                reward=float(d["reward"]),
-                outcome=StepOutcome.from_dict(d["outcome"]),
-            )
-        )
-    return EpisodeTrajectory(
-        records=tuple(records),
-        final_outcome=StepOutcome.from_dict(summary["final_outcome"]),
-        seed=int(summary["seed"]),
-    )
-
-
-def save_trajectory(path, traj: EpisodeTrajectory) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(trajectory_to_lines(traj)) + "\n")
-
-
-def load_trajectory(path) -> EpisodeTrajectory:
-    with open(path) as fh:
-        return trajectory_from_lines([ln for ln in fh.read().splitlines() if ln])
 
 
 def derive_seed(master: int, stream: str, counter: int) -> int:

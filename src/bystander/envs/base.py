@@ -151,8 +151,8 @@ def audit_neutrality(env: Environment, traj: EpisodeTrajectory) -> None:
     Raises ContractViolation on the first breach.
     """
     state = env.reset(traj.seed)
-    for t, rec in enumerate(traj.records):
-        nxt, _, events = env.step_events(state, rec.actions)
+    for t in range(len(traj)):
+        nxt, _, events = env.step_events(state, traj.joint_action(t))
         for attacker, target, dmg in events.attacks:
             if attacker.party is Party.ADVERSARY and target.party is Party.VICTIM and dmg:
                 raise ContractViolation(

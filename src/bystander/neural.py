@@ -392,7 +392,7 @@ def grad_check(
 # Versioned npz: flat float64 arrays keyed "p/<name>" plus moment arrays
 # "m/<name>", "v/<name>" when optimizer state is included, and a JSON meta
 # blob with shapes, hyperparameters and the caller's `fields` (a frozen
-# policy's party, frame stack and per-agent nets) in stable (sorted) order.
+# policy's party and per-agent nets) in stable (sorted) order.
 # Readers look parameters up by name, never by their order in the meta.
 
 CHECKPOINT_VERSION = 1

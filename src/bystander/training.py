@@ -13,6 +13,7 @@ import csv
 import hashlib
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .neural import Adam, MLP, load_checkpoint, save_checkpoint
 from .qmix import (
     MASK_SENTINEL,
     MixingNet,
+    PreparedEpisode,
     ReplayBuffer,
     TargetNetworkPair,
     learner_step,
@@ -162,61 +164,38 @@ class FrozenController(Controller):
         return self.policy.act(obs_mat, mask_mat)
 
 
-# --- reward providers ---------------------------------------------------------
+# --- rewards -----------------------------------------------------------------
+#
+# A reward is one call per step, reward(outcome, native_reward, bystander_obs)
+# -> float, made by run_episode after env.step.
 
 
-class VictimTaskProvider:
+def victim_task_reward(outcome, native_reward, bystander_obs) -> float:
     """Native task reward of the victim party (phase 1 and defense retrain)."""
-
-    def begin_episode(self) -> None:
-        pass
-
-    def step(self, outcome, native_reward, adv_obs_concat) -> float:
-        return native_reward
-
-    def end_episode(self, outcome) -> None:
-        pass
+    return native_reward
 
 
-class TraditionalProvider:
+def traditional_reward(outcome, native_reward, bystander_obs) -> float:
     """Baseline bystander reward: the negated victim task reward. Reading the
     victims' reward channel is an oracle-only evaluation device, which
     TrainingConfig refuses unless victim_reward_access is set."""
-
-    def begin_episode(self) -> None:
-        pass
-
-    def step(self, outcome, native_reward, adv_obs_concat) -> float:
-        return -native_reward
-
-    def end_episode(self, outcome) -> None:
-        pass
+    return -native_reward
 
 
-class RuleImmediateProvider:
+def rule_immediate_reward(calc: RuleBasedCalculator, outcome, native_reward, bystander_obs) -> float:
     """Rule-based baseline: weighted failure signals each step plus the
     terminal rule reward. Needs simulator signals, hence oracle access."""
-
-    def __init__(self, calculator: RuleBasedCalculator):
-        self.calc = calculator
-
-    def begin_episode(self) -> None:
-        pass
-
-    def step(self, outcome, native_reward, adv_obs_concat) -> float:
-        r = self.calc.immediate_reward(outcome.failure_signals)
-        if outcome.terminal:
-            r += self.calc.terminal_reward(outcome).value
-        return r
-
-    def end_episode(self, outcome) -> None:
-        pass
+    r = calc.immediate_reward(outcome.failure_signals)
+    if outcome.terminal:
+        r += calc.terminal_reward(outcome).value
+    return r
 
 
 class EstimationProvider:
     """Recurrent estimator reward: per-step clipped estimates are the reward
     once the model has warmed up; before that, only the terminal rule reward
-    is passed through. The model trains after every episode on a minibatch of
+    is passed through. An episode's first step starts a fresh
+    EpisodeEstimator; its terminal step trains the model on a minibatch of
     recent episodes against their terminal ground truths."""
 
     def __init__(
@@ -241,30 +220,31 @@ class EstimationProvider:
         self.last_model_loss = float("nan")
         self._estimator: EpisodeEstimator | None = None
 
-    def begin_episode(self) -> None:
-        self._estimator = EpisodeEstimator(self.model, self.clip)
-
-    def step(self, outcome, native_reward, adv_obs_concat) -> float:
-        if adv_obs_concat is None:
+    def __call__(self, outcome, native_reward, bystander_obs) -> float:
+        if bystander_obs is None:
             raise ConfigError("estimation reward needs bystander observations")
-        estimate = self._estimator.step(adv_obs_concat)
+        if self._estimator is None:
+            self._estimator = EpisodeEstimator(self.model, self.clip)
+        estimate = self._estimator.step(bystander_obs)
         if self.episode_count < self.warmup_episodes:
-            return self.calc.terminal_reward(outcome).value if outcome.terminal else 0.0
-        return estimate
+            r = self.calc.terminal_reward(outcome).value if outcome.terminal else 0.0
+        else:
+            r = estimate
+        if outcome.terminal:
+            self._end_episode(outcome)
+        return r
 
-    def end_episode(self, outcome) -> None:
+    def _end_episode(self, outcome) -> None:
         gt = self.calc.terminal_reward(outcome).value
-        inputs = self._estimator.episode_inputs()
-        if len(inputs):
-            self.recent.append((inputs, gt))
-            if len(self.recent) > 4 * self.model_batch:
-                self.recent.pop(0)
-            take = min(self.model_batch, len(self.recent))
-            idx = self.rng.choice(len(self.recent), size=take, replace=False)
-            batch = [self.recent[int(i)] for i in idx]
-            self.last_model_loss = reward_model_update(
-                self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer
-            )
+        self.recent.append((self._estimator.episode_inputs(), gt))
+        if len(self.recent) > 4 * self.model_batch:
+            self.recent.pop(0)
+        take = min(self.model_batch, len(self.recent))
+        idx = self.rng.choice(len(self.recent), size=take, replace=False)
+        batch = [self.recent[int(i)] for i in idx]
+        self.last_model_loss = reward_model_update(
+            self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer
+        )
         self.episode_count += 1
         self._estimator = None
 
@@ -276,8 +256,6 @@ class MetricsWriter:
     """Append-only CSV writers for the learner-step log and the eval curve."""
 
     def __init__(self, out_dir: Path | None, label: str):
-        self.rows_steps: list[tuple] = []
-        self.rows_curve: list[tuple] = []
         self._paths = None
         if out_dir is not None:
             out_dir = Path(out_dir)
@@ -302,9 +280,7 @@ class MetricsWriter:
                 csv.writer(fh).writerow(row)
 
     def step_row(self, step, loss, epsilon, buffer_fill, syncs) -> None:
-        row = (step, f"{loss:.10g}", f"{epsilon:.6g}", buffer_fill, syncs)
-        self.rows_steps.append(row)
-        self._append(0, row)
+        self._append(0, (step, f"{loss:.10g}", f"{epsilon:.6g}", buffer_fill, syncs))
 
     def curve_row(self, episode, win_rate, mean_reward, loss, epsilon) -> None:
         row = (
@@ -314,7 +290,6 @@ class MetricsWriter:
             f"{loss:.10g}",
             f"{epsilon:.6g}",
         )
-        self.rows_curve.append(row)
         self._append(1, row)
 
 
@@ -324,11 +299,7 @@ class MetricsWriter:
 @dataclass
 class PartyTrainingResult:
     policy: FrozenPolicy
-    pair: TargetNetworkPair
-    metrics: MetricsWriter
     curve: list[tuple[int, float]]
-    final_win_rate: float
-    reward_model: RewardModel | None = None
 
 
 def _build_learner(env: Environment, party: Party, cfg: TrainingConfig, seed_stream: str):
@@ -365,7 +336,7 @@ def train_party(
     party: Party,
     cfg: TrainingConfig,
     other_controllers: Mapping[Party, Controller],
-    reward_provider,
+    reward,
     out_dir: Path | None = None,
     label: str | None = None,
     frozen_checksums: Mapping[str, str] | None = None,
@@ -373,8 +344,9 @@ def train_party(
     """Run the value-decomposition training loop for one party.
 
     other_controllers drive the remaining externally controlled parties and
-    are used unchanged during periodic evaluations; frozen_checksums are
-    re-verified at every evaluation checkpoint.
+    are used unchanged during periodic evaluations; reward is the per-step
+    call that run_episode documents; frozen_checksums are re-verified at
+    every evaluation checkpoint.
     """
     label = label or f"{party.label}_train"
     pair, optimizer = _build_learner(env, party, cfg, label)
@@ -403,11 +375,19 @@ def train_party(
     for episode in range(cfg.episodes):
         controller.epsilon = cfg.epsilon_at(episode)
         seed = derive_seed(cfg.seed, f"{label}.episode", episode)
-        result = run_episode(
-            env, controllers, seed, learning_party=party, reward_provider=reward_provider
+        traj = run_episode(env, controllers, seed, reward).trajectory
+        terminal = np.zeros(len(traj), dtype=bool)
+        terminal[-1] = True
+        buffer.add(
+            PreparedEpisode(
+                obs=traj.obs[party],
+                avail=traj.avail[party],
+                actions=traj.actions[party],
+                rewards=traj.rewards,
+                terminal=terminal,
+            )
         )
-        buffer.add(result.prepared)
-        returns_since_eval.append(result.party_return)
+        returns_since_eval.append(sum(traj.rewards.tolist()))
         if len(buffer) >= cfg.batch_size:
             loss = learner_step(buffer, pair, optimizer, cfg.batch_size, cfg.gamma, sample_rng)
             learner_steps += 1
@@ -428,10 +408,7 @@ def train_party(
             curve.append((episode + 1, rate))
             returns_since_eval = []
 
-    policy = FrozenPolicy(party, pair.nets)
-    final_rate = curve[-1][1] if curve else float("nan")
-    reward_model = getattr(reward_provider, "model", None)
-    return PartyTrainingResult(policy, pair, metrics, curve, final_rate, reward_model)
+    return PartyTrainingResult(FrozenPolicy(party, pair.nets), curve)
 
 
 # --- phase wrappers -----------------------------------------------------------
@@ -443,7 +420,6 @@ class VictimTrainingResult:
     no_attack_win_rate: float
     random_neutral_win_rate: float
     curve: list[tuple[int, float]]
-    metrics: MetricsWriter
 
 
 def _weights_for(env: Environment) -> WeightVector:
@@ -462,7 +438,7 @@ def train_victims(
             np.random.default_rng(derive_seed(cfg.seed, "victim_train.random_adv", 0))
         )
     result = train_party(
-        env, Party.VICTIM, cfg, other, VictimTaskProvider(), out_dir, "victim_train"
+        env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "victim_train"
     )
     policy = result.policy
     no_attack = evaluate_win_rate(env_config, policy, None, cfg.eval_episodes, cfg.seed)[0]
@@ -472,7 +448,7 @@ def train_victims(
             f"victims reached win rate {no_attack:.3f} < floor {cfg.competence_floor}",
             no_attack,
         )
-    return VictimTrainingResult(policy, no_attack, random_rate, result.curve, result.metrics)
+    return VictimTrainingResult(policy, no_attack, random_rate, result.curve)
 
 
 @dataclass
@@ -481,21 +457,23 @@ class AdversaryTrainingResult:
     reward_model: RewardModel | None
     under_attack_win_rate: float
     curve: list[tuple[int, float]]
-    metrics: MetricsWriter
 
 
-def _make_provider(env: Environment, cfg: TrainingConfig, label: str):
+def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
+    """The bystanders' per-step reward call for cfg.reward_mode, and the
+    reward model it trains (None outside estimation mode)."""
     weights = _weights_for(env)
     if cfg.reward_mode is RewardMode.TRADITIONAL:
-        return TraditionalProvider()
+        return traditional_reward, None
     if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
-        return RuleImmediateProvider(RuleBasedCalculator(weights, cfg.r_fail, oracle_access=True))
+        calc = RuleBasedCalculator(weights, cfg.r_fail, oracle_access=True)
+        return partial(rule_immediate_reward, calc), None
     n_adv = len(env.agents(Party.ADVERSARY))
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * n_adv
     model_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0))
     model = RewardModel(input_dim, cfg.model_hidden, model_rng)
     opt = Adam(model.params(), learning_rate=cfg.model_learning_rate)
-    return EstimationProvider(
+    provider = EstimationProvider(
         model,
         RuleBasedCalculator(weights, cfg.r_fail),
         opt,
@@ -504,6 +482,7 @@ def _make_provider(env: Environment, cfg: TrainingConfig, label: str):
         cfg.model_batch,
         np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0)),
     )
+    return provider, model
 
 
 def train_adversaries(
@@ -521,21 +500,21 @@ def train_adversaries(
         raise ConfigError("environment has no bystander agents to train")
     frozen_victims.check_fits(env, Party.VICTIM)
     label = "adversary_train"
-    provider = _make_provider(env, cfg, label)
+    reward, reward_model = _make_reward(env, cfg, label)
     other = {Party.VICTIM: frozen_victims.as_controller()}
     result = train_party(
         env,
         Party.ADVERSARY,
         cfg,
         other,
-        provider,
+        reward,
         out_dir,
         label,
         frozen_checksums={Party.VICTIM.label: frozen_victims.checksum()},
     )
     policy = result.policy
     under = evaluate_win_rate(env_config, frozen_victims, policy, cfg.eval_episodes, cfg.seed)[0]
-    return AdversaryTrainingResult(policy, result.reward_model, under, result.curve, result.metrics)
+    return AdversaryTrainingResult(policy, reward_model, under, result.curve)
 
 
 @dataclass
@@ -570,7 +549,7 @@ def retrain_victims_defense(
         Party.VICTIM,
         cfg,
         other,
-        VictimTaskProvider(),
+        victim_task_reward,
         out_dir,
         "defense_retrain",
         frozen_checksums={Party.ADVERSARY.label: adv_checksum},

@@ -85,6 +85,14 @@ def test_env_key_of_the_other_kind_is_refused(kv, key):
         build_env_config(kv)
 
 
+@pytest.mark.parametrize("kind", ["banana", "skirmish"])
+def test_preset_with_another_or_unknown_kind_is_refused(kind):
+    with pytest.raises(ConfigError, match=r"env\.kind.*env\.preset"):
+        build_env_config({"env.preset": "corridor-small", "env.kind": kind})
+    kv = {"env.preset": "corridor-small", "env.kind": "corridor"}
+    assert build_env_config(kv) == PRESETS["corridor-small"]
+
+
 def test_env_needs_a_preset_or_kind():
     with pytest.raises(ConfigError, match="env.preset or env.kind"):
         build_env_config({"env.kind": "maze"})

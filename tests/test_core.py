@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,8 @@ from bystander.core import (
     EpisodeTrajectory,
     Party,
     StepOutcome,
-    StepRecord,
     StructuralError,
     derive_seed,
-    load_trajectory,
-    save_trajectory,
-    trajectory_from_lines,
-    trajectory_to_lines,
     validate_trajectory,
 )
 from bystander.envs import preset
@@ -44,15 +41,17 @@ def test_outcome_exclusivity():
         StepOutcome(True, False, True, np.array([-0.1, 0.0]))
 
 
-def _record(env, state, terminal_outcome):
-    agents = env.controllable_agents
-    return StepRecord(
-        observations={a: env.observe(state, a) for a in agents},
-        available={a: env.available_actions(state, a) for a in agents},
-        actions={a: 0 for a in agents},
-        failure_signals=terminal_outcome.failure_signals,
-        reward=0.0,
-        outcome=terminal_outcome,
+def _trajectory(env, state, outcomes):
+    """A trajectory that stays in `state`, every agent taking action 0."""
+    parties = (Party.VICTIM, Party.ADVERSARY)
+    steps = len(outcomes)
+    return EpisodeTrajectory(
+        obs={p: np.stack([env.observe_party(state, p)] * (steps + 1)) for p in parties},
+        avail={p: np.stack([env.masks_party(state, p)] * (steps + 1)) for p in parties},
+        actions={p: np.zeros((steps, len(env.agents(p))), dtype=int) for p in parties},
+        rewards=np.zeros(steps),
+        outcomes=tuple(outcomes),
+        seed=0,
     )
 
 
@@ -63,67 +62,69 @@ def skirmish():
 
 def test_one_step_terminal_trajectory_passes(skirmish):
     state = skirmish.reset(0)
-    out = outcome(terminal=True, failed=True)
-    traj = EpisodeTrajectory((_record(skirmish, state, out),), out, seed=0)
+    traj = _trajectory(skirmish, state, [outcome(terminal=True, failed=True)])
     report = validate_trajectory(traj, skirmish.descriptor)
     assert report.ok, report.violations
+    assert traj.final_outcome is traj.outcomes[-1] and len(traj) == 1
 
 
 def test_terminal_before_end_fails(skirmish):
     state = skirmish.reset(0)
     term = outcome(terminal=True, failed=True)
-    running = outcome()
-    records = (_record(skirmish, state, term), _record(skirmish, state, term))
-    traj = EpisodeTrajectory(records, term, seed=0)
+    traj = _trajectory(skirmish, state, [term, term])
     report = validate_trajectory(traj, skirmish.descriptor)
     assert not report.ok
     assert any("terminal before end" in v for v in report.violations)
     # and a non-terminal tail is flagged too
-    records = (_record(skirmish, state, running),)
-    traj = EpisodeTrajectory(records, running, seed=0)
+    traj = _trajectory(skirmish, state, [outcome()])
     assert not validate_trajectory(traj, skirmish.descriptor).ok
 
 
 def test_wrong_observation_shape_names_record(skirmish):
     state = skirmish.reset(0)
-    out = outcome(terminal=True, failed=True)
-    rec = _record(skirmish, state, out)
-    bad = StepRecord(
-        observations={**rec.observations, AgentId(Party.VICTIM, 0): np.zeros(17)},
-        available=rec.available,
-        actions=rec.actions,
-        failure_signals=rec.failure_signals,
-        reward=0.0,
-        outcome=out,
-    )
-    report = validate_trajectory(EpisodeTrajectory((bad,), out, seed=0), skirmish.descriptor)
+    traj = _trajectory(skirmish, state, [outcome(terminal=True, failed=True)])
+    bad = dataclasses.replace(traj, obs={**traj.obs, Party.VICTIM: np.zeros((2, 3, 17))})
+    report = validate_trajectory(bad, skirmish.descriptor)
     assert not report.ok
-    assert any(v.startswith("record 0 shape") for v in report.violations)
+    assert any(v.startswith("shape: victim obs (2, 3, 17)") for v in report.violations)
+    # a misaligned array is refused the same way: obs must cover T+1 states
+    short = dataclasses.replace(traj, avail={**traj.avail, Party.ADVERSARY: traj.avail[Party.ADVERSARY][:1]})
+    report = validate_trajectory(short, skirmish.descriptor)
+    assert any(v.startswith("shape: adversary avail") for v in report.violations)
+
+
+def test_unavailable_action_names_record_and_agent(skirmish):
+    state = skirmish.reset(0)
+    term = outcome(terminal=True, failed=True)
+    traj = _trajectory(skirmish, state, [outcome(), term])
+    avail = traj.avail[Party.VICTIM].copy()
+    avail[1, 2] = False
+    actions = traj.actions[Party.ADVERSARY].copy()
+    n_act = skirmish.descriptor.n_actions(Party.ADVERSARY)
+    actions[0, 1] = n_act
+    bad = dataclasses.replace(
+        traj, avail={**traj.avail, Party.VICTIM: avail}, actions={**traj.actions, Party.ADVERSARY: actions}
+    )
+    assert validate_trajectory(bad, skirmish.descriptor).violations == (
+        f"record 0: adversary/1 action {n_act} not available",
+        "record 1: victim/2 has no available action",
+        "record 1: victim/2 action 0 not available",
+    )
+
+
+def test_joint_action_rebuilds_agent_ids(skirmish):
+    traj = _trajectory(skirmish, skirmish.reset(0), [outcome(terminal=True, failed=True)])
+    traj.actions[Party.VICTIM][0] = [4, 5, 6]
+    assert traj.joint_action(0) == {
+        **{AgentId(Party.VICTIM, i): a for i, a in enumerate([4, 5, 6])},
+        AgentId(Party.ADVERSARY, 0): 0,
+        AgentId(Party.ADVERSARY, 1): 0,
+    }
 
 
 def test_empty_trajectory_is_structural_error(skirmish):
-    out = outcome(terminal=True, failed=True)
     with pytest.raises(StructuralError):
-        validate_trajectory(EpisodeTrajectory((), out, seed=0), skirmish.descriptor)
-
-
-def test_trajectory_serialization_round_trip(tmp_path, skirmish):
-    from bystander.rollout import RandomController, run_episode
-
-    rng = np.random.default_rng(0)
-    controllers = {
-        Party.VICTIM: RandomController(rng),
-        Party.ADVERSARY: RandomController(rng),
-    }
-    result = run_episode(skirmish, controllers, seed=123)
-    lines = trajectory_to_lines(result.trajectory)
-    back = trajectory_from_lines(lines)
-    assert back.seed == result.trajectory.seed
-    assert len(back) == len(result.trajectory)
-    assert trajectory_to_lines(back) == lines  # stable field order
-    path = tmp_path / "episode.jsonl"
-    save_trajectory(path, result.trajectory)
-    assert trajectory_to_lines(load_trajectory(path)) == lines
+        validate_trajectory(_trajectory(skirmish, skirmish.reset(0), []), skirmish.descriptor)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -136,8 +136,8 @@ def test_neutrality_audit_random_play(env):
         result = run_episode(env, controllers, seed)
         audit_neutrality(env, result.trajectory)
         assert len(result.trajectory) <= env.config.horizon
-        for rec in result.trajectory.records:
-            assert np.all(rec.failure_signals >= 0.0)
+        for out in result.trajectory.outcomes:
+            assert np.all(out.failure_signals >= 0.0)
 
 
 def test_observation_bounds_and_sentinels(env):

@@ -219,8 +219,8 @@ def test_conservation_and_boundedness(env):
         assert result.trajectory.final_outcome.terminal
         prev_health = cfg.victim_count * cfg.unit_health
         state = env.reset(seed)
-        for rec in result.trajectory.records:
-            state, outcome = env.step(state, rec.actions)
+        for t in range(len(result.trajectory)):
+            state, outcome = env.step(state, result.trajectory.joint_action(t))
             health = state.party_health(Party.VICTIM)
             assert health <= prev_health  # non-increasing
             lost = prev_health - health
@@ -232,8 +232,8 @@ def test_conservation_and_boundedness(env):
 def test_signal_nonnegativity_random_play(env):
     for seed in range(10):
         result = _random_episode(env, seed)
-        for rec in result.trajectory.records:
-            assert np.all(rec.failure_signals >= 0.0)
+        for out in result.trajectory.outcomes:
+            assert np.all(out.failure_signals >= 0.0)
 
 
 def test_descriptor_manifest_round_trip(env):

@@ -1,0 +1,131 @@
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from bystander import rewards, training
+from bystander.core import Party
+from bystander.envs import PRESETS, make_env
+from bystander.neural import Adam
+from bystander.rewards import RewardModel, RuleBasedCalculator, WeightVector
+from bystander.rollout import RandomController, run_episode
+from bystander.training import EstimationProvider
+
+PARTIES = (Party.VICTIM, Party.ADVERSARY)
+
+
+def random_controllers(seed):
+    rng = np.random.default_rng(seed)
+    return {p: RandomController(rng) for p in PARTIES}
+
+
+def replay_states(env, traj):
+    state = env.reset(traj.seed)
+    states = [state]
+    for t in range(len(traj)):
+        state, _ = env.step(state, traj.joint_action(t))
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("name", ["skirmish-small", "corridor-med"])
+def test_party_arrays_cover_states_and_steps(name):
+    env = make_env(PRESETS[name])
+    d = env.descriptor
+    for seed in range(3):
+        traj = run_episode(env, random_controllers(seed), seed).trajectory
+        steps = len(traj)
+        assert steps == len(traj.outcomes) >= 1 and traj.seed == seed
+        assert traj.rewards.shape == (steps,) and not traj.rewards.any()
+        assert list(traj.obs) == list(traj.avail) == list(traj.actions) == list(PARTIES)
+        for p in PARTIES:
+            n = len(env.agents(p))
+            assert traj.obs[p].shape == (steps + 1, n, d.obs_dim(p))
+            assert traj.avail[p].shape == (steps + 1, n, d.n_actions(p))
+            assert traj.actions[p].shape == (steps, n)
+        states = replay_states(env, traj)
+        for t, state in enumerate(states):
+            for p in PARTIES:
+                np.testing.assert_array_equal(traj.obs[p][t], env.observe_party(state, p))
+                np.testing.assert_array_equal(traj.avail[p][t], env.masks_party(state, p))
+        assert traj.final_outcome is traj.outcomes[-1] and traj.final_outcome.terminal
+
+
+def test_absent_party_has_no_arrays():
+    env = make_env(replace(PRESETS["skirmish-small"], adversary_count=0))
+    traj = run_episode(env, random_controllers(0), 0).trajectory
+    assert list(traj.obs) == [Party.VICTIM]
+    assert all(set(a) <= {Party.VICTIM} for a in (traj.avail, traj.actions))
+
+
+def test_reward_is_called_once_per_step_with_post_step_bystander_view(monkeypatch):
+    env = make_env(PRESETS["skirmish-small"])
+    calls = []
+
+    def reward(outcome, native_reward, bystander_obs):
+        calls.append((outcome, native_reward, bystander_obs.copy()))
+        return float(len(calls))
+
+    traj = run_episode(env, random_controllers(4), 4, reward).trajectory
+    steps = len(traj)
+    assert len(calls) == steps
+    assert [c[0].terminal for c in calls] == [False] * (steps - 1) + [True]
+    assert all(c[0] is out for c, out in zip(calls, traj.outcomes))
+    np.testing.assert_array_equal(traj.rewards, np.arange(1, steps + 1))
+    states = replay_states(env, traj)
+    for t, (outcome, native, bystander_obs) in enumerate(calls):
+        np.testing.assert_array_equal(bystander_obs, traj.obs[Party.ADVERSARY][t + 1].reshape(-1))
+        joint = traj.joint_action(t)
+        assert native == env.victim_task_reward(states[t], joint, states[t + 1], outcome)
+
+    # without a reward call the victims' task reward is never computed
+    def refuse(*args):
+        raise AssertionError("victim_task_reward computed without a reward call")
+
+    monkeypatch.setattr(env, "victim_task_reward", refuse)
+    assert len(run_episode(env, random_controllers(4), 4).trajectory) == steps
+
+
+def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monkeypatch):
+    env = make_env(PRESETS["skirmish-small"])
+    input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
+    model = RewardModel(input_dim, 8, np.random.default_rng(0))
+    weights = WeightVector(np.asarray(env.descriptor.default_weights))
+    provider = EstimationProvider(
+        model, RuleBasedCalculator(weights, 20.0), Adam(model.params(), learning_rate=1e-3),
+        clip=5.0, warmup_episodes=1, model_batch=2, rng=np.random.default_rng(1),
+    )
+    updates, steps_seen = [], []
+    update = training.reward_model_update
+
+    def counting_update(model, episodes, ground_truths, optimizer):
+        updates.append(len(episodes))
+        return update(model, episodes, ground_truths, optimizer)
+
+    monkeypatch.setattr(training, "reward_model_update", counting_update)
+    estimator_step = rewards.EpisodeEstimator.step
+
+    def recording_step(self, concat_obs):
+        steps_seen.append((self, len(self.inputs), self.state.hidden.copy(), self.state.cell.copy()))
+        return estimator_step(self, concat_obs)
+
+    monkeypatch.setattr(rewards.EpisodeEstimator, "step", recording_step)
+    lengths, trajs = [], []
+    for k in range(3):
+        traj = run_episode(env, random_controllers(k), k, provider).trajectory
+        trajs.append(traj)
+        lengths.append(len(traj))
+        assert len(updates) == k + 1 and provider.episode_count == k + 1
+    assert updates == [1, 2, 2]
+    assert len(steps_seen) == sum(lengths)
+    firsts = np.cumsum([0, *lengths[:-1]])
+    estimators = [steps_seen[i][0] for i in firsts]
+    assert len({id(e) for e in estimators}) == 3
+    for i in firsts:
+        _, n_inputs, hidden, cell = steps_seen[i]
+        assert n_inputs == 0 and not hidden.any() and not cell.any()
+    # warm-up: only the terminal rule reward; afterwards the clipped estimates
+    warm = trajs[0]
+    assert not warm.rewards[:-1].any()
+    assert warm.rewards[-1] == (0.0 if warm.final_outcome.victim_success else 20.0)
+    np.testing.assert_array_equal(trajs[2].rewards, np.clip(estimators[2].estimates, -5.0, 5.0))
