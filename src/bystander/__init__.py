@@ -5,15 +5,12 @@ neutral bystanders to break the task through the shared environment."""
 __version__ = "0.1.0"
 
 from .core import AgentId, EpisodeTrajectory, Party, StepOutcome, derive_seed
-from .rewards import WeightVector, weighted_reward
 
 __all__ = [
     "AgentId",
     "EpisodeTrajectory",
     "Party",
     "StepOutcome",
-    "WeightVector",
     "derive_seed",
-    "weighted_reward",
     "__version__",
 ]

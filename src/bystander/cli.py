@@ -51,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
         ("train-adversary", "train bystanders against a frozen victim checkpoint"),
         ("evaluate", "win rate of a victim checkpoint, optionally under attack"),
         ("defend-retrain", "retrain victims against a frozen attack"),
-        ("run-experiment", "run one of the rq1..rq5 sweeps"),
+        ("run-experiment", "run one of the rq1..rq4 sweeps"),
         ("oracle-check", "exact tabular verification suite"),
         ("grad-check", "finite-difference gradient audit"),
     ):
@@ -63,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default $BYSTANDER_OUT or ./runs)")
         p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
         if name == "run-experiment":
-            p.add_argument("--experiment", default=None, help="rq1..rq5 (or experiment.id key)")
+            p.add_argument("--experiment", default=None, help="rq1..rq4 (or experiment.id key)")
     return parser
 
 

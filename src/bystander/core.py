@@ -53,11 +53,6 @@ class AgentId:
     def key(self) -> str:
         return f"{self.party.label}/{self.index}"
 
-    @classmethod
-    def from_key(cls, key: str) -> "AgentId":
-        party, _, idx = key.partition("/")
-        return cls(Party.from_label(party), int(idx))
-
     def __repr__(self) -> str:  # keeps audit messages readable
         return self.key
 

@@ -34,7 +34,7 @@ from ..core import (
     Party,
     StepOutcome,
 )
-from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents
+from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents, check_failure_weights
 
 ACTIONS = ("keep", "faster", "slower", "lane_up", "lane_down")
 
@@ -70,8 +70,7 @@ class CorridorConfig:
             raise ConfigError("horizon >= 1 and speed_levels >= 2 required")
         if self.adversary_count + self.other_vehicle_count > self.lanes * (self.length - 4):
             raise ConfigError("mid-road spawn zone cannot fit adversaries plus traffic")
-        if len(self.failure_weights) != 3:
-            raise ConfigError("corridor has exactly 3 failure paths")
+        check_failure_weights(self.failure_weights, 3, "corridor")
 
     @property
     def goal_col(self) -> int:

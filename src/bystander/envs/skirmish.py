@@ -31,7 +31,7 @@ from ..core import (
     Party,
     StepOutcome,
 )
-from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents
+from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents, check_failure_weights
 
 MOVE_DELTAS = {
     "north": (0, -1),
@@ -77,8 +77,7 @@ class SkirmishConfig:
         zone = 2 * h
         if self.victim_count > zone or self.opponent_count > zone or self.adversary_count > zone:
             raise ConfigError("spawn zone (two columns) cannot fit a party")
-        if len(self.failure_weights) != 2:
-            raise ConfigError("skirmish has exactly 2 failure paths")
+        check_failure_weights(self.failure_weights, 2, "skirmish")
 
 
 @dataclass(frozen=True)
@@ -318,7 +317,6 @@ class SkirmishEnv(Environment):
             raise LifecycleError("cannot step a terminal state")
         actions: dict[AgentId, int] = {}
         for agent in self.controllable_agents:
-            u = state.unit(agent)
             a = int(joint_action.get(agent, 0))
             mask = self.available_actions(state, agent)
             if not (0 <= a < mask.size) or not mask[a]:

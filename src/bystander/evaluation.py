@@ -3,7 +3,8 @@ counts and seeds, producing win-rate tables and learning-curve CSVs.
 
 Experiment ids follow the study structure: rq1 cross-environment
 generalization, rq2 reward-mode comparison, rq3 bystander-count sweep,
-rq4 task-difficulty sweep, rq5 defense retraining.
+rq4 task-difficulty sweep. The rq5 defense retraining is no sweep: it is
+`run_defense_experiment`, behind the `defend-retrain` command.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .training import (
     train_victims,
 )
 
-EXPERIMENT_IDS = ("rq1", "rq2", "rq3", "rq4", "rq5")
+EXPERIMENT_IDS = ("rq1", "rq2", "rq3", "rq4")
 
 
 @dataclass
@@ -138,12 +139,6 @@ def _run_grid_point(args: tuple) -> dict:
     under, under_hw = evaluate_win_rate(point_cfg, victims, result.policy, eval_episodes, eval_seed)
     absent, _ = evaluate_win_rate(point_cfg, victims, None, eval_episodes, eval_seed)
     random_rate, _ = evaluate_win_rate(point_cfg, victims, "random", eval_episodes, eval_seed)
-    curve_path = out_dir / "attack_curve.csv"
-    with open(curve_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("episode", "win_rate"))
-        for ep, rate in result.curve:
-            w.writerow((ep, f"{rate:.10g}"))
     return {
         "seed": seed,
         "under_attack": under,
@@ -275,10 +270,11 @@ def default_spec(
             [RewardMode.ESTIMATION],
             [2],
         ),
-        "rq5": ([("skirmish-small", skirmish)], [RewardMode.ESTIMATION], [2]),
     }
     if experiment_id not in grids:
-        raise ConfigError(f"experiment id must be one of {EXPERIMENT_IDS}")
+        raise ConfigError(
+            f"experiment id must be one of {EXPERIMENT_IDS}; rq5 (defense retraining) is the defend-retrain command"
+        )
     env_grid, modes, counts = grids[experiment_id]
     if experiment_id == "rq2":
         train = dataclasses.replace(train, victim_reward_access=True)

@@ -17,15 +17,6 @@ from .neural import Adam, Linear, MLP, ParamTensor
 MASK_SENTINEL = -1e9
 
 
-def agent_q_values(net: MLP, obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Q values with unavailable actions pushed to the -1e9 sentinel."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any(axis=-1).all():
-        raise ContractViolation("mask must allow at least one action")
-    q, _ = net.forward(obs)
-    return np.where(mask, q, MASK_SENTINEL)
-
-
 def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over masked Q values; greedy ties break to the lowest
     action id, exploration is uniform over available actions."""
@@ -126,12 +117,6 @@ class MixingNet:
         dw1_raw = dw1.reshape(dw1.shape[0], -1) * np.sign(cache.w1_raw)
         self.hyper_w1.backward(cache.hw1_cache, dw1_raw)
         return dq[0] if cache.squeeze else dq
-
-
-def mix(mixer: MixingNet, per_agent_q: np.ndarray, conditioning: np.ndarray) -> float:
-    """Single mixed value, monotone in every per-agent input."""
-    q_tot, _ = mixer.forward(per_agent_q, conditioning)
-    return q_tot
 
 
 @dataclass

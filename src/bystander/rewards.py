@@ -1,12 +1,10 @@
-"""Bystander reward machinery: failure-path weighting, the terminal
-rule-based calculator, and the recurrent reward estimator that spreads an
-episode-end ground truth over steps without ever seeing global state.
+"""Bystander reward machinery: the terminal ground truth of an episode and
+the recurrent reward estimator that spreads it over steps without ever
+seeing global state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -15,86 +13,12 @@ from .core import ContractViolation, StepOutcome, StructuralError, TrainingFault
 from .neural import Adam, LSTMCell, LSTMStepCache, RecurrentState
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Manual importances for the failure paths; non-negative with at least
-    one strictly positive entry."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1:
-            raise StructuralError("weights must be a flat vector")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("weights must be >= 0 with at least one > 0")
-        object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def weighted_reward(w: WeightVector, signals: np.ndarray) -> float:
-    """Dot product of the weight vector with a failure-signal vector."""
-    signals = np.asarray(signals, dtype=float)
-    if signals.shape != w.weights.shape:
-        raise StructuralError(
-            f"signal length {signals.shape} != weight length {w.weights.shape}"
-        )
-    return float(w.weights @ signals)
-
-
-class RewardSource(Enum):
-    VICTIM_SUCCESS = "victim_success"
-    VICTIM_FAILURE = "victim_failure"
-
-
-@dataclass(frozen=True)
-class GroundTruthReward:
-    value: float
-    source: RewardSource
-
-    def __post_init__(self) -> None:
-        if self.source is RewardSource.VICTIM_SUCCESS and self.value != 0.0:
-            raise ValueError("success ground truth must be 0")
-        if self.source is RewardSource.VICTIM_FAILURE and self.value <= 0.0:
-            raise ValueError("failure ground truth must be > 0")
-
-
-def rule_based_terminal_reward(outcome: StepOutcome, r_fail: float) -> GroundTruthReward:
-    """Episode-end reward: 0 when the victims completed their task, r_fail
-    when they did not. Only defined on terminal outcomes."""
+def terminal_reward(outcome: StepOutcome, r_fail: float) -> float:
+    """Episode-end ground truth: 0 when the victims completed their task,
+    r_fail when they did not. Only defined on terminal outcomes."""
     if not outcome.terminal:
         raise ContractViolation("terminal reward requested on a non-terminal step")
-    if outcome.victim_success:
-        return GroundTruthReward(0.0, RewardSource.VICTIM_SUCCESS)
-    return GroundTruthReward(float(r_fail), RewardSource.VICTIM_FAILURE)
-
-
-class RuleBasedCalculator:
-    """Rule-based per-step reward calculator with two modes.
-
-    Ground-truth mode emits zero immediate reward everywhere (the terminal
-    rule reward is the only signal). Baseline mode scores every step as the
-    weighted failure-signal dot product; it needs the simulator's failure
-    signals, so it is available only when constructed with oracle access.
-    """
-
-    def __init__(self, weights: WeightVector, r_fail: float, oracle_access: bool = False):
-        self.weights = weights
-        self.r_fail = float(r_fail)
-        self.oracle_access = oracle_access
-
-    def terminal_reward(self, outcome: StepOutcome) -> GroundTruthReward:
-        return rule_based_terminal_reward(outcome, self.r_fail)
-
-    def immediate_reward(self, signals: np.ndarray) -> float:
-        if not self.oracle_access:
-            raise ContractViolation(
-                "immediate rule-based rewards need global-state signals; "
-                "construct with oracle_access=True (baseline/evaluation only)"
-            )
-        return weighted_reward(self.weights, signals)
+    return 0.0 if outcome.victim_success else float(r_fail)
 
 
 class RewardModel:
@@ -102,8 +26,8 @@ class RewardModel:
 
     Input is the concatenation of all bystander observations in fixed agent
     order; the scalar outputs over an episode are trained so their sum
-    matches the terminal rule-based ground truth. Recurrent state lives for
-    exactly one episode.
+    matches the terminal ground truth. Recurrent state lives for exactly
+    one episode.
     """
 
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator):

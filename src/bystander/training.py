@@ -31,13 +31,7 @@ from .qmix import (
     TargetNetworkPair,
     learner_step,
 )
-from .rewards import (
-    EpisodeEstimator,
-    RewardModel,
-    RuleBasedCalculator,
-    WeightVector,
-    reward_model_update,
-)
+from .rewards import EpisodeEstimator, RewardModel, reward_model_update, terminal_reward
 from .rollout import Controller, EpsilonGreedyController, RandomController, run_episode
 
 
@@ -83,6 +77,8 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
+        if not self.r_fail > 0.0:
+            raise ConfigError("r_fail must be > 0: the failure ground truth rewards the bystanders")
         if self.reward_mode is RewardMode.TRADITIONAL and not self.victim_reward_access:
             raise ConfigError(
                 "traditional reward mode negates the victims' task reward; "
@@ -182,26 +178,29 @@ def traditional_reward(outcome, native_reward, bystander_obs) -> float:
     return -native_reward
 
 
-def rule_immediate_reward(calc: RuleBasedCalculator, outcome, native_reward, bystander_obs) -> float:
-    """Rule-based baseline: weighted failure signals each step plus the
-    terminal rule reward. Needs simulator signals, hence oracle access."""
-    r = calc.immediate_reward(outcome.failure_signals)
+def rule_immediate_reward(weights: np.ndarray, r_fail: float, outcome, native_reward, bystander_obs) -> float:
+    """Rule-based baseline: the failure-path weights dotted with the step's
+    failure signals, plus the terminal ground truth on the last step. The
+    signals come from the simulator, so this is an oracle-only baseline."""
+    r = float(weights @ outcome.failure_signals)
     if outcome.terminal:
-        r += calc.terminal_reward(outcome).value
+        r += terminal_reward(outcome, r_fail)
     return r
 
 
 class EstimationProvider:
     """Recurrent estimator reward: per-step clipped estimates are the reward
-    once the model has warmed up; before that, only the terminal rule reward
-    is passed through. An episode's first step starts a fresh
+    once the model has warmed up; before that, only the terminal ground
+    truth is passed through. An episode's first step starts a fresh
     EpisodeEstimator; its terminal step trains the model on a minibatch of
-    recent episodes against their terminal ground truths."""
+    recent episodes against their terminal ground truths. It holds r_fail
+    and no failure-path weights, so it cannot score the simulator's failure
+    signals."""
 
     def __init__(
         self,
         model: RewardModel,
-        calculator: RuleBasedCalculator,
+        r_fail: float,
         optimizer: Adam,
         clip: float,
         warmup_episodes: int,
@@ -209,7 +208,7 @@ class EstimationProvider:
         rng: np.random.Generator,
     ):
         self.model = model
-        self.calc = calculator
+        self.r_fail = r_fail
         self.optimizer = optimizer
         self.clip = clip
         self.warmup_episodes = warmup_episodes
@@ -226,16 +225,14 @@ class EstimationProvider:
         if self._estimator is None:
             self._estimator = EpisodeEstimator(self.model, self.clip)
         estimate = self._estimator.step(bystander_obs)
-        if self.episode_count < self.warmup_episodes:
-            r = self.calc.terminal_reward(outcome).value if outcome.terminal else 0.0
-        else:
-            r = estimate
-        if outcome.terminal:
-            self._end_episode(outcome)
-        return r
+        warm_up = self.episode_count < self.warmup_episodes
+        if not outcome.terminal:
+            return 0.0 if warm_up else estimate
+        gt = terminal_reward(outcome, self.r_fail)
+        self._end_episode(gt)
+        return gt if warm_up else estimate
 
-    def _end_episode(self, outcome) -> None:
-        gt = self.calc.terminal_reward(outcome).value
+    def _end_episode(self, gt: float) -> None:
         self.recent.append((self._estimator.episode_inputs(), gt))
         if len(self.recent) > 4 * self.model_batch:
             self.recent.pop(0)
@@ -394,9 +391,8 @@ def train_party(
             metrics.step_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
         if (episode + 1) % cfg.eval_interval == 0:
             checkpoint_policies()
-            greedy = EpsilonGreedyController(pair.nets, explore_rng)
             eval_controllers = dict(controllers)
-            eval_controllers[party] = greedy
+            eval_controllers[party] = FrozenPolicy(party, pair.nets).as_controller()
             rate = evaluate_party(
                 env,
                 eval_controllers,
@@ -420,10 +416,6 @@ class VictimTrainingResult:
     no_attack_win_rate: float
     random_neutral_win_rate: float
     curve: list[tuple[int, float]]
-
-
-def _weights_for(env: Environment) -> WeightVector:
-    return WeightVector(np.asarray(env.descriptor.default_weights))
 
 
 def train_victims(
@@ -462,12 +454,11 @@ class AdversaryTrainingResult:
 def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
     """The bystanders' per-step reward call for cfg.reward_mode, and the
     reward model it trains (None outside estimation mode)."""
-    weights = _weights_for(env)
     if cfg.reward_mode is RewardMode.TRADITIONAL:
         return traditional_reward, None
     if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
-        calc = RuleBasedCalculator(weights, cfg.r_fail, oracle_access=True)
-        return partial(rule_immediate_reward, calc), None
+        weights = np.asarray(env.descriptor.default_weights, dtype=float)
+        return partial(rule_immediate_reward, weights, cfg.r_fail), None
     n_adv = len(env.agents(Party.ADVERSARY))
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * n_adv
     model_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0))
@@ -475,7 +466,7 @@ def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
     opt = Adam(model.params(), learning_rate=cfg.model_learning_rate)
     provider = EstimationProvider(
         model,
-        RuleBasedCalculator(weights, cfg.r_fail),
+        cfg.r_fail,
         opt,
         cfg.estimate_clip,
         cfg.warmup_episodes,

@@ -13,7 +13,8 @@ from bystander.config import (
     validate_keys,
 )
 from bystander.core import ConfigError
-from bystander.envs import PRESETS, CorridorConfig
+from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig
+from bystander.training import TrainingConfig
 
 
 def test_parse_skips_comments_and_blank_lines():
@@ -105,6 +106,32 @@ def test_training_values_are_converted_or_refused():
     assert (cfg.episodes, cfg.reward_mode.value, cfg.seed) == (30, "rule_immediate", 5)
     with pytest.raises(ConfigError, match="bad value for train.episodes"):
         build_training_config({"train.episodes": "many"})
+
+
+def test_failure_weights_must_be_nonnegative_with_one_positive(tmp_path):
+    for cls, bad in (
+        (SkirmishConfig, [(-1.0, 2.0), (0.0, 0.0), (float("nan"), 1.0)]),
+        (CorridorConfig, [(0.5, -0.1, 0.2), (0.0, 0.0, 0.0)]),
+    ):
+        for weights in bad:
+            with pytest.raises(ConfigError, match="failure_weights"):
+                cls(failure_weights=weights)
+    assert SkirmishConfig(failure_weights=(0.0, 1.0)).failure_weights == (0.0, 1.0)
+    # refused where the value enters, even in a reward mode that never reads it
+    argv = ["train-adversary", "--out", str(tmp_path), "--set", "train.reward_mode=traditional"]
+    argv += ["--set", "train.victim_reward_access=true"]
+    for preset, weights in (("skirmish-small", "-1,2"), ("corridor-small", "0,0,0")):
+        env = ["--set", f"env.preset={preset}", "--set", f"env.failure_weights={weights}"]
+        assert dispatch([*argv, *env]) == EXIT_CONFIG
+
+
+def test_r_fail_must_be_positive(tmp_path):
+    for r_fail in (0.0, -3.0, float("nan")):
+        with pytest.raises(ConfigError, match="r_fail"):
+            TrainingConfig(r_fail=r_fail)
+    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--set", "train.r_fail=-3"]) == EXIT_CONFIG
+    assert not (tmp_path / "train-victim").exists()
 
 
 def test_experiment_settings():

@@ -1,4 +1,8 @@
+import pytest
+
 from bystander import evaluation
+from bystander.cli import EXIT_CONFIG, dispatch
+from bystander.core import ConfigError
 from bystander.evaluation import default_spec, run_experiment
 from bystander.training import TrainingConfig
 
@@ -34,3 +38,13 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
         one, two = ((tmp_path / f"w{w}" / name).read_bytes() for w in (1, 2))
         assert one == two
     assert len((tmp_path / "w1" / "rq2_curves_long.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+    point = tmp_path / "w1" / "skirmish-small_estimation_adv2" / "seed1"
+    assert (point / "adversary_train_curve.csv").exists()
+    assert not (point / "attack_curve.csv").exists()
+
+
+def test_rq5_is_the_defend_retrain_command_not_a_sweep(tmp_path):
+    with pytest.raises(ConfigError, match="defend-retrain"):
+        default_spec("rq5", TINY)
+    assert dispatch(["run-experiment", "--experiment", "rq5", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert not (tmp_path / "experiment-rq5").exists()

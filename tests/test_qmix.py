@@ -9,32 +9,12 @@ from bystander.qmix import (
     PreparedEpisode,
     ReplayBuffer,
     TargetNetworkPair,
-    agent_q_values,
     greedy_joint_q,
     learner_step,
-    mix,
     select_action,
     stack_batch,
     td_targets,
 )
-
-
-def test_agent_q_values_zero_net_full_mask():
-    net = MLP("a", [4, 8, 8, 3], np.random.default_rng(0))
-    for p in net.params():
-        p.values[:] = 0.0
-    q = agent_q_values(net, np.zeros(4), np.ones(3, dtype=bool))
-    assert np.all(q == 0.0)
-
-
-def test_agent_q_values_masking_forces_argmax():
-    net = MLP("a", [4, 8, 8, 3], np.random.default_rng(1))
-    mask = np.array([False, False, True])
-    q = agent_q_values(net, np.random.default_rng(0).normal(size=4), mask)
-    assert np.argmax(q) == 2
-    assert q[0] == MASK_SENTINEL and q[1] == MASK_SENTINEL
-    with pytest.raises(ContractViolation):
-        agent_q_values(net, np.zeros(4), np.zeros(3, dtype=bool))
 
 
 def test_agent_q_matches_independent_forward():
@@ -46,7 +26,7 @@ def test_agent_q_matches_independent_forward():
     h1 = np.maximum(obs @ ws[0].T + bs[0], 0)
     h2 = np.maximum(h1 @ ws[1].T + bs[1], 0)
     expected = h2 @ ws[2].T + bs[2]
-    q = agent_q_values(net, obs, np.ones(4, dtype=bool))
+    q, _ = net.forward(obs)
     assert np.max(np.abs(q - expected)) < 1e-12
 
 
@@ -86,8 +66,8 @@ def test_mixer_single_agent_identity_like():
     mixer.hyper_w2.b.array[0] = 1.0
     mixer.hyper_v.b.array[0] = 0.25
     cond = np.zeros(2)
-    assert mix(mixer, np.array([3.0]), cond) == pytest.approx(3.25)
-    assert mix(mixer, np.array([5.0]), cond) == pytest.approx(5.25)
+    assert mixer.forward(np.array([3.0]), cond)[0] == pytest.approx(3.25)
+    assert mixer.forward(np.array([5.0]), cond)[0] == pytest.approx(5.25)
 
 
 def test_mixer_positivity_transform():
@@ -112,7 +92,7 @@ def test_mixer_monotone_finite_difference():
             hi, lo = q.copy(), q.copy()
             hi[i] += eps
             lo[i] -= eps
-            slope = (mix(mixer, hi, cond) - mix(mixer, lo, cond)) / (2 * eps)
+            slope = (mixer.forward(hi, cond)[0] - mixer.forward(lo, cond)[0]) / (2 * eps)
             assert slope >= -1e-9
 
 
@@ -269,7 +249,7 @@ def test_greedy_invariance_under_positive_scaling():
     net = MLP("a", [3, 8, 8, 4], rng)
     obs = rng.normal(size=3)
     mask = np.ones(4, dtype=bool)
-    q = agent_q_values(net, obs, mask)
+    q = np.where(mask, net.forward(obs)[0], MASK_SENTINEL)
     a1 = select_action(q, 0.0, rng)
     scaled = np.where(mask, q * 7.5, MASK_SENTINEL)
     assert select_action(scaled, 0.0, rng) == a1
@@ -325,5 +305,5 @@ def test_tabular_chain_convergence_to_value_iteration():
     for s in range(2):
         q, _ = nets[0].forward(onehot(s))
         for a in range(2):
-            learned[s, a] = mix(mixer, np.array([q[a]]), onehot(s))
+            learned[s, a] = mixer.forward(np.array([q[a]]), onehot(s))[0]
     assert np.max(np.abs(learned - q_star)) < 0.05

@@ -4,39 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bystander.checks import episode_sum_gradient_residual
-from bystander.core import ContractViolation, StepOutcome, StructuralError, TrainingFault
+from bystander.core import ContractViolation, StepOutcome, StructuralError
 from bystander.neural import Adam
-from bystander.rewards import (
-    EpisodeEstimator,
-    GroundTruthReward,
-    RewardModel,
-    RewardSource,
-    RuleBasedCalculator,
-    WeightVector,
-    reward_model_update,
-    rule_based_terminal_reward,
-    weighted_reward,
-)
+from bystander.rewards import EpisodeEstimator, RewardModel, reward_model_update, terminal_reward
+from bystander.training import rule_immediate_reward
 
 
 def out(terminal, success=False, failed=False, signals=(0.0, 0.0)):
     return StepOutcome(terminal, success, failed, np.asarray(signals, dtype=float))
 
 
-def test_weight_vector_invariants():
-    with pytest.raises(ValueError):
-        WeightVector(np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        WeightVector(np.array([-0.1, 1.0]))
-    assert len(WeightVector(np.array([0.7, 0.3]))) == 2
-
-
 def test_weighted_reward_examples():
-    assert weighted_reward(WeightVector(np.array([1.0, 0.0])), np.array([0.5, 9.0])) == 0.5
-    assert weighted_reward(WeightVector(np.array([0.5, 0.5, 0.0])), np.array([2.0, 4.0, 8.0])) == 3.0
-    assert weighted_reward(WeightVector(np.array([0.7, 0.3])), np.zeros(2)) == 0.0
-    with pytest.raises(StructuralError):
-        weighted_reward(WeightVector(np.array([1.0])), np.array([1.0, 2.0]))
+    # on a non-terminal step the rule-based reward is the weighted signal sum
+    def scored(weights, signals):
+        return rule_immediate_reward(np.array(weights), 20.0, out(False, signals=signals), 0.0, None)
+
+    assert scored([1.0, 0.0], [0.5, 9.0]) == 0.5
+    assert scored([0.5, 0.5, 0.0], [2.0, 4.0, 8.0]) == 3.0
+    assert scored([0.7, 0.3], [0.0, 0.0]) == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -48,43 +33,36 @@ def test_weighted_reward_examples():
 )
 def test_weighted_reward_linear_in_signals(n, a, b, seed):
     rng = np.random.default_rng(seed)
-    w = WeightVector(rng.uniform(0.1, 1.0, size=n))
+    w = rng.uniform(0.1, 1.0, size=n)
     r1, r2 = rng.uniform(0.0, 5.0, size=n), rng.uniform(0.0, 5.0, size=n)
-    lhs = weighted_reward(w, a * r1 + b * r2)
-    rhs = a * weighted_reward(w, r1) + b * weighted_reward(w, r2)
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def scored(signals):
+        return rule_immediate_reward(w, 20.0, out(False, signals=signals), 0.0, None)
+
+    assert scored(a * r1 + b * r2) == pytest.approx(a * scored(r1) + b * scored(r2), rel=1e-12, abs=1e-12)
 
 
 def test_terminal_rule_success_is_zero():
-    gt = rule_based_terminal_reward(out(True, success=True), r_fail=20.0)
-    assert gt.value == 0.0 and gt.source is RewardSource.VICTIM_SUCCESS
+    assert terminal_reward(out(True, success=True), r_fail=20.0) == 0.0
 
 
 def test_terminal_rule_failure_is_r_fail():
-    gt = rule_based_terminal_reward(out(True, failed=True), r_fail=20.0)
-    assert gt.value == 20.0 and gt.source is RewardSource.VICTIM_FAILURE
+    gt = terminal_reward(out(True, failed=True), r_fail=20)
+    assert gt == 20.0 and type(gt) is float
 
 
 def test_terminal_rule_rejects_nonterminal():
     with pytest.raises(ContractViolation):
-        rule_based_terminal_reward(out(False), r_fail=20.0)
+        terminal_reward(out(False), r_fail=20.0)
 
 
-def test_ground_truth_invariants():
-    with pytest.raises(ValueError):
-        GroundTruthReward(1.0, RewardSource.VICTIM_SUCCESS)
-    with pytest.raises(ValueError):
-        GroundTruthReward(0.0, RewardSource.VICTIM_FAILURE)
-
-
-def test_calculator_modes():
-    w = WeightVector(np.array([0.7, 0.3]))
-    oracle = RuleBasedCalculator(w, 20.0, oracle_access=True)
-    deployed = RuleBasedCalculator(w, 20.0)
-    signals = np.array([0.0, 1.0 / 60.0])
-    assert oracle.immediate_reward(signals) == pytest.approx(0.3 / 60.0)
-    with pytest.raises(ContractViolation):
-        deployed.immediate_reward(signals)
+def test_rule_immediate_reward_adds_the_terminal_ground_truth():
+    w = np.array([0.7, 0.3])
+    signals = [0.0, 1.0 / 60.0]
+    step = rule_immediate_reward(w, 20.0, out(False, signals=signals), -1.0, None)
+    assert step == pytest.approx(0.3 / 60.0)
+    assert rule_immediate_reward(w, 20.0, out(True, failed=True, signals=signals), -1.0, None) == step + 20.0
+    assert rule_immediate_reward(w, 20.0, out(True, success=True, signals=signals), -1.0, None) == step
 
 
 def test_zero_model_estimates_zero():

@@ -7,7 +7,7 @@ from bystander import rewards, training
 from bystander.core import Party
 from bystander.envs import PRESETS, make_env
 from bystander.neural import Adam
-from bystander.rewards import RewardModel, RuleBasedCalculator, WeightVector
+from bystander.rewards import RewardModel
 from bystander.rollout import RandomController, run_episode
 from bystander.training import EstimationProvider
 
@@ -90,9 +90,8 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     env = make_env(PRESETS["skirmish-small"])
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
     model = RewardModel(input_dim, 8, np.random.default_rng(0))
-    weights = WeightVector(np.asarray(env.descriptor.default_weights))
     provider = EstimationProvider(
-        model, RuleBasedCalculator(weights, 20.0), Adam(model.params(), learning_rate=1e-3),
+        model, 20.0, Adam(model.params(), learning_rate=1e-3),
         clip=5.0, warmup_episodes=1, model_batch=2, rng=np.random.default_rng(1),
     )
     updates, steps_seen = [], []

@@ -152,6 +152,21 @@ def test_frozen_act_matches_greedy_controller_over_source_nets():
         assert np.array_equal(policy.act(obs, masks), greedy.act(obs, masks))
 
 
+def test_frozen_act_respects_masks():
+    nets = _nets()
+    policy = FrozenPolicy(Party.VICTIM, nets)
+    rng = np.random.default_rng(3)
+    only = np.zeros((3, 4), dtype=bool)
+    only[np.arange(3), [2, 0, 3]] = True
+    assert policy.act(rng.normal(size=(3, 6)), only).tolist() == [2, 0, 3]
+    for _ in range(50):
+        obs, masks = _masked_observations(rng)
+        actions = policy.act(obs, masks)
+        assert masks[np.arange(3), actions].all()
+        q = np.stack([net.forward(o)[0] for net, o in zip(nets, obs)])
+        assert np.array_equal(actions, np.argmax(np.where(masks, q, -np.inf), axis=1))
+
+
 def test_check_fits_refuses_wrong_party_and_shapes():
     env = make_env(PRESETS["skirmish-small"])
     d = env.descriptor
