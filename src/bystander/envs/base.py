@@ -4,11 +4,24 @@ Environments are functional: `reset` and `step` take and return immutable
 state values, so trajectories can be replayed and audited bit-exactly. An
 environment instance owns only its configuration and derived lookup tables.
 
+`Environment` holds what every environment shares, written once:
+  - the step contract: a terminal state cannot be stepped (LifecycleError),
+    every controllable agent's action must be allowed by its mask
+    (ContractViolation; a missing agent plays noop), and the scripted third
+    party then acts before the env's own resolver runs;
+  - the observation layout: an observer's own features, then fixed
+    per-unit slot blocks for victims, third-party units and bystander slots
+    (`config.adversary_slots`), its own party's block leaving out itself.
+    Each block is (present, feature...) and stays zero when the unit is
+    absent or out of sight.
+An environment supplies its dynamics (`_resolve`, `_terminal`, the scripted
+third-party action), its masks and the two observation hooks.
+
 Policies and learners read a state only through the per-agent `observe` and
 `available_actions` (stacked per party by `observe_party`/`masks_party`).
 There is no global-state view: bystanders have none, and each party's mixer
-reads its own agents' observations. `positions`, `failure_signals` and
-`step_events` exist for audits and oracle-only rewards.
+reads its own agents' observations. `positions` and `step_events` exist for
+audits.
 """
 
 from __future__ import annotations
@@ -24,6 +37,7 @@ from ..core import (
     ConfigError,
     ContractViolation,
     EpisodeTrajectory,
+    LifecycleError,
     Party,
     StepOutcome,
 )
@@ -70,81 +84,155 @@ class EnvDescriptor:
     def n_failure_paths(self) -> int:
         return len(self.failure_paths)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "horizon": self.horizon,
-            "party_counts": {p.label: int(c) for p, c in self.party_counts.items()},
-            "action_labels": {p.label: list(v) for p, v in self.action_labels.items()},
-            "obs_labels": {p.label: list(v) for p, v in self.obs_labels.items()},
-            "failure_paths": [
-                {"id": f.id, "name": f.name, "description": f.description}
-                for f in self.failure_paths
-            ],
-            "default_weights": list(self.default_weights),
-        }
-
 
 @dataclass(frozen=True)
 class StepEvents:
-    """Debug/audit channel for one resolved step."""
+    """Audit channel for one resolved step."""
 
     attacks: tuple[tuple[AgentId, AgentId, int], ...]  # attacker, target, damage
-    moves: tuple[tuple[AgentId, tuple, tuple], ...]  # agent, from, to
     collisions: tuple[tuple[AgentId, AgentId], ...]  # mover, obstacle
-    canceled: tuple[AgentId, ...]  # agents whose maneuver was canceled
+
+
+# slot blocks follow the observer's own features in this party order
+SLOT_ORDER = (Party.VICTIM, Party.THIRD, Party.ADVERSARY)
 
 
 class Environment(ABC):
-    """Functional multi-party environment."""
+    """Functional multi-party environment over `config`, which carries
+    victim_count, adversary_count, adversary_slots, horizon and
+    failure_weights.
+
+    A subclass names its features in SELF_FEATURES (the observer's own) and
+    SLOT_FEATURES (what a slot holds after its present flag), its
+    FAILURE_PATHS, and passes its third-party count and action tables here.
+    """
+
+    SELF_FEATURES: tuple[str, ...]
+    SLOT_FEATURES: tuple[str, ...]
+    FAILURE_PATHS: tuple[FailurePathDescriptor, ...]
+
+    def __init__(self, name: str, config, third_count: int, action_labels: Mapping[Party, tuple[str, ...]]):
+        self.config = config
+        counts = {
+            Party.VICTIM: config.victim_count,
+            Party.ADVERSARY: config.adversary_count,
+            Party.THIRD: third_count,
+        }
+        self._agents = {p: tuple(AgentId(p, i) for i in range(n)) for p, n in counts.items()}
+        slots = {**counts, Party.ADVERSARY: config.adversary_slots}
+        width = 1 + len(self.SLOT_FEATURES)
+        obs_labels = {}
+        # observer -> ((offset of a slot block, the agent it shows), ...)
+        self._slots: dict[AgentId, tuple[tuple[int, AgentId], ...]] = {}
+        for party in Party:
+            labels = list(self.SELF_FEATURES)
+            table: dict[AgentId, list[tuple[int, AgentId]]] = {a: [] for a in self._agents[party]}
+            for slot_party in SLOT_ORDER:
+                # the block of the observer's own party leaves itself out
+                n = max(slots[slot_party] - (slot_party is party), 0)
+                for agent, rows in table.items():
+                    others = [a for a in self._agents[slot_party] if a != agent][:n]
+                    rows += [(len(labels) + width * k, other) for k, other in enumerate(others)]
+                for k in range(n):
+                    base = f"{slot_party.label}_slot{k}"
+                    labels += [f"{base}_present"] + [f"{base}_{f}" for f in self.SLOT_FEATURES]
+            obs_labels[party] = tuple(labels)
+            self._slots.update((a, tuple(rows)) for a, rows in table.items())
+        self._obs_dim = {p: len(labels) for p, labels in obs_labels.items()}
+        self._descriptor = EnvDescriptor(
+            name=name,
+            horizon=config.horizon,
+            party_counts=counts,
+            action_labels=action_labels,
+            obs_labels=obs_labels,
+            failure_paths=self.FAILURE_PATHS,
+            default_weights=config.failure_weights,
+        )
 
     @property
-    @abstractmethod
-    def descriptor(self) -> EnvDescriptor: ...
+    def descriptor(self) -> EnvDescriptor:
+        return self._descriptor
+
+    def agents(self, party: Party) -> tuple[AgentId, ...]:
+        return self._agents[party]
+
+    @property
+    def controllable_agents(self) -> tuple[AgentId, ...]:
+        return self._agents[Party.VICTIM] + self._agents[Party.ADVERSARY]
 
     @abstractmethod
     def reset(self, seed: int): ...
 
-    @abstractmethod
-    def step_events(self, state, joint_action: Mapping[AgentId, int]): ...
+    # --- step -------------------------------------------------------------
+
+    def step_events(self, state, joint_action: Mapping[AgentId, int]):
+        """(next state, StepOutcome, StepEvents) of one checked step."""
+        if self._terminal(state):
+            raise LifecycleError("cannot step a terminal state")
+        actions: dict[AgentId, int] = {}
+        for agent in self.controllable_agents:
+            a = int(joint_action.get(agent, 0))
+            mask = self.available_actions(state, agent)
+            if not (0 <= a < mask.size) or not mask[a]:
+                raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
+            actions[agent] = a
+        for agent in self._agents[Party.THIRD]:
+            actions[agent] = self._scripted_action(state, agent)
+        return self._resolve(state, actions)
 
     def step(self, state, joint_action: Mapping[AgentId, int]):
         nxt, outcome, _ = self.step_events(state, joint_action)
         return nxt, outcome
 
     @abstractmethod
-    def observe(self, state, agent: AgentId) -> np.ndarray: ...
+    def _terminal(self, state) -> bool: ...
+
+    @abstractmethod
+    def _scripted_action(self, state, agent: AgentId) -> int:
+        """The third-party agent's action this step."""
+
+    @abstractmethod
+    def _resolve(self, state, actions: Mapping[AgentId, int]):
+        """Apply a checked joint action of every agent; returns what
+        step_events does."""
+
+    @abstractmethod
+    def victim_task_reward(self, prev, nxt, outcome: StepOutcome) -> float: ...
+
+    # --- observation / masks ------------------------------------------------
+
+    def observe(self, state, agent: AgentId) -> np.ndarray:
+        """The agent's own features, then its slot blocks; all zero when the
+        agent itself is out of play. KeyError for an unknown agent."""
+        lookup = self._lookup(state)
+        me = lookup(agent)
+        # a list converted once is cheaper than item writes into an array
+        obs = [0.0] * self._obs_dim[agent.party]
+        own = self._own_features(me)
+        if own is None:
+            return np.array(obs)
+        obs[: len(own)] = own
+        for i, other in self._slots[agent]:
+            seen = self._sees(me, lookup(other))
+            if seen is not None:
+                obs[i] = 1.0
+                obs[i + 1 : i + 1 + len(seen)] = seen
+        return np.array(obs)
+
+    @abstractmethod
+    def _lookup(self, state):
+        """The state's by-agent unit lookup (KeyError for unknown agents)."""
+
+    @abstractmethod
+    def _own_features(self, me) -> tuple[float, ...] | None:
+        """SELF_FEATURES of an observer, None when it is out of play."""
+
+    @abstractmethod
+    def _sees(self, me, other) -> tuple[float, ...] | None:
+        """SLOT_FEATURES of `other` as `me` sees it, None when out of sight."""
 
     @abstractmethod
     def available_actions(self, state, agent: AgentId) -> np.ndarray: ...
-
-    @abstractmethod
-    def agents(self, party: Party) -> tuple[AgentId, ...]: ...
-
-    @abstractmethod
-    def victim_task_reward(self, prev, joint_action, nxt, outcome: StepOutcome) -> float: ...
-
-    @abstractmethod
-    def positions(self, state) -> dict[AgentId, tuple]:
-        """On-grid coordinates of every live unit/vehicle."""
-        ...
-
-    @property
-    def controllable_agents(self) -> tuple[AgentId, ...]:
-        return self.agents(Party.VICTIM) + self.agents(Party.ADVERSARY)
-
-    def failure_signals(
-        self, prev, joint_action: Mapping[AgentId, int], nxt
-    ) -> np.ndarray:
-        """Per-step failure-path progress for a genuine transition.
-
-        Recomputes the step from (prev, joint_action) and rejects the call if
-        the claimed successor does not match.
-        """
-        recomputed, outcome = self.step(prev, joint_action)
-        if recomputed != nxt:
-            raise ContractViolation("(prev, action, next) is not a genuine transition")
-        return outcome.failure_signals
 
     def observe_party(self, state, party: Party) -> np.ndarray:
         """Stacked observations for one party, in agent-index order."""
@@ -152,6 +240,13 @@ class Environment(ABC):
 
     def masks_party(self, state, party: Party) -> np.ndarray:
         return np.stack([self.available_actions(state, a) for a in self.agents(party)])
+
+    # --- audits ---------------------------------------------------------------
+
+    @abstractmethod
+    def positions(self, state) -> dict[AgentId, tuple]:
+        """On-grid coordinates of every live unit/vehicle."""
+        ...
 
 
 def audit_neutrality(env: Environment, traj: EpisodeTrajectory) -> None:

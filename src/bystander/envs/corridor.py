@@ -26,15 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core import (
-    AgentId,
-    ConfigError,
-    ContractViolation,
-    LifecycleError,
-    Party,
-    StepOutcome,
-)
-from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents, check_failure_weights
+from ..core import AgentId, ConfigError, Party, StepOutcome
+from .base import Environment, FailurePathDescriptor, StepEvents, check_failure_weights
 
 ACTIONS = ("keep", "faster", "slower", "lane_up", "lane_down")
 
@@ -108,6 +101,13 @@ class CorridorState:
 
 
 class CorridorEnv(Environment):
+    """Configured corridor instance; all episode state lives in
+    CorridorState values. Observations scale lane, column and speed to
+    [0, 1]; a slot sees a vehicle on the road within `sensing_cols`
+    columns."""
+
+    SELF_FEATURES = ("self_lane", "self_col", "self_speed", "self_on_road")
+    SLOT_FEATURES = ("dlane", "dcol", "speed")
     FAILURE_PATHS = (
         FailurePathDescriptor(0, "collision", "1 when a victim vehicle collided this step"),
         FailurePathDescriptor(1, "timeout", "1/horizon per step, scaled by the fraction of victims not yet at the goal"),
@@ -115,49 +115,7 @@ class CorridorEnv(Environment):
     )
 
     def __init__(self, config: CorridorConfig):
-        self.config = config
-        c = config
-        self._agents = {
-            Party.VICTIM: tuple(AgentId(Party.VICTIM, i) for i in range(c.victim_count)),
-            Party.ADVERSARY: tuple(AgentId(Party.ADVERSARY, i) for i in range(c.adversary_count)),
-            Party.THIRD: tuple(AgentId(Party.THIRD, i) for i in range(c.other_vehicle_count)),
-        }
-        self._descriptor = EnvDescriptor(
-            name="corridor",
-            horizon=c.horizon,
-            party_counts={p: len(a) for p, a in self._agents.items()},
-            action_labels={p: ACTIONS for p in Party},
-            obs_labels={p: self._build_obs_labels(p) for p in Party},
-            failure_paths=self.FAILURE_PATHS,
-            default_weights=c.failure_weights,
-        )
-
-    def _slot_parties(self, party: Party) -> list[tuple[Party, int, bool]]:
-        c = self.config
-        return [
-            (Party.VICTIM, c.victim_count - (1 if party is Party.VICTIM else 0), party is Party.VICTIM),
-            (Party.THIRD, c.other_vehicle_count - (1 if party is Party.THIRD else 0), party is Party.THIRD),
-            (
-                Party.ADVERSARY,
-                c.adversary_slots - (1 if party is Party.ADVERSARY else 0),
-                party is Party.ADVERSARY,
-            ),
-        ]
-
-    def _build_obs_labels(self, party: Party) -> tuple[str, ...]:
-        labels = ["self_lane", "self_col", "self_speed", "self_on_road"]
-        for slot_party, count, _ in self._slot_parties(party):
-            for k in range(count):
-                base = f"{slot_party.label}_slot{k}"
-                labels += [f"{base}_present", f"{base}_dlane", f"{base}_dcol", f"{base}_speed"]
-        return tuple(labels)
-
-    @property
-    def descriptor(self) -> EnvDescriptor:
-        return self._descriptor
-
-    def agents(self, party: Party) -> tuple[AgentId, ...]:
-        return self._agents[party]
+        super().__init__("corridor", config, config.other_vehicle_count, {p: ACTIONS for p in Party})
 
     def reset(self, seed: int) -> CorridorState:
         c = self.config
@@ -184,29 +142,24 @@ class CorridorEnv(Environment):
     def positions(self, state: CorridorState) -> dict[AgentId, tuple]:
         return {v.agent: (v.lane, v.col) for v in state.vehicles if v.on_road}
 
-    def observe(self, state: CorridorState, agent: AgentId) -> np.ndarray:
-        c = self.config
-        me = state.vehicle(agent)
-        obs = np.zeros(len(self._descriptor.obs_labels[agent.party]))
+    def _lookup(self, state: CorridorState):
+        return state.vehicle
+
+    def _own_features(self, me: Vehicle) -> tuple[float, ...] | None:
         if not me.on_road:
-            return obs
-        obs[0] = me.lane / max(c.lanes - 1, 1)
-        obs[1] = me.col / c.goal_col
-        obs[2] = me.speed / (c.speed_levels - 1)
-        obs[3] = 1.0
-        i = 4
-        for slot_party, count, skip_self in self._slot_parties(agent.party):
-            others = [a for a in self._agents[slot_party] if not (skip_self and a == agent)]
-            for k in range(count):
-                if k < len(others):
-                    other = state.vehicle(others[k])
-                    if other.on_road and abs(other.col - me.col) <= c.sensing_cols:
-                        obs[i] = 1.0
-                        obs[i + 1] = (other.lane - me.lane) / max(c.lanes - 1, 1)
-                        obs[i + 2] = (other.col - me.col) / c.sensing_cols
-                        obs[i + 3] = other.speed / (c.speed_levels - 1)
-                i += 4
-        return obs
+            return None
+        c = self.config
+        return (me.lane / max(c.lanes - 1, 1), me.col / c.goal_col, me.speed / (c.speed_levels - 1), 1.0)
+
+    def _sees(self, me: Vehicle, other: Vehicle) -> tuple[float, ...] | None:
+        c = self.config
+        if not other.on_road or abs(other.col - me.col) > c.sensing_cols:
+            return None
+        return (
+            (other.lane - me.lane) / max(c.lanes - 1, 1),
+            (other.col - me.col) / c.sensing_cols,
+            other.speed / (c.speed_levels - 1),
+        )
 
     def available_actions(self, state: CorridorState, agent: AgentId) -> np.ndarray:
         c = self.config
@@ -224,22 +177,13 @@ class CorridorEnv(Environment):
 
     # --- step ------------------------------------------------------------
 
-    def step_events(
-        self, state: CorridorState, joint_action: Mapping[AgentId, int]
+    def _scripted_action(self, state: CorridorState, agent: AgentId) -> int:
+        return 0  # scripted traffic keeps lane and speed
+
+    def _resolve(
+        self, state: CorridorState, actions: Mapping[AgentId, int]
     ) -> tuple[CorridorState, StepOutcome, StepEvents]:
         c = self.config
-        if self._terminal(state):
-            raise LifecycleError("cannot step a terminal state")
-        actions: dict[AgentId, int] = {}
-        for agent in self.controllable_agents:
-            a = int(joint_action.get(agent, 0))
-            mask = self.available_actions(state, agent)
-            if not (0 <= a < mask.size) or not mask[a]:
-                raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
-            actions[agent] = a
-        for agent in self._agents[Party.THIRD]:
-            actions[agent] = 0  # scripted traffic keeps lane and speed
-
         vehicles = {v.agent: v for v in state.vehicles}
         occupied_at_start = {
             (v.lane, v.col): v.agent for v in state.vehicles if v.on_road
@@ -270,7 +214,6 @@ class CorridorEnv(Environment):
                     canceled.append(agent)
 
         # 2. forward movement, front vehicle first
-        moves: list[tuple[AgentId, tuple, tuple]] = []
         collisions: list[tuple[AgentId, AgentId]] = []
         occupancy = {
             (v.lane, v.col): v.agent for v in vehicles.values() if v.on_road
@@ -281,8 +224,7 @@ class CorridorEnv(Environment):
         )
         for v in order:
             v = vehicles[v.agent]
-            start = (v.lane, v.col)
-            del occupancy[start]
+            del occupancy[(v.lane, v.col)]
             col = v.col
             hit: AgentId | None = None
             for _ in range(v.speed):
@@ -310,25 +252,15 @@ class CorridorEnv(Environment):
                     vehicles[victim_agent] = replace(vv, crashed=True)
             elif col >= c.goal_col:
                 vehicles[v.agent] = replace(v, col=c.goal_col, exited=True)
-                moves.append((v.agent, start, (v.lane, c.goal_col)))
             else:
                 vehicles[v.agent] = replace(v, col=col)
                 occupancy[(v.lane, col)] = v.agent
-                if col != start[1] or v.lane != start[0]:
-                    moves.append((v.agent, start, (v.lane, col)))
 
         new_vehicles = tuple(vehicles[v.agent] for v in state.vehicles)
         nxt = CorridorState(
             vehicles=new_vehicles, step_count=state.step_count + 1, seed=state.seed
         )
-        outcome = self._outcome(state, nxt, canceled)
-        events = StepEvents(
-            attacks=(),
-            moves=tuple(moves),
-            collisions=tuple(collisions),
-            canceled=tuple(canceled),
-        )
-        return nxt, outcome, events
+        return nxt, self._outcome(nxt, canceled), StepEvents(attacks=(), collisions=tuple(collisions))
 
     def _terminal(self, state: CorridorState) -> bool:
         victims = state.party(Party.VICTIM)
@@ -338,15 +270,13 @@ class CorridorEnv(Environment):
             or all(v.exited for v in victims)
         )
 
-    def _outcome(
-        self, prev: CorridorState, nxt: CorridorState, canceled: list[AgentId]
-    ) -> StepOutcome:
+    def _outcome(self, nxt: CorridorState, canceled: list[AgentId]) -> StepOutcome:
+        """canceled: the agents whose lane change was canceled this step."""
         c = self.config
         victims = nxt.party(Party.VICTIM)
         crashed = any(v.crashed for v in victims)
-        all_out = all(v.exited for v in victims)
-        terminal = crashed or all_out or nxt.step_count >= c.horizon
-        success = terminal and all_out and not crashed
+        terminal = self._terminal(nxt)
+        success = terminal and not crashed and all(v.exited for v in victims)
         collision = 1.0 if crashed else 0.0
         not_done = sum(1 for v in victims if not v.exited)
         timeout = (1.0 / c.horizon) * not_done / c.victim_count
@@ -360,9 +290,7 @@ class CorridorEnv(Environment):
             failure_signals=np.array([collision, timeout, stalls]),
         )
 
-    def victim_task_reward(
-        self, prev: CorridorState, joint_action, nxt: CorridorState, outcome: StepOutcome
-    ) -> float:
+    def victim_task_reward(self, prev: CorridorState, nxt: CorridorState, outcome: StepOutcome) -> float:
         c = self.config
         progress = 0.0
         for agent in self._agents[Party.VICTIM]:

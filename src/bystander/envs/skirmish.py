@@ -18,20 +18,13 @@ positional: standing in cells victims or opponents want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from ..core import (
-    AgentId,
-    ConfigError,
-    ContractViolation,
-    LifecycleError,
-    Party,
-    StepOutcome,
-)
-from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents, check_failure_weights
+from ..core import AgentId, ConfigError, Party, StepOutcome
+from .base import Environment, FailurePathDescriptor, StepEvents, check_failure_weights
 
 MOVE_DELTAS = {
     "north": (0, -1),
@@ -117,36 +110,22 @@ def _chebyshev(a: Unit, b: Unit) -> int:
 
 class SkirmishEnv(Environment):
     """Configured skirmish instance; all episode state lives in
-    SkirmishState values."""
+    SkirmishState values. Positions and health in observations are scaled
+    to [0, 1]; a slot sees a live unit within `sensing_radius` (Chebyshev)."""
 
+    SELF_FEATURES = ("self_x", "self_y", "self_health")
+    SLOT_FEATURES = ("dx", "dy", "health")
     FAILURE_PATHS = (
         FailurePathDescriptor(0, "victim_damage", "health lost by the victim party this step, as a fraction of its total starting health"),
         FailurePathDescriptor(1, "task_delay", "1/horizon for every step any opponent is still standing"),
     )
 
     def __init__(self, config: SkirmishConfig):
-        self.config = config
-        c = config
-        self._agents = {
-            Party.VICTIM: tuple(AgentId(Party.VICTIM, i) for i in range(c.victim_count)),
-            Party.ADVERSARY: tuple(AgentId(Party.ADVERSARY, i) for i in range(c.adversary_count)),
-            Party.THIRD: tuple(AgentId(Party.THIRD, i) for i in range(c.opponent_count)),
-        }
-        self._action_labels = {p: self._build_action_labels(p) for p in Party}
-        self._descriptor = EnvDescriptor(
-            name="skirmish",
-            horizon=c.horizon,
-            party_counts={p: len(a) for p, a in self._agents.items()},
-            action_labels=self._action_labels,
-            obs_labels={p: self._build_obs_labels(p) for p in Party},
-            failure_paths=self.FAILURE_PATHS,
-            default_weights=c.failure_weights,
-        )
+        self._action_labels = {p: self._build_action_labels(config, p) for p in Party}
+        super().__init__("skirmish", config, config.opponent_count, self._action_labels)
 
-    # --- layout -----------------------------------------------------------
-
-    def _build_action_labels(self, party: Party) -> tuple[str, ...]:
-        c = self.config
+    @staticmethod
+    def _build_action_labels(c: SkirmishConfig, party: Party) -> tuple[str, ...]:
         labels = ["noop", "north", "south", "east", "west"]
         if party is Party.VICTIM:
             labels += [f"attack_opponent_{j}" for j in range(c.opponent_count)]
@@ -156,42 +135,6 @@ class SkirmishEnv(Environment):
         else:
             labels += [f"attack_victim_{j}" for j in range(c.victim_count)]
         return tuple(labels)
-
-    def _slot_parties(self, party: Party) -> list[tuple[Party, int, bool]]:
-        """(slot party, slot count, skip_self) triples in observation order."""
-        c = self.config
-        if party is Party.VICTIM:
-            return [
-                (Party.VICTIM, c.victim_count - 1, True),
-                (Party.THIRD, c.opponent_count, False),
-                (Party.ADVERSARY, c.adversary_slots, False),
-            ]
-        if party is Party.ADVERSARY:
-            return [
-                (Party.VICTIM, c.victim_count, False),
-                (Party.THIRD, c.opponent_count, False),
-                (Party.ADVERSARY, max(c.adversary_slots - 1, 0), True),
-            ]
-        return [
-            (Party.VICTIM, c.victim_count, False),
-            (Party.THIRD, c.opponent_count - 1, True),
-            (Party.ADVERSARY, c.adversary_slots, False),
-        ]
-
-    def _build_obs_labels(self, party: Party) -> tuple[str, ...]:
-        labels = ["self_x", "self_y", "self_health"]
-        for slot_party, count, _ in self._slot_parties(party):
-            for k in range(count):
-                base = f"{slot_party.label}_slot{k}"
-                labels += [f"{base}_present", f"{base}_dx", f"{base}_dy", f"{base}_health"]
-        return tuple(labels)
-
-    @property
-    def descriptor(self) -> EnvDescriptor:
-        return self._descriptor
-
-    def agents(self, party: Party) -> tuple[AgentId, ...]:
-        return self._agents[party]
 
     def action_index(self, party: Party, label: str) -> int:
         return self._action_labels[party].index(label)
@@ -224,32 +167,21 @@ class SkirmishEnv(Environment):
 
     # --- observation / masks ------------------------------------------------
 
-    def observe(self, state: SkirmishState, agent: AgentId) -> np.ndarray:
+    def _lookup(self, state: SkirmishState):
+        return state.unit
+
+    def _own_features(self, me: Unit) -> tuple[float, ...] | None:
+        if not me.alive:
+            return None
         c = self.config
         w, h = c.grid_size
-        me = state.unit(agent)  # KeyError for unknown agents
-        obs = np.zeros(len(self._descriptor.obs_labels[agent.party]))
-        if not me.alive:
-            return obs
-        obs[0] = me.x / max(w - 1, 1)
-        obs[1] = me.y / max(h - 1, 1)
-        obs[2] = me.health / c.unit_health
-        i = 3
-        for slot_party, count, skip_self in self._slot_parties(agent.party):
-            others = [a for a in self._agents[slot_party] if not (skip_self and a == agent)]
-            for k in range(count):
-                if k < len(others):
-                    try:
-                        other = state.unit(others[k])
-                    except KeyError:
-                        other = None
-                    if other is not None and other.alive and _chebyshev(me, other) <= c.sensing_radius:
-                        obs[i] = 1.0
-                        obs[i + 1] = (other.x - me.x) / c.sensing_radius
-                        obs[i + 2] = (other.y - me.y) / c.sensing_radius
-                        obs[i + 3] = other.health / c.unit_health
-                i += 4
-        return obs
+        return (me.x / max(w - 1, 1), me.y / max(h - 1, 1), me.health / c.unit_health)
+
+    def _sees(self, me: Unit, other: Unit) -> tuple[float, ...] | None:
+        r = self.config.sensing_radius
+        if not other.alive or _chebyshev(me, other) > r:
+            return None
+        return ((other.x - me.x) / r, (other.y - me.y) / r, other.health / self.config.unit_health)
 
     def available_actions(self, state: SkirmishState, agent: AgentId) -> np.ndarray:
         c = self.config
@@ -279,10 +211,13 @@ class SkirmishEnv(Environment):
 
     # --- scripted opponents ---------------------------------------------------
 
-    def _opponent_action(self, state: SkirmishState, me: Unit) -> int:
+    def _scripted_action(self, state: SkirmishState, agent: AgentId) -> int:
         """Attack the nearest victim when in range, otherwise advance toward
         it (larger-gap axis first, other axis if blocked)."""
         c = self.config
+        me = state.unit(agent)
+        if not me.alive:
+            return 0
         victims = state.alive_units(Party.VICTIM)
         if not victims:
             return 0
@@ -308,26 +243,11 @@ class SkirmishEnv(Environment):
 
     # --- step ----------------------------------------------------------------
 
-    def step_events(
-        self, state: SkirmishState, joint_action: Mapping[AgentId, int]
+    def _resolve(
+        self, state: SkirmishState, actions: Mapping[AgentId, int]
     ) -> tuple[SkirmishState, StepOutcome, StepEvents]:
         c = self.config
         w, h = c.grid_size
-        if self._terminal(state):
-            raise LifecycleError("cannot step a terminal state")
-        actions: dict[AgentId, int] = {}
-        for agent in self.controllable_agents:
-            a = int(joint_action.get(agent, 0))
-            mask = self.available_actions(state, agent)
-            if not (0 <= a < mask.size) or not mask[a]:
-                raise ContractViolation(
-                    f"agent {agent.key} chose unavailable action {a}"
-                )
-            actions[agent] = a
-        for agent in self._agents[Party.THIRD]:
-            u = state.unit(agent)
-            actions[agent] = self._opponent_action(state, u) if u.alive else 0
-
         units = {u.agent: u for u in state.units}
         occupied_at_start = {(u.x, u.y) for u in state.units if u.alive}
 
@@ -343,12 +263,9 @@ class SkirmishEnv(Environment):
                 tgt = (u.x + dx, u.y + dy)
                 if 0 <= tgt[0] < w and 0 <= tgt[1] < h and tgt not in occupied_at_start:
                     claims.setdefault(tgt, []).append(agent)
-        moves = []
         for tgt, claimants in claims.items():
             winner = min(claimants)
-            u = units[winner]
-            moves.append((winner, (u.x, u.y), tgt))
-            units[winner] = replace(u, x=tgt[0], y=tgt[1])
+            units[winner] = replace(units[winner], x=tgt[0], y=tgt[1])
 
         # 2. attacks (post-movement range check)
         damage: dict[AgentId, int] = {}
@@ -374,11 +291,7 @@ class SkirmishEnv(Environment):
 
         new_units = tuple(units[u.agent] for u in state.units)
         nxt = SkirmishState(units=new_units, step_count=state.step_count + 1, seed=state.seed)
-        outcome = self._outcome(state, nxt)
-        events = StepEvents(
-            attacks=tuple(attacks), moves=tuple(moves), collisions=(), canceled=()
-        )
-        return nxt, outcome, events
+        return nxt, self._outcome(state, nxt), StepEvents(attacks=tuple(attacks), collisions=())
 
     def _terminal(self, state: SkirmishState) -> bool:
         return (
@@ -389,11 +302,9 @@ class SkirmishEnv(Environment):
 
     def _outcome(self, prev: SkirmishState, nxt: SkirmishState) -> StepOutcome:
         c = self.config
-        victims_alive = bool(nxt.alive_units(Party.VICTIM))
         opponents_alive = bool(nxt.alive_units(Party.THIRD))
-        terminal = nxt.step_count >= c.horizon or not victims_alive or not opponents_alive
-        success = terminal and not opponents_alive and victims_alive
-        failed = terminal and not success
+        terminal = self._terminal(nxt)
+        success = terminal and not opponents_alive and bool(nxt.alive_units(Party.VICTIM))
         damage_frac = (
             prev.party_health(Party.VICTIM) - nxt.party_health(Party.VICTIM)
         ) / (c.victim_count * c.unit_health)
@@ -401,13 +312,11 @@ class SkirmishEnv(Environment):
         return StepOutcome(
             terminal=terminal,
             victim_success=success,
-            victim_failed=failed,
+            victim_failed=terminal and not success,
             failure_signals=np.array([damage_frac, delay]),
         )
 
-    def victim_task_reward(
-        self, prev: SkirmishState, joint_action, nxt: SkirmishState, outcome: StepOutcome
-    ) -> float:
+    def victim_task_reward(self, prev: SkirmishState, nxt: SkirmishState, outcome: StepOutcome) -> float:
         c = self.config
         dealt = prev.party_health(Party.THIRD) - nxt.party_health(Party.THIRD)
         reward = dealt / (c.opponent_count * c.unit_health)

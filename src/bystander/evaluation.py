@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, derive_seed
-from .envs import PRESETS
+from .core import ConfigError, Party, derive_seed
+from .envs import PRESETS, make_env
 from .training import (
     DefenseResult,
     RewardMode,
@@ -101,12 +101,14 @@ def _point_label(env_label: str, mode: RewardMode, count: int) -> str:
 
 
 def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -> Path:
-    """Train (or reuse) one victim policy per environment label."""
+    """Train (or reuse) one victim policy per environment label; a given
+    victim_checkpoint must fit the label's env (ConfigError)."""
     path = out_dir / f"victims_{env_label}.npz"
     if spec.victim_checkpoint:
         src = Path(spec.victim_checkpoint)
         if not src.exists():
             raise FileNotFoundError(f"missing victim checkpoint: {src}")
+        load_policy(src).check_fits(make_env(env_cfg), Party.VICTIM)
         return src
     if path.exists():
         return path
@@ -160,6 +162,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
         table.write_csv(out_dir / f"{spec.experiment_id}_table.csv")
         return table
 
+    # every env of the grid gets its victims before any point runs
     victim_paths = {}
     for label, env_cfg in spec.env_grid:
         victim_paths[label] = _victims_for(spec, label, env_cfg, out_dir)

@@ -102,7 +102,7 @@ def run_episode(
             bystander_obs = None
             if Party.ADVERSARY in views[-1]:
                 bystander_obs = views[-1][Party.ADVERSARY][0].reshape(-1)
-            native = env.victim_task_reward(state, joint, nxt, outcome)
+            native = env.victim_task_reward(state, nxt, outcome)
             rewards.append(reward(outcome, native, bystander_obs))
         state = nxt
         if outcome.terminal:

@@ -336,14 +336,14 @@ def train_party(
     reward,
     out_dir: Path | None = None,
     label: str | None = None,
-    frozen_checksums: Mapping[str, str] | None = None,
 ) -> PartyTrainingResult:
     """Run the value-decomposition training loop for one party.
 
     other_controllers drive the remaining externally controlled parties and
     are used unchanged during periodic evaluations; reward is the per-step
-    call that run_episode documents; frozen_checksums are re-verified at
-    every evaluation checkpoint.
+    call that run_episode documents. The checksum of every frozen policy
+    among other_controllers is verified at each evaluation and after the
+    last episode (TrainingFault if it changed).
     """
     label = label or f"{party.label}_train"
     pair, optimizer = _build_learner(env, party, cfg, label)
@@ -359,15 +359,13 @@ def train_party(
     returns_since_eval: list[float] = []
     learner_steps = 0
 
-    def checkpoint_policies() -> None:
-        for name, expect in (frozen_checksums or {}).items():
-            frozen = controllers_by_name.get(name)
-            if frozen is not None and frozen.policy.checksum() != expect:
-                raise TrainingFault(f"frozen policy {name} changed during training")
+    frozen = {p: c.policy for p, c in other_controllers.items() if isinstance(c, FrozenController)}
+    checksums = {p: policy.checksum() for p, policy in frozen.items()}
 
-    controllers_by_name = {
-        p.label: c for p, c in controllers.items() if isinstance(c, FrozenController)
-    }
+    def check_frozen() -> None:
+        for p, policy in frozen.items():
+            if policy.checksum() != checksums[p]:
+                raise TrainingFault(f"frozen {p.label} policy changed during training")
 
     for episode in range(cfg.episodes):
         controller.epsilon = cfg.epsilon_at(episode)
@@ -390,7 +388,7 @@ def train_party(
             learner_steps += 1
             metrics.step_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
         if (episode + 1) % cfg.eval_interval == 0:
-            checkpoint_policies()
+            check_frozen()
             eval_controllers = dict(controllers)
             eval_controllers[party] = FrozenPolicy(party, pair.nets).as_controller()
             rate = evaluate_party(
@@ -404,6 +402,7 @@ def train_party(
             curve.append((episode + 1, rate))
             returns_since_eval = []
 
+    check_frozen()
     return PartyTrainingResult(FrozenPolicy(party, pair.nets), curve)
 
 
@@ -493,16 +492,7 @@ def train_adversaries(
     label = "adversary_train"
     reward, reward_model = _make_reward(env, cfg, label)
     other = {Party.VICTIM: frozen_victims.as_controller()}
-    result = train_party(
-        env,
-        Party.ADVERSARY,
-        cfg,
-        other,
-        reward,
-        out_dir,
-        label,
-        frozen_checksums={Party.VICTIM.label: frozen_victims.checksum()},
-    )
+    result = train_party(env, Party.ADVERSARY, cfg, other, reward, out_dir, label)
     policy = result.policy
     under = evaluate_win_rate(env_config, frozen_victims, policy, cfg.eval_episodes, cfg.seed)[0]
     return AdversaryTrainingResult(policy, reward_model, under, result.curve)
@@ -533,20 +523,8 @@ def retrain_victims_defense(
     frozen_adversaries.check_fits(env, Party.ADVERSARY)
     if original_victims is not None:
         original_victims.check_fits(env, Party.VICTIM)
-    adv_checksum = frozen_adversaries.checksum()
     other = {Party.ADVERSARY: frozen_adversaries.as_controller()}
-    result = train_party(
-        env,
-        Party.VICTIM,
-        cfg,
-        other,
-        victim_task_reward,
-        out_dir,
-        "defense_retrain",
-        frozen_checksums={Party.ADVERSARY.label: adv_checksum},
-    )
-    if frozen_adversaries.checksum() != adv_checksum:
-        raise TrainingFault("bystander policy changed during defense retraining")
+    result = train_party(env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "defense_retrain")
     retrained = result.policy
     after_under = evaluate_win_rate(
         env_config, retrained, frozen_adversaries, cfg.eval_episodes, cfg.seed

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bystander.core import AgentId, ContractViolation, ConfigError, LifecycleError, Party
+from bystander.core import AgentId, ConfigError, Party
 from bystander.envs import SkirmishConfig, SkirmishEnv, audit_neutrality, preset
 from bystander.rollout import RandomController, run_episode
 
@@ -96,11 +96,6 @@ def test_observe_visibility_boundary(env):
     assert np.all(env.observe(state, V0)[3:7] == 0.0)  # one past: zero slot
 
 
-def test_observe_unknown_agent(env):
-    with pytest.raises(KeyError):
-        env.observe(env.reset(0), AgentId(Party.VICTIM, 9))
-
-
 def test_dead_unit_gets_only_noop(env):
     state = env.state_from_positions(
         {V0: (1, 1), V1: (1, 2), T0: (6, 1), T1: (6, 3)},
@@ -142,12 +137,8 @@ def test_adversary_opponent_attack_flag():
 def test_failure_signals_definition(env):
     state = env.reset(5)
     ja = {a: 0 for a in env.controllable_agents}
-    nxt, outcome = env.step(state, ja)
+    _, outcome = env.step(state, ja)
     assert np.allclose(outcome.failure_signals, [0.0, 1.0 / env.config.horizon])
-    # the standalone recomputation agrees and rejects fake transitions
-    assert np.allclose(env.failure_signals(state, ja, nxt), outcome.failure_signals)
-    with pytest.raises(ContractViolation):
-        env.failure_signals(state, ja, state)
 
 
 def test_victim_damage_signal_arithmetic():
@@ -158,18 +149,6 @@ def test_victim_damage_signal_arithmetic():
     nxt, outcome = env.step(state, {v0: 0, v1: 0})
     # opponent deals 2 of the party's 20 total health
     assert np.allclose(outcome.failure_signals, [0.1, 1.0 / 60.0])
-
-
-def test_step_contracts(env):
-    state = env.reset(0)
-    with pytest.raises(ContractViolation):
-        env.step(state, {V0: 99})
-    dead_cfg = SkirmishConfig(victim_count=1, opponent_count=1, adversary_count=0)
-    dead_env = SkirmishEnv(dead_cfg)
-    v, t = AgentId(Party.VICTIM, 0), AgentId(Party.THIRD, 0)
-    terminal = dead_env.state_from_positions({t: (4, 2)})  # no victim alive
-    with pytest.raises(LifecycleError):
-        dead_env.step(terminal, {})
 
 
 def test_move_conflict_lower_agent_wins(env):
@@ -236,14 +215,12 @@ def test_signal_nonnegativity_random_play(env):
             assert np.all(out.failure_signals >= 0.0)
 
 
-def test_descriptor_manifest_round_trip(env):
-    d = env.descriptor.to_dict()
-    assert d["name"] == "skirmish"
-    assert [f["name"] for f in d["failure_paths"]] == ["victim_damage", "task_delay"]
-    assert d["party_counts"]["victim"] == 3
-    import json
-
-    json.dumps(d)  # machine-readable
+def test_descriptor_failure_paths(env):
+    d = env.descriptor
+    assert d.name == "skirmish"
+    assert [f.name for f in d.failure_paths] == ["victim_damage", "task_delay"]
+    assert d.party_counts == {Party.VICTIM: 3, Party.ADVERSARY: 2, Party.THIRD: 2}
+    assert d.default_weights == (0.7, 0.3)
 
 
 def test_presets_exposed():

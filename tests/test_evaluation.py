@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from bystander import evaluation
 from bystander.cli import EXIT_CONFIG, dispatch
 from bystander.core import ConfigError
+from bystander.envs import PRESETS
 from bystander.evaluation import default_spec, run_experiment
-from bystander.training import TrainingConfig
+from bystander.training import TrainingConfig, save_policy, train_victims
 
 TINY = TrainingConfig(
     episodes=4,
@@ -48,3 +51,16 @@ def test_rq5_is_the_defend_retrain_command_not_a_sweep(tmp_path):
         default_spec("rq5", TINY)
     assert dispatch(["run-experiment", "--experiment", "rq5", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert not (tmp_path / "experiment-rq5").exists()
+
+
+def test_victim_checkpoint_must_fit_every_env_before_any_point_runs(tmp_path):
+    # rq1 spans skirmish and corridor; skirmish victims fit only the first
+    victims = train_victims(PRESETS["skirmish-small"], TINY).policy
+    save_policy(tmp_path / "victims.npz", victims)
+    spec = dataclasses.replace(
+        default_spec("rq1", TINY, seeds=[1], eval_episodes=3),
+        victim_checkpoint=str(tmp_path / "victims.npz"),
+    )
+    with pytest.raises(ConfigError, match="does not fit"):
+        run_experiment(spec, tmp_path / "exp")
+    assert not [p for p in (tmp_path / "exp").iterdir() if p.is_dir()]

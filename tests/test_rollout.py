@@ -75,8 +75,7 @@ def test_reward_is_called_once_per_step_with_post_step_bystander_view(monkeypatc
     states = replay_states(env, traj)
     for t, (outcome, native, bystander_obs) in enumerate(calls):
         np.testing.assert_array_equal(bystander_obs, traj.obs[Party.ADVERSARY][t + 1].reshape(-1))
-        joint = traj.joint_action(t)
-        assert native == env.victim_task_reward(states[t], joint, states[t + 1], outcome)
+        assert native == env.victim_task_reward(states[t], states[t + 1], outcome)
 
     # without a reward call the victims' task reward is never computed
     def refuse(*args):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bystander.cli import EXIT_CONFIG, dispatch
-from bystander.core import ConfigError, Party
+from bystander import training
+from bystander.core import ConfigError, Party, TrainingFault
 from bystander.envs import PRESETS, make_env
 from bystander.neural import MLP, save_checkpoint
 from bystander.rollout import EpsilonGreedyController
@@ -55,6 +56,26 @@ def test_same_seed_attack_is_bit_identical(tiny_victims, mode):
         for r in (first, second)
     )
     assert first_model == second_model
+
+
+@pytest.mark.parametrize("eval_interval", [2, 10**6])
+def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypatch, eval_interval):
+    # a copy, since the module's other tests share tiny_victims
+    victims = FrozenPolicy(Party.VICTIM, tiny_victims.mlps)
+    played = training.run_episode
+    calls = []
+
+    def tampering(env, controllers, seed, reward=None):
+        calls.append(seed)
+        if len(calls) == 3:
+            param = victims.mlps[0].params()[0]
+            param.values = param.values + 1.0
+        return played(env, controllers, seed, reward)
+
+    monkeypatch.setattr(training, "run_episode", tampering)
+    cfg = TrainingConfig(**{**TINY, "eval_interval": eval_interval}, seed=4)
+    with pytest.raises(TrainingFault, match="frozen victim policy changed"):
+        train_adversaries(PRESETS["skirmish-small"], victims, cfg)
 
 
 def test_traditional_mode_needs_victim_reward_access():
