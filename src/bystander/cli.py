@@ -17,7 +17,7 @@ from .config import (
     RunManifest,
     apply_overrides,
     build_env_config,
-    build_experiment_settings,
+    build_experiment_seeds,
     build_training_config,
     config_to_text,
     load_config,
@@ -61,9 +61,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
         p.add_argument("--out", help="output directory (default $BYSTANDER_OUT or ./runs)")
-        p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
         if name == "run-experiment":
-            p.add_argument("--experiment", default=None, help="rq1..rq4 (or experiment.id key)")
+            p.add_argument("--experiment", required=True, help="rq1..rq4")
+            p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
     return parser
 
 
@@ -172,22 +172,20 @@ def _cmd_defend_retrain(args) -> int:
 
 def _cmd_run_experiment(args) -> int:
     kv = _load_merged(args)
-    experiment_id = args.experiment or kv.get("experiment.id")
-    if not experiment_id:
-        raise ConfigError("run-experiment needs --experiment or experiment.id")
+    experiment_id = args.experiment
     cfg = build_training_config(kv, seed=args.seed)
-    seeds, eval_episodes = build_experiment_settings(kv)
-    spec = default_spec(experiment_id, cfg, seeds=seeds, eval_episodes=eval_episodes)
+    spec = default_spec(experiment_id, cfg, seeds=build_experiment_seeds(kv))
     if kv.get("victim_checkpoint"):
         spec = dataclasses.replace(spec, victim_checkpoint=kv["victim_checkpoint"])
     out = output_root(args.out) / f"experiment-{experiment_id}"
     manifest, mpath = _start_manifest(args, kv, out, f"run-experiment {experiment_id}")
-    if not spec.grid_points():
-        print("warning: empty experiment grid; nothing to run")
-        manifest.finalize(mpath)
-        return EXIT_OK
     table = run_experiment(spec, out, workers=args.workers)
-    manifest.add_artifact(out / f"{experiment_id}_table.csv")
+    for name in (f"{experiment_id}_table.csv", f"{experiment_id}_curves_long.csv"):
+        manifest.add_artifact(out / name)
+    if not spec.victim_checkpoint:
+        for label, _ in spec.env_grid:
+            manifest.add_artifact(out / f"victims_{label}.npz")
+            manifest.add_artifact(out / f"victims_{label}.json")
     manifest.finalize(mpath)
     for row in table.rows:
         print(

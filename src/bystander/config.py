@@ -58,7 +58,7 @@ KNOWN_ENV_KEYS = (
     | _field_names(CorridorConfig)
 )
 KNOWN_TRAIN_KEYS = _field_names(TrainingConfig)
-KNOWN_EXPERIMENT_KEYS = {"id", "seeds", "eval_episodes"}
+KNOWN_EXPERIMENT_KEYS = {"seeds"}
 KNOWN_TOP_KEYS = {"victim_checkpoint", "adversary_checkpoint"}
 
 
@@ -161,15 +161,14 @@ def build_training_config(kv: dict[str, str], seed: int | None = None) -> Traini
     return cfg
 
 
-def build_experiment_settings(kv: dict[str, str]) -> tuple[list[int] | None, int]:
-    """(seeds, eval_episodes) of a sweep: `experiment.seeds` is a comma
-    list (None when unset, for the spec's default), `experiment.eval_episodes`
-    defaults to 200."""
+def build_experiment_seeds(kv: dict[str, str]) -> list[int] | None:
+    """Seeds of a sweep: `experiment.seeds` is a comma list (None when
+    unset, for the spec's default). Its evaluations are sized by
+    `train.eval_episodes`."""
     validate_keys(kv)
-    seeds = None
-    if kv.get("experiment.seeds"):
-        seeds = [_convert("experiment.seeds", s, int) for s in kv["experiment.seeds"].split(",")]
-    return seeds, _convert("experiment.eval_episodes", kv.get("experiment.eval_episodes", "200"), int)
+    if not kv.get("experiment.seeds"):
+        return None
+    return [_convert("experiment.seeds", s, int) for s in kv["experiment.seeds"].split(",")]
 
 
 def config_to_text(kv: dict[str, str]) -> str:

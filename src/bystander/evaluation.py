@@ -5,6 +5,14 @@ Experiment ids follow the study structure: rq1 cross-environment
 generalization, rq2 reward-mode comparison, rq3 bystander-count sweep,
 rq4 task-difficulty sweep. The rq5 defense retraining is no sweep: it is
 `run_defense_experiment`, behind the `defend-retrain` command.
+
+A sweep plays each of its evaluations once, with `train.eval_episodes`
+episodes on the seeds `derive_seed(seed, "eval.episode", k)` of its grid
+seed. The under-attack rate is the one `train_adversaries` measures at the
+end of training. The baselines, bystanders absent and bystanders acting at
+random, are played once per (env, count, seed) on those same episode
+seeds, so every mode of one (env, count) is compared with the same paired
+baseline episodes.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, Party, derive_seed
+from .core import ConfigError, Party
 from .envs import PRESETS, make_env
 from .training import (
     DefenseResult,
@@ -42,25 +51,16 @@ class ExperimentSpec:
     reward_modes: list[RewardMode]
     adversary_counts: list[int]
     seeds: list[int]
-    eval_episodes: int
     train: TrainingConfig
     victim_checkpoint: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ConfigError(f"experiment id must be one of {EXPERIMENT_IDS}")
-        if self.eval_episodes < 1:
-            raise ConfigError("eval_episodes must be >= 1")
+        if not self.seeds:
+            raise ConfigError("an experiment needs at least one seed")
         if set(self.seeds) & {self.train.seed}:
             raise ConfigError("evaluation seeds must be disjoint from the training seed")
-
-    def grid_points(self) -> list[tuple[str, object, RewardMode, int]]:
-        points = []
-        for label, env_cfg in self.env_grid:
-            for mode in self.reward_modes:
-                for count in self.adversary_counts:
-                    points.append((label, env_cfg, mode, count))
-        return points
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def _point_label(env_label: str, mode: RewardMode, count: int) -> str:
 
 
 def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -> Path:
-    """Train (or reuse) one victim policy per environment label; a given
+    """Train one victim policy per environment label; a given
     victim_checkpoint must fit the label's env (ConfigError)."""
     path = out_dir / f"victims_{env_label}.npz"
     if spec.victim_checkpoint:
@@ -110,8 +110,6 @@ def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -
             raise FileNotFoundError(f"missing victim checkpoint: {src}")
         load_policy(src).check_fits(make_env(env_cfg), Party.VICTIM)
         return src
-    if path.exists():
-        return path
     result = train_victims(env_cfg, spec.train, out_dir / f"victim_{env_label}")
     save_policy(path, result.policy)
     (out_dir / f"victims_{env_label}.json").write_text(
@@ -126,10 +124,9 @@ def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -
     return path
 
 
-def _run_grid_point(args: tuple) -> dict:
+def _run_grid_point(env_cfg, mode, count, seed, victim_path, out_dir, base_train) -> dict:
     """One (env, mode, count, seed) attack run; self-contained for worker
     processes."""
-    env_cfg, mode, count, seed, victim_path, out_dir, base_train, eval_episodes = args
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     victims = load_policy(victim_path)
@@ -137,74 +134,68 @@ def _run_grid_point(args: tuple) -> dict:
     cfg = dataclasses.replace(base_train, seed=seed, reward_mode=mode)
     result = train_adversaries(point_cfg, victims, cfg, out_dir)
     save_policy(out_dir / "adversaries.npz", result.policy)
-    eval_seed = derive_seed(seed, "experiment.eval", 0)
-    under, under_hw = evaluate_win_rate(point_cfg, victims, result.policy, eval_episodes, eval_seed)
-    absent, _ = evaluate_win_rate(point_cfg, victims, None, eval_episodes, eval_seed)
-    random_rate, _ = evaluate_win_rate(point_cfg, victims, "random", eval_episodes, eval_seed)
-    return {
-        "seed": seed,
-        "under_attack": under,
-        "under_attack_halfwidth": under_hw,
-        "no_attack_absent": absent,
-        "no_attack_random": random_rate,
-        "curve": result.curve,
-    }
+    return {"seed": seed, "under_attack": result.under_attack_win_rate, "curve": result.curve}
+
+
+def _play_baselines(env_cfg, count, seed, victim_path, episodes) -> tuple[float, float]:
+    """Victim win rates with the bystanders absent and acting at random, on
+    the episode seeds of the attack evaluations at this seed."""
+    victims = load_policy(victim_path)
+    point_cfg = dataclasses.replace(env_cfg, adversary_count=count)
+    absent = evaluate_win_rate(point_cfg, victims, None, episodes, seed)[0]
+    random_rate = evaluate_win_rate(point_cfg, victims, "random", episodes, seed)[0]
+    return absent, random_rate
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTable:
     """Execute the grid, aggregate over seeds, and write tables plus
-    plot-ready long-format curves."""
+    plot-ready long-format curves.
+
+    A row's under-attack rate is the mean over seeds of `train_adversaries`'
+    own evaluation; its baseline columns are played once per (env, count,
+    seed), on the same episode seeds, and shared by the row's modes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = WinRateTable()
-    points = spec.grid_points()
-    if not points:
-        table.write_csv(out_dir / f"{spec.experiment_id}_table.csv")
-        return table
-
+    env_cfgs = dict(spec.env_grid)
     # every env of the grid gets its victims before any point runs
-    victim_paths = {}
-    for label, env_cfg in spec.env_grid:
-        victim_paths[label] = _victims_for(spec, label, env_cfg, out_dir)
-
+    victim_paths = {label: _victims_for(spec, label, env_cfg, out_dir) for label, env_cfg in env_cfgs.items()}
+    points = list(product(env_cfgs, spec.reward_modes, spec.adversary_counts))
+    baseline_keys = list(product(env_cfgs, spec.adversary_counts, spec.seeds))
     jobs = [
-        (
-            env_cfg,
-            mode,
-            count,
-            seed,
-            victim_paths[label],
-            out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}",
-            spec.train,
-            spec.eval_episodes,
-        )
-        for label, env_cfg, mode, count in points
+        (_run_grid_point, env_cfgs[label], mode, count, seed, victim_paths[label],
+         out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}", spec.train)
+        for label, mode, count in points
         for seed in spec.seeds
     ]
-    # one pool for the whole grid; map keeps job order, so the results of
-    # each point are the next len(spec.seeds) in grid order
+    jobs += [
+        (_play_baselines, env_cfgs[label], count, seed, victim_paths[label], spec.train.eval_episodes)
+        for label, count, seed in baseline_keys
+    ]
+    # one pool for the attacks and the baselines of the whole grid
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_results = list(pool.map(_run_grid_point, jobs))
+            futures = [pool.submit(*job) for job in jobs]
+            all_results = [f.result() for f in futures]
     else:
-        all_results = [_run_grid_point(j) for j in jobs]
-
-    long_rows: list[tuple] = []
+        all_results = [fn(*args) for fn, *args in jobs]
     S = len(spec.seeds)
-    for k, (label, _, mode, count) in enumerate(points):
-        point = _point_label(label, mode, count)
-        results = all_results[k * S : (k + 1) * S]
+    attacks = all_results[: len(points) * S]
+    baselines = dict(zip(baseline_keys, all_results[len(points) * S :]))
+
+    table = WinRateTable()
+    long_rows: list[tuple] = []
+    for k, (label, mode, count) in enumerate(points):
+        results = attacks[k * S : (k + 1) * S]
         under = np.array([r["under_attack"] for r in results])
-        absent = np.array([r["no_attack_absent"] for r in results])
-        random_rates = np.array([r["no_attack_random"] for r in results])
+        absent, random_rate = np.mean([baselines[label, count, seed] for seed in spec.seeds], axis=0)
         table.rows.append(
             TableRow(
-                label=point,
+                label=_point_label(label, mode, count),
                 under_attack=float(under.mean()),
                 under_attack_std=float(under.std()),
-                no_attack_absent=float(absent.mean()),
-                no_attack_random=float(random_rates.mean()),
-                seeds=len(spec.seeds),
+                no_attack_absent=float(absent),
+                no_attack_random=float(random_rate),
+                seeds=S,
             )
         )
         for r in results:
@@ -247,7 +238,6 @@ def default_spec(
     experiment_id: str,
     train: TrainingConfig,
     seeds: list[int] | None = None,
-    eval_episodes: int = 200,
 ) -> ExperimentSpec:
     """Desk-scale default grids for each research question."""
     seeds = seeds if seeds is not None else [101, 102, 103, 104, 105]
@@ -259,7 +249,7 @@ def default_spec(
             [2],
         ),
         "rq2": (
-            [("skirmish-small", skirmish)],
+            [("skirmish-small", skirmish), ("corridor-small", PRESETS["corridor-small"])],
             [RewardMode.TRADITIONAL, RewardMode.RULE_IMMEDIATE, RewardMode.ESTIMATION],
             [2],
         ),
@@ -287,6 +277,5 @@ def default_spec(
         reward_modes=modes,
         adversary_counts=counts,
         seeds=seeds,
-        eval_episodes=eval_episodes,
         train=train,
     )

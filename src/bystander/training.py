@@ -501,8 +501,8 @@ def train_adversaries(
 @dataclass
 class DefenseResult:
     retrained: FrozenPolicy
-    before_under_attack: float | None
-    before_no_attack: float | None
+    before_under_attack: float
+    before_no_attack: float
     after_under_attack: float
     after_no_attack: float
     curve: list[tuple[int, float]]
@@ -512,7 +512,7 @@ def retrain_victims_defense(
     env_config,
     frozen_adversaries: FrozenPolicy,
     cfg: TrainingConfig,
-    original_victims: FrozenPolicy | None = None,
+    original_victims: FrozenPolicy,
     out_dir: Path | None = None,
 ) -> DefenseResult:
     """Simple defense: retrain victims from scratch against the fixed attack
@@ -521,8 +521,7 @@ def retrain_victims_defense(
         raise ConfigError("defense retraining accepts only frozen bystander policies")
     env = make_env(env_config)
     frozen_adversaries.check_fits(env, Party.ADVERSARY)
-    if original_victims is not None:
-        original_victims.check_fits(env, Party.VICTIM)
+    original_victims.check_fits(env, Party.VICTIM)
     other = {Party.ADVERSARY: frozen_adversaries.as_controller()}
     result = train_party(env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "defense_retrain")
     retrained = result.policy
@@ -535,12 +534,10 @@ def retrain_victims_defense(
             f"retrained victims reached win rate {after_no:.3f} < floor {cfg.competence_floor}",
             after_no,
         )
-    before_under = before_no = None
-    if original_victims is not None:
-        before_under = evaluate_win_rate(
-            env_config, original_victims, frozen_adversaries, cfg.eval_episodes, cfg.seed
-        )[0]
-        before_no = evaluate_win_rate(env_config, original_victims, None, cfg.eval_episodes, cfg.seed)[0]
+    before_under = evaluate_win_rate(
+        env_config, original_victims, frozen_adversaries, cfg.eval_episodes, cfg.seed
+    )[0]
+    before_no = evaluate_win_rate(env_config, original_victims, None, cfg.eval_episodes, cfg.seed)[0]
     return DefenseResult(retrained, before_under, before_no, after_under, after_no, result.curve)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +130,46 @@ def test_defend_retrain_is_reproducible(tmp_path, trained):
         checksums.append(load_policy(out / "retrained_victims.npz").checksum())
     assert checksums[0] == checksums[1]
     assert checksums[0] != load_policy(victims).checksum()
+
+
+def _run_experiment(out, seed):
+    argv = ["run-experiment", "--experiment", "rq3", "--seed", str(seed), "--out", str(out)]
+    for item in [*TINY, "experiment.seeds=5"]:
+        argv += ["--set", item]
+    return dispatch(argv)
+
+
+def test_run_experiment_manifest_lists_every_artifact(tmp_path):
+    assert _run_experiment(tmp_path, 1) == EXIT_OK
+    out = tmp_path / "experiment-rq3"
+    manifest = _manifest(out)
+    assert (manifest.status, manifest.error) == ("done", None)
+    assert manifest.command == "run-experiment rq3"
+    assert sorted(manifest.artifacts) == sorted(
+        str(out / name)
+        for name in (
+            "rq3_table.csv",
+            "rq3_curves_long.csv",
+            "victims_skirmish-small.npz",
+            "victims_skirmish-small.json",
+        )
+    )
+    assert all(Path(p).exists() for p in manifest.artifacts)
+
+
+def test_rerun_into_the_same_directory_retrains_the_victims(tmp_path):
+    checksums = []
+    for seed in (1, 2):
+        assert _run_experiment(tmp_path, seed) == EXIT_OK
+        checksums.append(load_policy(tmp_path / "experiment-rq3" / "victims_skirmish-small.npz").checksum())
+    assert checksums[0] != checksums[1]
+
+
+def test_flags_and_keys_only_where_they_are_read(tmp_path):
+    out = ["--out", str(tmp_path)]
+    # refused by the parser, before the missing victim checkpoint (exit 3) is seen
+    assert dispatch(["evaluate", "--workers", "2", "--set", "env.preset=skirmish-small", *out]) == EXIT_CONFIG
+    assert dispatch(["run-experiment", *out]) == EXIT_CONFIG  # --experiment is required
+    for key in ("experiment.eval_episodes=3", "experiment.id=rq2"):
+        assert dispatch(["run-experiment", "--experiment", "rq2", "--set", key, *out]) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())

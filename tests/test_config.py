@@ -7,7 +7,7 @@ from bystander.config import (
     RunManifest,
     apply_overrides,
     build_env_config,
-    build_experiment_settings,
+    build_experiment_seeds,
     build_training_config,
     parse_config_text,
     validate_keys,
@@ -53,6 +53,9 @@ def test_overrides_replace_values_and_refuse_bad_items():
         "experiment.env_presets",
         "experiment.reward_modes",
         "experiment.adversary_counts",
+        # the evaluation size is train.eval_episodes; the id is --experiment
+        "experiment.eval_episodes",
+        "experiment.id",
         "env.colour",
         "victims",
     ],
@@ -135,12 +138,10 @@ def test_r_fail_must_be_positive(tmp_path):
 
 
 def test_experiment_settings():
-    assert build_experiment_settings({}) == (None, 200)
-    kv = {"experiment.seeds": "3, 4", "experiment.eval_episodes": "30"}
-    assert build_experiment_settings(kv) == ([3, 4], 30)
-    for bad in ({"experiment.seeds": "a,b"}, {"experiment.eval_episodes": "1.5"}):
-        with pytest.raises(ConfigError, match="bad value for experiment"):
-            build_experiment_settings(bad)
+    assert build_experiment_seeds({}) is None
+    assert build_experiment_seeds({"experiment.seeds": "3, 4"}) == [3, 4]
+    with pytest.raises(ConfigError, match="bad value for experiment.seeds"):
+        build_experiment_seeds({"experiment.seeds": "a,b"})
 
 
 def test_bad_experiment_seeds_exit_as_config_error(tmp_path):

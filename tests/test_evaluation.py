@@ -1,13 +1,21 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from bystander import evaluation
+from bystander import evaluation, training
 from bystander.cli import EXIT_CONFIG, dispatch
 from bystander.core import ConfigError
 from bystander.envs import PRESETS
 from bystander.evaluation import default_spec, run_experiment
-from bystander.training import TrainingConfig, save_policy, train_victims
+from bystander.training import (
+    FrozenPolicy,
+    TrainingConfig,
+    evaluate_win_rate,
+    save_policy,
+    train_adversaries,
+    train_victims,
+)
 
 TINY = TrainingConfig(
     episodes=4,
@@ -30,17 +38,20 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountedPool)
-    spec = default_spec("rq2", TINY, seeds=[1, 2], eval_episodes=3)
+    spec = default_spec("rq2", TINY, seeds=[1, 2])
     for workers in (1, 2):
         table = run_experiment(spec, tmp_path / f"w{workers}", workers=workers)
         assert [row.label for row in table.rows] == [
-            f"skirmish-small|{mode}|adv2" for mode in ("traditional", "rule_immediate", "estimation")
+            f"{env}|{mode}|adv2"
+            for env in ("skirmish-small", "corridor-small")
+            for mode in ("traditional", "rule_immediate", "estimation")
         ]
-    assert len(pools) == 1  # one pool for all three grid points
+    assert len(pools) == 1  # one pool for all six grid points and their baselines
     for name in ("rq2_table.csv", "rq2_curves_long.csv"):
         one, two = ((tmp_path / f"w{w}" / name).read_bytes() for w in (1, 2))
         assert one == two
-    assert len((tmp_path / "w1" / "rq2_curves_long.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+    # 2 envs x 3 modes x 2 seeds x 2 curve points
+    assert len((tmp_path / "w1" / "rq2_curves_long.csv").read_text().splitlines()) == 1 + 2 * 3 * 2 * 2
     point = tmp_path / "w1" / "skirmish-small_estimation_adv2" / "seed1"
     assert (point / "adversary_train_curve.csv").exists()
     assert not (point / "attack_curve.csv").exists()
@@ -58,9 +69,55 @@ def test_victim_checkpoint_must_fit_every_env_before_any_point_runs(tmp_path):
     victims = train_victims(PRESETS["skirmish-small"], TINY).policy
     save_policy(tmp_path / "victims.npz", victims)
     spec = dataclasses.replace(
-        default_spec("rq1", TINY, seeds=[1], eval_episodes=3),
+        default_spec("rq1", TINY, seeds=[1]),
         victim_checkpoint=str(tmp_path / "victims.npz"),
     )
     with pytest.raises(ConfigError, match="does not fit"):
         run_experiment(spec, tmp_path / "exp")
     assert not [p for p in (tmp_path / "exp").iterdir() if p.is_dir()]
+
+
+def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(env_config, victims, adversary, episodes, seed):
+        kind = "attack" if isinstance(adversary, FrozenPolicy) else adversary or "absent"
+        calls.append((type(env_config).__name__, kind, seed))
+        return evaluate_win_rate(env_config, victims, adversary, episodes, seed)
+
+    attacks = {}
+
+    def recorded(env_config, victims, cfg, out_dir):
+        result = train_adversaries(env_config, victims, cfg, out_dir)
+        attacks[type(env_config).__name__, cfg.reward_mode.value, cfg.seed] = result.under_attack_win_rate
+        return result
+
+    for module in (training, evaluation):
+        monkeypatch.setattr(module, "evaluate_win_rate", counted)
+    monkeypatch.setattr(evaluation, "train_adversaries", recorded)
+    seeds = [1, 2]
+    table = run_experiment(default_spec("rq2", TINY, seeds=seeds), tmp_path)
+
+    modes = ("traditional", "rule_immediate", "estimation")
+    for env in ("SkirmishConfig", "CorridorConfig"):
+        own = [c for c in calls if c[0] == env]
+        # victim training: absent and random, at the training seed
+        assert sorted(c[1:] for c in own if c[2] == TINY.seed) == [("absent", 0), ("random", 0)]
+        # one attack evaluation per (mode, seed), inside train_adversaries
+        assert sorted(c[2] for c in own if c[1] == "attack") == sorted(seeds * len(modes))
+        # one absent and one random baseline per (count, seed)
+        for kind in ("absent", "random"):
+            assert sorted(c[2] for c in own if c[1] == kind and c[2] != TINY.seed) == seeds
+        assert len(own) == 2 + len(modes) * len(seeds) + 2 * len(seeds)
+    assert len(calls) == 2 * 12
+
+    for env, label in (("SkirmishConfig", "skirmish-small"), ("CorridorConfig", "corridor-small")):
+        rows = [row for row in table.rows if row.label.startswith(label)]
+        for row, mode in zip(rows, modes):
+            assert row.under_attack == np.mean([attacks[env, mode, s] for s in seeds])
+        assert len({(row.no_attack_absent, row.no_attack_random) for row in rows}) == 1
+
+
+def test_an_experiment_needs_a_seed():
+    with pytest.raises(ConfigError, match="at least one seed"):
+        default_spec("rq3", TINY, seeds=[])
