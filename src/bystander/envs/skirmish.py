@@ -11,15 +11,18 @@ Resolution order per step (documented so episodes can be hand-simulated):
   3. deaths — units at zero health are removed; they still blocked movement
      and could attack this tick.
 
-Bystanders can never target victims (those mask entries are always false)
-and may target opponents only when explicitly enabled; their influence is
+Each party's action table is built once from the config and holds only what
+the party may do: noop, the four moves, then one attack per target. Victims
+attack opponents and opponents attack victims. Bystanders are neutral by
+construction: their table has no victim target at all, and opponent targets
+only when `adversaries_may_attack_opponents` is set, so their influence is
 positional: standing in cells victims or opponents want.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,14 @@ MOVE_DELTAS = {
     "east": (1, 0),
     "west": (-1, 0),
 }
+
+
+class Action(NamedTuple):
+    """One decoded action-table entry; noop has neither a move nor a target."""
+
+    label: str
+    move: tuple[int, int] | None
+    target: AgentId | None
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,25 @@ def _chebyshev(a: Unit, b: Unit) -> int:
     return max(abs(a.x - b.x), abs(a.y - b.y))
 
 
+def _action_table(c: SkirmishConfig, party: Party) -> tuple[Action, ...]:
+    """noop, the four moves, then one attack per unit the party may target."""
+    if party is Party.THIRD:
+        targets = [("victim", AgentId(Party.VICTIM, j)) for j in range(c.victim_count)]
+    elif party is Party.VICTIM or c.adversaries_may_attack_opponents:
+        targets = [("opponent", AgentId(Party.THIRD, j)) for j in range(c.opponent_count)]
+    else:
+        targets = []  # bystanders without the flag: noop and moves only
+    moves = [Action(k, d, None) for k, d in MOVE_DELTAS.items()]
+    attacks = [Action(f"attack_{name}_{t.index}", None, t) for name, t in targets]
+    return (Action("noop", None, None), *moves, *attacks)
+
+
 class SkirmishEnv(Environment):
     """Configured skirmish instance; all episode state lives in
     SkirmishState values. Positions and health in observations are scaled
-    to [0, 1]; a slot sees a live unit within `sensing_radius` (Chebyshev)."""
+    to [0, 1]; a slot sees a live unit within `sensing_radius` (Chebyshev).
+    Masks, the step and the scripted opponents all read the per-party action
+    tables, whose labels are the descriptor's `action_labels`."""
 
     SELF_FEATURES = ("self_x", "self_y", "self_health")
     SLOT_FEATURES = ("dx", "dy", "health")
@@ -121,23 +147,14 @@ class SkirmishEnv(Environment):
     )
 
     def __init__(self, config: SkirmishConfig):
-        self._action_labels = {p: self._build_action_labels(config, p) for p in Party}
-        super().__init__("skirmish", config, config.opponent_count, self._action_labels)
-
-    @staticmethod
-    def _build_action_labels(c: SkirmishConfig, party: Party) -> tuple[str, ...]:
-        labels = ["noop", "north", "south", "east", "west"]
-        if party is Party.VICTIM:
-            labels += [f"attack_opponent_{j}" for j in range(c.opponent_count)]
-        elif party is Party.ADVERSARY:
-            labels += [f"attack_victim_{j}" for j in range(c.victim_count)]
-            labels += [f"attack_opponent_{j}" for j in range(c.opponent_count)]
-        else:
-            labels += [f"attack_victim_{j}" for j in range(c.victim_count)]
-        return tuple(labels)
+        self._actions = {p: _action_table(config, p) for p in Party}
+        # the scripted opponents pick their action by move delta or target
+        self._opponent_action = {a.move or a.target: i for i, a in enumerate(self._actions[Party.THIRD])}
+        labels = {p: tuple(a.label for a in table) for p, table in self._actions.items()}
+        super().__init__("skirmish", config, config.opponent_count, labels)
 
     def action_index(self, party: Party, label: str) -> int:
-        return self._action_labels[party].index(label)
+        return self.descriptor.action_labels[party].index(label)
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -186,28 +203,20 @@ class SkirmishEnv(Environment):
     def available_actions(self, state: SkirmishState, agent: AgentId) -> np.ndarray:
         c = self.config
         w, h = c.grid_size
-        labels = self._action_labels[agent.party]
-        mask = np.zeros(len(labels), dtype=bool)
-        mask[0] = True  # noop is always legal
+        table = self._actions[agent.party]
         me = state.unit(agent)
         if not me.alive:
-            return mask
-        for i, label in enumerate(labels[1:5], start=1):
-            dx, dy = MOVE_DELTAS[label]
-            mask[i] = 0 <= me.x + dx < w and 0 <= me.y + dy < h
-        for i, label in enumerate(labels):
-            if not label.startswith("attack_"):
-                continue
-            target_party = Party.VICTIM if "victim" in label else Party.THIRD
-            if agent.party is Party.ADVERSARY:
-                if target_party is Party.VICTIM:
-                    continue  # neutrality: never attackable
-                if not c.adversaries_may_attack_opponents:
-                    continue
-            idx = int(label.rsplit("_", 1)[1])
-            target = state.unit(AgentId(target_party, idx))
-            mask[i] = target.alive and _chebyshev(me, target) <= c.attack_range
-        return mask
+            return np.arange(len(table)) == 0  # noop only
+        mask = []
+        for _, move, target in table:
+            if move is not None:
+                mask.append(0 <= me.x + move[0] < w and 0 <= me.y + move[1] < h)
+            elif target is not None:
+                other = state.unit(target)
+                mask.append(other.alive and _chebyshev(me, other) <= c.attack_range)
+            else:
+                mask.append(True)  # noop is always legal
+        return np.array(mask)
 
     # --- scripted opponents ---------------------------------------------------
 
@@ -223,22 +232,17 @@ class SkirmishEnv(Environment):
             return 0
         target = min(victims, key=lambda v: (_chebyshev(me, v), v.agent.index))
         if _chebyshev(me, target) <= c.attack_range:
-            return self.action_index(Party.THIRD, f"attack_victim_{target.agent.index}")
+            return self._opponent_action[target.agent]
         occupied = {(u.x, u.y) for u in state.units if u.alive}
         dx, dy = target.x - me.x, target.y - me.y
-        prefs = []
-        step_x = "east" if dx > 0 else "west"
-        step_y = "south" if dy > 0 else "north"
-        if abs(dx) >= abs(dy):
-            prefs = ([step_x] if dx else []) + ([step_y] if dy else [])
-        else:
-            prefs = ([step_y] if dy else []) + ([step_x] if dx else [])
+        step_x = [(1 if dx > 0 else -1, 0)] if dx else []
+        step_y = [(0, 1 if dy > 0 else -1)] if dy else []
+        prefs = step_x + step_y if abs(dx) >= abs(dy) else step_y + step_x
         w, h = c.grid_size
-        for label in prefs:
-            mx, my = MOVE_DELTAS[label]
+        for mx, my in prefs:
             nx, ny = me.x + mx, me.y + my
             if 0 <= nx < w and 0 <= ny < h and (nx, ny) not in occupied:
-                return self.action_index(Party.THIRD, label)
+                return self._opponent_action[mx, my]
         return 0
 
     # --- step ----------------------------------------------------------------
@@ -257,10 +261,9 @@ class SkirmishEnv(Environment):
             u = units[agent]
             if not u.alive:
                 continue
-            label = self._action_labels[agent.party][a]
-            if label in MOVE_DELTAS:
-                dx, dy = MOVE_DELTAS[label]
-                tgt = (u.x + dx, u.y + dy)
+            move = self._actions[agent.party][a].move
+            if move is not None:
+                tgt = (u.x + move[0], u.y + move[1])
                 if 0 <= tgt[0] < w and 0 <= tgt[1] < h and tgt not in occupied_at_start:
                     claims.setdefault(tgt, []).append(agent)
         for tgt, claimants in claims.items():
@@ -274,11 +277,9 @@ class SkirmishEnv(Environment):
             u = units[agent]
             if not u.alive:
                 continue
-            label = self._action_labels[agent.party][a]
-            if not label.startswith("attack_"):
+            target_id = self._actions[agent.party][a].target
+            if target_id is None:
                 continue
-            target_party = Party.VICTIM if "victim" in label else Party.THIRD
-            target_id = AgentId(target_party, int(label.rsplit("_", 1)[1]))
             target = units[target_id]
             if target.alive and _chebyshev(u, target) <= c.attack_range:
                 damage[target_id] = damage.get(target_id, 0) + c.attack_damage

@@ -9,10 +9,10 @@ rq4 task-difficulty sweep. The rq5 defense retraining is no sweep: it is
 A sweep plays each of its evaluations once, with `train.eval_episodes`
 episodes on the seeds `derive_seed(seed, "eval.episode", k)` of its grid
 seed. The under-attack rate is the one `train_adversaries` measures at the
-end of training. The baselines, bystanders absent and bystanders acting at
-random, are played once per (env, count, seed) on those same episode
-seeds, so every mode of one (env, count) is compared with the same paired
-baseline episodes.
+end of training. The baselines are played on those same episode seeds, so
+every mode of one (env, count) is compared with the same paired baseline
+episodes: bystanders acting at random once per (env, count, seed), and
+bystanders absent once per (env, seed), as no count changes that play.
 """
 
 from __future__ import annotations
@@ -137,14 +137,10 @@ def _run_grid_point(env_cfg, mode, count, seed, victim_path, out_dir, base_train
     return {"seed": seed, "under_attack": result.under_attack_win_rate, "curve": result.curve}
 
 
-def _play_baselines(env_cfg, count, seed, victim_path, episodes) -> tuple[float, float]:
-    """Victim win rates with the bystanders absent and acting at random, on
-    the episode seeds of the attack evaluations at this seed."""
-    victims = load_policy(victim_path)
-    point_cfg = dataclasses.replace(env_cfg, adversary_count=count)
-    absent = evaluate_win_rate(point_cfg, victims, None, episodes, seed)[0]
-    random_rate = evaluate_win_rate(point_cfg, victims, "random", episodes, seed)[0]
-    return absent, random_rate
+def _play_baseline(env_cfg, adversary, seed, victim_path, episodes) -> float:
+    """Victim win rate with the bystanders absent (None) or acting at random
+    ("random"), on the episode seeds of the attack evaluations at this seed."""
+    return evaluate_win_rate(env_cfg, load_policy(victim_path), adversary, episodes, seed)[0]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTable:
@@ -152,42 +148,41 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
     plot-ready long-format curves.
 
     A row's under-attack rate is the mean over seeds of `train_adversaries`'
-    own evaluation; its baseline columns are played once per (env, count,
-    seed), on the same episode seeds, and shared by the row's modes."""
+    own evaluation; its baseline columns are played on the same episode
+    seeds and shared by the row's modes (the absent one also by its counts)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     env_cfgs = dict(spec.env_grid)
     # every env of the grid gets its victims before any point runs
     victim_paths = {label: _victims_for(spec, label, env_cfg, out_dir) for label, env_cfg in env_cfgs.items()}
     points = list(product(env_cfgs, spec.reward_modes, spec.adversary_counts))
-    baseline_keys = list(product(env_cfgs, spec.adversary_counts, spec.seeds))
-    jobs = [
-        (_run_grid_point, env_cfgs[label], mode, count, seed, victim_paths[label],
-         out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}", spec.train)
-        for label, mode, count in points
-        for seed in spec.seeds
-    ]
-    jobs += [
-        (_play_baselines, env_cfgs[label], count, seed, victim_paths[label], spec.train.eval_episodes)
-        for label, count, seed in baseline_keys
-    ]
+    episodes = spec.train.eval_episodes
+    jobs = {}
+    for (label, mode, count), seed in product(points, spec.seeds):
+        point_dir = out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}"
+        jobs["attack", label, mode, count, seed] = (
+            _run_grid_point, env_cfgs[label], mode, count, seed, victim_paths[label], point_dir, spec.train
+        )
+    for label, seed in product(env_cfgs, spec.seeds):
+        jobs["absent", label, seed] = (_play_baseline, env_cfgs[label], None, seed, victim_paths[label], episodes)
+    for label, count, seed in product(env_cfgs, spec.adversary_counts, spec.seeds):
+        point_cfg = dataclasses.replace(env_cfgs[label], adversary_count=count)
+        jobs["random", label, count, seed] = (_play_baseline, point_cfg, "random", seed, victim_paths[label], episodes)
     # one pool for the attacks and the baselines of the whole grid
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(*job) for job in jobs]
-            all_results = [f.result() for f in futures]
+            futures = [pool.submit(*job) for job in jobs.values()]
+            results = dict(zip(jobs, [f.result() for f in futures]))
     else:
-        all_results = [fn(*args) for fn, *args in jobs]
-    S = len(spec.seeds)
-    attacks = all_results[: len(points) * S]
-    baselines = dict(zip(baseline_keys, all_results[len(points) * S :]))
+        results = {key: fn(*args) for key, (fn, *args) in jobs.items()}
 
     table = WinRateTable()
     long_rows: list[tuple] = []
-    for k, (label, mode, count) in enumerate(points):
-        results = attacks[k * S : (k + 1) * S]
-        under = np.array([r["under_attack"] for r in results])
-        absent, random_rate = np.mean([baselines[label, count, seed] for seed in spec.seeds], axis=0)
+    for label, mode, count in points:
+        attacks = [results["attack", label, mode, count, seed] for seed in spec.seeds]
+        under = np.array([r["under_attack"] for r in attacks])
+        absent = np.mean([results["absent", label, seed] for seed in spec.seeds])
+        random_rate = np.mean([results["random", label, count, seed] for seed in spec.seeds])
         table.rows.append(
             TableRow(
                 label=_point_label(label, mode, count),
@@ -195,10 +190,10 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
                 under_attack_std=float(under.std()),
                 no_attack_absent=float(absent),
                 no_attack_random=float(random_rate),
-                seeds=S,
+                seeds=len(spec.seeds),
             )
         )
-        for r in results:
+        for r in attacks:
             for ep, rate in r["curve"]:
                 long_rows.append((spec.experiment_id, label, mode.value, count, r["seed"], ep, rate))
 

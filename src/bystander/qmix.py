@@ -29,6 +29,14 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(np.argmax(q_values))
 
 
+def masked_q(nets: Sequence[MLP], obs: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """Each agent's Q values, MASK_SENTINEL where its action is unavailable:
+    obs (..., n, D), avail (..., n, A) -> (..., n, A), for one state or a
+    batch of rows."""
+    q = np.stack([net.forward(obs[..., i, :])[0] for i, net in enumerate(nets)], axis=-2)
+    return np.where(avail, q, MASK_SENTINEL)
+
+
 def _elu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
 
@@ -259,11 +267,7 @@ def greedy_joint_q(
     obs (R, n, D), avail (R, n, A) -> (R,).
     """
     R, n, D = obs.shape
-    chosen = np.zeros((R, n))
-    for i, net in enumerate(nets):
-        q, _ = net.forward(obs[:, i])
-        q = np.where(avail[:, i], q, MASK_SENTINEL)
-        chosen[:, i] = q.max(axis=1)
+    chosen = masked_q(nets, obs, avail).max(axis=-1)
     q_tot, _ = mixer.forward(chosen, obs.reshape(R, n * D))
     return q_tot
 

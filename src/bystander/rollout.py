@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import EpisodeTrajectory, Party, StepOutcome
 from .envs.base import Environment
-from .qmix import MASK_SENTINEL, select_action
+from .qmix import masked_q, select_action
 
 
 class Controller:
@@ -45,12 +45,8 @@ class EpsilonGreedyController(Controller):
         self.epsilon = 0.0
 
     def act(self, obs_mat, mask_mat):
-        actions = np.zeros(len(self.nets), dtype=int)
-        for i, net in enumerate(self.nets):
-            q, _ = net.forward(obs_mat[i])
-            q = np.where(mask_mat[i], q, MASK_SENTINEL)
-            actions[i] = select_action(q, self.epsilon, self.rng)
-        return actions
+        q = masked_q(self.nets, obs_mat, mask_mat)
+        return np.array([select_action(row, self.epsilon, self.rng) for row in q], dtype=int)
 
 
 @dataclass

@@ -24,12 +24,12 @@ from .envs import make_env
 from .envs.base import Environment
 from .neural import Adam, MLP, load_checkpoint, save_checkpoint
 from .qmix import (
-    MASK_SENTINEL,
     MixingNet,
     PreparedEpisode,
     ReplayBuffer,
     TargetNetworkPair,
     learner_step,
+    masked_q,
 )
 from .rewards import EpisodeEstimator, RewardModel, reward_model_update, terminal_reward
 from .rollout import Controller, EpsilonGreedyController, RandomController, run_episode
@@ -75,10 +75,13 @@ class TrainingConfig:
         ):
             if getattr(self, name) < (0 if name == "warmup_episodes" else 1):
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must be in [0, 1]")
-        if not self.r_fail > 0.0:
-            raise ConfigError("r_fail must be > 0: the failure ground truth rewards the bystanders")
+        # negated comparisons, so that NaN is refused too
+        for name in ("r_fail", "estimate_clip", "learning_rate", "model_learning_rate"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_frac", "competence_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.reward_mode is RewardMode.TRADITIONAL and not self.victim_reward_access:
             raise ConfigError(
                 "traditional reward mode negates the victims' task reward; "
@@ -126,11 +129,7 @@ class FrozenPolicy:
         return len(self.mlps)
 
     def act(self, obs_mat: np.ndarray, mask_mat: np.ndarray) -> np.ndarray:
-        actions = np.zeros(self.n_agents, dtype=int)
-        for i, mlp in enumerate(self.mlps):
-            q, _ = mlp.forward(obs_mat[i])
-            actions[i] = int(np.argmax(np.where(mask_mat[i], q, MASK_SENTINEL)))
-        return actions
+        return masked_q(self.mlps, obs_mat, mask_mat).argmax(axis=-1)
 
     def checksum(self) -> str:
         h = hashlib.sha256()

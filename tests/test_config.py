@@ -137,6 +137,29 @@ def test_r_fail_must_be_positive(tmp_path):
     assert not (tmp_path / "train-victim").exists()
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("estimate_clip", 0.0),
+        ("estimate_clip", -1.0),
+        ("learning_rate", 0.0),
+        ("learning_rate", float("nan")),
+        ("model_learning_rate", -1e-3),
+        ("model_learning_rate", float("nan")),
+        ("epsilon_start", 1.5),
+        ("epsilon_end", -0.1),
+        ("epsilon_decay_frac", float("nan")),
+        ("competence_floor", 1.2),
+    ],
+)
+def test_training_values_out_of_range_are_refused(tmp_path, name, bad):
+    with pytest.raises(ConfigError, match=name):
+        TrainingConfig(**{name: bad})
+    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--set", f"train.{name}={bad}"]) == EXIT_CONFIG
+    assert not (tmp_path / "train-victim").exists()
+
+
 def test_experiment_settings():
     assert build_experiment_seeds({}) is None
     assert build_experiment_seeds({"experiment.seeds": "3, 4"}) == [3, 4]

@@ -101,4 +101,4 @@ def random_play_digest(episodes: int) -> str:
 
 
 def test_random_play_digest_is_pinned():
-    assert random_play_digest(20) == "aef2add66fe88315acfbc8709162ebbbb283ca51000f3863f195daf87286f726"
+    assert random_play_digest(20) == "231b16cabd5b9a83aa61ec44c9ffd5871c926bc1f80d70358073e8ee369a9041"

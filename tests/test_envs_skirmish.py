@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bystander.core import AgentId, ConfigError, Party
-from bystander.envs import SkirmishConfig, SkirmishEnv, audit_neutrality, preset
+from bystander.envs import PRESETS, SkirmishConfig, SkirmishEnv, audit_neutrality, preset
 from bystander.rollout import RandomController, run_episode
 
 V0, V1, V2 = (AgentId(Party.VICTIM, i) for i in range(3))
@@ -112,16 +114,22 @@ def test_victim_adjacent_opponent_can_attack(env):
     assert not mask[env.action_index(Party.VICTIM, "attack_opponent_1")]  # out of range
 
 
-def test_adversary_never_attacks_victims(env):
-    state = env.state_from_positions(
-        {V0: (3, 2), A0: (4, 2), A1: (0, 0), V1: (1, 0), V2: (1, 4), T0: (7, 1), T1: (7, 3)}
-    )
-    mask = env.available_actions(state, A0)
-    for j in range(env.config.victim_count):
-        assert not mask[env.action_index(Party.ADVERSARY, f"attack_victim_{j}")]
-    # opponent attacks also masked while the config flag is off
-    for j in range(env.config.opponent_count):
-        assert not mask[env.action_index(Party.ADVERSARY, f"attack_opponent_{j}")]
+def test_adversary_never_attacks_victims():
+    """Neutral by construction: a bystander's table holds noop and the four
+    moves, the opponent attacks only when the flag is set, and no entry that
+    names or targets a victim; the other parties' tables keep their layout."""
+    moves = ("noop", "north", "south", "east", "west")
+    for name in ("skirmish-small", "skirmish-even", "skirmish-hard"):
+        for flag in (False, True):
+            cfg = replace(PRESETS[name], adversaries_may_attack_opponents=flag)
+            env = SkirmishEnv(cfg)
+            labels = env.descriptor.action_labels
+            opponents = tuple(f"attack_opponent_{j}" for j in range(cfg.opponent_count))
+            assert labels[Party.ADVERSARY] == moves + (opponents if flag else ())
+            assert not [label for label in labels[Party.ADVERSARY] if "victim" in label]
+            assert all(a.target is None or a.target.party is Party.THIRD for a in env._actions[Party.ADVERSARY])
+            assert labels[Party.VICTIM] == moves + opponents
+            assert labels[Party.THIRD] == moves + tuple(f"attack_victim_{j}" for j in range(cfg.victim_count))
 
 
 def test_adversary_opponent_attack_flag():

@@ -117,6 +117,15 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
             assert row.under_attack == np.mean([attacks[env, mode, s] for s in seeds])
         assert len({(row.no_attack_absent, row.no_attack_random) for row in rows}) == 1
 
+    # rq3 sweeps three bystander counts: the absent play drops the
+    # bystanders, so it runs once per seed and serves every count
+    calls.clear()
+    table = run_experiment(default_spec("rq3", TINY, seeds=seeds), tmp_path / "rq3")
+    baselines = [c for c in calls if c[2] != TINY.seed and c[1] != "attack"]
+    assert sorted(c[1:] for c in baselines if c[1] == "absent") == [("absent", 1), ("absent", 2)]
+    assert sorted(c[2] for c in baselines if c[1] == "random") == sorted(seeds * 3)
+    assert len({row.no_attack_absent for row in table.rows}) == 1
+
 
 def test_an_experiment_needs_a_seed():
     with pytest.raises(ConfigError, match="at least one seed"):

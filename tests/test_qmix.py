@@ -11,6 +11,7 @@ from bystander.qmix import (
     TargetNetworkPair,
     greedy_joint_q,
     learner_step,
+    masked_q,
     select_action,
     stack_batch,
     td_targets,
@@ -28,6 +29,20 @@ def test_agent_q_matches_independent_forward():
     expected = h2 @ ws[2].T + bs[2]
     q, _ = net.forward(obs)
     assert np.max(np.abs(q - expected)) < 1e-12
+
+
+def test_masked_q_is_each_agents_forward_with_the_sentinel():
+    rng = np.random.default_rng(5)
+    nets = [MLP(f"a{i}", [5, 8, 4], rng) for i in range(3)]
+    obs = rng.normal(size=(6, 3, 5))
+    avail = rng.random((6, 3, 4)) < 0.5
+    rows = masked_q(nets, obs, avail)
+    assert rows.shape == (6, 3, 4)
+    for r in range(6):
+        one = masked_q(nets, obs[r], avail[r])
+        expected = [np.where(avail[r, i], net.forward(obs[r, i])[0], MASK_SENTINEL) for i, net in enumerate(nets)]
+        assert np.array_equal(one, np.stack(expected))
+        np.testing.assert_allclose(rows[r], one, rtol=1e-12)
 
 
 def test_select_action_greedy_and_ties():

@@ -188,7 +188,7 @@ def test_frozen_act_respects_masks():
         assert np.array_equal(actions, np.argmax(np.where(masks, q, -np.inf), axis=1))
 
 
-def test_check_fits_refuses_wrong_party_and_shapes():
+def test_check_fits_refuses_wrong_party_and_shapes(tmp_path):
     env = make_env(PRESETS["skirmish-small"])
     d = env.descriptor
     n_victims = len(env.agents(Party.VICTIM))
@@ -204,3 +204,15 @@ def test_check_fits_refuses_wrong_party_and_shapes():
         FrozenPolicy(Party.VICTIM, mlps[:-1]).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
         FrozenPolicy(Party.VICTIM, mlps).check_fits(make_env(PRESETS["corridor-small"]), Party.VICTIM)
+    # bystander nets with the 10 outputs of the old table, which held
+    # attack_victim_* and attack_opponent_* columns; evaluate refuses them
+    n_bystanders = len(env.agents(Party.ADVERSARY))
+    old = FrozenPolicy(Party.ADVERSARY, _nets(d.obs_dim(Party.ADVERSARY), 10, n_bystanders))
+    with pytest.raises(ConfigError, match="does not fit"):
+        old.check_fits(env, Party.ADVERSARY)
+    save_policy(tmp_path / "victims.npz", FrozenPolicy(Party.VICTIM, mlps))
+    save_policy(tmp_path / "old.npz", old)
+    argv = ["evaluate", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    for key, name in (("victim_checkpoint", "victims"), ("adversary_checkpoint", "old")):
+        argv += ["--set", f"{key}={tmp_path / name}.npz"]
+    assert dispatch(argv) == EXIT_CONFIG
