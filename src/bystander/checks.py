@@ -156,9 +156,9 @@ def _resample_until_smooth(build, seeds):
 
 def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
     def build(rng):
-        mlp = MLP("g", [4, 16, 8, 3], rng)
-        x = rng.normal(size=(5, 4))
-        target = rng.normal(size=(5, 3))
+        mlp = MLP(["g"], [4, 16, 8, 3], rng)
+        x = rng.normal(size=(1, 5, 4))
+        target = rng.normal(size=(1, 5, 3))
 
         def loss_fn():
             y, _ = mlp.forward(x)
@@ -174,8 +174,8 @@ def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
             # distance of the nearest rectifier pre-activation from zero
             _, cache = mlp.forward(x)
             return min(
-                float(np.min(np.abs(layer.forward(inputs)[0])))
-                for layer, inputs in zip(mlp.layers[:-1], cache.layer_inputs)
+                float(np.min(np.abs(mlp.affine(l, inputs))))
+                for l, inputs in enumerate(cache.layer_inputs[:-1])
             )
 
         return loss_fn, backward_fn, mlp.params(), kink_gap
@@ -211,7 +211,7 @@ def recurrent_gradient_residual(seeds=GRAD_SEEDS, steps: int = 5) -> float:
                 caches.append(cache)
             dh = dc = None
             for cache in reversed(caches):
-                _, dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
+                dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
 
         worst = max(worst, grad_check(loss_fn, cell.params(), backward_fn=backward_fn).max_rel_error)
     return worst

@@ -8,12 +8,17 @@ environment instance owns only its configuration and derived lookup tables.
   - the step contract: a terminal state cannot be stepped (LifecycleError),
     every controllable agent's action must be allowed by its mask
     (ContractViolation; a missing agent plays noop), and the scripted third
-    party then acts before the env's own resolver runs;
+    party then acts before the env's own resolver runs. The check reads the
+    masks of the state the caller already holds (the rollout passes the
+    per-party masks its controllers acted on) and computes the rest;
   - the observation layout: an observer's own features, then fixed
     per-unit slot blocks for victims, third-party units and bystander slots
     (`config.adversary_slots`), its own party's block leaving out itself.
     Each block is (present, feature...) and stays zero when the unit is
     absent or out of sight.
+  - the unit slots: a state keeps its units in sorted agent order, and
+    `unit_slots` (built once per env, shared by all its states) maps an
+    agent to its position there, so a by-agent lookup is one dict read.
 An environment supplies its dynamics (`_resolve`, `_terminal`, the scripted
 third-party action), its masks and the two observation hooks.
 
@@ -119,6 +124,8 @@ class Environment(ABC):
             Party.THIRD: third_count,
         }
         self._agents = {p: tuple(AgentId(p, i) for i in range(n)) for p, n in counts.items()}
+        # Party order, then index: sorted agent order
+        self.unit_slots = {a: k for k, a in enumerate(a for p in Party for a in self._agents[p])}
         slots = {**counts, Party.ADVERSARY: config.adversary_slots}
         width = 1 + len(self.SLOT_FEATURES)
         obs_labels = {}
@@ -165,23 +172,33 @@ class Environment(ABC):
 
     # --- step -------------------------------------------------------------
 
-    def step_events(self, state, joint_action: Mapping[AgentId, int]):
-        """(next state, StepOutcome, StepEvents) of one checked step."""
+    def step_events(
+        self,
+        state,
+        joint_action: Mapping[AgentId, int],
+        masks: Mapping[Party, np.ndarray] | None = None,
+    ):
+        """(next state, StepOutcome, StepEvents) of one checked step. `masks`
+        may hold a party's `masks_party(state, party)`, which the check then
+        reads instead of computing them again."""
         if self._terminal(state):
             raise LifecycleError("cannot step a terminal state")
+        masks = masks or {}
         actions: dict[AgentId, int] = {}
-        for agent in self.controllable_agents:
-            a = int(joint_action.get(agent, 0))
-            mask = self.available_actions(state, agent)
-            if not (0 <= a < mask.size) or not mask[a]:
-                raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
-            actions[agent] = a
+        for party in (Party.VICTIM, Party.ADVERSARY):
+            held = masks.get(party)
+            for i, agent in enumerate(self._agents[party]):
+                a = int(joint_action.get(agent, 0))
+                mask = held[i] if held is not None else self.available_actions(state, agent)
+                if not (0 <= a < mask.size) or not mask[a]:
+                    raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
+                actions[agent] = a
         for agent in self._agents[Party.THIRD]:
             actions[agent] = self._scripted_action(state, agent)
         return self._resolve(state, actions)
 
-    def step(self, state, joint_action: Mapping[AgentId, int]):
-        nxt, outcome, _ = self.step_events(state, joint_action)
+    def step(self, state, joint_action: Mapping[AgentId, int], masks: Mapping[Party, np.ndarray] | None = None):
+        nxt, outcome, _ = self.step_events(state, joint_action, masks)
         return nxt, outcome
 
     @abstractmethod

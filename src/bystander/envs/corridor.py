@@ -21,7 +21,7 @@ walling lanes, forcing stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -86,15 +86,18 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class CorridorState:
+    """Vehicles in sorted agent order; `slots` is the env's `unit_slots`."""
+
     vehicles: tuple[Vehicle, ...]
     step_count: int
     seed: int
+    slots: Mapping[AgentId, int] = field(compare=False, repr=False)
 
     def vehicle(self, agent: AgentId) -> Vehicle:
-        for v in self.vehicles:
-            if v.agent == agent:
-                return v
-        raise KeyError(f"unknown agent {agent.key}")
+        try:
+            return self.vehicles[self.slots[agent]]
+        except KeyError:
+            raise KeyError(f"unknown agent {agent.key}") from None
 
     def party(self, party: Party) -> list[Vehicle]:
         return [v for v in self.vehicles if v.agent.party is party]
@@ -137,7 +140,7 @@ class CorridorEnv(Environment):
                 lane, col = mid[int(pick)]
                 vehicles.append(Vehicle(agent, lane, col, 1))
         vehicles.sort(key=lambda v: v.agent)
-        return CorridorState(vehicles=tuple(vehicles), step_count=0, seed=seed)
+        return CorridorState(vehicles=tuple(vehicles), step_count=0, seed=seed, slots=self.unit_slots)
 
     def positions(self, state: CorridorState) -> dict[AgentId, tuple]:
         return {v.agent: (v.lane, v.col) for v in state.vehicles if v.on_road}
@@ -258,7 +261,7 @@ class CorridorEnv(Environment):
 
         new_vehicles = tuple(vehicles[v.agent] for v in state.vehicles)
         nxt = CorridorState(
-            vehicles=new_vehicles, step_count=state.step_count + 1, seed=state.seed
+            vehicles=new_vehicles, step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots
         )
         return nxt, self._outcome(nxt, canceled), StepEvents(attacks=(), collisions=tuple(collisions))
 
@@ -318,4 +321,4 @@ class CorridorEnv(Environment):
                     vehicles.append(Vehicle(agent, lane, col, speed))
                 else:
                     vehicles.append(Vehicle(agent, 0, self.config.goal_col, 0, exited=True))
-        return CorridorState(vehicles=tuple(vehicles), step_count=step_count, seed=-1)
+        return CorridorState(vehicles=tuple(vehicles), step_count=step_count, seed=-1, slots=self.unit_slots)

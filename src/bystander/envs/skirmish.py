@@ -21,7 +21,7 @@ positional: standing in cells victims or opponents want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -98,15 +98,18 @@ class Unit:
 
 @dataclass(frozen=True)
 class SkirmishState:
+    """Units in sorted agent order; `slots` is the env's `unit_slots`."""
+
     units: tuple[Unit, ...]
     step_count: int
     seed: int
+    slots: Mapping[AgentId, int] = field(compare=False, repr=False)
 
     def unit(self, agent: AgentId) -> Unit:
-        for u in self.units:
-            if u.agent == agent:
-                return u
-        raise KeyError(f"unknown agent {agent.key}")
+        try:
+            return self.units[self.slots[agent]]
+        except KeyError:
+            raise KeyError(f"unknown agent {agent.key}") from None
 
     def party_health(self, party: Party) -> int:
         return sum(u.health for u in self.units if u.agent.party is party)
@@ -177,7 +180,7 @@ class SkirmishEnv(Environment):
             for agent, pick in zip(agents, picks):
                 x, y = cells[int(pick)]
                 units.append(Unit(agent, x, y, c.unit_health))
-        return SkirmishState(units=tuple(units), step_count=0, seed=seed)
+        return SkirmishState(units=tuple(units), step_count=0, seed=seed, slots=self.unit_slots)
 
     def positions(self, state: SkirmishState) -> dict[AgentId, tuple]:
         return {u.agent: (u.x, u.y) for u in state.units if u.alive}
@@ -291,7 +294,7 @@ class SkirmishEnv(Environment):
             units[agent] = replace(u, health=max(u.health - dmg, 0))
 
         new_units = tuple(units[u.agent] for u in state.units)
-        nxt = SkirmishState(units=new_units, step_count=state.step_count + 1, seed=state.seed)
+        nxt = SkirmishState(units=new_units, step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots)
         return nxt, self._outcome(state, nxt), StepEvents(attacks=tuple(attacks), collisions=())
 
     def _terminal(self, state: SkirmishState) -> bool:
@@ -345,4 +348,4 @@ class SkirmishEnv(Environment):
                 else:
                     x, y, hp = 0, 0, 0
                 units.append(Unit(agent, x, y, hp))
-        return SkirmishState(units=tuple(units), step_count=step_count, seed=-1)
+        return SkirmishState(units=tuple(units), step_count=step_count, seed=-1, slots=self.unit_slots)

@@ -58,11 +58,6 @@ class ParamTensor:
     def zero_grad(self) -> None:
         self.grad[:] = 0.0
 
-    def copy(self, name: str | None = None) -> "ParamTensor":
-        return ParamTensor(
-            name or self.name, self.shape, self.values.copy(), np.zeros_like(self.grad)
-        )
-
 
 class Linear:
     """Affine layer y = x W^T + b operating on (batch, in) matrices."""
@@ -87,68 +82,106 @@ class Linear:
 
 @dataclass
 class MLPCache:
-    # the rectifier masks are layer_inputs[i + 1] > 0, so they are not kept
+    # the rectifier masks are layer_inputs[l + 1] > 0, so they are not kept
     layer_inputs: list[np.ndarray]
     consumed: bool = False
 
 
 class MLP:
-    """Fully-connected net: affine layers with rectifiers between them and a
-    linear output layer."""
+    """One fully-connected net per agent, all of the same dims and run as a
+    stack: affine layers with rectifiers between them and a linear output
+    layer.
 
-    def __init__(self, name: str, dims: Sequence[int], rng: np.random.Generator):
+    Layer l is held as a weight stack `w[l]` of shape (n_agents, d_out,
+    d_in) and a bias stack `b[l]` of shape (n_agents, d_out), so a forward
+    or backward pass makes one batched product per layer for all agents.
+    Each agent's tensors are ParamTensor views into the stacks, named
+    `<agent name>.l<l>.w`/`.b` and listed agent by agent, so checkpoints,
+    checksums and optimizer state see the same per-agent bytes as separate
+    nets would.
+    """
+
+    def __init__(self, names: Sequence[str], dims: Sequence[int], rng: np.random.Generator | None):
+        """Weights uniform in +-1/sqrt(d_in), drawn one agent's layers after
+        another; biases zero. With rng None every value starts at zero."""
         if len(dims) < 2:
             raise StructuralError("MLP needs at least input and output dims")
-        self.name = name
+        if not names:
+            raise StructuralError("MLP needs at least one agent")
+        self.names = tuple(names)
         self.dims = tuple(dims)
-        self.layers = [
-            Linear(f"{name}.l{i}", dims[i], dims[i + 1], rng)
-            for i in range(len(dims) - 1)
-        ]
+        n = len(self.names)
+        shapes = list(zip(self.dims[1:], self.dims[:-1]))
+        self.w = [np.zeros((n, d_out, d_in)) for d_out, d_in in shapes]
+        self.b = [np.zeros((n, d_out)) for d_out, _ in shapes]
+        self.w_grad = [np.zeros_like(w) for w in self.w]
+        self.b_grad = [np.zeros_like(b) for b in self.b]
+        self._params = []
+        for i, name in enumerate(self.names):
+            for l, (d_out, d_in) in enumerate(shapes):
+                if rng is not None:
+                    limit = 1.0 / np.sqrt(d_in)
+                    self.w[l][i] = rng.uniform(-limit, limit, size=d_out * d_in).reshape(d_out, d_in)
+                self._params += [
+                    ParamTensor(f"{name}.l{l}.w", (d_out, d_in), self.w[l][i].reshape(-1), self.w_grad[l][i].reshape(-1)),
+                    ParamTensor(f"{name}.l{l}.b", (d_out,), self.b[l][i], self.b_grad[l][i]),
+                ]
 
     @classmethod
-    def from_params(cls, name: str, dims: Sequence[int], params: Mapping[str, ParamTensor]) -> "MLP":
-        """An MLP sharing existing tensors, looked up as `<name>.l<i>.w`/`.b`."""
-        mlp = cls.__new__(cls)
-        mlp.name, mlp.dims, mlp.layers = name, tuple(dims), [Linear.__new__(Linear) for _ in dims[1:]]
-        for i, layer in enumerate(mlp.layers):
-            layer.w, layer.b = params[f"{name}.l{i}.w"], params[f"{name}.l{i}.b"]
-            if (layer.w.shape, layer.b.shape) != ((dims[i + 1], dims[i]), (dims[i + 1],)):
-                raise StructuralError(f"{name}.l{i}: shapes do not match dims {mlp.dims}")
+    def from_params(cls, names: Sequence[str], dims: Sequence[int], params: Mapping[str, ParamTensor]) -> "MLP":
+        """An MLP holding copies of the tensors `<name>.l<l>.w`/`.b` of each
+        named agent."""
+        mlp = cls(names, dims, None)
+        for p in mlp.params():
+            if params[p.name].shape != p.shape:
+                raise StructuralError(f"{p.name}: shape {params[p.name].shape} does not match dims {mlp.dims}")
+            p.values[:] = params[p.name].values
         return mlp
 
+    @property
+    def n_agents(self) -> int:
+        return len(self.names)
+
     def params(self) -> list[ParamTensor]:
-        return [p for layer in self.layers for p in layer.params()]
+        return list(self._params)
+
+    def affine(self, l: int, x: np.ndarray) -> np.ndarray:
+        """Layer l's pre-activation for a stack of rows x (n_agents, R, d_in).
+        The weight stack is multiplied through its transposed view: each
+        agent's product is then the same BLAS call as x_i @ W_i.T."""
+        return np.matmul(x, self.w[l].transpose(0, 2, 1)) + self.b[l][:, None, :]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, MLPCache]:
+        """x (n_agents, R, d_in), agent i's rows in x[i] -> (n_agents, R,
+        d_out)."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.dims[0]:
+        if x.ndim != 3 or x.shape[0] != self.n_agents or x.shape[2] != self.dims[0]:
             raise StructuralError(
-                f"{self.name}: input width {x.shape[1]} != {self.dims[0]}"
+                f"{','.join(self.names)}: input {x.shape} is not (agents {self.n_agents}, rows, width {self.dims[0]})"
             )
         inputs = []
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
+        last = len(self.w) - 1
+        for l in range(len(self.w)):
             inputs.append(x)
-            x, _ = layer.forward(x)
-            if i < last:
+            x = self.affine(l, x)
+            if l < last:
                 x = np.maximum(x, 0.0)
-        return (x[0] if squeeze else x), MLPCache(inputs)
+        return x, MLPCache(inputs)
 
     def backward(self, cache: MLPCache, dy: np.ndarray) -> np.ndarray:
+        """Accumulate the parameter grads of upstream dy (n_agents, R,
+        d_out); returns the input gradient (n_agents, R, d_in)."""
         if cache.consumed:
-            raise LifecycleError(f"{self.name}: cache already consumed")
+            raise LifecycleError(f"{','.join(self.names)}: cache already consumed")
         cache.consumed = True
         dy = np.asarray(dy, dtype=float)
-        if dy.ndim == 1 and self.dims[-1] == dy.shape[0] and cache.layer_inputs[0].shape[0] == 1:
-            dy = dy[None, :]
-        for i in reversed(range(len(self.layers))):
-            if i < len(self.layers) - 1:
-                dy = dy * (cache.layer_inputs[i + 1] > 0)
-            dy = self.layers[i].backward(cache.layer_inputs[i], dy)
+        last = len(self.w) - 1
+        for l in reversed(range(len(self.w))):
+            if l < last:
+                dy = dy * (cache.layer_inputs[l + 1] > 0)
+            self.w_grad[l] += np.matmul(dy.transpose(0, 2, 1), cache.layer_inputs[l])
+            self.b_grad[l] += dy.sum(axis=1)
+            dy = np.matmul(dy, self.w[l])
         return dy
 
 
@@ -246,10 +279,11 @@ class LSTMCell:
         dy: np.ndarray,
         dh_next: np.ndarray | None = None,
         dc_next: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Backprop one step. dy is the scalar-head upstream gradient (B,);
-        dh_next/dc_next come from the following step. Returns (dx, dh_prev,
-        dc_prev)."""
+        dh_next/dc_next come from the following step. Returns (dh_prev,
+        dc_prev); the gradient of the input rows is not computed, as no
+        caller reads it."""
         dy = np.atleast_1d(np.asarray(dy, dtype=float))
         B = cache.h.shape[0]
         if dh_next is None:
@@ -277,9 +311,8 @@ class LSTMCell:
         self.wx.grad_array[...] += dz.T @ cache.x
         self.wh.grad_array[...] += dz.T @ cache.h_prev
         self.b.grad_array[...] += dz.sum(axis=0)
-        dx = dz @ self.wx.array
         dh_prev = dz @ self.wh.array
-        return dx, dh_prev, dc_prev
+        return dh_prev, dc_prev
 
 
 @dataclass

@@ -1,7 +1,8 @@
-"""Value-decomposition learner: per-agent Q networks, a monotone mixing
-network conditioned on the learning party's own observations (no global
-state), TD targets with a periodically synced target copy, and the batched
-squared-error update.
+"""Value-decomposition learner: per-agent Q networks held as one
+agent-stacked MLP (each forward or backward is one batched product per layer
+for all agents), a monotone mixing network conditioned on the learning
+party's own observations (no global state), TD targets with a periodically
+synced target copy, and the batched squared-error update.
 """
 
 from __future__ import annotations
@@ -29,12 +30,18 @@ def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator
     return int(np.argmax(q_values))
 
 
-def masked_q(nets: Sequence[MLP], obs: np.ndarray, avail: np.ndarray) -> np.ndarray:
+def agent_rows(obs: np.ndarray) -> np.ndarray:
+    """obs (..., n, D) as the stacked net's input (n, rows, D): agent i's
+    rows are a view of obs[..., i, :]."""
+    return obs.reshape(-1, *obs.shape[-2:]).swapaxes(0, 1)
+
+
+def masked_q(net: MLP, obs: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Each agent's Q values, MASK_SENTINEL where its action is unavailable:
     obs (..., n, D), avail (..., n, A) -> (..., n, A), for one state or a
     batch of rows."""
-    q = np.stack([net.forward(obs[..., i, :])[0] for i, net in enumerate(nets)], axis=-2)
-    return np.where(avail, q, MASK_SENTINEL)
+    q, _ = net.forward(agent_rows(obs))
+    return np.where(avail, q.swapaxes(0, 1).reshape(avail.shape), MASK_SENTINEL)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -219,16 +226,16 @@ def stack_batch(episodes: Sequence[PreparedEpisode]) -> Batch:
 
 
 class TargetNetworkPair:
-    """Online nets plus a frozen copy refreshed every sync_interval learner
-    steps."""
+    """Online agent net and mixer plus a frozen copy refreshed every
+    sync_interval learner steps."""
 
-    def __init__(self, nets: Sequence[MLP], mixer: MixingNet, sync_interval: int, rng):
+    def __init__(self, net: MLP, mixer: MixingNet, sync_interval: int, rng):
         if sync_interval < 1:
             raise ValueError("sync_interval must be >= 1")
-        self.nets = list(nets)
+        self.net = net
         self.mixer = mixer
         self.sync_interval = sync_interval
-        self.target_nets = [MLP(f"{n.name}.target", n.dims, rng) for n in self.nets]
+        self.target_net = MLP([f"{name}.target" for name in net.names], net.dims, rng)
         self.target_mixer = MixingNet(
             f"{mixer.name}.target", mixer.n_agents, mixer.cond_dim, mixer.embed, rng
         )
@@ -237,9 +244,8 @@ class TargetNetworkPair:
         self.sync()
 
     def sync(self) -> None:
-        for online, target in zip(self.nets, self.target_nets):
-            for p, q in zip(online.params(), target.params()):
-                q.values[:] = p.values
+        for online, target in zip(self.net.w + self.net.b, self.target_net.w + self.target_net.b):
+            target[...] = online
         for p, q in zip(self.mixer.params(), self.target_mixer.params()):
             q.values[:] = p.values
         self.steps_since_sync = 0
@@ -251,12 +257,11 @@ class TargetNetworkPair:
             self.sync()
 
     def online_params(self) -> list[ParamTensor]:
-        params = [p for n in self.nets for p in n.params()]
-        return params + self.mixer.params()
+        return self.net.params() + self.mixer.params()
 
 
 def greedy_joint_q(
-    nets: Sequence[MLP],
+    net: MLP,
     mixer: MixingNet,
     obs: np.ndarray,
     avail: np.ndarray,
@@ -267,7 +272,7 @@ def greedy_joint_q(
     obs (R, n, D), avail (R, n, A) -> (R,).
     """
     R, n, D = obs.shape
-    chosen = masked_q(nets, obs, avail).max(axis=-1)
+    chosen = masked_q(net, obs, avail).max(axis=-1)
     q_tot, _ = mixer.forward(chosen, obs.reshape(R, n * D))
     return q_tot
 
@@ -286,7 +291,7 @@ def td_targets(
         raise StructuralError(f"rewards {rewards.shape} misaligned with batch {(B, T)}")
     flat_next = batch.obs[:, 1:].reshape(B * T, *batch.obs.shape[2:])
     flat_avail = batch.avail[:, 1:].reshape(B * T, *batch.avail.shape[2:])
-    q_next = greedy_joint_q(pair.target_nets, pair.target_mixer, flat_next, flat_avail)
+    q_next = greedy_joint_q(pair.target_net, pair.target_mixer, flat_next, flat_avail)
     q_next = q_next.reshape(B, T)
     return rewards + gamma * np.where(batch.terminal, 0.0, q_next)
 
@@ -312,13 +317,10 @@ def learner_step(
     targets = td_targets(batch, pair, batch.rewards, gamma)
 
     flat_obs = batch.obs[:, :T].reshape(B * T, n, D)
-    flat_actions = batch.actions.reshape(B * T, n)
-    chosen = np.zeros((B * T, n))
-    caches = []
-    for i, net in enumerate(pair.nets):
-        q, cache = net.forward(flat_obs[:, i])
-        caches.append(cache)
-        chosen[:, i] = np.take_along_axis(q, flat_actions[:, i : i + 1], axis=1)[:, 0]
+    # per agent, the index of its chosen action in each row: (n, B * T, 1)
+    picked = batch.actions.reshape(B * T, n).T[:, :, None]
+    q, cache = pair.net.forward(agent_rows(flat_obs))
+    chosen = np.take_along_axis(q, picked, axis=2)[:, :, 0].T
     q_tot, mix_cache = pair.mixer.forward(chosen, flat_obs.reshape(B * T, n * D))
     q_tot = q_tot.reshape(B, T)
 
@@ -332,10 +334,9 @@ def learner_step(
     optimizer.zero_grad()
     d_qtot = (2.0 * err / count).reshape(B * T)
     dq = pair.mixer.backward(mix_cache, d_qtot)
-    for i, net in enumerate(pair.nets):
-        dq_full = np.zeros((B * T, net.dims[-1]))
-        np.put_along_axis(dq_full, flat_actions[:, i : i + 1], dq[:, i : i + 1], axis=1)
-        net.backward(caches[i], dq_full)
+    dq_full = np.zeros_like(q)
+    np.put_along_axis(dq_full, picked, dq.T[:, :, None], axis=2)
+    pair.net.backward(cache, dq_full)
     optimizer.step()
     pair.tick()
     return loss

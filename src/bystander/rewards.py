@@ -124,7 +124,7 @@ def episode_sum_loss_grad(
     dc = np.zeros((n, model.hidden))
     for cache in reversed(caches):
         k = len(cache.h)
-        _, dh[:k], dc[:k] = model.cell.backward_step(cache, dy[:k], dh[:k], dc[:k])
+        dh[:k], dc[:k] = model.cell.backward_step(cache, dy[:k], dh[:k], dc[:k])
     return float(err @ err) / n
 
 

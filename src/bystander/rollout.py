@@ -39,13 +39,13 @@ class RandomController(Controller):
 class EpsilonGreedyController(Controller):
     """Online-net controller; epsilon is set from the training schedule."""
 
-    def __init__(self, nets, rng: np.random.Generator):
-        self.nets = nets
+    def __init__(self, net, rng: np.random.Generator):
+        self.net = net
         self.rng = rng
         self.epsilon = 0.0
 
     def act(self, obs_mat, mask_mat):
-        q = masked_q(self.nets, obs_mat, mask_mat)
+        q = masked_q(self.net, obs_mat, mask_mat)
         return np.array([select_action(row, self.epsilon, self.rng) for row in q], dtype=int)
 
 
@@ -86,7 +86,9 @@ def run_episode(
             chosen = np.asarray(controllers[p].act(*now[p]), dtype=int)
             actions[p].append(chosen)
             joint.update(zip(env.agents(p), chosen.tolist()))
-        nxt, outcome = env.step(state, joint)
+        # the step checks the joint action against the masks of this state's
+        # view, which the controllers acted on
+        nxt, outcome = env.step(state, joint, {p: now[p][1] for p in parties})
         views.append(party_views(nxt))
         outcomes.append(outcome)
         if reward is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -107,35 +107,33 @@ class TrainingFailed(RuntimeError):
 class FrozenPolicy:
     """Immutable greedy snapshot of one party's Q networks.
 
-    Holds copies of the agents' MLPs whose values are read-only and acts
-    through MLP.forward, so acting is a pure function of the agents'
-    observations and replays are bit-identical forever. save_policy and
-    load_policy move it through the neural checkpoint format.
+    Holds a read-only copy of the party's agent-stacked MLP and acts through
+    one MLP.forward for all agents, so acting is a pure function of the
+    agents' observations and replays are bit-identical forever. The
+    checksum hashes each agent's tensors in turn, as the checkpoint stores
+    them. save_policy and load_policy move it through the neural checkpoint
+    format.
     """
 
-    def __init__(self, party: Party, mlps: Sequence[MLP]):
+    def __init__(self, party: Party, net: MLP):
         self.party = party
-        self.mlps: list[MLP] = []
-        for mlp in mlps:
-            copies = {p.name: p.copy() for p in mlp.params()}
-            for p in copies.values():
-                p.values.setflags(write=False)
-            self.mlps.append(MLP.from_params(mlp.name, mlp.dims, copies))
-        self.obs_dim = self.mlps[0].dims[0] if self.mlps else 0
-        self.n_actions = self.mlps[0].dims[-1] if self.mlps else 0
+        self.net = MLP.from_params(net.names, net.dims, {p.name: p for p in net.params()})
+        for values in [*self.net.w, *self.net.b, *(p.values for p in self.net.params())]:
+            values.setflags(write=False)
+        self.obs_dim = self.net.dims[0]
+        self.n_actions = self.net.dims[-1]
 
     @property
     def n_agents(self) -> int:
-        return len(self.mlps)
+        return self.net.n_agents
 
     def act(self, obs_mat: np.ndarray, mask_mat: np.ndarray) -> np.ndarray:
-        return masked_q(self.mlps, obs_mat, mask_mat).argmax(axis=-1)
+        return masked_q(self.net, obs_mat, mask_mat).argmax(axis=-1)
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for mlp in self.mlps:
-            for p in mlp.params():
-                h.update(p.values.tobytes())
+        for p in self.net.params():
+            h.update(p.values.tobytes())
         return h.hexdigest()
 
     def check_fits(self, env: Environment, party: Party) -> None:
@@ -303,11 +301,11 @@ def _build_learner(env: Environment, party: Party, cfg: TrainingConfig, seed_str
     obs_dim = env.descriptor.obs_dim(party)
     dims = [obs_dim, cfg.hidden_size, cfg.hidden_size, env.descriptor.n_actions(party)]
     rng = np.random.default_rng(derive_seed(cfg.seed, f"{seed_stream}.init", 0))
-    nets = [MLP(f"{party.label}{i}", dims, rng) for i in range(n_agents)]
+    net = MLP([f"{party.label}{i}" for i in range(n_agents)], dims, rng)
     # the mixer reads the party's own concatenated observations, not a
     # global state: bystanders have none
     mixer = MixingNet(f"{party.label}_mixer", n_agents, n_agents * obs_dim, cfg.mix_embed, rng)
-    pair = TargetNetworkPair(nets, mixer, cfg.target_sync_interval, rng)
+    pair = TargetNetworkPair(net, mixer, cfg.target_sync_interval, rng)
     optimizer = Adam(pair.online_params(), learning_rate=cfg.learning_rate)
     return pair, optimizer
 
@@ -349,7 +347,7 @@ def train_party(
     buffer = ReplayBuffer(cfg.buffer_capacity)
     explore_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.explore", 0))
     sample_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.sample", 0))
-    controller = EpsilonGreedyController(pair.nets, explore_rng)
+    controller = EpsilonGreedyController(pair.net, explore_rng)
     controllers = dict(other_controllers)
     controllers[party] = controller
     metrics = MetricsWriter(out_dir, label)
@@ -389,7 +387,7 @@ def train_party(
         if (episode + 1) % cfg.eval_interval == 0:
             check_frozen()
             eval_controllers = dict(controllers)
-            eval_controllers[party] = FrozenPolicy(party, pair.nets).as_controller()
+            eval_controllers[party] = FrozenPolicy(party, pair.net).as_controller()
             rate = evaluate_party(
                 env,
                 eval_controllers,
@@ -402,7 +400,7 @@ def train_party(
             returns_since_eval = []
 
     check_frozen()
-    return PartyTrainingResult(FrozenPolicy(party, pair.nets), curve)
+    return PartyTrainingResult(FrozenPolicy(party, pair.net), curve)
 
 
 # --- phase wrappers -----------------------------------------------------------
@@ -584,12 +582,13 @@ def wilson_half_width(p_hat: float, n: int, z: float = 1.959963984540054) -> flo
 def save_policy(path, policy: FrozenPolicy) -> None:
     """Write a frozen policy as a neural checkpoint whose fields hold its
     party and per-agent (name, dims); round-trips bit-exactly."""
+    net = policy.net
     save_checkpoint(
         path,
-        [p for mlp in policy.mlps for p in mlp.params()],
+        net.params(),
         fields={
             "party": policy.party.label,
-            "agents": [[mlp.name, list(mlp.dims)] for mlp in policy.mlps],
+            "agents": [[name, list(net.dims)] for name in net.names],
         },
     )
 
@@ -600,7 +599,11 @@ def load_policy(path) -> FrozenPolicy:
     read; check_fits refuses a net wider than the env's observation."""
     try:
         params, _, fields = load_checkpoint(path)
-        mlps = [MLP.from_params(name, dims, params) for name, dims in fields["agents"]]
-        return FrozenPolicy(Party.from_label(fields["party"]), mlps)
+        names = [name for name, _ in fields["agents"]]
+        dims = {tuple(d) for _, d in fields["agents"]}
+        if len(dims) != 1:
+            raise ValueError(f"the agents' nets must share one set of dims, got {sorted(dims)}")
+        net = MLP.from_params(names, dims.pop(), params)
+        return FrozenPolicy(Party.from_label(fields["party"]), net)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path} is not a frozen-policy checkpoint: {exc}") from None

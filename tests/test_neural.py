@@ -14,6 +14,16 @@ from bystander.neural import (
     restore_optimizer,
     save_checkpoint,
 )
+from bystander.qmix import (
+    MASK_SENTINEL,
+    MixingNet,
+    PreparedEpisode,
+    ReplayBuffer,
+    TargetNetworkPair,
+    learner_step,
+    masked_q,
+    stack_batch,
+)
 
 
 def test_param_tensor_flat_storage_invariant():
@@ -26,19 +36,19 @@ def test_param_tensor_flat_storage_invariant():
 
 def test_mlp_zero_weights_give_zero_output():
     rng = np.random.default_rng(0)
-    mlp = MLP("m", [4, 8, 2], rng)
+    mlp = MLP(["m"], [4, 8, 2], rng)
     for p in mlp.params():
         p.values[:] = 0.0
-    y, _ = mlp.forward(rng.normal(size=4))
-    assert np.all(y == 0.0)
+    y, _ = mlp.forward(rng.normal(size=(1, 1, 4)))
+    assert y.shape == (1, 1, 2) and np.all(y == 0.0)
 
 
 def test_mlp_identity_single_layer():
     rng = np.random.default_rng(0)
-    mlp = MLP("m", [3, 3], rng)
-    mlp.layers[0].w.array[...] = np.eye(3)
-    mlp.layers[0].b.values[:] = 0.0
-    x = rng.normal(size=3)
+    mlp = MLP(["m"], [3, 3], rng)
+    mlp.w[0][0] = np.eye(3)
+    mlp.b[0][0] = 0.0
+    x = rng.normal(size=(1, 1, 3))
     y, _ = mlp.forward(x)
     assert np.allclose(y, x, atol=0)
 
@@ -46,31 +56,32 @@ def test_mlp_identity_single_layer():
 def test_mlp_matches_independent_forward_oracle():
     # second, independently written forward pass
     rng = np.random.default_rng(3)
-    mlp = MLP("m", [4, 3, 2], rng)
+    mlp = MLP(["m"], [4, 3, 2], rng)
     x = rng.normal(size=(6, 4))
-    w0, b0 = mlp.layers[0].w.array, mlp.layers[0].b.array
-    w1, b1 = mlp.layers[1].w.array, mlp.layers[1].b.array
-    hidden = np.maximum(x @ w0.T + b0, 0.0)
-    expected = hidden @ w1.T + b1
-    y, _ = mlp.forward(x)
-    assert np.max(np.abs(y - expected)) < 1e-12
+    params = {p.name: p.array for p in mlp.params()}
+    hidden = np.maximum(x @ params["m.l0.w"].T + params["m.l0.b"], 0.0)
+    expected = hidden @ params["m.l1.w"].T + params["m.l1.b"]
+    y, _ = mlp.forward(x[None])
+    assert np.max(np.abs(y[0] - expected)) < 1e-12
 
 
 def test_mlp_shape_mismatch():
-    mlp = MLP("m", [4, 2], np.random.default_rng(0))
-    with pytest.raises(StructuralError):
-        mlp.forward(np.zeros(5))
+    mlp = MLP(["m"], [4, 2], np.random.default_rng(0))
+    for bad in (np.zeros((1, 1, 5)), np.zeros((2, 1, 4)), np.zeros((1, 4))):
+        with pytest.raises(StructuralError):
+            mlp.forward(bad)
 
 
 def test_linear_layer_backward_identities():
     rng = np.random.default_rng(1)
-    mlp = MLP("m", [3, 2], rng)
-    x = rng.normal(size=(4, 3))
+    mlp = MLP(["m"], [3, 2], rng)
+    x = rng.normal(size=(1, 4, 3))
     y, cache = mlp.forward(x)
-    upstream = rng.normal(size=(4, 2))
+    upstream = rng.normal(size=(1, 4, 2))
     mlp.backward(cache, upstream)
-    assert np.allclose(mlp.layers[0].w.grad_array, upstream.T @ x)
-    assert np.allclose(mlp.layers[0].b.grad_array, upstream.sum(axis=0))
+    w, b = mlp.params()
+    assert np.allclose(w.grad_array, upstream[0].T @ x[0])
+    assert np.allclose(b.grad_array, upstream[0].sum(axis=0))
     # zero upstream -> zero grads
     for p in mlp.params():
         p.zero_grad()
@@ -82,8 +93,8 @@ def test_linear_layer_backward_identities():
 def test_mlp_cache_is_single_use():
     from bystander.core import LifecycleError
 
-    mlp = MLP("m", [3, 2], np.random.default_rng(0))
-    y, cache = mlp.forward(np.zeros((1, 3)))
+    mlp = MLP(["m"], [3, 2], np.random.default_rng(0))
+    y, cache = mlp.forward(np.zeros((1, 1, 3)))
     mlp.backward(cache, np.zeros_like(y))
     with pytest.raises(LifecycleError):
         mlp.backward(cache, np.zeros_like(y))
@@ -132,7 +143,7 @@ def test_lstm_gradients_match_finite_differences():
             caches.append(cache)
         dh = dc = None
         for cache in reversed(caches):
-            _, dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
+            dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
 
     report = grad_check(loss_fn, cell.params(), backward_fn=backward_fn)
     assert report.max_rel_error < 1e-4, report
@@ -174,8 +185,8 @@ def test_adam_beta_validation():
 
 def test_grad_check_exact_for_linear_model():
     rng = np.random.default_rng(11)
-    mlp = MLP("m", [4, 1], rng)
-    x = rng.normal(size=(3, 4))
+    mlp = MLP(["m"], [4, 1], rng)
+    x = rng.normal(size=(1, 3, 4))
 
     def loss_fn():
         y, _ = mlp.forward(x)
@@ -195,8 +206,8 @@ def test_grad_check_exact_for_linear_model():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_forward_determinism_property(seed):
     rng = np.random.default_rng(seed)
-    mlp = MLP("m", [3, 5, 2], rng)
-    x = rng.normal(size=(2, 3))
+    mlp = MLP(["m"], [3, 5, 2], rng)
+    x = rng.normal(size=(1, 2, 3))
     y1, _ = mlp.forward(x)
     y2, _ = mlp.forward(x)
     assert np.array_equal(y1, y2)
@@ -205,9 +216,9 @@ def test_forward_determinism_property(seed):
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    mlp = MLP("m", [4, 6, 2], rng)
+    mlp = MLP(["m"], [4, 6, 2], rng)
     opt = Adam(mlp.params(), learning_rate=3e-4)
-    x = rng.normal(size=(5, 4))
+    x = rng.normal(size=(1, 5, 4))
     for _ in range(3):
         y, cache = mlp.forward(x)
         mlp.backward(cache, y)
@@ -218,7 +229,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert fields == {}
     for p in mlp.params():
         assert np.array_equal(params[p.name].values, p.values)
-    mlp2 = MLP("m", [4, 6, 2], np.random.default_rng(99))
+    mlp2 = MLP(["m"], [4, 6, 2], np.random.default_rng(99))
     for p in mlp2.params():
         p.values[:] = params[p.name].values
     opt2 = Adam(mlp2.params(), learning_rate=opt_meta["learning_rate"])
@@ -233,3 +244,162 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         opt2.step()
     for p, q in zip(mlp.params(), mlp2.params()):
         assert np.array_equal(p.values, q.values)
+
+
+# --- the agent stack against separate per-agent nets --------------------------
+#
+# The reference runs each agent's net as its own 2-D products, x @ W_i.T + b_i,
+# on the agent's tensors; the stack must give the same bits, row batch by row
+# batch, in the forward, the backward and one learner step.
+
+
+def reference_forward(net, i, x):
+    """Agent i's net on rows x (R, d_in), one 2-D product per layer; returns
+    the output and each layer's input."""
+    inputs = []
+    last = len(net.w) - 1
+    for l in range(len(net.w)):
+        inputs.append(x)
+        x = x @ net.w[l][i].T + net.b[l][i]
+        if l < last:
+            x = np.maximum(x, 0.0)
+    return x, inputs
+
+
+def reference_backward(net, i, inputs, dy):
+    """Agent i's (weight grads, bias grads, input grad) for upstream dy."""
+    dws, dbs = [], []
+    for l in reversed(range(len(net.w))):
+        if l < len(net.w) - 1:
+            dy = dy * (inputs[l + 1] > 0)
+        dws.insert(0, dy.T @ inputs[l])
+        dbs.insert(0, dy.sum(axis=0))
+        dy = dy @ net.w[l][i]
+    return dws, dbs, dy
+
+
+def _stacked(seed=0, n=3, dims=(31, 64, 64, 7)):
+    return MLP([f"victim{i}" for i in range(n)], dims, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 32, 63, 256, 400])
+def test_stacked_forward_is_each_agents_forward_bit_for_bit(rows):
+    net = _stacked()
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(net.n_agents, rows, net.dims[0]))
+    y, _ = net.forward(x)
+    assert y.shape == (net.n_agents, rows, net.dims[-1])
+    for i in range(net.n_agents):
+        assert np.array_equal(y[i], reference_forward(net, i, x[i])[0])
+    # the learner's layout: rows of (rows, n, D), each agent's a strided view
+    obs = rng.normal(size=(rows, net.n_agents, net.dims[0]))
+    avail = rng.random((rows, net.n_agents, net.dims[-1])) < 0.7
+    q = masked_q(net, obs, avail)
+    for i in range(net.n_agents):
+        expected = np.where(avail[:, i], reference_forward(net, i, obs[:, i])[0], MASK_SENTINEL)
+        assert np.array_equal(q[:, i], expected)
+    # one state, as controllers and frozen policies act on it
+    one = masked_q(net, obs[0], avail[0])
+    for i in range(net.n_agents):
+        expected = np.where(avail[0, i], reference_forward(net, i, obs[0, i : i + 1])[0][0], MASK_SENTINEL)
+        assert np.array_equal(one[i], expected)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 400])
+def test_stacked_backward_is_each_agents_backward_bit_for_bit(rows):
+    net = _stacked(seed=1)
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=(net.n_agents, rows, net.dims[0]))
+    dy = rng.normal(size=(net.n_agents, rows, net.dims[-1]))
+    _, cache = net.forward(x)
+    dx = net.backward(cache, dy)
+    for i in range(net.n_agents):
+        _, inputs = reference_forward(net, i, x[i])
+        dws, dbs, dx_i = reference_backward(net, i, inputs, dy[i])
+        assert np.array_equal(dx[i], dx_i)
+        for l in range(len(net.w)):
+            assert np.array_equal(net.w_grad[l][i], dws[l])
+            assert np.array_equal(net.b_grad[l][i], dbs[l])
+
+
+def test_agent_tensors_are_views_into_the_stacks_in_agent_order():
+    net = _stacked(n=2, dims=(3, 4, 2))
+    names = [p.name for p in net.params()]
+    assert names == [f"victim{i}.l{l}.{k}" for i in range(2) for l in range(2) for k in "wb"]
+    for p in net.params():
+        agent, layer = int(p.name[6]), int(p.name[9])
+        stack, grads = (net.w, net.w_grad) if p.name.endswith(".w") else (net.b, net.b_grad)
+        assert np.shares_memory(p.values, stack[layer][agent]) and np.shares_memory(p.grad, grads[layer][agent])
+    # the seeded draw order of separate nets: agent 0's layers, then agent 1's
+    rng = np.random.default_rng(0)
+    for i in range(2):
+        for l, (d_in, d_out) in enumerate([(3, 4), (4, 2)]):
+            w = rng.uniform(-1 / np.sqrt(d_in), 1 / np.sqrt(d_in), size=d_out * d_in)
+            assert np.array_equal(net.w[l][i].reshape(-1), w)
+
+
+def reference_learner_step(buffer, pair, optimizer, batch_size, gamma, rng):
+    """learner_step with one forward and one backward per agent net."""
+    batch = stack_batch(buffer.sample(batch_size, rng))
+    B, T = batch.mask.shape
+    n, D = batch.obs.shape[2:]
+    nxt = batch.obs[:, 1:].reshape(B * T, n, D)
+    nxt_avail = batch.avail[:, 1:].reshape(B * T, n, -1)
+    best = np.stack(
+        [np.where(nxt_avail[:, i], reference_forward(pair.target_net, i, nxt[:, i])[0], MASK_SENTINEL).max(axis=-1) for i in range(n)],
+        axis=-1,
+    )
+    q_next, _ = pair.target_mixer.forward(best, nxt.reshape(B * T, n * D))
+    targets = batch.rewards + gamma * np.where(batch.terminal, 0.0, q_next.reshape(B, T))
+    flat = batch.obs[:, :T].reshape(B * T, n, D)
+    actions = batch.actions.reshape(B * T, n)
+    outs = [reference_forward(pair.net, i, flat[:, i]) for i in range(n)]
+    chosen = np.stack([np.take_along_axis(q, actions[:, i : i + 1], axis=1)[:, 0] for i, (q, _) in enumerate(outs)], axis=-1)
+    q_tot, mix_cache = pair.mixer.forward(chosen, flat.reshape(B * T, n * D))
+    count = batch.mask.sum()
+    err = np.where(batch.mask, q_tot.reshape(B, T) - targets, 0.0)
+    optimizer.zero_grad()
+    dq = pair.mixer.backward(mix_cache, (2.0 * err / count).reshape(B * T))
+    for i, (q, inputs) in enumerate(outs):
+        dy = np.zeros_like(q)
+        np.put_along_axis(dy, actions[:, i : i + 1], dq[:, i : i + 1], axis=1)
+        dws, dbs, _ = reference_backward(pair.net, i, inputs, dy)
+        for l in range(len(dws)):
+            pair.net.w_grad[l][i] += dws[l]
+            pair.net.b_grad[l][i] += dbs[l]
+    optimizer.step()
+    pair.tick()
+    return float((err**2).sum() / count)
+
+
+def test_learner_step_matches_per_agent_reference_bit_for_bit():
+    def learner(seed=5, n=3, D=6, A=4):
+        rng = np.random.default_rng(seed)
+        net = MLP([f"a{i}" for i in range(n)], [D, 16, 16, A], rng)
+        pair = TargetNetworkPair(net, MixingNet("mx", n, n * D, 8, rng), 2, rng)
+        return pair, Adam(pair.online_params(), learning_rate=1e-2)
+
+    rng = np.random.default_rng(3)
+    buffer = ReplayBuffer(16)
+    for T in (1, 4, 9, 2, 6, 3):
+        avail = rng.random((T + 1, 3, 4)) < 0.7
+        avail[..., 0] = True
+        buffer.add(
+            PreparedEpisode(
+                obs=rng.normal(size=(T + 1, 3, 6)),
+                avail=avail,
+                actions=rng.integers(0, 4, size=(T, 3)),
+                rewards=rng.normal(size=T),
+                terminal=np.arange(T) == T - 1,
+            )
+        )
+    (stacked, opt_s), (reference, opt_r) = learner(), learner()
+    rng_s, rng_r = np.random.default_rng(9), np.random.default_rng(9)
+    # three steps, so that one runs after a target sync
+    for _ in range(3):
+        loss_s = learner_step(buffer, stacked, opt_s, 4, 0.99, rng_s)
+        loss_r = reference_learner_step(buffer, reference, opt_r, 4, 0.99, rng_r)
+        assert loss_s == loss_r
+        for p, q in zip(stacked.online_params(), reference.online_params()):
+            assert p.name == q.name and np.array_equal(p.values, q.values), p.name
+    assert stacked.syncs == reference.syncs == 2

@@ -20,27 +20,30 @@ from bystander.qmix import (
 
 def test_agent_q_matches_independent_forward():
     rng = np.random.default_rng(2)
-    net = MLP("a", [5, 8, 8, 4], rng)
+    net = MLP(["a"], [5, 8, 8, 4], rng)
     obs = rng.normal(size=5)
-    ws = [l.w.array for l in net.layers]
-    bs = [l.b.array for l in net.layers]
+    ws = [net.w[l][0] for l in range(3)]
+    bs = [net.b[l][0] for l in range(3)]
     h1 = np.maximum(obs @ ws[0].T + bs[0], 0)
     h2 = np.maximum(h1 @ ws[1].T + bs[1], 0)
     expected = h2 @ ws[2].T + bs[2]
-    q, _ = net.forward(obs)
-    assert np.max(np.abs(q - expected)) < 1e-12
+    q, _ = net.forward(obs[None, None])
+    assert np.max(np.abs(q[0, 0] - expected)) < 1e-12
 
 
 def test_masked_q_is_each_agents_forward_with_the_sentinel():
     rng = np.random.default_rng(5)
-    nets = [MLP(f"a{i}", [5, 8, 4], rng) for i in range(3)]
+    net = MLP([f"a{i}" for i in range(3)], [5, 8, 4], rng)
     obs = rng.normal(size=(6, 3, 5))
     avail = rng.random((6, 3, 4)) < 0.5
-    rows = masked_q(nets, obs, avail)
+    rows = masked_q(net, obs, avail)
     assert rows.shape == (6, 3, 4)
     for r in range(6):
-        one = masked_q(nets, obs[r], avail[r])
-        expected = [np.where(avail[r, i], net.forward(obs[r, i])[0], MASK_SENTINEL) for i, net in enumerate(nets)]
+        one = masked_q(net, obs[r], avail[r])
+        expected = [
+            np.where(avail[r, i], np.maximum(obs[r, i] @ net.w[0][i].T + net.b[0][i], 0) @ net.w[1][i].T + net.b[1][i], MASK_SENTINEL)
+            for i in range(3)
+        ]
         assert np.array_equal(one, np.stack(expected))
         np.testing.assert_allclose(rows[r], one, rtol=1e-12)
 
@@ -160,9 +163,9 @@ def test_prepared_episode_alignment_error():
 
 
 def _pair(rng, n=2, D=3, A=3, hidden=8, embed=4, sync=50):
-    nets = [MLP(f"a{i}", [D, hidden, hidden, A], rng) for i in range(n)]
+    net = MLP([f"a{i}" for i in range(n)], [D, hidden, hidden, A], rng)
     mixer = MixingNet("mx", n, n * D, embed, rng)
-    return TargetNetworkPair(nets, mixer, sync, rng)
+    return TargetNetworkPair(net, mixer, sync, rng)
 
 
 def test_td_targets_terminal_and_gamma():
@@ -177,7 +180,7 @@ def test_td_targets_terminal_and_gamma():
     y0 = td_targets(batch, pair, batch.rewards, gamma=0.0)
     assert np.allclose(y0[0], ep.rewards)
     # hand substitution: y = r + gamma * greedy Q_tot
-    qn = greedy_joint_q(pair.target_nets, pair.target_mixer, ep.obs[1:], ep.avail[1:])
+    qn = greedy_joint_q(pair.target_net, pair.target_mixer, ep.obs[1:], ep.avail[1:])
     y9 = td_targets(batch, pair, batch.rewards, gamma=0.9)
     expect = ep.rewards + 0.9 * np.where(ep.terminal, 0.0, qn)
     assert np.allclose(y9[0], expect)
@@ -208,7 +211,7 @@ def test_learner_step_single_transition_hand_loss():
     )
     # hand computation: terminal -> y = 5; loss = (q_tot - 5)^2, the mixer
     # reading the first state's observations
-    q, _ = pair.nets[0].forward(ep.obs[0])
+    q = pair.net.forward(ep.obs[0][:, None, :])[0][0]  # the one agent's (1, A)
     chosen = q[:, 1]
     q_tot, _ = pair.mixer.forward(chosen[None, :], ep.obs[0].reshape(1, -1))
     expected_loss = float((q_tot[0] - 5.0) ** 2)
@@ -230,7 +233,7 @@ def test_learner_step_zero_error_leaves_params_fixed():
         rewards=np.zeros(1),
         terminal=np.array([True]),
     )
-    q, _ = pair.nets[0].forward(ep.obs[0])
+    q = pair.net.forward(ep.obs[0][:, None, :])[0][0]  # the one agent's (1, A)
     q_tot, _ = pair.mixer.forward(q[:, 0][None, :], ep.obs[0].reshape(1, -1))
     ep.rewards[0] = q_tot[0]  # terminal target == prediction
     buf = ReplayBuffer(2)
@@ -255,16 +258,16 @@ def test_target_sync_schedule():
     assert pair.syncs == syncs0
     learner_step(buf, pair, opt, 2, 0.99, rng)
     assert pair.syncs == syncs0 + 1
-    for p, q in zip(pair.nets[0].params(), pair.target_nets[0].params()):
+    for p, q in zip(pair.net.params(), pair.target_net.params()):
         assert np.array_equal(p.values, q.values)
 
 
 def test_greedy_invariance_under_positive_scaling():
     rng = np.random.default_rng(12)
-    net = MLP("a", [3, 8, 8, 4], rng)
+    net = MLP(["a"], [3, 8, 8, 4], rng)
     obs = rng.normal(size=3)
     mask = np.ones(4, dtype=bool)
-    q = np.where(mask, net.forward(obs)[0], MASK_SENTINEL)
+    q = np.where(mask, net.forward(obs[None, None])[0][0, 0], MASK_SENTINEL)
     a1 = select_action(q, 0.0, rng)
     scaled = np.where(mask, q * 7.5, MASK_SENTINEL)
     assert select_action(scaled, 0.0, rng) == a1
@@ -307,9 +310,9 @@ def test_tabular_chain_convergence_to_value_iteration():
             terminal=np.zeros(L, dtype=bool),  # continuing task: bootstrap everywhere
         )
 
-    nets = [MLP("a0", [2, 32, 32, 2], rng)]
+    net = MLP(["a0"], [2, 32, 32, 2], rng)
     mixer = MixingNet("mx", 1, 2, 8, rng)
-    pair = TargetNetworkPair(nets, mixer, 50, rng)
+    pair = TargetNetworkPair(net, mixer, 50, rng)
     opt = Adam(pair.online_params(), learning_rate=1e-3)
     buf = ReplayBuffer(300)
     for _ in range(300):
@@ -318,7 +321,7 @@ def test_tabular_chain_convergence_to_value_iteration():
         learner_step(buf, pair, opt, 32, gamma, rng)
     learned = np.zeros((2, 2))
     for s in range(2):
-        q, _ = nets[0].forward(onehot(s))
+        q = net.forward(onehot(s)[None, None])[0][0, 0]
         for a in range(2):
             learned[s, a] = mixer.forward(np.array([q[a]]), onehot(s))[0]
     assert np.max(np.abs(learned - q_star)) < 0.05

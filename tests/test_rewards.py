@@ -173,7 +173,7 @@ def per_episode_update(model, episodes, ground_truths, optimizer):
         loss += err * err / n
         dh = dc = None
         for cache in reversed(caches):
-            _, dh, dc = model.cell.backward_step(cache, np.array([2.0 * err / n]), dh, dc)
+            dh, dc = model.cell.backward_step(cache, np.array([2.0 * err / n]), dh, dc)
     optimizer.step()
     return loss
 

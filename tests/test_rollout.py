@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from bystander import rewards, training
-from bystander.core import Party
+from bystander.core import ContractViolation, Party
 from bystander.envs import PRESETS, make_env
 from bystander.neural import Adam
 from bystander.rewards import RewardModel
-from bystander.rollout import RandomController, run_episode
+from bystander.rollout import Controller, RandomController, run_episode
 from bystander.training import EstimationProvider
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
@@ -127,3 +127,54 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     assert not warm.rewards[:-1].any()
     assert warm.rewards[-1] == (0.0 if warm.final_outcome.victim_success else 20.0)
     np.testing.assert_array_equal(trajs[2].rewards, np.clip(estimators[2].estimates, -5.0, 5.0))
+
+
+class FirstMaskedOut(Controller):
+    """Picks each agent's first unavailable action (noop when all are
+    available)."""
+
+    def act(self, obs_mat, mask_mat):
+        return np.argmin(mask_mat, axis=1)
+
+
+def test_a_masked_out_action_is_refused_through_the_rollout():
+    env = make_env(PRESETS["skirmish-small"])
+    controllers = {Party.VICTIM: FirstMaskedOut(), Party.ADVERSARY: RandomController(np.random.default_rng(0))}
+    with pytest.raises(ContractViolation, match="unavailable action"):
+        run_episode(env, controllers, 0)
+
+
+@pytest.mark.parametrize("name", ["skirmish-small", "corridor-med"])
+def test_the_rollouts_masks_are_read_by_one_checked_step_per_tick(name, monkeypatch):
+    env = make_env(PRESETS[name])
+    n_agents = len(env.controllable_agents)
+    for seed in range(4):
+        traj = run_episode(env, random_controllers(seed), seed).trajectory
+        state = env.reset(seed)
+        for t in range(len(traj)):
+            joint = traj.joint_action(t)
+            with_masks = env.step(state, joint, {p: traj.avail[p][t] for p in PARTIES})
+            without = env.step(state, joint)
+            assert with_masks[0] == without[0]
+            (a, b) = with_masks[1], without[1]
+            assert (a.terminal, a.victim_success, a.victim_failed) == (b.terminal, b.victim_success, b.victim_failed)
+            assert np.array_equal(a.failure_signals, b.failure_signals)
+            state = with_masks[0]
+        # the rollout steps once per tick, and the masks it computed for the
+        # controllers are the only ones: the step check computes none
+        calls = {"step": 0, "masks": 0}
+        step, available = env.step, env.available_actions
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        def counted_available(*args):
+            calls["masks"] += 1
+            return available(*args)
+
+        monkeypatch.setattr(env, "step", counted_step)
+        monkeypatch.setattr(env, "available_actions", counted_available)
+        again = run_episode(env, random_controllers(seed), seed).trajectory
+        monkeypatch.undo()
+        assert calls == {"step": len(again), "masks": (len(again) + 1) * n_agents}

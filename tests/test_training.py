@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -8,7 +9,7 @@ from bystander.cli import EXIT_CONFIG, dispatch
 from bystander import training
 from bystander.core import ConfigError, Party, TrainingFault
 from bystander.envs import PRESETS, make_env
-from bystander.neural import MLP, save_checkpoint
+from bystander.neural import MLP, ParamTensor, save_checkpoint
 from bystander.rollout import EpsilonGreedyController
 from bystander.training import (
     FrozenPolicy,
@@ -61,14 +62,14 @@ def test_same_seed_attack_is_bit_identical(tiny_victims, mode):
 @pytest.mark.parametrize("eval_interval", [2, 10**6])
 def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypatch, eval_interval):
     # a copy, since the module's other tests share tiny_victims
-    victims = FrozenPolicy(Party.VICTIM, tiny_victims.mlps)
+    victims = FrozenPolicy(Party.VICTIM, tiny_victims.net)
     played = training.run_episode
     calls = []
 
     def tampering(env, controllers, seed, reward=None):
         calls.append(seed)
         if len(calls) == 3:
-            param = victims.mlps[0].params()[0]
+            param = victims.net.params()[0]
             param.values = param.values + 1.0
         return played(env, controllers, seed, reward)
 
@@ -89,7 +90,12 @@ def test_traditional_mode_needs_victim_reward_access():
 
 def _nets(obs_dim=6, n_actions=4, n_agents=3, seed=0):
     rng = np.random.default_rng(seed)
-    return [MLP(f"v{i}", [obs_dim, 8, 8, n_actions], rng) for i in range(n_agents)]
+    return MLP([f"v{i}" for i in range(n_agents)], [obs_dim, 8, 8, n_actions], rng)
+
+
+def _per_agent(net):
+    """(agent name, its tensors) of each agent, in checkpoint order."""
+    return [(name, [p for p in net.params() if p.name.startswith(f"{name}.")]) for name in net.names]
 
 
 def _masked_observations(rng, n_agents=3, obs_dim=6, n_actions=4):
@@ -117,25 +123,61 @@ def test_policy_file_with_frame_stack_field_still_loads(tmp_path):
     # files written while policies carried a frame-stack count hold an extra
     # "stack_frames" field; it is not read
     policy = FrozenPolicy(Party.VICTIM, _nets())
-    fields = {"party": "victim", "stack_frames": 1, "agents": [[m.name, list(m.dims)] for m in policy.mlps]}
-    save_checkpoint(tmp_path / "policy.npz", [p for m in policy.mlps for p in m.params()], fields=fields)
+    fields = {"party": "victim", "stack_frames": 1, "agents": [[name, list(policy.net.dims)] for name in policy.net.names]}
+    save_checkpoint(tmp_path / "policy.npz", policy.net.params(), fields=fields)
     assert load_policy(tmp_path / "policy.npz").checksum() == policy.checksum()
 
 
+def test_per_agent_policy_file_loads_into_the_stacked_net(tmp_path):
+    # each agent's tensors as flat arrays of their own, as policy files held
+    # them before the agents' nets were stacked
+    rng = np.random.default_rng(6)
+    dims = [6, 8, 8, 4]
+    tensors = []
+    for i in range(3):
+        for l, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+            tensors.append(ParamTensor(f"v{i}.l{l}.w", (d_out, d_in), rng.normal(size=d_out * d_in), np.zeros(d_out * d_in)))
+            tensors.append(ParamTensor(f"v{i}.l{l}.b", (d_out,), rng.normal(size=d_out), np.zeros(d_out)))
+    fields = {"party": "victim", "agents": [[f"v{i}", dims] for i in range(3)]}
+    save_checkpoint(tmp_path / "per_agent.npz", tensors, fields=fields)
+    loaded = load_policy(tmp_path / "per_agent.npz")
+    assert loaded.checksum() == hashlib.sha256(b"".join(t.values.tobytes() for t in tensors)).hexdigest()
+    # it acts as the per-agent nets do
+    by_name = {t.name: t.array for t in tensors}
+    obs, masks = _masked_observations(np.random.default_rng(7))
+    actions = loaded.act(obs, masks)
+    for i in range(3):
+        h = obs[i]
+        for l in range(3):
+            h = h @ by_name[f"v{i}.l{l}.w"].T + by_name[f"v{i}.l{l}.b"]
+            h = np.maximum(h, 0.0) if l < 2 else h
+        assert actions[i] == np.argmax(np.where(masks[i], h, -np.inf))
+    # and save_policy writes the same keys and bytes back
+    save_policy(tmp_path / "again.npz", loaded)
+    with np.load(tmp_path / "per_agent.npz") as before, np.load(tmp_path / "again.npz") as after:
+        assert sorted(before.files) == sorted(after.files)
+        for key in before.files:
+            assert before[key].tobytes() == after[key].tobytes(), key
+    # agents whose nets differ in shape cannot share one stack
+    fields["agents"][2][1] = [6, 8, 4]
+    save_checkpoint(tmp_path / "mixed.npz", tensors, fields=fields)
+    with pytest.raises(ConfigError, match="one set of dims"):
+        load_policy(tmp_path / "mixed.npz")
+
+
 def test_frozen_values_are_read_only_copies(tmp_path):
-    nets = _nets()
-    policy = FrozenPolicy(Party.VICTIM, nets)
+    net = _nets()
+    policy = FrozenPolicy(Party.VICTIM, net)
     before = policy.checksum()
-    for p in nets[0].params():
+    for p in net.params():
         p.values += 1.0
     assert policy.checksum() == before
     save_policy(tmp_path / "policy.npz", policy)
     for frozen in (policy, load_policy(tmp_path / "policy.npz")):
-        for mlp in frozen.mlps:
-            for p in mlp.params():
-                assert not p.values.flags.writeable
-                with pytest.raises(ValueError):
-                    p.values[0] = 0.0
+        for values in [*frozen.net.w, *frozen.net.b, *(p.values for p in frozen.net.params())]:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 def _write_former_policy_format(path, policy):
@@ -145,10 +187,10 @@ def _write_former_policy_format(path, policy):
         "version": 1,
         "party": policy.party.label,
         "stack_frames": 1,
-        "dims": [list(mlp.dims) for mlp in policy.mlps],
-        "names": [[p.name for p in mlp.params()] for mlp in policy.mlps],
+        "dims": [list(policy.net.dims)] * policy.n_agents,
+        "names": [[p.name for p in params] for _, params in _per_agent(policy.net)],
     }
-    arrays = {f"a{i}/{p.name}": p.values for i, mlp in enumerate(policy.mlps) for p in mlp.params()}
+    arrays = {f"a{i}/{p.name}": p.values for i, (_, params) in enumerate(_per_agent(policy.net)) for p in params}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
 
@@ -163,9 +205,9 @@ def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
 
 
 def test_frozen_act_matches_greedy_controller_over_source_nets():
-    nets = _nets()
-    policy = FrozenPolicy(Party.VICTIM, nets)
-    greedy = EpsilonGreedyController(nets, np.random.default_rng(0))
+    net = _nets()
+    policy = FrozenPolicy(Party.VICTIM, net)
+    greedy = EpsilonGreedyController(net, np.random.default_rng(0))
     assert greedy.epsilon == 0.0
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -174,8 +216,8 @@ def test_frozen_act_matches_greedy_controller_over_source_nets():
 
 
 def test_frozen_act_respects_masks():
-    nets = _nets()
-    policy = FrozenPolicy(Party.VICTIM, nets)
+    net = _nets()
+    policy = FrozenPolicy(Party.VICTIM, net)
     rng = np.random.default_rng(3)
     only = np.zeros((3, 4), dtype=bool)
     only[np.arange(3), [2, 0, 3]] = True
@@ -184,7 +226,7 @@ def test_frozen_act_respects_masks():
         obs, masks = _masked_observations(rng)
         actions = policy.act(obs, masks)
         assert masks[np.arange(3), actions].all()
-        q = np.stack([net.forward(o)[0] for net, o in zip(nets, obs)])
+        q = net.forward(obs[:, None, :])[0][:, 0]
         assert np.array_equal(actions, np.argmax(np.where(masks, q, -np.inf), axis=1))
 
 
@@ -201,7 +243,7 @@ def test_check_fits_refuses_wrong_party_and_shapes(tmp_path):
     with pytest.raises(ConfigError, match="does not fit"):
         FrozenPolicy(Party.VICTIM, wide).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
-        FrozenPolicy(Party.VICTIM, mlps[:-1]).check_fits(env, Party.VICTIM)
+        FrozenPolicy(Party.VICTIM, _nets(d.obs_dim(Party.VICTIM), d.n_actions(Party.VICTIM), n_victims - 1)).check_fits(env, Party.VICTIM)
     with pytest.raises(ConfigError, match="does not fit"):
         FrozenPolicy(Party.VICTIM, mlps).check_fits(make_env(PRESETS["corridor-small"]), Party.VICTIM)
     # bystander nets with the 10 outputs of the old table, which held
