@@ -105,13 +105,10 @@ class EpisodeTrajectory:
     def final_outcome(self) -> StepOutcome:
         return self.outcomes[-1]
 
-    def joint_action(self, t: int) -> dict[AgentId, int]:
-        """The actions of step t by agent; agent i of a party is row i."""
-        return {
-            AgentId(party, i): int(a)
-            for party, acts in self.actions.items()
-            for i, a in enumerate(acts[t])
-        }
+    def joint_action(self, t: int) -> dict[Party, np.ndarray]:
+        """The actions of step t, one (n,) array per party, as env.step
+        takes them."""
+        return {party: acts[t] for party, acts in self.actions.items()}
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,14 @@ state values, so trajectories can be replayed and audited bit-exactly. An
 environment instance owns only its configuration and derived lookup tables.
 
 `Environment` holds what every environment shares, written once:
-  - the step contract: a terminal state cannot be stepped (LifecycleError),
-    every controllable agent's action must be allowed by its mask
-    (ContractViolation; a missing agent plays noop), and the scripted third
-    party then acts before the env's own resolver runs. The check reads the
-    masks of the state the caller already holds (the rollout passes the
-    per-party masks its controllers acted on) and computes the rest;
+  - the step contract: a terminal state cannot be stepped (LifecycleError).
+    The joint action holds one (n,) array per controllable party, laid out
+    as `masks_party` (a party left out plays noop); any other key, a wrong
+    length or an action its mask refuses is a ContractViolation. The check
+    reads the masks the caller already holds (the rollout passes the ones
+    its controllers acted on) and computes the rest. The scripted third
+    party then acts, and the resolver gets every unit's action in the
+    state's unit order;
   - the observation layout: an observer's own features, then fixed
     per-unit slot blocks for victims, third-party units and bystander slots
     (`config.adversary_slots`), its own party's block leaving out itself.
@@ -18,7 +20,8 @@ environment instance owns only its configuration and derived lookup tables.
     absent or out of sight.
   - the unit slots: a state keeps its units in sorted agent order, and
     `unit_slots` (built once per env, shared by all its states) maps an
-    agent to its position there, so a by-agent lookup is one dict read.
+    agent to its position there, so a by-agent lookup is one dict read. A
+    resolver works on these positions and builds no dict keyed by agent.
 An environment supplies its dynamics (`_resolve`, `_terminal`, the scripted
 third-party action), its masks and the two observation hooks.
 
@@ -175,30 +178,37 @@ class Environment(ABC):
     def step_events(
         self,
         state,
-        joint_action: Mapping[AgentId, int],
+        actions: Mapping[Party, np.ndarray],
         masks: Mapping[Party, np.ndarray] | None = None,
     ):
-        """(next state, StepOutcome, StepEvents) of one checked step. `masks`
-        may hold a party's `masks_party(state, party)`, which the check then
-        reads instead of computing them again."""
+        """(next state, StepOutcome, StepEvents) of one checked step of the
+        per-party `actions`. `masks` may hold a party's `masks_party(state,
+        party)`, which the check then reads instead of computing them again."""
         if self._terminal(state):
             raise LifecycleError("cannot step a terminal state")
+        if not set(actions) <= {Party.VICTIM, Party.ADVERSARY}:
+            raise ContractViolation(f"joint action keys {list(actions)} are not all victim or adversary parties")
         masks = masks or {}
-        actions: dict[AgentId, int] = {}
-        for party in (Party.VICTIM, Party.ADVERSARY):
+        unit_actions: list[int] = []  # in unit order: party order, then index
+        for party in Party:
+            agents = self._agents[party]
+            if party is Party.THIRD:
+                unit_actions += [self._scripted_action(state, agent) for agent in agents]
+                continue
+            chosen = actions.get(party, [0] * len(agents))
+            if np.shape(chosen) != (len(agents),):
+                raise ContractViolation(f"{party.label} actions have shape {np.shape(chosen)}, not ({len(agents)},)")
             held = masks.get(party)
-            for i, agent in enumerate(self._agents[party]):
-                a = int(joint_action.get(agent, 0))
+            for i, (agent, a) in enumerate(zip(agents, chosen)):
+                a = int(a)
                 mask = held[i] if held is not None else self.available_actions(state, agent)
                 if not (0 <= a < mask.size) or not mask[a]:
                     raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
-                actions[agent] = a
-        for agent in self._agents[Party.THIRD]:
-            actions[agent] = self._scripted_action(state, agent)
-        return self._resolve(state, actions)
+                unit_actions.append(a)
+        return self._resolve(state, unit_actions)
 
-    def step(self, state, joint_action: Mapping[AgentId, int], masks: Mapping[Party, np.ndarray] | None = None):
-        nxt, outcome, _ = self.step_events(state, joint_action, masks)
+    def step(self, state, actions: Mapping[Party, np.ndarray], masks: Mapping[Party, np.ndarray] | None = None):
+        nxt, outcome, _ = self.step_events(state, actions, masks)
         return nxt, outcome
 
     @abstractmethod
@@ -209,9 +219,9 @@ class Environment(ABC):
         """The third-party agent's action this step."""
 
     @abstractmethod
-    def _resolve(self, state, actions: Mapping[AgentId, int]):
-        """Apply a checked joint action of every agent; returns what
-        step_events does."""
+    def _resolve(self, state, actions: list[int]):
+        """Apply a checked action of every unit, given in the state's unit
+        order; returns what step_events does."""
 
     @abstractmethod
     def victim_task_reward(self, prev, nxt, outcome: StepOutcome) -> float: ...

@@ -29,7 +29,8 @@ import numpy as np
 from ..core import AgentId, ConfigError, Party, StepOutcome
 from .base import Environment, FailurePathDescriptor, StepEvents, check_failure_weights
 
-ACTIONS = ("keep", "faster", "slower", "lane_up", "lane_down")
+# every party's action table: (label, speed delta, lane delta)
+ACTIONS = (("keep", 0, 0), ("faster", 1, 0), ("slower", -1, 0), ("lane_up", 0, 1), ("lane_down", 0, -1))
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class CorridorConfig:
             raise ConfigError("total vehicles exceed road capacity")
         if self.horizon < 1 or self.speed_levels < 2:
             raise ConfigError("horizon >= 1 and speed_levels >= 2 required")
+        if self.sensing_cols < 1:
+            raise ConfigError("sensing_cols must be >= 1")
         if self.adversary_count + self.other_vehicle_count > self.lanes * (self.length - 4):
             raise ConfigError("mid-road spawn zone cannot fit adversaries plus traffic")
         check_failure_weights(self.failure_weights, 3, "corridor")
@@ -118,7 +121,8 @@ class CorridorEnv(Environment):
     )
 
     def __init__(self, config: CorridorConfig):
-        super().__init__("corridor", config, config.other_vehicle_count, {p: ACTIONS for p in Party})
+        labels = tuple(label for label, _, _ in ACTIONS)
+        super().__init__("corridor", config, config.other_vehicle_count, {p: labels for p in Party})
 
     def reset(self, seed: int) -> CorridorState:
         c = self.config
@@ -167,103 +171,89 @@ class CorridorEnv(Environment):
     def available_actions(self, state: CorridorState, agent: AgentId) -> np.ndarray:
         c = self.config
         me = state.vehicle(agent)
-        mask = np.zeros(len(ACTIONS), dtype=bool)
-        mask[0] = True
         if not me.on_road:
-            return mask
+            return np.arange(len(ACTIONS)) == 0  # keep only
         occupied = {(v.lane, v.col) for v in state.vehicles if v.on_road and v.agent != agent}
-        mask[1] = me.speed < c.speed_levels - 1
-        mask[2] = me.speed > 0
-        mask[3] = me.lane + 1 < c.lanes and (me.lane + 1, me.col) not in occupied
-        mask[4] = me.lane - 1 >= 0 and (me.lane - 1, me.col) not in occupied
-        return mask
+        mask = []
+        for _, speed, lane in ACTIONS:
+            if speed:
+                mask.append(0 <= me.speed + speed < c.speed_levels)
+            elif lane:
+                mask.append(0 <= me.lane + lane < c.lanes and (me.lane + lane, me.col) not in occupied)
+            else:
+                mask.append(True)  # keep is always legal
+        return np.array(mask)
 
     # --- step ------------------------------------------------------------
 
     def _scripted_action(self, state: CorridorState, agent: AgentId) -> int:
         return 0  # scripted traffic keeps lane and speed
 
-    def _resolve(
-        self, state: CorridorState, actions: Mapping[AgentId, int]
-    ) -> tuple[CorridorState, StepOutcome, StepEvents]:
+    def _resolve(self, state: CorridorState, actions: list[int]) -> tuple[CorridorState, StepOutcome, StepEvents]:
         c = self.config
-        vehicles = {v.agent: v for v in state.vehicles}
-        occupied_at_start = {
-            (v.lane, v.col): v.agent for v in state.vehicles if v.on_road
-        }
-        canceled: list[AgentId] = []
+        vehicles = list(state.vehicles)
+        occupied_at_start = {(v.lane, v.col) for v in vehicles if v.on_road}
+        canceled_victims = 0
 
-        # 1. maneuvers
-        lane_claims: dict[tuple[int, int], list[AgentId]] = {}
-        for agent, a in actions.items():
-            v = vehicles[agent]
+        # 1. maneuvers; claimants are unit positions, appended in unit order,
+        # so the first is the lowest AgentId
+        lane_claims: dict[tuple[int, int], list[int]] = {}
+        for k, (v, a) in enumerate(zip(vehicles, actions)):
             if not v.on_road:
                 continue
-            label = ACTIONS[a]
-            if label == "faster":
-                vehicles[agent] = replace(v, speed=v.speed + 1)
-            elif label == "slower":
-                vehicles[agent] = replace(v, speed=v.speed - 1)
-            elif label in ("lane_up", "lane_down"):
-                tgt = (v.lane + (1 if label == "lane_up" else -1), v.col)
-                lane_claims.setdefault(tgt, []).append(agent)
+            _, speed, lane = ACTIONS[a]
+            if speed:
+                vehicles[k] = replace(v, speed=v.speed + speed)
+            elif lane:
+                lane_claims.setdefault((v.lane + lane, v.col), []).append(k)
         for tgt, claimants in lane_claims.items():
-            claimants.sort()
             winner = claimants[0] if tgt not in occupied_at_start else None
-            for agent in claimants:
-                if agent == winner:
-                    vehicles[agent] = replace(vehicles[agent], lane=tgt[0])
-                else:
-                    canceled.append(agent)
+            for k in claimants:
+                if k == winner:
+                    vehicles[k] = replace(vehicles[k], lane=tgt[0])
+                elif vehicles[k].agent.party is Party.VICTIM:
+                    canceled_victims += 1
 
         # 2. forward movement, front vehicle first
         collisions: list[tuple[AgentId, AgentId]] = []
-        occupancy = {
-            (v.lane, v.col): v.agent for v in vehicles.values() if v.on_road
-        }
-        order = sorted(
-            [v for v in vehicles.values() if v.on_road],
-            key=lambda v: (-v.col, v.agent),
-        )
-        for v in order:
-            v = vehicles[v.agent]
+        occupancy = {(v.lane, v.col): k for k, v in enumerate(vehicles) if v.on_road}
+        order = sorted((k for k, v in enumerate(vehicles) if v.on_road), key=lambda k: (-vehicles[k].col, k))
+        for k in order:
+            v = vehicles[k]
+            party = v.agent.party
             del occupancy[(v.lane, v.col)]
             col = v.col
-            hit: AgentId | None = None
+            hit: int | None = None
             for _ in range(v.speed):
-                nxt_cell = (v.lane, col + 1)
-                blocker = occupancy.get(nxt_cell)
+                blocker = occupancy.get((v.lane, col + 1))
                 if blocker is None:
                     col += 1
                     if col >= c.goal_col:
                         break
                     continue
-                if v.agent.party is Party.VICTIM or (
-                    v.agent.party is Party.THIRD and blocker.party is Party.VICTIM
-                ):
+                obstacle = vehicles[blocker].agent
+                if party is Party.VICTIM or (party is Party.THIRD and obstacle.party is Party.VICTIM):
                     # a real collision: the victim is involved either way
-                    collisions.append((v.agent, blocker))
+                    collisions.append((v.agent, obstacle))
                     hit = blocker
                     col += 1
                 # bystanders and blocked traffic stop short of the obstacle
                 break
             if hit is not None:
-                vehicles[v.agent] = replace(v, col=col, crashed=True)
-                victim_agent = v.agent if v.agent.party is Party.VICTIM else hit
-                vv = vehicles[victim_agent]
-                if not vv.crashed:
-                    vehicles[victim_agent] = replace(vv, crashed=True)
+                vehicles[k] = replace(v, col=col, crashed=True)
+                victim = k if party is Party.VICTIM else hit
+                if not vehicles[victim].crashed:
+                    vehicles[victim] = replace(vehicles[victim], crashed=True)
             elif col >= c.goal_col:
-                vehicles[v.agent] = replace(v, col=c.goal_col, exited=True)
+                vehicles[k] = replace(v, col=c.goal_col, exited=True)
             else:
-                vehicles[v.agent] = replace(v, col=col)
-                occupancy[(v.lane, col)] = v.agent
+                vehicles[k] = replace(v, col=col)
+                occupancy[(v.lane, col)] = k
 
-        new_vehicles = tuple(vehicles[v.agent] for v in state.vehicles)
         nxt = CorridorState(
-            vehicles=new_vehicles, step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots
+            vehicles=tuple(vehicles), step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots
         )
-        return nxt, self._outcome(nxt, canceled), StepEvents(attacks=(), collisions=tuple(collisions))
+        return nxt, self._outcome(nxt, canceled_victims), StepEvents(attacks=(), collisions=tuple(collisions))
 
     def _terminal(self, state: CorridorState) -> bool:
         victims = state.party(Party.VICTIM)
@@ -273,8 +263,9 @@ class CorridorEnv(Environment):
             or all(v.exited for v in victims)
         )
 
-    def _outcome(self, nxt: CorridorState, canceled: list[AgentId]) -> StepOutcome:
-        """canceled: the agents whose lane change was canceled this step."""
+    def _outcome(self, nxt: CorridorState, canceled_victims: int) -> StepOutcome:
+        """canceled_victims: how many victims' lane changes were canceled
+        this step."""
         c = self.config
         victims = nxt.party(Party.VICTIM)
         crashed = any(v.crashed for v in victims)
@@ -283,9 +274,7 @@ class CorridorEnv(Environment):
         collision = 1.0 if crashed else 0.0
         not_done = sum(1 for v in victims if not v.exited)
         timeout = (1.0 / c.horizon) * not_done / c.victim_count
-        stalls = sum(
-            1.0 for v in victims if v.on_road and v.speed == 0
-        ) + sum(1.0 for a in canceled if a.party is Party.VICTIM)
+        stalls = sum(1.0 for v in victims if v.on_road and v.speed == 0) + canceled_victims
         return StepOutcome(
             terminal=terminal,
             victim_success=success,

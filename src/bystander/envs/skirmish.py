@@ -75,7 +75,8 @@ class SkirmishConfig:
                 f"adversary_count {self.adversary_count} exceeds "
                 f"adversary_slots {self.adversary_slots}"
             )
-        for name in ("unit_health", "attack_range", "attack_damage", "horizon"):
+        # a sensing radius below 1 would see no unit
+        for name in ("unit_health", "attack_range", "attack_damage", "horizon", "sensing_radius"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         zone = 2 * h
@@ -155,6 +156,7 @@ class SkirmishEnv(Environment):
         self._opponent_action = {a.move or a.target: i for i, a in enumerate(self._actions[Party.THIRD])}
         labels = {p: tuple(a.label for a in table) for p, table in self._actions.items()}
         super().__init__("skirmish", config, config.opponent_count, labels)
+        self._unit_tables = [self._actions[agent.party] for agent in self.unit_slots]
 
     def action_index(self, party: Party, label: str) -> int:
         return self.descriptor.action_labels[party].index(label)
@@ -250,51 +252,41 @@ class SkirmishEnv(Environment):
 
     # --- step ----------------------------------------------------------------
 
-    def _resolve(
-        self, state: SkirmishState, actions: Mapping[AgentId, int]
-    ) -> tuple[SkirmishState, StepOutcome, StepEvents]:
+    def _resolve(self, state: SkirmishState, actions: list[int]) -> tuple[SkirmishState, StepOutcome, StepEvents]:
         c = self.config
         w, h = c.grid_size
-        units = {u.agent: u for u in state.units}
-        occupied_at_start = {(u.x, u.y) for u in state.units if u.alive}
+        units = list(state.units)
+        chosen = [table[a] for table, a in zip(self._unit_tables, actions)]
+        occupied_at_start = {(u.x, u.y) for u in units if u.alive}
 
-        # 1. movement
-        claims: dict[tuple[int, int], list[AgentId]] = {}
-        for agent, a in actions.items():
-            u = units[agent]
-            if not u.alive:
-                continue
-            move = self._actions[agent.party][a].move
-            if move is not None:
-                tgt = (u.x + move[0], u.y + move[1])
+        # 1. movement; claimants are unit positions, so the lowest is the
+        # lowest AgentId
+        claims: dict[tuple[int, int], list[int]] = {}
+        for k, (u, action) in enumerate(zip(units, chosen)):
+            if u.alive and action.move is not None:
+                tgt = (u.x + action.move[0], u.y + action.move[1])
                 if 0 <= tgt[0] < w and 0 <= tgt[1] < h and tgt not in occupied_at_start:
-                    claims.setdefault(tgt, []).append(agent)
+                    claims.setdefault(tgt, []).append(k)
         for tgt, claimants in claims.items():
             winner = min(claimants)
             units[winner] = replace(units[winner], x=tgt[0], y=tgt[1])
 
         # 2. attacks (post-movement range check)
-        damage: dict[AgentId, int] = {}
+        damage: dict[int, int] = {}
         attacks = []
-        for agent, a in actions.items():
-            u = units[agent]
-            if not u.alive:
+        for u, action in zip(units, chosen):
+            if not u.alive or action.target is None:
                 continue
-            target_id = self._actions[agent.party][a].target
-            if target_id is None:
-                continue
-            target = units[target_id]
-            if target.alive and _chebyshev(u, target) <= c.attack_range:
-                damage[target_id] = damage.get(target_id, 0) + c.attack_damage
-                attacks.append((agent, target_id, c.attack_damage))
+            k = self.unit_slots[action.target]
+            if units[k].alive and _chebyshev(u, units[k]) <= c.attack_range:
+                damage[k] = damage.get(k, 0) + c.attack_damage
+                attacks.append((u.agent, action.target, c.attack_damage))
 
         # 3. deaths
-        for agent, dmg in damage.items():
-            u = units[agent]
-            units[agent] = replace(u, health=max(u.health - dmg, 0))
+        for k, dmg in damage.items():
+            units[k] = replace(units[k], health=max(units[k].health - dmg, 0))
 
-        new_units = tuple(units[u.agent] for u in state.units)
-        nxt = SkirmishState(units=new_units, step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots)
+        nxt = SkirmishState(units=tuple(units), step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots)
         return nxt, self._outcome(state, nxt), StepEvents(attacks=tuple(attacks), collisions=())
 
     def _terminal(self, state: SkirmishState) -> bool:

@@ -63,6 +63,10 @@ def run_episode(
 ) -> RolloutResult:
     """Roll one episode.
 
+    Each tick, every playing party's controller chooses an (n,) array of
+    actions from its view; that dict of arrays is both the joint action
+    env.step takes and what the trajectory stores.
+
     When `reward` is given, it is called once per step, after env.step, as
     reward(outcome, native_reward, bystander_obs): native_reward is the
     victims' task reward and bystander_obs the bystanders' concatenated
@@ -76,19 +80,15 @@ def run_episode(
         return {p: (env.observe_party(st, p), env.masks_party(st, p)) for p in parties}
 
     views = [party_views(state)]  # one entry per state s_0..s_T
-    actions: dict[Party, list[np.ndarray]] = {p: [] for p in parties}
+    joint: list[dict[Party, np.ndarray]] = []  # one entry per step
     rewards: list[float] = []
     outcomes: list[StepOutcome] = []
     while True:
         now = views[-1]
-        joint = {}
-        for p in parties:
-            chosen = np.asarray(controllers[p].act(*now[p]), dtype=int)
-            actions[p].append(chosen)
-            joint.update(zip(env.agents(p), chosen.tolist()))
+        joint.append({p: np.asarray(controllers[p].act(*now[p]), dtype=int) for p in parties})
         # the step checks the joint action against the masks of this state's
         # view, which the controllers acted on
-        nxt, outcome = env.step(state, joint, {p: now[p][1] for p in parties})
+        nxt, outcome = env.step(state, joint[-1], {p: now[p][1] for p in parties})
         views.append(party_views(nxt))
         outcomes.append(outcome)
         if reward is None:
@@ -109,7 +109,7 @@ def run_episode(
     trajectory = EpisodeTrajectory(
         obs={p: np.stack([v[p][0] for v in views]) for p in parties},
         avail={p: np.stack([v[p][1] for v in views]) for p in parties},
-        actions={p: np.stack(actions[p]) for p in parties},
+        actions={p: np.stack([j[p] for j in joint]) for p in parties},
         rewards=np.asarray(rewards, dtype=float),
         outcomes=tuple(outcomes),
         seed=seed,

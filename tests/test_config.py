@@ -128,6 +128,18 @@ def test_failure_weights_must_be_nonnegative_with_one_positive(tmp_path):
         assert dispatch([*argv, *env]) == EXIT_CONFIG
 
 
+def test_sensing_range_below_one_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="sensing_radius"):
+        SkirmishConfig(sensing_radius=0)
+    with pytest.raises(ConfigError, match="sensing_cols"):
+        CorridorConfig(sensing_cols=0)
+    # it used to pass the config and fail the first observation with a
+    # ZeroDivisionError, as a failed run
+    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=corridor-small"]
+    assert dispatch([*argv, "--set", "env.sensing_cols=0"]) == EXIT_CONFIG
+    assert not (tmp_path / "train-victim").exists()
+
+
 def test_r_fail_must_be_positive(tmp_path):
     for r_fail in (0.0, -3.0, float("nan")):
         with pytest.raises(ConfigError, match="r_fail"):

@@ -111,14 +111,13 @@ def test_unavailable_action_names_record_and_agent(skirmish):
     )
 
 
-def test_joint_action_rebuilds_agent_ids(skirmish):
+def test_joint_action_is_each_partys_row_of_the_step(skirmish):
     traj = _trajectory(skirmish, skirmish.reset(0), [outcome(terminal=True, failed=True)])
     traj.actions[Party.VICTIM][0] = [4, 5, 6]
-    assert traj.joint_action(0) == {
-        **{AgentId(Party.VICTIM, i): a for i, a in enumerate([4, 5, 6])},
-        AgentId(Party.ADVERSARY, 0): 0,
-        AgentId(Party.ADVERSARY, 1): 0,
-    }
+    joint = traj.joint_action(0)
+    assert list(joint) == [Party.VICTIM, Party.ADVERSARY]
+    np.testing.assert_array_equal(joint[Party.VICTIM], [4, 5, 6])
+    np.testing.assert_array_equal(joint[Party.ADVERSARY], [0, 0])
 
 
 def test_empty_trajectory_is_structural_error(skirmish):

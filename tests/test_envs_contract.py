@@ -40,8 +40,10 @@ def test_unavailable_action_is_refused(env):
         agent = env.agents(party)[0]
         mask = env.available_actions(state, agent)
         for bad in (*np.flatnonzero(~mask).tolist(), mask.size, -1):
-            with pytest.raises(ContractViolation):
-                env.step(state, {agent: bad})
+            actions = np.zeros(len(env.agents(party)), dtype=int)
+            actions[0] = bad
+            with pytest.raises(ContractViolation, match=f"agent {agent.key} chose unavailable action {bad}"):
+                env.step(state, {party: actions})
 
 
 def test_stepping_a_terminal_state_is_refused(env):
@@ -50,18 +52,31 @@ def test_stepping_a_terminal_state_is_refused(env):
         one.step(state, {})
 
 
-def test_missing_agent_plays_noop(env):
+def test_missing_party_plays_noop(env):
     state = env.reset(1)
     rng = np.random.default_rng(1)
-    joint = {}
-    for agent in env.controllable_agents:
-        joint[agent] = int(rng.choice(np.flatnonzero(env.available_actions(state, agent))))
-    left_out = env.agents(Party.ADVERSARY)[0]
-    partial = {a: act for a, act in joint.items() if a != left_out}
+    moves = [int(rng.choice(np.flatnonzero(m[1:]))) + 1 for m in env.masks_party(state, Party.VICTIM)]
+    partial = {Party.VICTIM: np.array(moves)}
     nxt, outcome = env.step(state, partial)
-    noop_nxt, noop_outcome = env.step(state, {**partial, left_out: 0})
+    noops = np.zeros(len(env.agents(Party.ADVERSARY)), dtype=int)
+    noop_nxt, noop_outcome = env.step(state, {**partial, Party.ADVERSARY: noops})
     assert nxt == noop_nxt
     np.testing.assert_array_equal(outcome.failure_signals, noop_outcome.failure_signals)
+    # the victims' non-noop actions were read: all-noop play differs
+    assert nxt != env.step(state, {})[0]
+
+
+def test_a_joint_action_of_another_form_is_refused(env):
+    state = env.reset(0)
+    n = len(env.agents(Party.VICTIM))
+    for joint in (
+        {env.agents(Party.VICTIM)[0]: 0},  # keyed by agent
+        {Party.THIRD: np.zeros(len(env.agents(Party.THIRD)), dtype=int)},
+        {Party.VICTIM: np.zeros(n - 1, dtype=int)},
+        {Party.VICTIM: np.zeros(n + 1, dtype=int)},
+    ):
+        with pytest.raises(ContractViolation):
+            env.step(state, joint)
 
 
 def test_observation_width_matches_labels(env):

@@ -10,6 +10,7 @@ KEEP, FASTER, SLOWER, LANE_UP, LANE_DOWN = range(5)
 V0 = AgentId(Party.VICTIM, 0)
 A0, A1 = AgentId(Party.ADVERSARY, 0), AgentId(Party.ADVERSARY, 1)
 T0, T1 = AgentId(Party.THIRD, 0), AgentId(Party.THIRD, 1)
+KEEP_ALL = {Party.VICTIM: [KEEP], Party.ADVERSARY: [KEEP, KEEP]}
 
 
 @pytest.fixture()
@@ -39,7 +40,7 @@ def test_reset_victims_at_column_zero(env):
 
 def test_goal_reach_is_success_with_zero_signals(env):
     state = env.state_from_vehicles({V0: (0, 7, 2), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
-    nxt, outcome = env.step(state, {V0: KEEP, A0: KEEP, A1: KEEP})
+    nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and outcome.victim_success
     assert np.allclose(outcome.failure_signals, [0.0, 0.0, 0.0])
     assert nxt.vehicle(V0).exited
@@ -48,7 +49,7 @@ def test_goal_reach_is_success_with_zero_signals(env):
 def test_victim_rear_end_collision_fails(env):
     # stopped bystander directly ahead; the victim drives into it
     state = env.state_from_vehicles({V0: (0, 3, 2), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
-    nxt, outcome = env.step(state, {V0: KEEP, A0: KEEP, A1: KEEP})
+    nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and outcome.victim_failed
     assert outcome.failure_signals[0] == 1.0
     assert nxt.vehicle(V0).crashed
@@ -56,7 +57,7 @@ def test_victim_rear_end_collision_fails(env):
 
 def test_victim_can_brake_to_avoid(env):
     state = env.state_from_vehicles({V0: (0, 3, 1), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
-    nxt, outcome = env.step(state, {V0: SLOWER, A0: KEEP, A1: KEEP})
+    nxt, outcome = env.step(state, {Party.VICTIM: [SLOWER], Party.ADVERSARY: [KEEP, KEEP]})
     assert not outcome.terminal
     assert nxt.vehicle(V0).col == 3 and nxt.vehicle(V0).speed == 0
     # stopped on the road counts as a rule-violation signal
@@ -66,7 +67,7 @@ def test_victim_can_brake_to_avoid(env):
 def test_adversary_movement_truncates_before_victims(env):
     # bystander at speed 2 behind a stopped victim never initiates contact
     state = env.state_from_vehicles({A0: (0, 2, 2), V0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
-    nxt, outcome = env.step(state, {V0: KEEP, A0: KEEP, A1: KEEP})
+    nxt, outcome = env.step(state, KEEP_ALL)
     assert nxt.vehicle(A0).col == 3  # stopped short
     assert not nxt.vehicle(V0).crashed
     assert not outcome.terminal or not outcome.failure_signals[0]
@@ -75,7 +76,7 @@ def test_adversary_movement_truncates_before_victims(env):
 def test_scripted_traffic_rear_ends_stopped_victim(env):
     # constant-speed traffic cannot brake: a victim stopped in its path is hit
     state = env.state_from_vehicles({T0: (0, 2, 1), V0: (0, 3, 0), A0: (1, 0, 0), A1: (1, 1, 0), T1: (1, 6, 1)})
-    nxt, outcome = env.step(state, {V0: KEEP, A0: KEEP, A1: KEEP})
+    nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and outcome.victim_failed
     assert outcome.failure_signals[0] == 1.0
     assert nxt.vehicle(V0).crashed
@@ -86,7 +87,7 @@ def test_lane_change_conflict_counts_violation(env):
     env3 = CorridorEnv(cfg)
     v0, v1 = AgentId(Party.VICTIM, 0), AgentId(Party.VICTIM, 1)
     state = env3.state_from_vehicles({v0: (0, 3, 0), v1: (2, 3, 0)})
-    nxt, outcome = env3.step(state, {v0: LANE_UP, v1: LANE_DOWN})
+    nxt, outcome = env3.step(state, {Party.VICTIM: [LANE_UP, LANE_DOWN]})
     # both claim (1, 3): lower id wins, the other is canceled
     assert nxt.vehicle(v0).lane == 1
     assert nxt.vehicle(v1).lane == 2
@@ -113,7 +114,7 @@ def test_timeout_fails(env):
     state = env.state_from_vehicles({V0: (0, 0, 0), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     outcome = None
     for _ in range(env.config.horizon):
-        state, outcome = env.step(state, {V0: KEEP, A0: KEEP, A1: KEEP})
+        state, outcome = env.step(state, KEEP_ALL)
         if outcome.terminal:
             break
     assert outcome.terminal and outcome.victim_failed
@@ -122,7 +123,7 @@ def test_timeout_fails(env):
 
 def test_timeout_signal_scaling(env):
     state = env.reset(0)
-    nxt, outcome = env.step(state, {a: KEEP for a in env.controllable_agents})
+    nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.failure_signals[1] == pytest.approx(1.0 / env.config.horizon)
 
 

@@ -43,7 +43,7 @@ def test_spawn_cells_distinct(env):
 def test_noop_step_keeps_victim_positions(env):
     # opponents advance on their script, but victims and bystanders hold
     state = env.reset(3)
-    ja = {a: 0 for a in env.controllable_agents}
+    ja = {p: np.zeros(len(env.agents(p)), dtype=int) for p in (Party.VICTIM, Party.ADVERSARY)}
     nxt, outcome = env.step(state, ja)
     assert nxt.step_count == 1
     assert not outcome.terminal
@@ -63,7 +63,7 @@ def test_duel_hand_simulation():
     state = env.state_from_positions({v: (3, 2), t: (4, 2)})
     attack = env.action_index(Party.VICTIM, "attack_opponent_0")
     for step in range(1, 4):
-        state, outcome = env.step(state, {v: attack})
+        state, outcome = env.step(state, {Party.VICTIM: [attack]})
         assert state.unit(v).health == 6 - 2 * step
         assert state.unit(t).health == 6 - 2 * step
     assert outcome.terminal
@@ -144,7 +144,7 @@ def test_adversary_opponent_attack_flag():
 
 def test_failure_signals_definition(env):
     state = env.reset(5)
-    ja = {a: 0 for a in env.controllable_agents}
+    ja = {p: np.zeros(len(env.agents(p)), dtype=int) for p in (Party.VICTIM, Party.ADVERSARY)}
     _, outcome = env.step(state, ja)
     assert np.allclose(outcome.failure_signals, [0.0, 1.0 / env.config.horizon])
 
@@ -154,7 +154,7 @@ def test_victim_damage_signal_arithmetic():
     env = SkirmishEnv(cfg)
     v0, v1, t0 = AgentId(Party.VICTIM, 0), AgentId(Party.VICTIM, 1), AgentId(Party.THIRD, 0)
     state = env.state_from_positions({v0: (3, 2), v1: (0, 0), t0: (4, 2)})
-    nxt, outcome = env.step(state, {v0: 0, v1: 0})
+    nxt, outcome = env.step(state, {Party.VICTIM: [0, 0]})
     # opponent deals 2 of the party's 20 total health
     assert np.allclose(outcome.failure_signals, [0.1, 1.0 / 60.0])
 
@@ -166,7 +166,7 @@ def test_move_conflict_lower_agent_wins(env):
     )
     east = env.action_index(Party.VICTIM, "east")
     west = env.action_index(Party.VICTIM, "west")
-    nxt, _ = env.step(state, {V0: east, V1: west, V2: 0})
+    nxt, _ = env.step(state, {Party.VICTIM: [east, west, 0]})
     assert (nxt.unit(V0).x, nxt.unit(V0).y) == (2, 2)
     assert (nxt.unit(V1).x, nxt.unit(V1).y) == (3, 2)
 
@@ -178,7 +178,7 @@ def test_blocking_is_conservative(env):
         {V0: (1, 2), V1: (2, 2), V2: (0, 0), T0: (7, 0), T1: (7, 4)}
     )
     east = env.action_index(Party.VICTIM, "east")
-    nxt, _ = env.step(state, {V0: east, V1: east, V2: 0})
+    nxt, _ = env.step(state, {Party.VICTIM: [east, east, 0]})
     assert (nxt.unit(V1).x) == 3  # occupant moved on
     assert (nxt.unit(V0).x) == 1  # follower blocked by the stale cell
 
