@@ -8,6 +8,7 @@ mutable machinery and hand out fresh state objects on every step.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
@@ -78,8 +79,11 @@ class StepOutcome:
         sig = np.asarray(self.failure_signals, dtype=float)
         if sig.ndim != 1:
             raise ValueError("failure_signals must be a flat vector")
-        if np.any(sig < 0) or not np.all(np.isfinite(sig)):
-            raise ValueError("failure signals must be finite and >= 0")
+        # a Python loop: numpy's reductions cost more than the step that
+        # builds this outcome, at two or three signals
+        for x in sig.tolist():
+            if not 0.0 <= x < math.inf:
+                raise ValueError("failure signals must be finite and >= 0")
         object.__setattr__(self, "failure_signals", sig)
 
 

@@ -10,26 +10,32 @@ environment instance owns only its configuration and derived lookup tables.
     as `masks_party` (a party left out plays noop); any other key, a wrong
     length or an action its mask refuses is a ContractViolation. The check
     reads the masks the caller already holds (the rollout passes the ones
-    its controllers acted on) and computes the rest. The scripted third
-    party then acts, and the resolver gets every unit's action in the
-    state's unit order;
+    its controllers acted on) and computes each missing party's with one
+    `masks_party` call. The scripted third party then acts, and the
+    resolver gets every unit's action in the state's unit order, with the
+    cells occupied at tick start, found once per step;
   - the observation layout: an observer's own features, then fixed
     per-unit slot blocks for victims, third-party units and bystander slots
     (`config.adversary_slots`), its own party's block leaving out itself.
     Each block is (present, feature...) and stays zero when the unit is
     absent or out of sight.
-  - the unit slots: a state keeps its units in sorted agent order, and
-    `unit_slots` (built once per env, shared by all its states) maps an
-    agent to its position there, so a by-agent lookup is one dict read. A
-    resolver works on these positions and builds no dict keyed by agent.
+  - the unit positions: a state keeps its units in sorted agent order
+    (party order, then index), so each party holds a contiguous run of
+    positions. `unit_slots` (built once per env, shared by all its states)
+    maps an agent to its position there, for audits and tests; the
+    observation, mask and step paths read units by position and hash no
+    agent.
 An environment supplies its dynamics (`_resolve`, `_terminal`, the scripted
-third-party action), its masks and the two observation hooks.
+third-party action, the tick-start occupied cells), its mask rows and the
+two observation hooks.
 
-Policies and learners read a state only through the per-agent `observe` and
-`available_actions` (stacked per party by `observe_party`/`masks_party`).
-There is no global-state view: bystanders have none, and each party's mixer
-reads its own agents' observations. `positions` and `step_events` exist for
-audits.
+Policies and learners read a state only through `observe_party` and
+`masks_party`: each walks one party once, by unit position, and returns one
+(n, obs_dim) or (n, n_actions) array; a party with no agents gives (0, ...)
+arrays. The per-agent `observe` and `available_actions` are an agent's row
+of these. There is no global-state view: bystanders have none, and each
+party's mixer reads its own agents' observations. `positions` and
+`step_events` exist for audits.
 """
 
 from __future__ import annotations
@@ -129,26 +135,31 @@ class Environment(ABC):
         self._agents = {p: tuple(AgentId(p, i) for i in range(n)) for p, n in counts.items()}
         # Party order, then index: sorted agent order
         self.unit_slots = {a: k for k, a in enumerate(a for p in Party for a in self._agents[p])}
+        # each party's run of unit positions, as a slice of the state's units
+        starts = {p: sum(counts[q] for q in Party if q < p) for p in Party}
+        self._span = {p: slice(starts[p], starts[p] + counts[p]) for p in Party}
         slots = {**counts, Party.ADVERSARY: config.adversary_slots}
         width = 1 + len(self.SLOT_FEATURES)
         obs_labels = {}
-        # observer -> ((offset of a slot block, the agent it shows), ...)
-        self._slots: dict[AgentId, tuple[tuple[int, AgentId], ...]] = {}
+        # party -> ((observer's unit position, ((offset of a slot block, the
+        # unit position it shows), ...)), ...) in agent-index order
+        self._views: dict[Party, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]] = {}
         for party in Party:
             labels = list(self.SELF_FEATURES)
-            table: dict[AgentId, list[tuple[int, AgentId]]] = {a: [] for a in self._agents[party]}
+            table: dict[AgentId, list[tuple[int, int]]] = {a: [] for a in self._agents[party]}
             for slot_party in SLOT_ORDER:
                 # the block of the observer's own party leaves itself out
                 n = max(slots[slot_party] - (slot_party is party), 0)
                 for agent, rows in table.items():
                     others = [a for a in self._agents[slot_party] if a != agent][:n]
-                    rows += [(len(labels) + width * k, other) for k, other in enumerate(others)]
+                    rows += [(len(labels) + width * k, self.unit_slots[other]) for k, other in enumerate(others)]
                 for k in range(n):
                     base = f"{slot_party.label}_slot{k}"
                     labels += [f"{base}_present"] + [f"{base}_{f}" for f in self.SLOT_FEATURES]
             obs_labels[party] = tuple(labels)
-            self._slots.update((a, tuple(rows)) for a, rows in table.items())
+            self._views[party] = tuple((self.unit_slots[a], tuple(rows)) for a, rows in table.items())
         self._obs_dim = {p: len(labels) for p, labels in obs_labels.items()}
+        self._n_actions = {p: len(labels) for p, labels in action_labels.items()}
         self._descriptor = EnvDescriptor(
             name=name,
             horizon=config.horizon,
@@ -189,23 +200,28 @@ class Environment(ABC):
         if not set(actions) <= {Party.VICTIM, Party.ADVERSARY}:
             raise ContractViolation(f"joint action keys {list(actions)} are not all victim or adversary parties")
         masks = masks or {}
+        occupied = self._occupied(state)
         unit_actions: list[int] = []  # in unit order: party order, then index
         for party in Party:
             agents = self._agents[party]
             if party is Party.THIRD:
-                unit_actions += [self._scripted_action(state, agent) for agent in agents]
+                span = self._span[party]
+                unit_actions += [self._scripted_action(state, k, occupied) for k in range(span.start, span.stop)]
                 continue
-            chosen = actions.get(party, [0] * len(agents))
-            if np.shape(chosen) != (len(agents),):
-                raise ContractViolation(f"{party.label} actions have shape {np.shape(chosen)}, not ({len(agents)},)")
+            chosen = np.asarray(actions.get(party, [0] * len(agents)))
+            if chosen.shape != (len(agents),):
+                raise ContractViolation(f"{party.label} actions have shape {chosen.shape}, not ({len(agents)},)")
+            if not agents:
+                continue
             held = masks.get(party)
-            for i, (agent, a) in enumerate(zip(agents, chosen)):
+            if held is None:
+                held = self.masks_party(state, party)
+            for agent, a, mask in zip(agents, chosen.tolist(), held.tolist()):
                 a = int(a)
-                mask = held[i] if held is not None else self.available_actions(state, agent)
-                if not (0 <= a < mask.size) or not mask[a]:
+                if not (0 <= a < len(mask)) or not mask[a]:
                     raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
                 unit_actions.append(a)
-        return self._resolve(state, unit_actions)
+        return self._resolve(state, unit_actions, occupied)
 
     def step(self, state, actions: Mapping[Party, np.ndarray], masks: Mapping[Party, np.ndarray] | None = None):
         nxt, outcome, _ = self.step_events(state, actions, masks)
@@ -215,40 +231,71 @@ class Environment(ABC):
     def _terminal(self, state) -> bool: ...
 
     @abstractmethod
-    def _scripted_action(self, state, agent: AgentId) -> int:
-        """The third-party agent's action this step."""
+    def _occupied(self, state) -> set:
+        """The cells of the units in play, which block moves this tick."""
 
     @abstractmethod
-    def _resolve(self, state, actions: list[int]):
+    def _scripted_action(self, state, k: int, occupied: set) -> int:
+        """The action of the third-party unit at position `k` this step."""
+
+    @abstractmethod
+    def _resolve(self, state, actions: list[int], occupied: set):
         """Apply a checked action of every unit, given in the state's unit
-        order; returns what step_events does."""
+        order, to the state whose `_occupied` cells are `occupied`; returns
+        what step_events does."""
 
     @abstractmethod
     def victim_task_reward(self, prev, nxt, outcome: StepOutcome) -> float: ...
 
     # --- observation / masks ------------------------------------------------
 
+    def observe_party(self, state, party: Party) -> np.ndarray:
+        """The party's (n, obs_dim) observations in agent-index order: each
+        agent's own features, then its slot blocks; all zero for an agent
+        out of play."""
+        units = self._units(state)
+        views = self._views[party]
+        dim = self._obs_dim[party]
+        n_own, n_seen = len(self.SELF_FEATURES), len(self.SLOT_FEATURES)
+        own_features, sees = self._own_features, self._sees
+        # one flat list converted once is cheaper than item writes into an array
+        obs = [0.0] * (len(views) * dim)
+        for row, (k, slots) in enumerate(views):
+            me = units[k]
+            own = own_features(me)
+            if own is None:
+                continue
+            start = row * dim
+            obs[start : start + n_own] = own
+            for i, j in slots:
+                seen = sees(me, units[j])
+                if seen is not None:
+                    i += start
+                    obs[i] = 1.0
+                    obs[i + 1 : i + 1 + n_seen] = seen
+        return np.array(obs).reshape(len(views), dim)
+
+    def masks_party(self, state, party: Party) -> np.ndarray:
+        """The party's (n, n_actions) action masks in agent-index order."""
+        rows = self._mask_rows(state, party)
+        return np.array(rows, dtype=bool).reshape(len(self._agents[party]), self._n_actions[party])
+
     def observe(self, state, agent: AgentId) -> np.ndarray:
-        """The agent's own features, then its slot blocks; all zero when the
-        agent itself is out of play. KeyError for an unknown agent."""
-        lookup = self._lookup(state)
-        me = lookup(agent)
-        # a list converted once is cheaper than item writes into an array
-        obs = [0.0] * self._obs_dim[agent.party]
-        own = self._own_features(me)
-        if own is None:
-            return np.array(obs)
-        obs[: len(own)] = own
-        for i, other in self._slots[agent]:
-            seen = self._sees(me, lookup(other))
-            if seen is not None:
-                obs[i] = 1.0
-                obs[i + 1 : i + 1 + len(seen)] = seen
-        return np.array(obs)
+        """The agent's row of `observe_party`; KeyError for an unknown agent."""
+        return self.observe_party(state, agent.party)[self._row(agent)]
+
+    def available_actions(self, state, agent: AgentId) -> np.ndarray:
+        """The agent's row of `masks_party`; KeyError for an unknown agent."""
+        return self.masks_party(state, agent.party)[self._row(agent)]
+
+    def _row(self, agent: AgentId) -> int:
+        if agent not in self.unit_slots:
+            raise KeyError(f"unknown agent {agent.key}")
+        return agent.index
 
     @abstractmethod
-    def _lookup(self, state):
-        """The state's by-agent unit lookup (KeyError for unknown agents)."""
+    def _units(self, state) -> tuple:
+        """The state's units in unit order."""
 
     @abstractmethod
     def _own_features(self, me) -> tuple[float, ...] | None:
@@ -259,14 +306,9 @@ class Environment(ABC):
         """SLOT_FEATURES of `other` as `me` sees it, None when out of sight."""
 
     @abstractmethod
-    def available_actions(self, state, agent: AgentId) -> np.ndarray: ...
-
-    def observe_party(self, state, party: Party) -> np.ndarray:
-        """Stacked observations for one party, in agent-index order."""
-        return np.stack([self.observe(state, a) for a in self.agents(party)])
-
-    def masks_party(self, state, party: Party) -> np.ndarray:
-        return np.stack([self.available_actions(state, a) for a in self.agents(party)])
+    def _mask_rows(self, state, party: Party) -> list[bool]:
+        """The party's masks, one row of n_actions per agent in index order,
+        as one flat list."""
 
     # --- audits ---------------------------------------------------------------
 

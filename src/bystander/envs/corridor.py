@@ -21,7 +21,7 @@ walling lanes, forcing stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -123,6 +123,7 @@ class CorridorEnv(Environment):
     def __init__(self, config: CorridorConfig):
         labels = tuple(label for label, _, _ in ACTIONS)
         super().__init__("corridor", config, config.other_vehicle_count, {p: labels for p in Party})
+        self._keep_row = [True] + [False] * (len(ACTIONS) - 1)
 
     def reset(self, seed: int) -> CorridorState:
         c = self.config
@@ -149,8 +150,8 @@ class CorridorEnv(Environment):
     def positions(self, state: CorridorState) -> dict[AgentId, tuple]:
         return {v.agent: (v.lane, v.col) for v in state.vehicles if v.on_road}
 
-    def _lookup(self, state: CorridorState):
-        return state.vehicle
+    def _units(self, state: CorridorState) -> tuple[Vehicle, ...]:
+        return state.vehicles
 
     def _own_features(self, me: Vehicle) -> tuple[float, ...] | None:
         if not me.on_road:
@@ -168,56 +169,64 @@ class CorridorEnv(Environment):
             other.speed / (c.speed_levels - 1),
         )
 
-    def available_actions(self, state: CorridorState, agent: AgentId) -> np.ndarray:
+    def _mask_rows(self, state: CorridorState, party: Party) -> list[bool]:
         c = self.config
-        me = state.vehicle(agent)
-        if not me.on_road:
-            return np.arange(len(ACTIONS)) == 0  # keep only
-        occupied = {(v.lane, v.col) for v in state.vehicles if v.on_road and v.agent != agent}
-        mask = []
-        for _, speed, lane in ACTIONS:
-            if speed:
-                mask.append(0 <= me.speed + speed < c.speed_levels)
-            elif lane:
-                mask.append(0 <= me.lane + lane < c.lanes and (me.lane + lane, me.col) not in occupied)
-            else:
-                mask.append(True)  # keep is always legal
-        return np.array(mask)
+        # a lane change never targets the mover's own cell
+        occupied = self._occupied(state)
+        rows: list[bool] = []
+        for me in state.vehicles[self._span[party]]:
+            if not me.on_road:
+                rows += self._keep_row
+                continue
+            for _, speed, lane in ACTIONS:
+                if speed:
+                    rows.append(0 <= me.speed + speed < c.speed_levels)
+                elif lane:
+                    rows.append(0 <= me.lane + lane < c.lanes and (me.lane + lane, me.col) not in occupied)
+                else:
+                    rows.append(True)  # keep is always legal
+        return rows
 
     # --- step ------------------------------------------------------------
 
-    def _scripted_action(self, state: CorridorState, agent: AgentId) -> int:
+    def _occupied(self, state: CorridorState) -> set[tuple[int, int]]:
+        return {(v.lane, v.col) for v in state.vehicles if v.on_road}
+
+    def _scripted_action(self, state: CorridorState, k: int, occupied: set[tuple[int, int]]) -> int:
         return 0  # scripted traffic keeps lane and speed
 
-    def _resolve(self, state: CorridorState, actions: list[int]) -> tuple[CorridorState, StepOutcome, StepEvents]:
-        c = self.config
+    def _resolve(
+        self, state: CorridorState, actions: list[int], occupied_at_start: set[tuple[int, int]]
+    ) -> tuple[CorridorState, StepOutcome, StepEvents]:
+        goal = self.config.goal_col
         vehicles = list(state.vehicles)
-        occupied_at_start = {(v.lane, v.col) for v in vehicles if v.on_road}
+        # no maneuver takes a vehicle off the road
+        on_road = [k for k, v in enumerate(vehicles) if v.on_road]
         canceled_victims = 0
 
         # 1. maneuvers; claimants are unit positions, appended in unit order,
         # so the first is the lowest AgentId
         lane_claims: dict[tuple[int, int], list[int]] = {}
-        for k, (v, a) in enumerate(zip(vehicles, actions)):
-            if not v.on_road:
-                continue
-            _, speed, lane = ACTIONS[a]
+        for k in on_road:
+            v = vehicles[k]
+            _, speed, lane = ACTIONS[actions[k]]
             if speed:
-                vehicles[k] = replace(v, speed=v.speed + speed)
+                vehicles[k] = Vehicle(v.agent, v.lane, v.col, v.speed + speed)
             elif lane:
                 lane_claims.setdefault((v.lane + lane, v.col), []).append(k)
         for tgt, claimants in lane_claims.items():
             winner = claimants[0] if tgt not in occupied_at_start else None
             for k in claimants:
                 if k == winner:
-                    vehicles[k] = replace(vehicles[k], lane=tgt[0])
+                    v = vehicles[k]
+                    vehicles[k] = Vehicle(v.agent, tgt[0], v.col, v.speed)
                 elif vehicles[k].agent.party is Party.VICTIM:
                     canceled_victims += 1
 
         # 2. forward movement, front vehicle first
         collisions: list[tuple[AgentId, AgentId]] = []
-        occupancy = {(v.lane, v.col): k for k, v in enumerate(vehicles) if v.on_road}
-        order = sorted((k for k, v in enumerate(vehicles) if v.on_road), key=lambda k: (-vehicles[k].col, k))
+        occupancy = {(vehicles[k].lane, vehicles[k].col): k for k in on_road}
+        order = sorted(on_road, key=lambda k: (-vehicles[k].col, k))
         for k in order:
             v = vehicles[k]
             party = v.agent.party
@@ -228,7 +237,7 @@ class CorridorEnv(Environment):
                 blocker = occupancy.get((v.lane, col + 1))
                 if blocker is None:
                     col += 1
-                    if col >= c.goal_col:
+                    if col >= goal:
                         break
                     continue
                 obstacle = vehicles[blocker].agent
@@ -240,14 +249,16 @@ class CorridorEnv(Environment):
                 # bystanders and blocked traffic stop short of the obstacle
                 break
             if hit is not None:
-                vehicles[k] = replace(v, col=col, crashed=True)
-                victim = k if party is Party.VICTIM else hit
-                if not vehicles[victim].crashed:
-                    vehicles[victim] = replace(vehicles[victim], crashed=True)
-            elif col >= c.goal_col:
-                vehicles[k] = replace(v, col=c.goal_col, exited=True)
+                vehicles[k] = Vehicle(v.agent, v.lane, col, v.speed, crashed=True)
+                j = k if party is Party.VICTIM else hit
+                victim = vehicles[j]
+                if not victim.crashed:
+                    vehicles[j] = Vehicle(victim.agent, victim.lane, victim.col, victim.speed, crashed=True)
+            elif col >= goal:
+                vehicles[k] = Vehicle(v.agent, v.lane, goal, v.speed, exited=True)
             else:
-                vehicles[k] = replace(v, col=col)
+                if col != v.col:
+                    vehicles[k] = Vehicle(v.agent, v.lane, col, v.speed)
                 occupancy[(v.lane, col)] = k
 
         nxt = CorridorState(
@@ -256,7 +267,7 @@ class CorridorEnv(Environment):
         return nxt, self._outcome(nxt, canceled_victims), StepEvents(attacks=(), collisions=tuple(collisions))
 
     def _terminal(self, state: CorridorState) -> bool:
-        victims = state.party(Party.VICTIM)
+        victims = state.vehicles[self._span[Party.VICTIM]]
         return (
             state.step_count >= self.config.horizon
             or any(v.crashed for v in victims)
@@ -267,14 +278,17 @@ class CorridorEnv(Environment):
         """canceled_victims: how many victims' lane changes were canceled
         this step."""
         c = self.config
-        victims = nxt.party(Party.VICTIM)
-        crashed = any(v.crashed for v in victims)
-        terminal = self._terminal(nxt)
-        success = terminal and not crashed and all(v.exited for v in victims)
+        crashed = exited = stalled = 0
+        for v in nxt.vehicles[self._span[Party.VICTIM]]:
+            crashed += v.crashed
+            exited += v.exited
+            stalled += v.on_road and v.speed == 0
+        terminal = nxt.step_count >= c.horizon or crashed > 0 or exited == c.victim_count
+        success = terminal and not crashed and exited == c.victim_count
         collision = 1.0 if crashed else 0.0
-        not_done = sum(1 for v in victims if not v.exited)
+        not_done = c.victim_count - exited
         timeout = (1.0 / c.horizon) * not_done / c.victim_count
-        stalls = sum(1.0 for v in victims if v.on_road and v.speed == 0) + canceled_victims
+        stalls = float(stalled) + canceled_victims
         return StepOutcome(
             terminal=terminal,
             victim_success=success,
@@ -284,14 +298,14 @@ class CorridorEnv(Environment):
 
     def victim_task_reward(self, prev: CorridorState, nxt: CorridorState, outcome: StepOutcome) -> float:
         c = self.config
+        victims = self._span[Party.VICTIM]
         progress = 0.0
-        for agent in self._agents[Party.VICTIM]:
-            a, b = prev.vehicle(agent), nxt.vehicle(agent)
+        for a, b in zip(prev.vehicles[victims], nxt.vehicles[victims]):
             progress += (b.col - a.col) / c.goal_col
         reward = progress / c.victim_count
         if outcome.victim_success:
             reward += 1.0
-        if any(v.crashed for v in nxt.party(Party.VICTIM)):
+        if any(v.crashed for v in nxt.vehicles[victims]):
             reward -= 1.0
         return reward
 

@@ -21,7 +21,7 @@ positional: standing in cells victims or opponents want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -115,12 +115,17 @@ class SkirmishState:
     def party_health(self, party: Party) -> int:
         return sum(u.health for u in self.units if u.agent.party is party)
 
-    def alive_units(self, party: Party) -> list[Unit]:
-        return [u for u in self.units if u.agent.party is party and u.alive]
-
 
 def _chebyshev(a: Unit, b: Unit) -> int:
     return max(abs(a.x - b.x), abs(a.y - b.y))
+
+
+def _any_alive(units: tuple[Unit, ...]) -> bool:
+    # a loop that stops at the first live unit beats any() over a generator
+    for u in units:
+        if u.health > 0:
+            return True
+    return False
 
 
 def _action_table(c: SkirmishConfig, party: Party) -> tuple[Action, ...]:
@@ -152,11 +157,19 @@ class SkirmishEnv(Environment):
 
     def __init__(self, config: SkirmishConfig):
         self._actions = {p: _action_table(config, p) for p in Party}
-        # the scripted opponents pick their action by move delta or target
-        self._opponent_action = {a.move or a.target: i for i, a in enumerate(self._actions[Party.THIRD])}
         labels = {p: tuple(a.label for a in table) for p, table in self._actions.items()}
         super().__init__("skirmish", config, config.opponent_count, labels)
-        self._unit_tables = [self._actions[agent.party] for agent in self.unit_slots]
+        # each party's table decoded once: (move delta, target unit position)
+        self._decoded = {
+            p: tuple((a.move, None if a.target is None else self.unit_slots[a.target]) for a in table)
+            for p, table in self._actions.items()
+        }
+        self._unit_tables = [self._decoded[agent.party] for agent in self.unit_slots]
+        # the scripted opponents pick their action by move delta or target position
+        self._opponent_action = {move or target: i for i, (move, target) in enumerate(self._decoded[Party.THIRD])}
+        self._noop_rows = {p: [True] + [False] * (len(table) - 1) for p, table in self._actions.items()}
+        w, h = config.grid_size
+        self._scale = (max(w - 1, 1), max(h - 1, 1))
 
     def action_index(self, party: Party, label: str) -> int:
         return self.descriptor.action_labels[party].index(label)
@@ -189,57 +202,66 @@ class SkirmishEnv(Environment):
 
     # --- observation / masks ------------------------------------------------
 
-    def _lookup(self, state: SkirmishState):
-        return state.unit
+    def _units(self, state: SkirmishState) -> tuple[Unit, ...]:
+        return state.units
 
     def _own_features(self, me: Unit) -> tuple[float, ...] | None:
-        if not me.alive:
+        if me.health <= 0:
             return None
-        c = self.config
-        w, h = c.grid_size
-        return (me.x / max(w - 1, 1), me.y / max(h - 1, 1), me.health / c.unit_health)
+        sx, sy = self._scale
+        return (me.x / sx, me.y / sy, me.health / self.config.unit_health)
 
     def _sees(self, me: Unit, other: Unit) -> tuple[float, ...] | None:
         r = self.config.sensing_radius
-        if not other.alive or _chebyshev(me, other) > r:
+        dx, dy = other.x - me.x, other.y - me.y
+        if other.health <= 0 or dx > r or -dx > r or dy > r or -dy > r:
             return None
-        return ((other.x - me.x) / r, (other.y - me.y) / r, other.health / self.config.unit_health)
+        return (dx / r, dy / r, other.health / self.config.unit_health)
 
-    def available_actions(self, state: SkirmishState, agent: AgentId) -> np.ndarray:
+    def _mask_rows(self, state: SkirmishState, party: Party) -> list[bool]:
         c = self.config
         w, h = c.grid_size
-        table = self._actions[agent.party]
-        me = state.unit(agent)
-        if not me.alive:
-            return np.arange(len(table)) == 0  # noop only
-        mask = []
-        for _, move, target in table:
-            if move is not None:
-                mask.append(0 <= me.x + move[0] < w and 0 <= me.y + move[1] < h)
-            elif target is not None:
-                other = state.unit(target)
-                mask.append(other.alive and _chebyshev(me, other) <= c.attack_range)
-            else:
-                mask.append(True)  # noop is always legal
-        return np.array(mask)
+        reach = c.attack_range
+        units = state.units
+        table = self._decoded[party]
+        rows: list[bool] = []
+        for me in units[self._span[party]]:
+            if me.health <= 0:
+                rows += self._noop_rows[party]
+                continue
+            x, y = me.x, me.y
+            for move, target in table:
+                if move is not None:
+                    rows.append(0 <= x + move[0] < w and 0 <= y + move[1] < h)
+                elif target is not None:
+                    other = units[target]
+                    rows.append(other.health > 0 and max(abs(other.x - x), abs(other.y - y)) <= reach)
+                else:
+                    rows.append(True)  # noop is always legal
+        return rows
 
     # --- scripted opponents ---------------------------------------------------
 
-    def _scripted_action(self, state: SkirmishState, agent: AgentId) -> int:
+    def _occupied(self, state: SkirmishState) -> set[tuple[int, int]]:
+        return {(u.x, u.y) for u in state.units if u.health > 0}
+
+    def _scripted_action(self, state: SkirmishState, k: int, occupied: set[tuple[int, int]]) -> int:
         """Attack the nearest victim when in range, otherwise advance toward
         it (larger-gap axis first, other axis if blocked)."""
         c = self.config
-        me = state.unit(agent)
-        if not me.alive:
+        units = state.units
+        me = units[k]
+        if me.health <= 0:
             return 0
-        victims = state.alive_units(Party.VICTIM)
+        span = self._span[Party.VICTIM]
+        victims = [j for j in range(span.start, span.stop) if units[j].health > 0]
         if not victims:
             return 0
-        target = min(victims, key=lambda v: (_chebyshev(me, v), v.agent.index))
-        if _chebyshev(me, target) <= c.attack_range:
-            return self._opponent_action[target.agent]
-        occupied = {(u.x, u.y) for u in state.units if u.alive}
-        dx, dy = target.x - me.x, target.y - me.y
+        # min keeps the first, so the lowest index among the nearest
+        target = min(victims, key=lambda j: _chebyshev(me, units[j]))
+        if _chebyshev(me, units[target]) <= c.attack_range:
+            return self._opponent_action[target]
+        dx, dy = units[target].x - me.x, units[target].y - me.y
         step_x = [(1 if dx > 0 else -1, 0)] if dx else []
         step_y = [(0, 1 if dy > 0 else -1)] if dy else []
         prefs = step_x + step_y if abs(dx) >= abs(dy) else step_y + step_x
@@ -252,58 +274,66 @@ class SkirmishEnv(Environment):
 
     # --- step ----------------------------------------------------------------
 
-    def _resolve(self, state: SkirmishState, actions: list[int]) -> tuple[SkirmishState, StepOutcome, StepEvents]:
+    def _resolve(
+        self, state: SkirmishState, actions: list[int], occupied_at_start: set[tuple[int, int]]
+    ) -> tuple[SkirmishState, StepOutcome, StepEvents]:
         c = self.config
         w, h = c.grid_size
         units = list(state.units)
         chosen = [table[a] for table, a in zip(self._unit_tables, actions)]
-        occupied_at_start = {(u.x, u.y) for u in units if u.alive}
 
         # 1. movement; claimants are unit positions, so the lowest is the
         # lowest AgentId
         claims: dict[tuple[int, int], list[int]] = {}
-        for k, (u, action) in enumerate(zip(units, chosen)):
-            if u.alive and action.move is not None:
-                tgt = (u.x + action.move[0], u.y + action.move[1])
+        for k, (u, (move, _)) in enumerate(zip(units, chosen)):
+            if move is not None and u.health > 0:
+                tgt = (u.x + move[0], u.y + move[1])
                 if 0 <= tgt[0] < w and 0 <= tgt[1] < h and tgt not in occupied_at_start:
                     claims.setdefault(tgt, []).append(k)
-        for tgt, claimants in claims.items():
-            winner = min(claimants)
-            units[winner] = replace(units[winner], x=tgt[0], y=tgt[1])
+        for (x, y), claimants in claims.items():
+            k = min(claimants)
+            u = units[k]
+            units[k] = Unit(u.agent, x, y, u.health)
 
         # 2. attacks (post-movement range check)
         damage: dict[int, int] = {}
         attacks = []
-        for u, action in zip(units, chosen):
-            if not u.alive or action.target is None:
+        for u, (_, k) in zip(units, chosen):
+            if k is None or u.health <= 0:
                 continue
-            k = self.unit_slots[action.target]
-            if units[k].alive and _chebyshev(u, units[k]) <= c.attack_range:
+            if units[k].health > 0 and _chebyshev(u, units[k]) <= c.attack_range:
                 damage[k] = damage.get(k, 0) + c.attack_damage
-                attacks.append((u.agent, action.target, c.attack_damage))
+                attacks.append((u.agent, units[k].agent, c.attack_damage))
 
-        # 3. deaths
+        # 3. deaths; the victims' health lost is the damage signal
+        victims = self._span[Party.VICTIM]
+        victim_loss = 0
         for k, dmg in damage.items():
-            units[k] = replace(units[k], health=max(units[k].health - dmg, 0))
+            u = units[k]
+            health = max(u.health - dmg, 0)
+            if victims.start <= k < victims.stop:
+                victim_loss += u.health - health
+            units[k] = Unit(u.agent, u.x, u.y, health)
 
         nxt = SkirmishState(units=tuple(units), step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots)
-        return nxt, self._outcome(state, nxt), StepEvents(attacks=tuple(attacks), collisions=())
+        return nxt, self._outcome(nxt, victim_loss), StepEvents(attacks=tuple(attacks), collisions=())
+
+    def _survivors(self, state: SkirmishState) -> tuple[bool, bool]:
+        """Whether any victim and whether any opponent is alive."""
+        units = state.units
+        return _any_alive(units[self._span[Party.VICTIM]]), _any_alive(units[self._span[Party.THIRD]])
 
     def _terminal(self, state: SkirmishState) -> bool:
-        return (
-            state.step_count >= self.config.horizon
-            or not state.alive_units(Party.THIRD)
-            or not state.alive_units(Party.VICTIM)
-        )
+        victims_alive, opponents_alive = self._survivors(state)
+        return state.step_count >= self.config.horizon or not opponents_alive or not victims_alive
 
-    def _outcome(self, prev: SkirmishState, nxt: SkirmishState) -> StepOutcome:
+    def _outcome(self, nxt: SkirmishState, victim_loss: int) -> StepOutcome:
+        """victim_loss: the victims' health lost this step."""
         c = self.config
-        opponents_alive = bool(nxt.alive_units(Party.THIRD))
-        terminal = self._terminal(nxt)
-        success = terminal and not opponents_alive and bool(nxt.alive_units(Party.VICTIM))
-        damage_frac = (
-            prev.party_health(Party.VICTIM) - nxt.party_health(Party.VICTIM)
-        ) / (c.victim_count * c.unit_health)
+        victims_alive, opponents_alive = self._survivors(nxt)
+        terminal = nxt.step_count >= c.horizon or not opponents_alive or not victims_alive
+        success = terminal and not opponents_alive and victims_alive
+        damage_frac = victim_loss / (c.victim_count * c.unit_health)
         delay = 1.0 / c.horizon if opponents_alive else 0.0
         return StepOutcome(
             terminal=terminal,
@@ -314,7 +344,8 @@ class SkirmishEnv(Environment):
 
     def victim_task_reward(self, prev: SkirmishState, nxt: SkirmishState, outcome: StepOutcome) -> float:
         c = self.config
-        dealt = prev.party_health(Party.THIRD) - nxt.party_health(Party.THIRD)
+        opponents = self._span[Party.THIRD]
+        dealt = sum(u.health for u in prev.units[opponents]) - sum(u.health for u in nxt.units[opponents])
         reward = dealt / (c.opponent_count * c.unit_health)
         if outcome.victim_success:
             reward += 1.0

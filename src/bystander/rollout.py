@@ -31,9 +31,12 @@ class RandomController(Controller):
         self.rng = rng
 
     def act(self, obs_mat, mask_mat):
-        return np.array(
-            [int(self.rng.choice(np.flatnonzero(m))) for m in mask_mat], dtype=int
-        )
+        # the draw rng.choice(legal) makes, without its per-call checks
+        actions = []
+        for m in mask_mat:
+            legal = np.flatnonzero(m)
+            actions.append(int(legal[self.rng.integers(0, legal.size)]))
+        return np.array(actions, dtype=int)
 
 
 class EpsilonGreedyController(Controller):

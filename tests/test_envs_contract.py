@@ -2,12 +2,13 @@
 and a digest of seeded random play that pins their outputs bit for bit."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bystander.core import AgentId, ContractViolation, LifecycleError, Party
-from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, make_env
+from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, SkirmishState, make_env
 from bystander.rollout import RandomController, run_episode
 from bystander.training import victim_task_reward
 
@@ -97,6 +98,233 @@ def test_unknown_agent_raises_key_error(env):
         env.observe(state, stranger)
     with pytest.raises(KeyError):
         env.available_actions(state, stranger)
+
+
+# --- a per-slot reference, written from the env docstrings ---------------------
+
+SKIRMISH_MOVES = {"north": (0, -1), "south": (0, 1), "east": (1, 0), "west": (-1, 0)}
+CORRIDOR_MANEUVERS = {"faster": (1, 0), "slower": (-1, 0), "lane_up": (0, 1), "lane_down": (0, -1)}
+
+
+def reference_features(env, me, other):
+    """(own features, other's slot features or None when out of sight), or
+    None when `me` is out of play."""
+    c = env.config
+    if isinstance(c, SkirmishConfig):
+        if me.health <= 0:
+            return None
+        w, h = c.grid_size
+        own = (me.x / max(w - 1, 1), me.y / max(h - 1, 1), me.health / c.unit_health)
+        r = c.sensing_radius
+        if other is None or other.health <= 0 or max(abs(other.x - me.x), abs(other.y - me.y)) > r:
+            return own, None
+        return own, ((other.x - me.x) / r, (other.y - me.y) / r, other.health / c.unit_health)
+    if me.crashed or me.exited:
+        return None
+    lanes = max(c.lanes - 1, 1)
+    own = (me.lane / lanes, me.col / c.goal_col, me.speed / (c.speed_levels - 1), 1.0)
+    if other is None or other.crashed or other.exited or abs(other.col - me.col) > c.sensing_cols:
+        return own, None
+    seen = ((other.lane - me.lane) / lanes, (other.col - me.col) / c.sensing_cols, other.speed / (c.speed_levels - 1))
+    return own, seen
+
+
+def reference_unit(state, agent):
+    return state.unit(agent) if isinstance(state, SkirmishState) else state.vehicle(agent)
+
+
+def reference_observation(env, state, agent):
+    """Own features, then one (present, feature...) block per slot label: the
+    block `<party>_slot<k>` shows the k-th agent of that party other than
+    the observer, and stays zero when there is none or it is out of sight."""
+    labels = env.descriptor.obs_labels[agent.party]
+    obs = np.zeros(len(labels))
+    me = reference_unit(state, agent)
+    if reference_features(env, me, None) is None:
+        return obs
+    own, _ = reference_features(env, me, None)
+    obs[: len(own)] = own
+    for i, label in enumerate(labels):
+        if not label.endswith("_present"):
+            continue
+        party_label, k = label[: -len("_present")].split("_slot")
+        others = [a for a in env.agents(Party.from_label(party_label)) if a != agent]
+        if int(k) < len(others):
+            _, seen = reference_features(env, me, reference_unit(state, others[int(k)]))
+            if seen is not None:
+                obs[i] = 1.0
+                obs[i + 1 : i + 1 + len(seen)] = seen
+    return obs
+
+
+def reference_mask(env, state, agent):
+    """Noop (keep) always; nothing else for a unit out of play. A skirmish
+    move needs an in-bounds cell, an attack a live target within
+    attack_range (Chebyshev). A corridor speed change stays within the
+    speed levels, a lane change needs an existing lane whose cell beside the
+    vehicle no vehicle on the road holds."""
+    c = env.config
+    labels = env.descriptor.action_labels[agent.party]
+    mask = np.zeros(len(labels), dtype=bool)
+    mask[0] = True
+    me = reference_unit(state, agent)
+    if isinstance(c, SkirmishConfig):
+        if me.health <= 0:
+            return mask
+        w, h = c.grid_size
+        for i, label in enumerate(labels[1:], 1):
+            if label in SKIRMISH_MOVES:
+                dx, dy = SKIRMISH_MOVES[label]
+                mask[i] = 0 <= me.x + dx < w and 0 <= me.y + dy < h
+            else:
+                _, name, j = label.split("_")
+                other = state.unit(AgentId(Party.VICTIM if name == "victim" else Party.THIRD, int(j)))
+                mask[i] = other.health > 0 and max(abs(other.x - me.x), abs(other.y - me.y)) <= c.attack_range
+        return mask
+    if me.crashed or me.exited:
+        return mask
+    occupied = {(v.lane, v.col) for v in state.vehicles if not (v.crashed or v.exited)}
+    for i, label in enumerate(labels[1:], 1):
+        speed, lane = CORRIDOR_MANEUVERS[label]
+        if speed:
+            mask[i] = 0 <= me.speed + speed < c.speed_levels
+        else:
+            mask[i] = 0 <= me.lane + lane < c.lanes and (me.lane + lane, me.col) not in occupied
+    return mask
+
+
+def random_play_states(name, seeds=range(3)):
+    env = make_env(PRESETS[name])
+    states = []
+    for seed in seeds:
+        traj = run_episode(env, random_controllers(seed), seed).trajectory
+        state = env.reset(seed)
+        states.append(state)
+        for t in range(len(traj)):
+            state, _ = env.step(state, traj.joint_action(t))
+            states.append(state)
+    return env, states
+
+
+V0, V1, V2 = (AgentId(Party.VICTIM, i) for i in range(3))
+A0, A1, A2 = (AgentId(Party.ADVERSARY, i) for i in range(3))
+T0, T1, T2 = (AgentId(Party.THIRD, i) for i in range(3))
+
+
+def skirmish_edge_states():
+    """skirmish-small (8x5 grid, sensing radius 3, attack range 1), with and
+    without bystander attacks on opponents."""
+    for cfg in (PRESETS["skirmish-small"], replace(PRESETS["skirmish-small"], adversaries_may_attack_opponents=True)):
+        env = make_env(cfg)
+        yield env, [
+            # corners; V1 exactly at the sensing radius of V0, T0 one past;
+            # T1 exactly at attack range of V2 and A1, one past it for A0
+            env.state_from_positions(
+                {V0: (0, 0), V1: (3, 3), V2: (5, 1), A0: (7, 4), A1: (6, 3), T0: (4, 4), T1: (6, 2)}
+            ),
+            # dead units: V1 at zero health, A1 and T0 omitted
+            env.state_from_positions(
+                {V0: (0, 4), V1: (1, 4), V2: (7, 0), A0: (3, 1), T1: (6, 0)}, healths={V1: 0, V2: 1}
+            ),
+            # one past the radius diagonally, and a diagonal attack
+            env.state_from_positions(
+                {V0: (2, 2), V1: (6, 2), V2: (5, 0), A0: (2, 3), A1: (3, 2), T0: (3, 3), T1: (4, 1)}
+            ),
+        ]
+
+
+def corridor_edge_states():
+    """corridor-med (3 lanes of 12 columns, sensing 2 columns, 3 speed
+    levels)."""
+    env = make_env(PRESETS["corridor-med"])
+    # V1 exactly at the sensing columns of V0, A0 one past; V0 in the lowest
+    # lane at speed 0, A1 in the top lane at top speed; T0 blocks V0's lane_up
+    base = env.state_from_vehicles(
+        {
+            V0: (0, 2, 0), V1: (2, 4, 1), V2: (1, 7, 2), A0: (1, 5, 1),
+            A1: (2, 6, 2), A2: (0, 9, 1), T0: (1, 2, 1), T1: (0, 0, 2),
+        }
+    )
+    crashed = replace(
+        base, vehicles=tuple(replace(v, crashed=True) if v.agent in (V1, T0) else v for v in base.vehicles)
+    )
+    # A0, T1 and V2 omitted: exited
+    exited = env.state_from_vehicles({V0: (1, 3, 1), V1: (1, 5, 2), A1: (0, 3, 0), A2: (2, 1, 1), T0: (2, 3, 1)})
+    yield env, [base, crashed, exited]
+
+
+def reference_cases():
+    for name in sorted(PRESETS):
+        yield random_play_states(name)
+    yield from skirmish_edge_states()
+    yield from corridor_edge_states()
+
+
+def test_party_arrays_match_a_per_slot_reference():
+    for env, states in reference_cases():
+        for state in states:
+            for party in Party:
+                agents = env.agents(party)
+                obs = np.array([reference_observation(env, state, a) for a in agents]).reshape(len(agents), -1)
+                masks = np.array([reference_mask(env, state, a) for a in agents]).reshape(len(agents), -1)
+                assert np.array_equal(env.observe_party(state, party), obs)
+                assert np.array_equal(env.masks_party(state, party), masks)
+                assert env.masks_party(state, party).dtype == bool
+
+
+def test_the_edge_states_reach_both_sides_of_each_boundary():
+    """The hand-built states hold what they are meant to: a unit seen at the
+    sensing edge and not one past it, targets at and one past attack range,
+    moves refused at the edges, and units out of play."""
+
+    def obs(env, state, agent, label):
+        return env.observe(state, agent)[env.descriptor.obs_labels[agent.party].index(label)]
+
+    def allowed(env, state, agent, label):
+        return env.available_actions(state, agent)[env.descriptor.action_labels[agent.party].index(label)]
+
+    (env, (edge, dead, _)), (armed, (armed_edge, *_)) = skirmish_edge_states()
+    assert obs(env, edge, V0, "victim_slot0_present") == 1.0  # V1 at the radius
+    assert obs(env, edge, V0, "third_slot0_present") == 0.0  # T0 one past
+    assert allowed(env, edge, V2, "attack_opponent_1") and not allowed(env, edge, V2, "attack_opponent_0")
+    assert allowed(armed, armed_edge, A1, "attack_opponent_1")
+    assert not allowed(armed, armed_edge, A0, "attack_opponent_1")
+    assert [allowed(env, edge, V0, m) for m in ("north", "south", "east", "west")] == [False, True, True, False]
+    assert [allowed(env, edge, A0, m) for m in ("north", "south", "east", "west")] == [True, False, False, True]
+    assert not env.observe(dead, V1).any() and env.available_actions(dead, V1).tolist() == [True] + [False] * 6
+    assert obs(env, dead, V0, "victim_slot0_present") == 0.0  # V1 dead beside V0
+
+    [(env, (base, crashed, exited))] = corridor_edge_states()
+    assert obs(env, base, V0, "victim_slot0_present") == 1.0  # V1 at the sensing columns
+    assert obs(env, base, V0, "adversary_slot0_present") == 0.0  # A0 one past
+    maneuvers = ("faster", "slower", "lane_up", "lane_down")
+    assert [allowed(env, base, V0, m) for m in maneuvers] == [True, False, False, False]
+    assert [allowed(env, base, A1, m) for m in maneuvers] == [False, True, False, True]
+    assert allowed(env, crashed, V0, "lane_up")  # the crashed T0 no longer blocks
+    assert obs(env, crashed, V0, "victim_slot0_present") == 0.0
+    for state, agent in ((crashed, V1), (exited, V2)):
+        assert not env.observe(state, agent).any()
+        assert env.available_actions(state, agent).tolist() == [True] + [False] * 4
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("skirmish-small", dict(adversary_count=0)), ("corridor-med", dict(adversary_count=0, other_vehicle_count=0))],
+)
+def test_a_party_with_no_agents_gives_empty_arrays(name, overrides):
+    env = make_env(replace(PRESETS[name], **overrides))
+    d = env.descriptor
+    state = env.reset(0)
+    for party in Party:
+        if env.agents(party):
+            continue
+        obs, masks = env.observe_party(state, party), env.masks_party(state, party)
+        assert obs.shape == (0, d.obs_dim(party)) and obs.dtype == np.float64
+        assert masks.shape == (0, d.n_actions(party)) and masks.dtype == bool
+    # the empty party's (0,) action array is part of a valid joint action
+    noops = np.zeros(len(env.agents(Party.VICTIM)), dtype=int)
+    nxt, _ = env.step(state, {Party.VICTIM: noops, Party.ADVERSARY: np.zeros(0, dtype=int)})
+    assert nxt.step_count == 1
 
 
 def random_play_digest(episodes: int) -> str:

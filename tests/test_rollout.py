@@ -147,34 +147,37 @@ def test_a_masked_out_action_is_refused_through_the_rollout():
 @pytest.mark.parametrize("name", ["skirmish-small", "corridor-med"])
 def test_the_rollouts_masks_are_read_by_one_checked_step_per_tick(name, monkeypatch):
     env = make_env(PRESETS[name])
-    n_agents = len(env.controllable_agents)
+    calls = {"step": 0, "masks": 0}
+    step, masks_party = env.step, env.masks_party
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    def counted_masks(*args):
+        calls["masks"] += 1
+        return masks_party(*args)
+
+    monkeypatch.setattr(env, "masks_party", counted_masks)
     for seed in range(4):
+        # the rollout steps once per tick and computes one mask array per
+        # playing party per state, for its controllers; the step check reads
+        # those and computes none
+        calls.update(step=0, masks=0)
+        monkeypatch.setattr(env, "step", counted_step)
         traj = run_episode(env, random_controllers(seed), seed).trajectory
+        monkeypatch.setattr(env, "step", step)
+        assert calls == {"step": len(traj), "masks": (len(traj) + 1) * len(PARTIES)}
         state = env.reset(seed)
         for t in range(len(traj)):
             joint = traj.joint_action(t)
+            calls["masks"] = 0
             with_masks = env.step(state, joint, {p: traj.avail[p][t] for p in PARTIES})
+            assert calls["masks"] == 0
             without = env.step(state, joint)
+            assert calls["masks"] == len(PARTIES)  # one per party, computed by the check
             assert with_masks[0] == without[0]
             (a, b) = with_masks[1], without[1]
             assert (a.terminal, a.victim_success, a.victim_failed) == (b.terminal, b.victim_success, b.victim_failed)
             assert np.array_equal(a.failure_signals, b.failure_signals)
             state = with_masks[0]
-        # the rollout steps once per tick, and the masks it computed for the
-        # controllers are the only ones: the step check computes none
-        calls = {"step": 0, "masks": 0}
-        step, available = env.step, env.available_actions
-
-        def counted_step(*args):
-            calls["step"] += 1
-            return step(*args)
-
-        def counted_available(*args):
-            calls["masks"] += 1
-            return available(*args)
-
-        monkeypatch.setattr(env, "step", counted_step)
-        monkeypatch.setattr(env, "available_actions", counted_available)
-        again = run_episode(env, random_controllers(seed), seed).trajectory
-        monkeypatch.undo()
-        assert calls == {"step": len(again), "masks": (len(again) + 1) * n_agents}
