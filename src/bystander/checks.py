@@ -1,31 +1,33 @@
 """Self-contained verification suites behind `oracle-check` and
-`grad-check`: exact tabular equivalences and finite-difference gradient
-audits, each with documented seeds.
+`grad-check`, each with documented seeds.
+
+`oracle-check` checks properties the method rests on, on shipped code: the
+QMIX mixer's monotonicity and the decentralized argmax it licenses, on
+`MixingNet`; a negative-weight counterexample showing that argmax check can
+fail; and the bystander replay, on both envs, that makes the bystanders'
+problem a single-party MDP once the victims are frozen. `grad-check`
+compares the hand-written gradients with finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import ContractViolation, EpisodeTrajectory, Party
+from .envs import preset
 from .neural import LSTMCell, MLP, grad_check
 from .qmix import MixingNet
 from .rewards import RewardModel, episode_sum_loss_grad
-from .tabular import (
-    brute_force_joint_argmax,
-    composed_argmax,
-    marginalize_fixed_parties,
-    random_adv_policy,
-    random_instance,
-    reduced_value_iteration,
-    scalar_policy_evaluation,
-    value_iteration,
-    vector_value_iteration,
-)
+from .rollout import Controller, RandomController, run_episode
+from .training import FrozenPolicy
 
-ORACLE_SEEDS = tuple(range(1000, 1020))
 GRAD_SEEDS = tuple(range(2000, 2010))
+REPLAY_PRESETS = ("skirmish-small", "corridor-small")
+REPLAY_SEEDS = tuple(range(4000, 4005))
 KINK_GAP = 1e-4
 
 
@@ -44,40 +46,27 @@ class CheckResult:
         return f"[{status}] {self.name}: residual {self.residual:.3e} (bound {self.bound:.1e})"
 
 
-def fixed_party_reduction_residual(seeds=ORACLE_SEEDS) -> float:
-    """Max sup-norm gap between optimizing on the full three-party model and
-    on the model with fixed parties folded into the dynamics."""
-    worst = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        mdp = random_instance(rng)
-        w = rng.uniform(0.0, 1.0, size=mdp.n_paths)
-        scalar = mdp.rewards @ w
-        q_full = value_iteration(mdp, scalar, tolerance=1e-13)
-        reduced = marginalize_fixed_parties(mdp)
-        q_reduced = reduced_value_iteration(reduced, reduced.rewards @ w, tolerance=1e-13)
-        worst = max(worst, float(np.max(np.abs(q_full - q_reduced))))
-    return worst
+def brute_force_joint_argmax(
+    q_tables: Sequence[np.ndarray], mixer_fn: Callable[[np.ndarray], float]
+) -> tuple[tuple[int, ...], float]:
+    """Exhaustive search over joint actions for the best mixed value."""
+    best_joint, best_val = None, -np.inf
+    for joint in product(*(range(len(q)) for q in q_tables)):
+        vals = np.array([q[a] for q, a in zip(q_tables, joint)])
+        total = mixer_fn(vals)
+        if total > best_val:
+            best_joint, best_val = joint, total
+    return best_joint, float(best_val)
 
 
-def weighted_evaluation_residual(seeds=ORACLE_SEEDS) -> float:
-    """Max gap between scalar policy evaluation under the weighted reward and
-    the weight-dotted component-wise evaluation."""
-    worst = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        mdp = random_instance(rng)
-        w = rng.uniform(0.0, 1.0, size=mdp.n_paths)
-        policy = random_adv_policy(rng, mdp)
-        q_scalar = scalar_policy_evaluation(mdp, policy, mdp.rewards @ w, tolerance=1e-13)
-        q_vec = vector_value_iteration(mdp, policy, tolerance=1e-13)
-        worst = max(worst, float(np.max(np.abs(q_scalar - q_vec @ w))))
-    return worst
+def composed_argmax(q_tables: Sequence[np.ndarray]) -> tuple[int, ...]:
+    """Per-agent greedy actions (ties to the lowest id)."""
+    return tuple(int(np.argmax(q)) for q in q_tables)
 
 
 def monotonicity_residual(n_cases: int = 1000, seed: int = 3000) -> float:
-    """Most negative finite-difference dQ_tot/dQ_i over random mixer
-    parameterizations and inputs (>= 0 up to FD noise when monotone)."""
+    """Size of the most negative finite-difference dQ_tot/dQ_i over random
+    mixer parameterizations and inputs (0 up to FD noise when monotone)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     eps = 1e-6
@@ -93,8 +82,8 @@ def monotonicity_residual(n_cases: int = 1000, seed: int = 3000) -> float:
             lo = q.copy()
             lo[i] -= eps
             slope = (mixer.forward(hi, cond)[0] - mixer.forward(lo, cond)[0]) / (2 * eps)
-            worst = min(worst, float(slope))
-    return -worst  # residual = size of the worst violation
+            worst = max(worst, -float(slope))
+    return worst
 
 
 def argmax_consistency_residual(n_cases: int = 500, seed: int = 3100) -> float:
@@ -134,6 +123,65 @@ def find_nonmonotone_counterexample(seed: int = 3200, max_tries: int = 200) -> b
         if best - greedy_val > 1e-9:
             return True
     return False
+
+
+class _Playback(Controller):
+    """Plays a recorded (T, n) action sequence back, one row per call; an
+    IndexError once the record runs out."""
+
+    def __init__(self, actions: np.ndarray):
+        self.actions = actions
+        self.t = 0
+
+    def act(self, obs_mat, mask_mat):
+        self.t += 1
+        return self.actions[self.t - 1]
+
+
+def _same_play(a: EpisodeTrajectory, b: EpisodeTrajectory) -> bool:
+    if len(a) != len(b):
+        return False
+    for p in a.actions:
+        for x, y in ((a.obs, b.obs), (a.avail, b.avail), (a.actions, b.actions)):
+            if not np.array_equal(x[p], y[p]):
+                return False
+    return all(
+        (x.terminal, x.victim_success, x.victim_failed) == (y.terminal, y.victim_success, y.victim_failed)
+        and np.array_equal(x.failure_signals, y.failure_signals)
+        for x, y in zip(a.outcomes, b.outcomes)
+    )
+
+
+def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_seed: int = 4100) -> float:
+    """Number of episodes a replay fails to reproduce.
+
+    Per preset, the victims are a FrozenPolicy over a seeded, untrained MLP:
+    the property does not depend on training. Each seed's episode is played
+    with random bystanders, then again from the same seed with the same
+    victims and the recorded bystander actions played back. Once the victims
+    are frozen, the bystanders' actions alone must fix the episode, so every
+    party's observations, masks and actions and every step outcome must
+    repeat bit for bit; a replayed action env.step refuses, or a replay that
+    outlasts the record, counts as a miss too."""
+    misses = 0
+    for name in presets:
+        env = preset(name)
+        d = env.descriptor
+        n_victims = len(env.agents(Party.VICTIM))
+        dims = [d.obs_dim(Party.VICTIM), 16, 16, d.n_actions(Party.VICTIM)]
+        net = MLP([f"victim{i}" for i in range(n_victims)], dims, np.random.default_rng(net_seed))
+        victims = FrozenPolicy(Party.VICTIM, net).as_controller()
+        for seed in seeds:
+            bystanders = RandomController(np.random.default_rng(seed))
+            played = run_episode(env, {Party.VICTIM: victims, Party.ADVERSARY: bystanders}, seed).trajectory
+            playback = _Playback(played.actions[Party.ADVERSARY])
+            try:
+                again = run_episode(env, {Party.VICTIM: victims, Party.ADVERSARY: playback}, seed).trajectory
+            except (ContractViolation, IndexError):
+                misses += 1
+                continue
+            misses += not _same_play(played, again)
+    return float(misses)
 
 
 def _resample_until_smooth(build, seeds):
@@ -273,17 +321,17 @@ def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
 
 
 def run_oracle_checks() -> list[CheckResult]:
-    results = [
-        CheckResult("fixed-party reduction (full vs marginalized Q)", fixed_party_reduction_residual(), 1e-9),
-        CheckResult("weighted vs component-wise policy evaluation", weighted_evaluation_residual(), 1e-9),
+    found = find_nonmonotone_counterexample()
+    return [
         CheckResult("mixer monotonicity (worst FD slope violation)", monotonicity_residual(), 1e-9),
         CheckResult("decentralized vs exhaustive argmax value", argmax_consistency_residual(), 1e-12),
+        CheckResult("negative-weight counterexample found", 0.0 if found else 1.0, 0.5),
+        CheckResult(
+            f"bystander replay against frozen victims ({', '.join(REPLAY_PRESETS)})",
+            bystander_replay_residual(),
+            0.5,
+        ),
     ]
-    found = find_nonmonotone_counterexample()
-    results.append(
-        CheckResult("negative-weight counterexample found", 0.0 if found else 1.0, 0.5)
-    )
-    return results
 
 
 def run_grad_checks() -> list[CheckResult]:

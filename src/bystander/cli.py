@@ -52,8 +52,6 @@ def _parser() -> argparse.ArgumentParser:
         ("evaluate", "win rate of a victim checkpoint, optionally under attack"),
         ("defend-retrain", "retrain victims against a frozen attack"),
         ("run-experiment", "run one of the rq1..rq4 sweeps"),
-        ("oracle-check", "exact tabular verification suite"),
-        ("grad-check", "finite-difference gradient audit"),
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="key=value config file")
@@ -64,6 +62,9 @@ def _parser() -> argparse.ArgumentParser:
         if name == "run-experiment":
             p.add_argument("--experiment", required=True, help="rq1..rq4")
             p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    # the checks take no options: their seeds are fixed in checks.py
+    sub.add_parser("oracle-check", help="mixer argmax checks and the bystander replay on both envs")
+    sub.add_parser("grad-check", help="finite-difference gradient audit")
     return parser
 
 

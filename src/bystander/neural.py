@@ -466,8 +466,12 @@ def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None, dict]:
 
     Returns (params_by_name, optimizer_meta_or_None, fields); optimizer_meta
     carries the hyperparameters plus 'first_moment'/'second_moment' dicts.
+    StructuralError for a file np.load does not open as an npz archive.
     """
-    with np.load(path) as data:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise StructuralError(f"{path}: not an npz checkpoint")
+    with data:
         meta = json.loads(bytes(data["__meta__"]).decode())
         if meta.get("version") != CHECKPOINT_VERSION or "params" not in meta:
             raise StructuralError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint")

@@ -1,17 +1,36 @@
 """The verification suites behind `oracle-check` and `grad-check`, run
 directly rather than only through the code they audit."""
 
+import numpy as np
 import pytest
 
 from bystander import checks
 from bystander.cli import EXIT_OK, EXIT_TRAINING, dispatch
+from bystander.envs import SkirmishEnv
 
 
-def test_oracle_check_passes_all_five_checks(capsys):
+def test_oracle_check_passes_all_four_checks(capsys):
     assert dispatch(["oracle-check"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 4
     assert all(line.startswith("[pass]") for line in lines)
+    assert "[pass] mixer monotonicity (worst FD slope violation): residual 0.000e+00 (bound 1.0e-09)" in lines
+    assert lines[-1].startswith("[pass] bystander replay against frozen victims (skirmish-small, corridor-small)")
+
+
+def test_bystander_replay_catches_a_nondeterministic_third_party(monkeypatch, capsys):
+    # the scripted opponents idle at random, drawn from one stream that no
+    # reset restarts, so the bystanders' actions no longer fix the episode
+    unseeded = np.random.default_rng(0)
+    scripted = SkirmishEnv._scripted_action
+
+    def sometimes_idle(self, state, k, occupied):
+        return 0 if unseeded.random() < 0.5 else scripted(self, state, k, occupied)
+
+    monkeypatch.setattr(SkirmishEnv, "_scripted_action", sometimes_idle)
+    assert checks.bystander_replay_residual(presets=("skirmish-small",)) > 0.5
+    assert dispatch(["oracle-check"]) == EXIT_TRAINING
+    assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] bystander replay")
 
 
 @pytest.mark.parametrize(

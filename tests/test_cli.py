@@ -172,4 +172,8 @@ def test_flags_and_keys_only_where_they_are_read(tmp_path):
     assert dispatch(["run-experiment", *out]) == EXIT_CONFIG  # --experiment is required
     for key in ("experiment.eval_episodes=3", "experiment.id=rq2"):
         assert dispatch(["run-experiment", "--experiment", "rq2", "--set", key, *out]) == EXIT_CONFIG
+    # the checks read no config, seed or output directory
+    assert dispatch(["grad-check", "--seed", "1"]) == EXIT_CONFIG
+    for flag in ("--config", "--set", "--out"):
+        assert dispatch(["oracle-check", flag, str(tmp_path)]) == EXIT_CONFIG
     assert not list(tmp_path.iterdir())

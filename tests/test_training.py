@@ -196,12 +196,16 @@ def _write_former_policy_format(path, policy):
 
 
 def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
-    path = tmp_path / "former.npz"
-    _write_former_policy_format(path, FrozenPolicy(Party.VICTIM, _nets()))
-    with pytest.raises(ConfigError, match=re.escape(str(path))):
-        load_policy(path)
-    argv = ["evaluate", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
-    assert dispatch([*argv, "--set", f"victim_checkpoint={path}"]) == EXIT_CONFIG
+    former = tmp_path / "former.npz"
+    _write_former_policy_format(former, FrozenPolicy(Party.VICTIM, _nets()))
+    # np.load opens a .npy file as one array, not as an npz archive
+    array = tmp_path / "array.npy"
+    np.save(array, np.zeros(3))
+    argv = ["evaluate", "--out", str(tmp_path / "runs"), "--set", "env.preset=skirmish-small"]
+    for path in (former, array):
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_policy(path)
+        assert dispatch([*argv, "--set", f"victim_checkpoint={path}"]) == EXIT_CONFIG
 
 
 def test_frozen_act_matches_greedy_controller_over_source_nets():
