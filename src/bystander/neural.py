@@ -1,8 +1,9 @@
 """Minimal differentiable building blocks with hand-written gradients.
 
 Feed-forward nets, a gated recurrent (LSTM-style) cell with a scalar head,
-and an adaptive-moment optimizer. No autodiff graph: every forward returns a
-cache and every backward consumes it, accumulating into ParamTensor.grad.
+and an adaptive-moment optimizer. No autodiff graph: every forward that is
+trained through returns a cache and every backward consumes it, accumulating
+into ParamTensor.grad.
 All math is float64 so finite-difference checks are reliable.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -199,28 +201,43 @@ class RecurrentState:
             raise StructuralError("recurrent state must be finite")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh form never overflows, so it needs no split by sign
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 @dataclass
 class LSTMStepCache:
+    """What the backward pass reads of one batched step: its input rows,
+    previous hidden and cell, the activated gates i, f, g, o side by side
+    (B, 4H), and the new cell's tanh and the new hidden."""
+
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
+    gates: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray
+
+
+@dataclass
+class LSTMPackedCache(LSTMStepCache):
+    """The same fields for a packed unroll, one row per computed (tick,
+    sequence) pair, tick-major, plus the live row count of every tick."""
+
+    live: np.ndarray
 
 
 class LSTMCell:
     """Standard gated cell (input/forget/output gates, candidate cell) with a
     scalar output head. Gate order in the stacked weights: i, f, g, o.
+
+    Every path computes the pre-activation as (x wx^T + b) + h wh^T and
+    shares one copy of the gate equations (`_activate`) and of their
+    gradients (`_slopes`, `_gate_grads`):
+    - `step`/`backward_step`: one batched tick with its cache; the per-tick
+      reference that the gradient checks and tests compare against.
+    - `forward_packed`/`backward_packed`: a whole unroll of ragged
+      sequences packed tick-major. The input projection, the head, the
+      gates' local derivatives and every weight gradient are one operation
+      over all rows; a tick computes only its recurrent product and the
+      gate arithmetic that depends on it.
+    - `step_row`: one (d_in,) row with no cache, for streaming.
     """
 
     def __init__(self, name: str, d_in: int, hidden: int, rng: np.random.Generator):
@@ -235,6 +252,12 @@ class LSTMCell:
         self.b.array[hidden : 2 * hidden] = 1.0
         self.w_out = ParamTensor.uniform(f"{name}.w_out", (hidden,), rng, limit)
         self.b_out = ParamTensor.zeros(f"{name}.b_out", (1,))
+        # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5, so one tanh activates all
+        # four gates: scale and shift are 0.5 for i, f, o and 1, 0 for g
+        self._gate_scale = np.full(4 * hidden, 0.5)
+        self._gate_scale[2 * hidden : 3 * hidden] = 1.0
+        self._gate_shift = np.full(4 * hidden, 0.5)
+        self._gate_shift[2 * hidden : 3 * hidden] = 0.0
 
     def params(self) -> list[ParamTensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
@@ -242,6 +265,49 @@ class LSTMCell:
     def initial_state(self, batch: int | None = None) -> RecurrentState:
         shape = (self.hidden,) if batch is None else (batch, self.hidden)
         return RecurrentState(np.zeros(shape), np.zeros(shape))
+
+    def _activate(
+        self, gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, h: np.ndarray
+    ) -> None:
+        """The gate equations, in place. gates (..., 4H) holds the
+        pre-activations on entry and the gates i, f, g, o on exit; the new
+        cell, its tanh and the new hidden are written to c, tanh_c, h."""
+        H = self.hidden
+        gates *= self._gate_scale
+        np.tanh(gates, out=gates)
+        gates *= self._gate_scale
+        gates += self._gate_shift
+        i, f, g, o = gates[..., :H], gates[..., H : 2 * H], gates[..., 2 * H : 3 * H], gates[..., 3 * H :]
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+
+    def _slopes(self, cache: LSTMStepCache) -> tuple[np.ndarray, np.ndarray]:
+        """The local derivatives of the gate equations at the cached rows:
+        a (B, 4, H) and k (B, H) with dz = a * [dc, dc, dc, dh] (i, f, g,
+        o) and dc = dh * k + (the next step's cell gradient)."""
+        gates = cache.gates.reshape(len(cache.gates), 4, self.hidden)
+        i, g, o = gates[:, 0], gates[:, 2], gates[:, 3]
+        a = gates * (1.0 - gates)
+        np.subtract(1.0, g * g, out=a[:, 2])
+        a[:, 0] *= g
+        a[:, 1] *= cache.c_prev
+        a[:, 2] *= i
+        a[:, 3] *= cache.tanh_c
+        return a, o * (1.0 - cache.tanh_c * cache.tanh_c)
+
+    def _gate_grads(
+        self, a: np.ndarray, k: np.ndarray, f: np.ndarray, dh: np.ndarray, dc_next: np.ndarray
+    ) -> np.ndarray:
+        """The chain through one step's gates: turns its slopes a (B, 4, H)
+        into the pre-activation gradient dz in place, given the hidden
+        gradient dh and the next step's cell gradient, and returns the
+        previous cell's gradient (f is the forget gate)."""
+        dc = dh * k + dc_next
+        a[:, :3] *= dc[:, None, :]
+        a[:, 3] *= dh
+        return dc * f
 
     def step(
         self, x: np.ndarray, state: RecurrentState
@@ -258,17 +324,11 @@ class LSTMCell:
             raise StructuralError(f"{self.name}: input width {x.shape[1]} != {self.d_in}")
         if h_prev.shape[1] != self.hidden:
             raise StructuralError(f"{self.name}: state width {h_prev.shape[1]} != {self.hidden}")
-        H = self.hidden
-        z = x @ self.wx.array.T + h_prev @ self.wh.array.T + self.b.array
-        i = _sigmoid(z[:, :H])
-        f = _sigmoid(z[:, H : 2 * H])
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        o = _sigmoid(z[:, 3 * H :])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
+        gates = x @ self.wx.array.T + self.b.array + h_prev @ self.wh.array.T
+        c, tanh_c, h = (np.empty_like(h_prev) for _ in range(3))
+        self._activate(gates, c_prev, c, tanh_c, h)
         y = h @ self.w_out.array + self.b_out.array[0]
-        cache = LSTMStepCache(x, h_prev, c_prev, i, f, g, o, c, tanh_c, h)
+        cache = LSTMStepCache(x, h_prev, c_prev, gates, tanh_c, h)
         if squeeze:
             return float(y[0]), RecurrentState(h[0], c[0]), cache
         return y, RecurrentState(h, c), cache
@@ -285,34 +345,100 @@ class LSTMCell:
         dc_prev); the gradient of the input rows is not computed, as no
         caller reads it."""
         dy = np.atleast_1d(np.asarray(dy, dtype=float))
-        B = cache.h.shape[0]
         if dh_next is None:
             dh_next = np.zeros_like(cache.h)
         if dc_next is None:
-            dc_next = np.zeros_like(cache.c)
+            dc_next = np.zeros_like(cache.h)
         self.w_out.grad_array[...] += cache.h.T @ dy
         self.b_out.grad_array[...] += dy.sum()
-        dh = dy[:, None] * self.w_out.array + dh_next
-        do = dh * cache.tanh_c
-        dc = dh * cache.o * (1.0 - cache.tanh_c**2) + dc_next
-        df = dc * cache.c_prev
-        di = dc * cache.g
-        dg = dc * cache.i
-        dc_prev = dc * cache.f
-        dz = np.concatenate(
-            [
-                di * cache.i * (1.0 - cache.i),
-                df * cache.f * (1.0 - cache.f),
-                dg * (1.0 - cache.g**2),
-                do * cache.o * (1.0 - cache.o),
-            ],
-            axis=1,
-        )
+        a, k = self._slopes(cache)
+        f = cache.gates[:, self.hidden : 2 * self.hidden]
+        dc_prev = self._gate_grads(a, k, f, dy[:, None] * self.w_out.array + dh_next, dc_next)
+        dz = a.reshape(len(a), -1)
         self.wx.grad_array[...] += dz.T @ cache.x
         self.wh.grad_array[...] += dz.T @ cache.h_prev
         self.b.grad_array[...] += dz.sum(axis=0)
-        dh_prev = dz @ self.wh.array
-        return dh_prev, dc_prev
+        return dz @ self.wh.array, dc_prev
+
+    def forward_packed(self, x: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, LSTMPackedCache]:
+        """Unroll ragged sequences from the zero state, packed tick-major.
+
+        x (N, d_in) holds tick 0's rows, then tick 1's, and so on; tick t
+        has live[t] rows, and row j of tick t + 1 continues row j of tick t
+        (so live never grows and sums to N). The input projection is one
+        product over all N rows and the head one product after the loop; a
+        tick computes only h wh^T and the gate equations. Returns the head
+        output of every row (N,) and the cache. StructuralError if a hidden
+        state is not finite: the cell starts at zero and moves by at most 1
+        a step unless a gate is NaN, and a NaN cell makes the hidden NaN,
+        so finite hidden rows mean a finite state.
+        """
+        x = np.asarray(x, dtype=float)
+        live = np.asarray(live, dtype=int)
+        if x.ndim != 2 or x.shape[1] != self.d_in or live.sum() != len(x) or np.any(np.diff(live) > 0):
+            raise StructuralError(f"{self.name}: packed input {x.shape} is not live {live.tolist()} rows of width {self.d_in}")
+        first = live[0] if len(live) else 0
+        gates = x @ self.wx.array.T + self.b.array
+        c, tanh_c, h = (np.empty((len(x), self.hidden)) for _ in range(3))
+        # a contiguous copy: products through the transposed view cost more at a few rows
+        wh_t = np.ascontiguousarray(self.wh.array.T)
+        h_prev = c_prev = np.zeros((first, self.hidden))
+        lo = 0
+        for n in live.tolist():
+            hi = lo + n
+            gates[lo:hi] += h_prev[:n] @ wh_t
+            self._activate(gates[lo:hi], c_prev[:n], c[lo:hi], tanh_c[lo:hi], h[lo:hi])
+            h_prev, c_prev = h[lo:hi], c[lo:hi]
+            lo = hi
+        if not np.isfinite(h).all():
+            raise StructuralError(f"{self.name}: recurrent state must be finite")
+        # row r of tick t > 0 continues row r - live[t - 1]; tick 0's rows start from zero
+        prev = np.arange(first, len(x)) - np.repeat(live[:-1], live[1:])
+        h_prev, c_prev = np.zeros_like(h), np.zeros_like(c)
+        h_prev[first:] = h[prev]
+        c_prev[first:] = c[prev]
+        cache = LSTMPackedCache(x, h_prev, c_prev, gates, tanh_c, h, live)
+        return h @ self.w_out.array + self.b_out.array[0], cache
+
+    def backward_packed(self, cache: LSTMPackedCache, dy: np.ndarray) -> None:
+        """Backprop a packed unroll given the head gradient of every row (N,).
+
+        A row's hidden and cell gradients start at zero on its last tick.
+        The gates' slopes are one operation over all rows; each tick chains
+        them with its gradients and computes dz wh; the gradients of wx, wh,
+        b, w_out and b_out are one product each over all rows after the
+        loop. The gradient of the input rows is not computed."""
+        dy = np.asarray(dy, dtype=float)
+        a, k = self._slopes(cache)
+        dz = a.reshape(len(a), -1)
+        f = cache.gates[:, self.hidden : 2 * self.hidden]
+        dh_out = dy[:, None] * self.w_out.array
+        wh = self.wh.array
+        rows = cache.live[0] if len(cache.live) else 0
+        dh, dc = np.zeros((rows, self.hidden)), np.zeros((rows, self.hidden))
+        hi = len(dy)
+        for n in cache.live[::-1].tolist():
+            lo = hi - n
+            dc[:n] = self._gate_grads(a[lo:hi], k[lo:hi], f[lo:hi], dh_out[lo:hi] + dh[:n], dc[:n])
+            np.matmul(dz[lo:hi], wh, out=dh[:n])
+            hi = lo
+        self.wx.grad_array[...] += dz.T @ cache.x
+        self.wh.grad_array[...] += dz.T @ cache.h_prev
+        self.b.grad_array[...] += dz.sum(axis=0)
+        self.w_out.grad_array[...] += cache.h.T @ dy
+        self.b_out.grad_array[...] += dy.sum()
+
+    def step_row(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """One update of a single (d_in,) row from hidden and cell vectors,
+        keeping no cache; the caller checks the row's width. Returns the
+        head output and the new hidden and cell. StructuralError if the new
+        hidden is not finite (which covers the cell, see `forward_packed`)."""
+        gates = self.wx.array @ x + self.b.values + self.wh.array @ h
+        c_new, tanh_c, h_new = (np.empty(self.hidden) for _ in range(3))
+        self._activate(gates, c, c_new, tanh_c, h_new)
+        if not np.isfinite(h_new).all():
+            raise StructuralError(f"{self.name}: recurrent state must be finite")
+        return float(h_new @ self.w_out.values + self.b_out.values[0]), h_new, c_new
 
 
 @dataclass
@@ -466,8 +592,11 @@ def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None, dict]:
 
     Returns (params_by_name, optimizer_meta_or_None, fields); optimizer_meta
     carries the hyperparameters plus 'first_moment'/'second_moment' dicts.
-    StructuralError for a file np.load does not open as an npz archive.
+    StructuralError for a directory, or a file np.load does not open as an
+    npz archive.
     """
+    if Path(path).is_dir():
+        raise StructuralError(f"{path}: a directory, not an npz checkpoint")
     data = np.load(path)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise StructuralError(f"{path}: not an npz checkpoint")

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ContractViolation, StepOutcome, StructuralError, TrainingFault
-from .neural import Adam, LSTMCell, LSTMStepCache, RecurrentState
+from .neural import Adam, LSTMCell, LSTMPackedCache
 
 
 def terminal_reward(outcome: StepOutcome, r_fail: float) -> float:
@@ -38,57 +38,38 @@ class RewardModel:
     def params(self):
         return self.cell.params()
 
-    def initial_state(self) -> RecurrentState:
-        return self.cell.initial_state()
-
-    def estimate_step(
-        self, concat_obs: np.ndarray, state: RecurrentState
-    ) -> tuple[float, RecurrentState]:
-        concat_obs = np.asarray(concat_obs, dtype=float)
-        if concat_obs.shape != (self.input_dim,):
-            raise StructuralError(
-                f"observation layout {concat_obs.shape} != ({self.input_dim},)"
-            )
-        y, nxt, _ = self.cell.step(concat_obs, state)
-        return float(y), nxt
-
     def unroll(
         self, episodes: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, list[LSTMStepCache], np.ndarray]:
+    ) -> tuple[np.ndarray, LSTMPackedCache, np.ndarray]:
         """Run B episodes of (T_i, input_dim) through the cell together.
 
         The episodes are ordered longest first (ties keep their input
-        order) and zero-padded to (T_max, B, input_dim); every row starts
-        from the zero state. At tick t the rows still inside their episode
-        are a prefix of that order, and only they go through the batched
-        cell step, so padding is never computed and the work of an unroll
-        follows the real steps, not B * T_max. Returns the per-episode
-        output sums (B,) in input order, the per-tick caches (the cache of
-        tick t holds its live rows) and the order: row j of the unroll is
-        episode order[j].
+        order), and every one starts from the zero state. At tick t the
+        episodes still running are a prefix of that order; their rows are
+        packed tick-major, tick 0's first, into one (sum T_i, input_dim)
+        array that goes through `LSTMCell.forward_packed`. So no padding is
+        computed, and the input projection and the head are one product
+        each. Returns the per-episode output sums (B,) in input order, the
+        packed cache, and for each packed row the input index of its
+        episode. Each sum adds its episode's outputs in step order.
         """
+        if not episodes:
+            raise StructuralError("need at least one episode")
         eps = [np.asarray(ep, dtype=float) for ep in episodes]
         for ep in eps:
             if ep.ndim != 2 or ep.shape[1] != self.input_dim:
                 raise StructuralError(f"episode layout {ep.shape} incompatible")
         lengths = np.array([len(ep) for ep in eps], dtype=int)
         order = np.argsort(-lengths, kind="stable")
-        x = np.zeros((int(lengths.max(initial=0)), len(eps), self.input_dim))
-        for j, k in enumerate(order):
-            x[: lengths[k], j] = eps[k]
-        live = (lengths[order] > np.arange(len(x))[:, None]).sum(axis=1)
-        state = self.cell.initial_state(batch=len(eps))
-        sums = np.zeros(len(eps))
-        caches = []
-        for t, n in enumerate(live):
-            if n < len(state.hidden):
-                state = RecurrentState(state.hidden[:n], state.cell[:n])
-            y, state, cache = self.cell.step(x[t, :n], state)
-            sums[:n] += y
-            caches.append(cache)
-        out = np.empty(len(eps))
-        out[order] = sums
-        return out, caches, order
+        ordered = lengths[order]
+        # the tick of every packed row and its episode's place in the order
+        tick, slot = np.nonzero(ordered > np.arange(ordered[0])[:, None])
+        # gathered from the ordered episodes laid end to end
+        starts = np.cumsum(ordered) - ordered
+        x = np.concatenate([eps[k] for k in order])[starts[slot] + tick]
+        y, cache = self.cell.forward_packed(x, np.bincount(tick))
+        episode = order[slot]
+        return np.bincount(episode, weights=y, minlength=len(eps)), cache, episode
 
     def episode_sums(self, episodes: Sequence[np.ndarray]) -> np.ndarray:
         """Sum of per-step estimates for each (T_i, input_dim) episode, from
@@ -106,25 +87,20 @@ def episode_sum_loss_grad(
 
     Each episode is a (T, input_dim) array of concatenated bystander
     observations; its target is the scalar terminal ground truth. One
-    unroll covers the batch and one batched backward step runs per tick,
-    on that tick's live rows. Every real step of episode k gets the same
-    upstream gradient 2 * err_k / B. A row's hidden and cell gradients
-    start at zero on its last step, and no step past an episode's end is
-    computed, so padding adds nothing to any gradient.
+    packed unroll covers the batch and one packed backward
+    (`LSTMCell.backward_packed`) goes back through it; every real step of
+    episode k gets the same upstream gradient 2 * err_k / B. Each weight
+    gradient is one product over all the steps of the batch, so its terms
+    are summed in another order than one episode step by step would sum
+    them; the tests hold the two within 1e-12 (relative for the loss,
+    absolute for the parameters after 20 updates).
     """
     if len(episodes) != len(ground_truths):
         raise StructuralError("episodes and ground truths must align")
-    if not episodes:
-        raise StructuralError("need at least one episode")
-    sums, caches, order = model.unroll(episodes)
+    sums, cache, episode = model.unroll(episodes)
     n = len(episodes)
     err = sums - np.asarray(ground_truths, dtype=float)
-    dy = (2.0 * err / n)[order]
-    dh = np.zeros((n, model.hidden))
-    dc = np.zeros((n, model.hidden))
-    for cache in reversed(caches):
-        k = len(cache.h)
-        dh[:k], dc[:k] = model.cell.backward_step(cache, dy[:k], dh[:k], dc[:k])
+    model.cell.backward_packed(cache, (2.0 * err / n)[episode])
     return float(err @ err) / n
 
 
@@ -145,21 +121,28 @@ def reward_model_update(
 
 
 class EpisodeEstimator:
-    """Streams one episode through the reward model during a rollout,
-    recording inputs and estimates for the end-of-episode model update."""
+    """Streams one episode through the reward model during a rollout, one
+    `LSTMCell.step_row` per step, recording inputs and estimates for the
+    end-of-episode model update."""
 
     def __init__(self, model: RewardModel, clip: float):
         self.model = model
         self.clip = float(clip)
-        self.state = model.initial_state()
+        self.hidden = np.zeros(model.hidden)
+        self.cell = np.zeros(model.hidden)
         self.inputs: list[np.ndarray] = []
         self.estimates: list[float] = []
 
     def step(self, concat_obs: np.ndarray) -> float:
-        y, self.state = self.model.estimate_step(concat_obs, self.state)
-        self.inputs.append(np.asarray(concat_obs, dtype=float).copy())
+        """The clipped estimate of one step; StructuralError for a row of
+        the wrong layout or a non-finite recurrent state."""
+        x = np.array(concat_obs, dtype=float)
+        if x.shape != (self.model.input_dim,):
+            raise StructuralError(f"observation layout {x.shape} != ({self.model.input_dim},)")
+        y, self.hidden, self.cell = self.model.cell.step_row(x, self.hidden, self.cell)
+        self.inputs.append(x)
         self.estimates.append(y)
-        return float(np.clip(y, -self.clip, self.clip))
+        return min(max(y, -self.clip), self.clip)
 
     def episode_inputs(self) -> np.ndarray:
         return np.stack(self.inputs) if self.inputs else np.zeros((0, self.model.input_dim))

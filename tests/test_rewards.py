@@ -69,15 +69,15 @@ def test_zero_model_estimates_zero():
     model = RewardModel(4, 6, np.random.default_rng(0))
     for p in model.params():
         p.values[:] = 0.0
-    state = model.initial_state()
-    y, state = model.estimate_step(np.ones(4), state)
-    assert y == 0.0
+    est = EpisodeEstimator(model, clip=5.0)
+    assert est.step(np.ones(4)) == 0.0
+    assert est.estimates == [0.0] and not est.hidden.any() and not est.cell.any()
 
 
 def test_estimate_layout_mismatch():
     model = RewardModel(4, 6, np.random.default_rng(0))
     with pytest.raises(StructuralError):
-        model.estimate_step(np.ones(5), model.initial_state())
+        EpisodeEstimator(model, clip=5.0).step(np.ones(5))
 
 
 def test_episode_replay_matches_streaming_sum():
@@ -181,22 +181,24 @@ def per_episode_update(model, episodes, ground_truths, optimizer):
 # ragged batches: a length-1 episode, a single-episode batch, a batch of
 # equal lengths and one whose longest episode is not first
 RAGGED_BATCHES = [[7, 3, 1, 12], [1], [5, 5], [2, 9, 1, 4, 6, 8, 3], [4]]
+# the attack workload's shape: 16 episodes of 1 to 40 steps
+WORKLOAD_BATCHES = [[1, 40, *row] for row in np.random.default_rng(24).integers(1, 41, size=(3, 14)).tolist()]
 
 
 def test_batched_update_matches_per_episode_reference():
-    rng = np.random.default_rng(21)
-    batched, reference = (RewardModel(5, 8, np.random.default_rng(9)) for _ in range(2))
-    opt_b = Adam(batched.params(), learning_rate=1e-2)
-    opt_r = Adam(reference.params(), learning_rate=1e-2)
-    for k in range(20):
-        lengths = RAGGED_BATCHES[k % len(RAGGED_BATCHES)]
-        episodes = [rng.normal(size=(T, 5)) for T in lengths]
-        gts = list(rng.uniform(0.0, 20.0, size=len(lengths)))
-        loss_b = reward_model_update(batched, episodes, gts, opt_b)
-        loss_r = per_episode_update(reference, episodes, gts, opt_r)
-        assert loss_b == pytest.approx(loss_r, rel=1e-12, abs=0.0)
-    for pb, pr in zip(batched.params(), reference.params()):
-        np.testing.assert_allclose(pb.values, pr.values, rtol=0.0, atol=1e-12)
+    for input_dim, hidden, batches in [(5, 8, RAGGED_BATCHES * 4), (62, 64, WORKLOAD_BATCHES)]:
+        rng = np.random.default_rng(21)
+        batched, reference = (RewardModel(input_dim, hidden, np.random.default_rng(9)) for _ in range(2))
+        opt_b = Adam(batched.params(), learning_rate=1e-2)
+        opt_r = Adam(reference.params(), learning_rate=1e-2)
+        for lengths in batches:
+            episodes = [rng.normal(size=(T, input_dim)) for T in lengths]
+            gts = list(rng.uniform(0.0, 20.0, size=len(lengths)))
+            loss_b = reward_model_update(batched, episodes, gts, opt_b)
+            loss_r = per_episode_update(reference, episodes, gts, opt_r)
+            assert loss_b == pytest.approx(loss_r, rel=1e-12, abs=0.0)
+        for pb, pr in zip(batched.params(), reference.params()):
+            np.testing.assert_allclose(pb.values, pr.values, rtol=0.0, atol=1e-12)
 
 
 def test_batched_episode_sums_match_one_at_a_time():
@@ -219,7 +221,27 @@ def test_unroll_steps_only_live_rows():
     rng = np.random.default_rng(23)
     model = RewardModel(5, 8, rng)
     lengths = [2, 9, 1, 4, 6, 8, 3]
-    sums, caches, order = model.unroll([rng.normal(size=(T, 5)) for T in lengths])
-    assert [lengths[k] for k in order] == sorted(lengths, reverse=True)
-    assert [len(c.h) for c in caches] == [sum(T > t for T in lengths) for t in range(max(lengths))]
+    sums, cache, episode = model.unroll([rng.normal(size=(T, 5)) for T in lengths])
+    # tick t holds the episodes still running, longest first
+    live = [sum(T > t for T in lengths) for t in range(max(lengths))]
+    assert cache.live.tolist() == live
+    assert [lengths[k] for k in episode[: live[0]]] == sorted(lengths, reverse=True)
+    # exactly one packed row per real step
+    assert len(cache.x) == len(cache.h) == len(episode) == sum(lengths)
+    np.testing.assert_array_equal(np.bincount(episode), lengths)
     assert sums.shape == (len(lengths),)
+
+
+def test_a_non_finite_recurrent_state_is_refused():
+    rng = np.random.default_rng(25)
+    model = RewardModel(4, 6, rng)
+    episodes = [rng.normal(size=(T, 4)) for T in (5, 3)]
+    episodes[1][2, 1] = np.nan
+    with pytest.raises(StructuralError, match="finite"):
+        model.episode_sums(episodes)
+    with pytest.raises(StructuralError, match="finite"):
+        reward_model_update(model, episodes, [1.0, 2.0], Adam(model.params()))
+    est = EpisodeEstimator(model, clip=5.0)
+    est.step(episodes[0][0])
+    with pytest.raises(StructuralError, match="finite"):
+        est.step(np.full(4, np.nan))

@@ -104,7 +104,7 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     estimator_step = rewards.EpisodeEstimator.step
 
     def recording_step(self, concat_obs):
-        steps_seen.append((self, len(self.inputs), self.state.hidden.copy(), self.state.cell.copy()))
+        steps_seen.append((self, len(self.inputs), self.hidden.copy(), self.cell.copy()))
         return estimator_step(self, concat_obs)
 
     monkeypatch.setattr(rewards.EpisodeEstimator, "step", recording_step)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bystander.cli import EXIT_CONFIG, dispatch
+from bystander.config import RunManifest
 from bystander import training
 from bystander.core import ConfigError, Party, TrainingFault
 from bystander.envs import PRESETS, make_env
@@ -201,11 +202,19 @@ def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
     # np.load opens a .npy file as one array, not as an npz archive
     array = tmp_path / "array.npy"
     np.save(array, np.zeros(3))
-    argv = ["evaluate", "--out", str(tmp_path / "runs"), "--set", "env.preset=skirmish-small"]
-    for path in (former, array):
+    # and fails on a directory with an OSError
+    directory = tmp_path / "directory.npz"
+    directory.mkdir()
+    runs = tmp_path / "runs"
+    for path in (former, array, directory):
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             load_policy(path)
-        assert dispatch([*argv, "--set", f"victim_checkpoint={path}"]) == EXIT_CONFIG
+        checkpoint = ["--out", str(runs), "--set", f"victim_checkpoint={path}"]
+        assert dispatch(["evaluate", *checkpoint, "--set", "env.preset=skirmish-small"]) == EXIT_CONFIG
+        # the rq grid loads its victim checkpoint after writing the manifest
+        assert dispatch(["run-experiment", "--experiment", "rq3", *checkpoint]) == EXIT_CONFIG
+        manifest = RunManifest.load(runs / "experiment-rq3" / "manifest.json")
+        assert manifest.status == "failed" and str(path) in manifest.error
 
 
 def test_frozen_act_matches_greedy_controller_over_source_nets():
