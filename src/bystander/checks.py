@@ -74,14 +74,14 @@ def monotonicity_residual(n_cases: int = 1000, seed: int = 3000) -> float:
         n = int(rng.integers(1, 4))
         cond_dim = int(rng.integers(2, 8))
         mixer = MixingNet("probe", n, cond_dim, int(rng.integers(2, 8)), rng)
-        q = rng.normal(size=n)
-        cond = rng.normal(size=cond_dim)
+        q = rng.normal(size=(1, n))
+        cond = rng.normal(size=(1, cond_dim))
         for i in range(n):
             hi = q.copy()
-            hi[i] += eps
+            hi[0, i] += eps
             lo = q.copy()
-            lo[i] -= eps
-            slope = (mixer.forward(hi, cond)[0] - mixer.forward(lo, cond)[0]) / (2 * eps)
+            lo[0, i] -= eps
+            slope = (mixer.forward(hi, cond)[0][0] - mixer.forward(lo, cond)[0][0]) / (2 * eps)
             worst = max(worst, -float(slope))
     return worst
 
@@ -96,12 +96,12 @@ def argmax_consistency_residual(n_cases: int = 500, seed: int = 3100) -> float:
         actions = [int(rng.integers(2, 6)) for _ in range(n)]
         cond_dim = int(rng.integers(2, 6))
         mixer = MixingNet("probe", n, cond_dim, 4, rng)
-        cond = rng.normal(size=cond_dim)
+        cond = rng.normal(size=(1, cond_dim))
         q_tables = [rng.normal(size=a) for a in actions]
-        _, best = brute_force_joint_argmax(q_tables, lambda v: mixer.forward(v, cond)[0])
+        _, best = brute_force_joint_argmax(q_tables, lambda v: mixer.forward(v[None], cond)[0][0])
         greedy = composed_argmax(q_tables)
-        vals = np.array([q[a] for q, a in zip(q_tables, greedy)])
-        worst = max(worst, abs(best - mixer.forward(vals, cond)[0]))
+        vals = np.array([[q[a] for q, a in zip(q_tables, greedy)]])
+        worst = max(worst, abs(best - mixer.forward(vals, cond)[0][0]))
     return worst
 
 

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 missing dependency
-(e.g. checkpoint), 4 training fault. All outputs land under --out (or
-$BYSTANDER_OUT, default ./runs); every run writes a manifest first and
-finalizes it on completion, as "done" or as "failed" with the error.
+(e.g. a checkpoint file), 4 training fault. All outputs land under --out (or
+$BYSTANDER_OUT, default ./runs). A run command checks its whole config, so a
+refused one writes nothing, then starts its manifest and finalizes it as
+"done", or as "failed" with the error of whatever stopped the run after the
+start, a bad checkpoint included. Either way the manifest lists, sorted,
+the files under the run directory that the run created or changed.
 """
 
 from __future__ import annotations
@@ -68,161 +71,151 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_merged(args) -> dict[str, str]:
-    kv = load_config(args.config) if args.config else {}
-    return apply_overrides(kv, args.overrides)
+def _required(kv: dict[str, str], key: str) -> Path:
+    if not kv.get(key):
+        raise ConfigError(f"config key {key} is required and missing")
+    return Path(kv[key])
 
 
-def _start_manifest(args, kv: dict[str, str], out: Path, command: str) -> tuple[RunManifest, Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(command=command, config_text=config_to_text(kv), seed=args.seed)
-    path = out / "manifest.json"
-    manifest.write(path)
-    args.started.append((manifest, path))
-    return manifest, path
+# A run command checks its config and returns its work: a function of the
+# run directory that writes the run's files and returns the lines to print.
 
 
-def _require(kv: dict[str, str], key: str) -> Path:
-    value = kv.get(key)
-    if not value:
-        raise FileNotFoundError(f"config key {key} is required and missing")
-    path = Path(value)
-    if not path.exists():
-        raise FileNotFoundError(f"missing checkpoint: {path}")
-    return path
-
-
-def _cmd_train_victim(args) -> int:
-    kv = _load_merged(args)
+def _train_victim(args, kv):
     env_cfg = build_env_config(kv)
     cfg = build_training_config(kv, seed=args.seed)
-    out = output_root(args.out) / "train-victim"
-    manifest, mpath = _start_manifest(args, kv, out, "train-victim")
-    result = train_victims(env_cfg, cfg, out)
-    policy_path = out / "victims.npz"
-    save_policy(policy_path, result.policy)
-    manifest.add_artifact(policy_path)
-    for suffix in ("victim_train_learner_steps.csv", "victim_train_curve.csv"):
-        manifest.add_artifact(out / suffix)
-    manifest.finalize(mpath)
-    print(f"no-attack win rate: {result.no_attack_win_rate:.3f}")
-    print(f"random-neutral win rate: {result.random_neutral_win_rate:.3f}")
-    print(f"policy: {policy_path}")
-    return EXIT_OK
+
+    def work(out: Path) -> list[str]:
+        result = train_victims(env_cfg, cfg, out)
+        policy_path = out / "victims.npz"
+        save_policy(policy_path, result.policy)
+        return [
+            f"no-attack win rate: {result.no_attack_win_rate:.3f}",
+            f"random-neutral win rate: {result.random_neutral_win_rate:.3f}",
+            f"policy: {policy_path}",
+        ]
+
+    return work
 
 
-def _cmd_train_adversary(args) -> int:
-    kv = _load_merged(args)
+def _train_adversary(args, kv):
     env_cfg = build_env_config(kv)
     cfg = build_training_config(kv, seed=args.seed)
-    victims = load_policy(_require(kv, "victim_checkpoint"))
-    out = output_root(args.out) / "train-adversary"
-    manifest, mpath = _start_manifest(args, kv, out, "train-adversary")
-    result = train_adversaries(env_cfg, victims, cfg, out)
-    policy_path = out / "adversaries.npz"
-    save_policy(policy_path, result.policy)
-    manifest.add_artifact(policy_path)
-    for suffix in ("adversary_train_learner_steps.csv", "adversary_train_curve.csv"):
-        manifest.add_artifact(out / suffix)
-    manifest.finalize(mpath)
-    print(f"under-attack win rate: {result.under_attack_win_rate:.3f}")
-    print(f"policy: {policy_path}")
-    return EXIT_OK
+    victim_path = _required(kv, "victim_checkpoint")
+
+    def work(out: Path) -> list[str]:
+        result = train_adversaries(env_cfg, load_policy(victim_path), cfg, out)
+        policy_path = out / "adversaries.npz"
+        save_policy(policy_path, result.policy)
+        return [f"under-attack win rate: {result.under_attack_win_rate:.3f}", f"policy: {policy_path}"]
+
+    return work
 
 
-def _cmd_evaluate(args) -> int:
-    kv = _load_merged(args)
+def _evaluate(args, kv):
     env_cfg = build_env_config(kv)
     cfg = build_training_config(kv, seed=args.seed)
-    victims = load_policy(_require(kv, "victim_checkpoint"))
-    adversary = None
-    if kv.get("adversary_checkpoint") == "random":
-        adversary = "random"
-    elif kv.get("adversary_checkpoint"):
-        adversary = load_policy(_require(kv, "adversary_checkpoint"))
-    out = output_root(args.out) / "evaluate"
-    manifest, mpath = _start_manifest(args, kv, out, "evaluate")
-    rate, half = evaluate_win_rate(env_cfg, victims, adversary, cfg.eval_episodes, args.seed)
-    (out / "eval.csv").write_text(
-        "win_rate,halfwidth,episodes\n" f"{rate:.10g},{half:.10g},{cfg.eval_episodes}\n"
-    )
-    manifest.add_artifact(out / "eval.csv")
-    manifest.finalize(mpath)
-    print(f"win rate: {rate:.3f} +/- {half:.3f} ({cfg.eval_episodes} episodes)")
-    return EXIT_OK
+    victim_path = _required(kv, "victim_checkpoint")
+    attack = kv.get("adversary_checkpoint") or None  # a checkpoint, "random", or None for absent
+
+    def work(out: Path) -> list[str]:
+        victims = load_policy(victim_path)
+        adversary = attack if attack in (None, "random") else load_policy(attack)
+        rate, half = evaluate_win_rate(env_cfg, victims, adversary, cfg.eval_episodes, args.seed)
+        (out / "eval.csv").write_text(
+            "win_rate,halfwidth,episodes\n" f"{rate:.10g},{half:.10g},{cfg.eval_episodes}\n"
+        )
+        return [f"win rate: {rate:.3f} +/- {half:.3f} ({cfg.eval_episodes} episodes)"]
+
+    return work
 
 
-def _cmd_defend_retrain(args) -> int:
-    kv = _load_merged(args)
+def _defend_retrain(args, kv):
     env_cfg = build_env_config(kv)
     cfg = build_training_config(kv, seed=args.seed)
-    victim_path = _require(kv, "victim_checkpoint")
-    adversary_path = _require(kv, "adversary_checkpoint")
-    out = output_root(args.out) / "defend-retrain"
-    manifest, mpath = _start_manifest(args, kv, out, "defend-retrain")
-    result = run_defense_experiment(env_cfg, victim_path, adversary_path, cfg, out)
-    manifest.add_artifact(out / "rq5_table.csv")
-    manifest.add_artifact(out / "retrained_victims.npz")
-    manifest.finalize(mpath)
-    print(
-        f"under attack: {result.before_under_attack:.3f} -> {result.after_under_attack:.3f}; "
-        f"no attack: {result.before_no_attack:.3f} -> {result.after_no_attack:.3f}"
-    )
-    return EXIT_OK
+    victim_path = _required(kv, "victim_checkpoint")
+    adversary_path = _required(kv, "adversary_checkpoint")
+
+    def work(out: Path) -> list[str]:
+        result = run_defense_experiment(env_cfg, victim_path, adversary_path, cfg, out)
+        return [
+            f"under attack: {result.before_under_attack:.3f} -> {result.after_under_attack:.3f}; "
+            f"no attack: {result.before_no_attack:.3f} -> {result.after_no_attack:.3f}"
+        ]
+
+    return work
 
 
-def _cmd_run_experiment(args) -> int:
-    kv = _load_merged(args)
-    experiment_id = args.experiment
+def _run_experiment(args, kv):
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = build_training_config(kv, seed=args.seed)
-    spec = default_spec(experiment_id, cfg, seeds=build_experiment_seeds(kv))
+    spec = default_spec(args.experiment, cfg, seeds=build_experiment_seeds(kv))
     if kv.get("victim_checkpoint"):
         spec = dataclasses.replace(spec, victim_checkpoint=kv["victim_checkpoint"])
-    out = output_root(args.out) / f"experiment-{experiment_id}"
-    manifest, mpath = _start_manifest(args, kv, out, f"run-experiment {experiment_id}")
-    table = run_experiment(spec, out, workers=args.workers)
-    for name in (f"{experiment_id}_table.csv", f"{experiment_id}_curves_long.csv"):
-        manifest.add_artifact(out / name)
-    if not spec.victim_checkpoint:
-        for label, _ in spec.env_grid:
-            manifest.add_artifact(out / f"victims_{label}.npz")
-            manifest.add_artifact(out / f"victims_{label}.json")
-    manifest.finalize(mpath)
-    for row in table.rows:
-        print(
+
+    def work(out: Path) -> list[str]:
+        table = run_experiment(spec, out, workers=args.workers)
+        return [
             f"{row.label}: under attack {row.under_attack:.3f} "
             f"(no attack {row.no_attack_absent:.3f}, random {row.no_attack_random:.3f})"
-        )
-    return EXIT_OK
+            for row in table.rows
+        ]
 
-
-def _cmd_oracle_check(args) -> int:
-    from .checks import run_oracle_checks
-
-    results = run_oracle_checks()
-    for r in results:
-        print(r.line())
-    return EXIT_OK if all(r.ok for r in results) else EXIT_TRAINING
-
-
-def _cmd_grad_check(args) -> int:
-    from .checks import run_grad_checks
-
-    results = run_grad_checks()
-    for r in results:
-        print(r.line())
-    return EXIT_OK if all(r.ok for r in results) else EXIT_TRAINING
+    return work
 
 
 _COMMANDS = {
-    "train-victim": _cmd_train_victim,
-    "train-adversary": _cmd_train_adversary,
-    "evaluate": _cmd_evaluate,
-    "defend-retrain": _cmd_defend_retrain,
-    "run-experiment": _cmd_run_experiment,
-    "oracle-check": _cmd_oracle_check,
-    "grad-check": _cmd_grad_check,
+    "train-victim": _train_victim,
+    "train-adversary": _train_adversary,
+    "evaluate": _evaluate,
+    "defend-retrain": _defend_retrain,
+    "run-experiment": _run_experiment,
 }
+
+
+def _run(args) -> int:
+    """One run command: check the config, start the manifest in the run
+    directory, work, and finalize the manifest as done or failed."""
+    kv = load_config(args.config) if args.config else {}
+    kv = apply_overrides(kv, args.overrides)
+    work = _COMMANDS[args.command](args, kv)
+    command, directory = args.command, args.command
+    if command == "run-experiment":
+        command, directory = f"{command} {args.experiment}", f"experiment-{args.experiment}"
+    out = output_root(args.out) / directory
+    manifest = RunManifest(command=command, config_text=config_to_text(kv), seed=args.seed)
+    manifest.start(out / "manifest.json")
+    try:
+        lines = work(out)
+    except BaseException as exc:
+        manifest.finalize("failed", error=_failure(exc)[0])
+        raise
+    manifest.finalize()
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _check(args) -> int:
+    from .checks import run_grad_checks, run_oracle_checks
+
+    results = {"oracle-check": run_oracle_checks, "grad-check": run_grad_checks}[args.command]()
+    for r in results:
+        print(r.line())
+    return EXIT_OK if all(r.ok for r in results) else EXIT_TRAINING
+
+
+def _failure(exc: BaseException) -> tuple[str, int | None]:
+    """The message a failed command reports and records, and its exit code
+    (None for an error that propagates)."""
+    for kinds, kind, code in (
+        (ConfigError, "config error", EXIT_CONFIG),
+        (FileNotFoundError, "dependency error", EXIT_DEPENDENCY),
+        ((TrainingFault, TrainingFailed), "training fault", EXIT_TRAINING),
+    ):
+        if isinstance(exc, kinds):
+            return f"{kind}: {exc}", code
+    return f"{type(exc).__name__}: {exc}", None
 
 
 def dispatch(argv: list[str]) -> int:
@@ -231,28 +224,14 @@ def dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    args.started = []  # (manifest, path) of every manifest the command writes
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        return _fail(args, exc, "config error", EXIT_CONFIG)
-    except FileNotFoundError as exc:
-        return _fail(args, exc, "dependency error", EXIT_DEPENDENCY)
-    except (TrainingFault, TrainingFailed) as exc:
-        return _fail(args, exc, "training fault", EXIT_TRAINING)
+        return _run(args) if args.command in _COMMANDS else _check(args)
     except BaseException as exc:
-        _fail(args, exc, type(exc).__name__, None)
-        raise
-
-
-def _fail(args, exc: BaseException, kind: str, code: int | None) -> int | None:
-    """Report a failed command and finalise the manifests it started."""
-    message = f"{kind}: {exc}"
-    print(message, file=sys.stderr)
-    for manifest, path in args.started:
-        if manifest.status == "running":
-            manifest.finalize(path, "failed", error=message)
-    return code
+        message, code = _failure(exc)
+        print(message, file=sys.stderr)
+        if code is None:
+            raise
+        return code
 
 
 def main() -> None:

@@ -87,27 +87,28 @@ def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
     return out
 
 
-def _convert(name: str, value: str, typ) -> object:
+def _convert(name: str, value: str, typ: str) -> object:
+    """`value` as the field type named by `typ`, a string annotation."""
     try:
-        if typ is bool or typ == "bool":
+        if typ == "bool":
             low = value.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(value)
-        if typ is int or typ == "int":
+        if typ == "int":
             return int(value)
-        if typ is float or typ == "float":
+        if typ == "float":
             return float(value)
-        if typ is str or typ == "str":
+        if typ == "str":
             return value
-        if typ is RewardMode or typ == "RewardMode":
+        if typ == "RewardMode":
             return RewardMode(value)
-        if "tuple" in str(typ):
+        if typ.startswith("tuple"):
             parts = [p for p in value.replace("x", ",").split(",") if p.strip()]
             floats = [float(p) for p in parts]
-            if all(f.is_integer() for f in floats) and "float" not in str(typ):
+            if all(f.is_integer() for f in floats) and "float" not in typ:
                 return tuple(int(f) for f in floats)
             return tuple(floats)
     except (ValueError, TypeError):
@@ -168,7 +169,7 @@ def build_experiment_seeds(kv: dict[str, str]) -> list[int] | None:
     validate_keys(kv)
     if not kv.get("experiment.seeds"):
         return None
-    return [_convert("experiment.seeds", s, int) for s in kv["experiment.seeds"].split(",")]
+    return [_convert("experiment.seeds", s, "int") for s in kv["experiment.seeds"].split(",")]
 
 
 def config_to_text(kv: dict[str, str]) -> str:
@@ -181,7 +182,8 @@ THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @dataclass
 class RunManifest:
     """Atomic record of what a run was: config, seeds, code version, and the
-    artifacts it produced."""
+    artifacts it produced, the files under its directory that the run
+    created or changed."""
 
     command: str
     config_text: str
@@ -209,11 +211,6 @@ class RunManifest:
         if not self.started:
             self.started = _now()
 
-    def add_artifact(self, path) -> None:
-        p = str(path)
-        if p not in self.artifacts:
-            self.artifacts.append(p)
-
     def write(self, path) -> None:
         path = Path(path)
         payload = json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -221,11 +218,27 @@ class RunManifest:
         tmp.write_text(payload)
         os.replace(tmp, path)
 
-    def finalize(self, path, status: str = "done", error: str | None = None) -> None:
+    def start(self, path) -> None:
+        """Make the run directory, write the running manifest to `path` in
+        it and stamp the files already there, for `finalize` to tell which
+        ones the run wrote."""
+        self._path = Path(path)
+        self._path.parent.mkdir(parents=True, exist_ok=True)
+        self._stamps = _file_stamps(self._path.parent)
+        self.write(self._path)
+
+    def finalize(self, status: str = "done", error: str | None = None) -> None:
+        """Rewrite the started manifest as `status`, listing as artifacts,
+        sorted, the files other than itself that are new or changed since
+        `start`. Stamps, not the clock, tell them: file times are coarse."""
+        stamps = _file_stamps(self._path.parent)
+        self.artifacts = sorted(
+            p for p, stamp in stamps.items() if p != str(self._path) and self._stamps.get(p) != stamp
+        )
         self.finished = _now()
         self.status = status
         self.error = error
-        self.write(path)
+        self.write(self._path)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
@@ -236,6 +249,12 @@ class RunManifest:
 
     def verify(self) -> bool:
         return config_hash(self.config_text) == self.config_digest
+
+
+def _file_stamps(root: Path) -> dict[str, tuple[int, int]]:
+    """(st_mtime_ns, st_size) of every file under root, by path."""
+    stats = {str(path): path.stat() for path in root.rglob("*") if path.is_file()}
+    return {path: (st.st_mtime_ns, st.st_size) for path, st in stats.items()}
 
 
 def _now() -> str:

@@ -65,7 +65,6 @@ class MixCache:
     hb1_cache: np.ndarray
     hw2_cache: np.ndarray
     hv_cache: np.ndarray
-    squeeze: bool
 
 
 class MixingNet:
@@ -92,15 +91,13 @@ class MixingNet:
         )
 
     def forward(self, q: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, MixCache]:
+        """Q_tot (B,) of agent values q (B, n) under conditioning cond (B, cond_dim)."""
         q = np.asarray(q, dtype=float)
         cond = np.asarray(cond, dtype=float)
-        squeeze = q.ndim == 1
-        if squeeze:
-            q, cond = q[None, :], cond[None, :]
-        if q.shape[1] != self.n_agents:
-            raise StructuralError(f"expected {self.n_agents} agent values, got {q.shape[1]}")
-        if cond.shape[1] != self.cond_dim:
-            raise StructuralError(f"conditioning width {cond.shape[1]} != {self.cond_dim}")
+        if q.ndim != 2 or q.shape[1] != self.n_agents:
+            raise StructuralError(f"expected (B, {self.n_agents}) agent values, got {q.shape}")
+        if cond.ndim != 2 or cond.shape[1] != self.cond_dim:
+            raise StructuralError(f"expected (B, {self.cond_dim}) conditioning, got {cond.shape}")
         w1_raw, hw1_cache = self.hyper_w1.forward(cond)
         b1, hb1_cache = self.hyper_b1.forward(cond)
         w2_raw, hw2_cache = self.hyper_w2.forward(cond)
@@ -112,14 +109,14 @@ class MixingNet:
         q_tot = (h * w2).sum(axis=1) + v[:, 0]
         cache = MixCache(
             q, w1_raw, w1, h_pre, h, w2_raw, w2,
-            hw1_cache, hb1_cache, hw2_cache, hv_cache, squeeze,
+            hw1_cache, hb1_cache, hw2_cache, hv_cache,
         )
-        return (float(q_tot[0]) if squeeze else q_tot), cache
+        return q_tot, cache
 
     def backward(self, cache: MixCache, dq_tot: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads; returns the gradient w.r.t. the
         per-agent Q inputs."""
-        dq_tot = np.atleast_1d(np.asarray(dq_tot, dtype=float))
+        dq_tot = np.asarray(dq_tot, dtype=float)
         dv = dq_tot[:, None]
         self.hyper_v.backward(cache.hv_cache, dv)
         dw2 = dq_tot[:, None] * cache.h
@@ -131,7 +128,7 @@ class MixingNet:
         dq = np.einsum("bne,be->bn", cache.w1, dh_pre)
         dw1_raw = dw1.reshape(dw1.shape[0], -1) * np.sign(cache.w1_raw)
         self.hyper_w1.backward(cache.hw1_cache, dw1_raw)
-        return dq[0] if cache.squeeze else dq
+        return dq
 
 
 @dataclass

@@ -1,9 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from bystander.cli import EXIT_CONFIG, EXIT_OK, EXIT_TRAINING, dispatch
+from bystander.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_TRAINING, dispatch
 from bystander.config import RunManifest
 from bystander.training import load_policy
 
@@ -84,12 +85,94 @@ def _manifest(out):
     return RunManifest.load(out / "manifest.json")
 
 
+def _written(out):
+    """Every file under a run directory but its manifest, as a manifest lists them."""
+    return sorted(str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+
+
 def test_failed_run_marks_manifest_failed(tmp_path):
     assert _run("train-victim", tmp_path, ["train.competence_floor=0.99"]) == EXIT_TRAINING
     manifest = _manifest(tmp_path / "train-victim")
     assert manifest.status == "failed"
     assert manifest.finished
     assert manifest.error.startswith("training fault: victims reached win rate")
+    # the training curves written before the fault
+    assert manifest.artifacts == _written(tmp_path / "train-victim") != []
+
+
+@pytest.mark.parametrize(
+    "command", ["train-victim", "train-adversary", "evaluate", "defend-retrain", "run-experiment"]
+)
+def test_manifest_lists_the_files_the_run_wrote(tmp_path, trained, command):
+    victims, adversaries = trained
+    if command == "run-experiment":
+        assert _run_experiment(tmp_path, 1) == EXIT_OK
+        out = tmp_path / "experiment-rq3"
+    else:
+        checkpoints = [f"victim_checkpoint={victims}", f"adversary_checkpoint={adversaries}"]
+        used = {"train-victim": 0, "train-adversary": 1}.get(command, 2)
+        assert _run(command, tmp_path, checkpoints[:used]) == EXIT_OK
+        out = tmp_path / command
+    manifest = _manifest(out)
+    assert (manifest.status, manifest.error) == ("done", None)
+    assert manifest.artifacts == _written(out) != []
+
+
+def test_a_rerun_lists_what_it_rewrote_and_not_a_stray_file(tmp_path):
+    assert _run("train-victim", tmp_path) == EXIT_OK
+    out = tmp_path / "train-victim"
+    stray = out / "notes.txt"
+    stray.write_text("kept by hand\n")
+    # date everything back, so that a rewrite differs from the first run's
+    # file even within one tick of the file clock
+    for path in out.rglob("*"):
+        os.utime(path, ns=(0, 0))
+    assert _run("train-victim", tmp_path) == EXIT_OK
+    manifest = _manifest(out)
+    assert manifest.artifacts == [p for p in _written(out) if p != str(stray)]
+    assert str(out / "victims.npz") in manifest.artifacts
+
+
+@pytest.mark.parametrize(
+    "command, present",
+    [
+        ("train-adversary", []),
+        ("evaluate", []),
+        ("defend-retrain", ["victim_checkpoint"]),
+        ("defend-retrain", ["adversary_checkpoint"]),
+    ],
+)
+def test_a_missing_checkpoint_key_is_a_config_error(tmp_path, trained, command, present):
+    victims, adversaries = trained
+    paths = {"victim_checkpoint": victims, "adversary_checkpoint": adversaries}
+    argv = [command, "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    for key in present:
+        argv += ["--set", f"{key}={paths[key]}"]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["train-adversary", "evaluate", "defend-retrain"])
+def test_a_missing_checkpoint_file_fails_the_started_run(tmp_path, trained, command):
+    _, adversaries = trained
+    missing = tmp_path / "missing.npz"
+    extra = [f"victim_checkpoint={missing}"]
+    if command != "train-adversary":
+        extra.append(f"adversary_checkpoint={adversaries}")
+    assert _run(command, tmp_path, extra) == EXIT_DEPENDENCY
+    manifest = _manifest(tmp_path / command)
+    assert manifest.status == "failed"
+    assert manifest.error.startswith("dependency error") and str(missing) in manifest.error
+    assert manifest.artifacts == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_fewer_than_one_worker_is_refused(tmp_path, workers):
+    argv = ["run-experiment", "--experiment", "rq3", "--workers", workers, "--out", str(tmp_path)]
+    for item in [*TINY, "experiment.seeds=5"]:
+        argv += ["--set", item]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
 
 
 def test_checkpoint_from_wrong_env_fails_as_config_error(tmp_path, trained):
@@ -145,15 +228,22 @@ def test_run_experiment_manifest_lists_every_artifact(tmp_path):
     manifest = _manifest(out)
     assert (manifest.status, manifest.error) == ("done", None)
     assert manifest.command == "run-experiment rq3"
-    assert sorted(manifest.artifacts) == sorted(
-        str(out / name)
-        for name in (
-            "rq3_table.csv",
-            "rq3_curves_long.csv",
-            "victims_skirmish-small.npz",
-            "victims_skirmish-small.json",
-        )
-    )
+    points = [f"skirmish-small_estimation_adv{count}/seed5/" for count in (1, 2, 3)]
+    names = [
+        "rq3_table.csv",
+        "rq3_curves_long.csv",
+        "victims_skirmish-small.npz",
+        "victims_skirmish-small.json",
+        "victim_skirmish-small/victim_train_learner_steps.csv",
+        "victim_skirmish-small/victim_train_curve.csv",
+        *(
+            point + name
+            for point in points
+            for name in ("adversaries.npz", "adversary_train_learner_steps.csv", "adversary_train_curve.csv")
+        ),
+    ]
+    assert len(names) == 15
+    assert manifest.artifacts == sorted(str(out / name) for name in names)
     assert all(Path(p).exists() for p in manifest.artifacts)
 
 
@@ -168,7 +258,8 @@ def test_rerun_into_the_same_directory_retrains_the_victims(tmp_path):
 def test_flags_and_keys_only_where_they_are_read(tmp_path):
     out = ["--out", str(tmp_path)]
     # refused by the parser, before the missing victim checkpoint (exit 3) is seen
-    assert dispatch(["evaluate", "--workers", "2", "--set", "env.preset=skirmish-small", *out]) == EXIT_CONFIG
+    evaluate = ["evaluate", "--set", "env.preset=skirmish-small", "--set", f"victim_checkpoint={tmp_path / 'no.npz'}"]
+    assert dispatch([*evaluate, "--workers", "2", *out]) == EXIT_CONFIG
     assert dispatch(["run-experiment", *out]) == EXIT_CONFIG  # --experiment is required
     for key in ("experiment.eval_episodes=3", "experiment.id=rq2"):
         assert dispatch(["run-experiment", "--experiment", "rq2", "--set", key, *out]) == EXIT_CONFIG

@@ -83,16 +83,15 @@ def test_mixer_single_agent_identity_like():
     mixer.hyper_w1.b.array[0] = 1.0
     mixer.hyper_w2.b.array[0] = 1.0
     mixer.hyper_v.b.array[0] = 0.25
-    cond = np.zeros(2)
-    assert mixer.forward(np.array([3.0]), cond)[0] == pytest.approx(3.25)
-    assert mixer.forward(np.array([5.0]), cond)[0] == pytest.approx(5.25)
+    q_tot, _ = mixer.forward(np.array([[3.0], [5.0]]), np.zeros((2, 2)))
+    assert q_tot == pytest.approx([3.25, 5.25])
 
 
 def test_mixer_positivity_transform():
     rng = np.random.default_rng(4)
     mixer = MixingNet("m", 2, 3, 4, rng)
-    cond = rng.normal(size=3)
-    q = rng.normal(size=2)
+    cond = rng.normal(size=(1, 3))
+    q = rng.normal(size=(1, 2))
     _, cache = mixer.forward(q, cond)
     raw = cache.w1_raw
     assert np.all(cache.w1.reshape(raw.shape) == np.abs(raw))
@@ -104,22 +103,25 @@ def test_mixer_monotone_finite_difference():
     for _ in range(200):
         n = int(rng.integers(1, 4))
         mixer = MixingNet("m", n, 4, 5, rng)
-        q = rng.normal(size=n)
-        cond = rng.normal(size=4)
+        q = rng.normal(size=(1, n))
+        cond = rng.normal(size=(1, 4))
         for i in range(n):
             hi, lo = q.copy(), q.copy()
-            hi[i] += eps
-            lo[i] -= eps
-            slope = (mixer.forward(hi, cond)[0] - mixer.forward(lo, cond)[0]) / (2 * eps)
+            hi[0, i] += eps
+            lo[0, i] -= eps
+            slope = (mixer.forward(hi, cond)[0][0] - mixer.forward(lo, cond)[0][0]) / (2 * eps)
             assert slope >= -1e-9
 
 
 def test_mixer_shape_errors():
     mixer = MixingNet("m", 2, 3, 4, np.random.default_rng(0))
     with pytest.raises(StructuralError):
-        mixer.forward(np.zeros(3), np.zeros(3))
+        mixer.forward(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(StructuralError):
-        mixer.forward(np.zeros(2), np.zeros(4))
+        mixer.forward(np.zeros((1, 2)), np.zeros((1, 4)))
+    # one set of agent values is a one-row batch
+    with pytest.raises(StructuralError):
+        mixer.forward(np.zeros(2), np.zeros(3))
 
 
 def _episode(rng, T=4, n=2, D=3, A=3):
@@ -323,5 +325,5 @@ def test_tabular_chain_convergence_to_value_iteration():
     for s in range(2):
         q = net.forward(onehot(s)[None, None])[0][0, 0]
         for a in range(2):
-            learned[s, a] = mixer.forward(np.array([q[a]]), onehot(s))[0]
+            learned[s, a] = mixer.forward(np.array([[q[a]]]), onehot(s)[None])[0][0]
     assert np.max(np.abs(learned - q_star)) < 0.05
