@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ContractViolation, EpisodeTrajectory, Party
-from .envs import preset
+from .envs import PRESETS, make_env
 from .neural import LSTMCell, MLP, grad_check
 from .qmix import MixingNet
 from .rewards import RewardModel, episode_sum_loss_grad
@@ -165,7 +165,7 @@ def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_se
     outlasts the record, counts as a miss too."""
     misses = 0
     for name in presets:
-        env = preset(name)
+        env = make_env(PRESETS[name])
         d = env.descriptor
         n_victims = len(env.agents(Party.VICTIM))
         dims = [d.obs_dim(Party.VICTIM), 16, 16, d.n_actions(Party.VICTIM)]

@@ -1,12 +1,23 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 missing dependency
-(e.g. a checkpoint file), 4 training fault. All outputs land under --out (or
-$BYSTANDER_OUT, default ./runs). A run command checks its whole config, so a
-refused one writes nothing, then starts its manifest and finalizes it as
-"done", or as "failed" with the error of whatever stopped the run after the
-start, a bad checkpoint included. Either way the manifest lists, sorted,
-the files under the run directory that the run created or changed.
+(e.g. a checkpoint file), 4 training fault. All outputs land under the
+output root that --out sets (default ./runs).
+
+The config keys each run command reads, from --config and --set:
+- train-victim: env.*, train.*
+- train-adversary: env.*, train.*, victim_checkpoint
+- evaluate: env.*, train.*, victim_checkpoint, adversary_checkpoint
+  (optional: a checkpoint, or "random")
+- defend-retrain: env.*, train.*, victim_checkpoint, adversary_checkpoint
+- run-experiment: train.*, experiment.seeds, victim_checkpoint (optional)
+Here env.* is env.preset and overrides of that preset's fields, and train.*
+the fields of TrainingConfig but its seed, which --seed sets. A command
+refuses any other key. It checks its whole config, so a refused one writes
+nothing, then starts its manifest and finalizes it as "done", or as
+"failed" with the error of whatever stopped the run after the start, a bad
+checkpoint included. Either way the manifest lists, sorted, the files under
+the run directory that the run created or changed.
 """
 
 from __future__ import annotations
@@ -24,7 +35,6 @@ from .config import (
     build_training_config,
     config_to_text,
     load_config,
-    output_root,
 )
 from .core import ConfigError, TrainingFault
 from .evaluation import default_spec, run_defense_experiment, run_experiment
@@ -61,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key (repeatable)")
-        p.add_argument("--out", help="output directory (default $BYSTANDER_OUT or ./runs)")
+        p.add_argument("--out", default="runs", help="output root (default ./runs)")
         if name == "run-experiment":
             p.add_argument("--experiment", required=True, help="rq1..rq4")
             p.add_argument("--workers", type=int, default=1, help="parallel grid workers")
@@ -72,13 +82,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _required(kv: dict[str, str], key: str) -> Path:
-    if not kv.get(key):
+    value = kv.pop(key, None)
+    if not value:
         raise ConfigError(f"config key {key} is required and missing")
-    return Path(kv[key])
+    return Path(value)
 
 
-# A run command checks its config and returns its work: a function of the
-# run directory that writes the run's files and returns the lines to print.
+# A run command pops the config keys it reads, checks them and returns its
+# work: a function of the run directory that writes the run's files and
+# returns the lines to print.
 
 
 def _train_victim(args, kv):
@@ -116,7 +128,7 @@ def _evaluate(args, kv):
     env_cfg = build_env_config(kv)
     cfg = build_training_config(kv, seed=args.seed)
     victim_path = _required(kv, "victim_checkpoint")
-    attack = kv.get("adversary_checkpoint") or None  # a checkpoint, "random", or None for absent
+    attack = kv.pop("adversary_checkpoint", None) or None  # a checkpoint, "random", or None for absent
 
     def work(out: Path) -> list[str]:
         victims = load_policy(victim_path)
@@ -151,8 +163,9 @@ def _run_experiment(args, kv):
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = build_training_config(kv, seed=args.seed)
     spec = default_spec(args.experiment, cfg, seeds=build_experiment_seeds(kv))
-    if kv.get("victim_checkpoint"):
-        spec = dataclasses.replace(spec, victim_checkpoint=kv["victim_checkpoint"])
+    victim_path = kv.pop("victim_checkpoint", None)
+    if victim_path:
+        spec = dataclasses.replace(spec, victim_checkpoint=victim_path)
 
     def work(out: Path) -> list[str]:
         table = run_experiment(spec, out, workers=args.workers)
@@ -175,15 +188,19 @@ _COMMANDS = {
 
 
 def _run(args) -> int:
-    """One run command: check the config, start the manifest in the run
-    directory, work, and finalize the manifest as done or failed."""
+    """One run command: check the config, refusing the keys the command
+    leaves unread, start the manifest in the run directory, work, and
+    finalize the manifest as done or failed."""
     kv = load_config(args.config) if args.config else {}
     kv = apply_overrides(kv, args.overrides)
-    work = _COMMANDS[args.command](args, kv)
+    unread = dict(kv)
+    work = _COMMANDS[args.command](args, unread)
+    if unread:
+        raise ConfigError(f"{args.command} does not read config key(s) {', '.join(sorted(unread))}")
     command, directory = args.command, args.command
     if command == "run-experiment":
         command, directory = f"{command} {args.experiment}", f"experiment-{args.experiment}"
-    out = output_root(args.out) / directory
+    out = Path(args.out) / directory
     manifest = RunManifest(command=command, config_text=config_to_text(kv), seed=args.seed)
     manifest.start(out / "manifest.json")
     try:

@@ -1,9 +1,13 @@
 """Plain-text key/value run configuration and the run manifest.
 
 Config files are `key = value` lines (# comments, blank lines allowed) with
-dotted keys: `env.*` describes the environment, `train.*` the training
-loop, `experiment.*` a sweep. Every run archives its exact config text in a
-manifest whose hash pins the run for bit-exact re-execution.
+dotted keys: `env.preset` and overrides of that preset's fields describe the
+environment, `train.*` the training loop, `experiment.seeds` a sweep's
+seeds. No list of keys is kept here: each builder pops the keys it reads
+from the dict it is given (a key of its group that names no field is
+refused), and the caller refuses whatever is left. Every run archives its
+exact config text in a manifest whose hash pins the run for bit-exact
+re-execution.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import ConfigError
-from .envs import PRESETS, CorridorConfig, SkirmishConfig
+from .envs import PRESETS
 from .training import RewardMode, TrainingConfig
 
 
@@ -49,40 +53,15 @@ def config_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-KNOWN_ENV_KEYS = (
-    {"kind", "preset"}
-    | _field_names(SkirmishConfig)
-    | _field_names(CorridorConfig)
-)
-KNOWN_TRAIN_KEYS = _field_names(TrainingConfig)
-KNOWN_EXPERIMENT_KEYS = {"seeds"}
-KNOWN_TOP_KEYS = {"victim_checkpoint", "adversary_checkpoint"}
-
-
-def validate_keys(kv: dict[str, str]) -> None:
-    for key in kv:
-        prefix, _, name = key.partition(".")
-        ok = (
-            (prefix == "env" and name in KNOWN_ENV_KEYS)
-            or (prefix == "train" and name in KNOWN_TRAIN_KEYS)
-            or (prefix == "experiment" and name in KNOWN_EXPERIMENT_KEYS)
-            or (not name and key in KNOWN_TOP_KEYS)
-        )
-        if not ok:
-            raise ConfigError(f"unknown config key {key!r}")
-
-
 def apply_overrides(kv: dict[str, str], overrides: list[str]) -> dict[str, str]:
-    """Apply repeated `--set key=value` overrides; keys must already be known."""
+    """Apply repeated `--set key=value` overrides."""
     out = dict(kv)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        validate_keys({key: value})
+        if not key:
+            raise ConfigError(f"override {item!r} has an empty key")
         out[key] = value
     return out
 
@@ -116,60 +95,50 @@ def _convert(name: str, value: str, typ: str) -> object:
     raise ConfigError(f"cannot convert key {name} of type {typ}")
 
 
-def _dataclass_kwargs(cls, prefix: str, kv: dict[str, str], skip: set[str] = frozenset()) -> dict:
-    """Converted `<prefix>.<field>` values of kv; a key that names no field
-    of cls (such as a corridor key for a skirmish env) is a ConfigError."""
+def _dataclass_kwargs(cls, prefix: str, kv: dict[str, str], leave: tuple[str, ...] = ()) -> dict:
+    """Pops every `<prefix>.<field>` key of kv but those named in `leave`
+    and returns their converted values; a key that names no field of cls
+    (such as a corridor key for a skirmish env) is a ConfigError."""
     kwargs = {}
     by_name = {f.name: f for f in fields(cls)}
-    for key, value in kv.items():
-        if not key.startswith(prefix + "."):
-            continue
+    for key in [k for k in kv if k.startswith(prefix + ".")]:
         name = key[len(prefix) + 1 :]
-        if name in skip:
+        if name in leave:
             continue
         f = by_name.get(name)
         if f is None:
             raise ConfigError(f"config key {key!r} does not apply to {cls.__name__}")
-        kwargs[name] = _convert(key, value, f.type)
+        kwargs[name] = _convert(key, kv.pop(key), f.type)
     return kwargs
 
 
 def build_env_config(kv: dict[str, str]):
-    """Environment config from `env.*` keys; `env.preset` supplies defaults
-    that explicit keys then override. An `env.kind` set next to a preset
-    must name the preset's kind."""
-    validate_keys(kv)
-    preset_name = kv.get("env.preset")
-    kind = kv.get("env.kind")
-    kinds = {"skirmish": SkirmishConfig, "corridor": CorridorConfig}
-    if preset_name is not None:
-        if preset_name not in PRESETS:
-            raise ConfigError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
-        base = PRESETS[preset_name]
-        if kind is not None and kinds.get(kind) is not type(base):
-            raise ConfigError(f"env.kind = {kind!r} does not match env.preset = {preset_name!r}")
-        return dataclasses.replace(base, **_dataclass_kwargs(type(base), "env", kv, skip={"kind", "preset"}))
-    if kind not in kinds:
-        raise ConfigError("config needs env.preset or env.kind = skirmish|corridor")
-    return kinds[kind](**_dataclass_kwargs(kinds[kind], "env", kv, skip={"kind", "preset"}))
+    """Environment config from the `env.*` keys it pops: `env.preset`
+    names a preset, and the other keys override that preset's fields."""
+    preset_name = kv.pop("env.preset", None)
+    if preset_name is None:
+        raise ConfigError("config needs env.preset")
+    if preset_name not in PRESETS:
+        raise ConfigError(f"unknown preset {preset_name!r}; known: {sorted(PRESETS)}")
+    base = PRESETS[preset_name]
+    return dataclasses.replace(base, **_dataclass_kwargs(type(base), "env", kv))
 
 
-def build_training_config(kv: dict[str, str], seed: int | None = None) -> TrainingConfig:
-    validate_keys(kv)
-    cfg = TrainingConfig(**_dataclass_kwargs(TrainingConfig, "train", kv))
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+def build_training_config(kv: dict[str, str], seed: int) -> TrainingConfig:
+    """Training config from the `train.*` keys it pops, with the given
+    seed; it leaves `train.seed` unread, as the seed has its own flag."""
+    kwargs = _dataclass_kwargs(TrainingConfig, "train", kv, leave=("seed",))
+    return TrainingConfig(**kwargs, seed=seed)
 
 
 def build_experiment_seeds(kv: dict[str, str]) -> list[int] | None:
-    """Seeds of a sweep: `experiment.seeds` is a comma list (None when
-    unset, for the spec's default). Its evaluations are sized by
-    `train.eval_episodes`."""
-    validate_keys(kv)
-    if not kv.get("experiment.seeds"):
+    """Seeds of a sweep from the `experiment.seeds` key it pops, a comma
+    list (None when unset, for the spec's default). Its evaluations are
+    sized by `train.eval_episodes`."""
+    seeds = kv.pop("experiment.seeds", None)
+    if not seeds:
         return None
-    return [_convert("experiment.seeds", s, "int") for s in kv["experiment.seeds"].split(",")]
+    return [_convert("experiment.seeds", s, "int") for s in seeds.split(",")]
 
 
 def config_to_text(kv: dict[str, str]) -> str:
@@ -259,10 +228,3 @@ def _file_stamps(root: Path) -> dict[str, tuple[int, int]]:
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-
-
-def output_root(cli_out: str | None) -> Path:
-    """Resolve the output directory: --out flag, else $BYSTANDER_OUT, else ./runs."""
-    if cli_out:
-        return Path(cli_out)
-    return Path(os.environ.get("BYSTANDER_OUT", "runs"))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..core import ConfigError
 from .base import EnvDescriptor, Environment, FailurePathDescriptor, StepEvents, audit_neutrality
 from .corridor import CorridorConfig, CorridorEnv, CorridorState, Vehicle
@@ -38,15 +36,6 @@ def make_env(config) -> Environment:
     raise ConfigError(f"unknown environment config type {type(config).__name__}")
 
 
-def preset(name: str, **overrides) -> Environment:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    cfg = PRESETS[name]
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return make_env(cfg)
-
-
 __all__ = [
     "CorridorConfig",
     "CorridorEnv",
@@ -63,5 +52,4 @@ __all__ = [
     "Vehicle",
     "audit_neutrality",
     "make_env",
-    "preset",
 ]

@@ -189,7 +189,7 @@ class MLP:
 
 @dataclass(frozen=True)
 class RecurrentState:
-    """Hidden and cell vectors of the gated recurrent cell."""
+    """Hidden and cell rows (B, H) of the gated recurrent cell."""
 
     hidden: np.ndarray
     cell: np.ndarray
@@ -262,9 +262,8 @@ class LSTMCell:
     def params(self) -> list[ParamTensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
 
-    def initial_state(self, batch: int | None = None) -> RecurrentState:
-        shape = (self.hidden,) if batch is None else (batch, self.hidden)
-        return RecurrentState(np.zeros(shape), np.zeros(shape))
+    def initial_state(self, batch: int) -> RecurrentState:
+        return RecurrentState(np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden)))
 
     def _activate(
         self, gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, h: np.ndarray
@@ -312,25 +311,19 @@ class LSTMCell:
     def step(
         self, x: np.ndarray, state: RecurrentState
     ) -> tuple[np.ndarray, RecurrentState, LSTMStepCache]:
-        """One gated update. Accepts a single (d_in,) row or a (B, d_in)
-        batch; the scalar head output matches (float vs (B,))."""
+        """One gated update of a (B, d_in) batch from a (B, H) state; the
+        scalar head output is (B,)."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        h_prev = np.atleast_2d(state.hidden)
-        c_prev = np.atleast_2d(state.cell)
-        if x.shape[1] != self.d_in:
-            raise StructuralError(f"{self.name}: input width {x.shape[1]} != {self.d_in}")
-        if h_prev.shape[1] != self.hidden:
-            raise StructuralError(f"{self.name}: state width {h_prev.shape[1]} != {self.hidden}")
+        h_prev, c_prev = state.hidden, state.cell
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise StructuralError(f"{self.name}: input {x.shape} is not (B, {self.d_in})")
+        if h_prev.shape != (len(x), self.hidden):
+            raise StructuralError(f"{self.name}: state {h_prev.shape} is not ({len(x)}, {self.hidden})")
         gates = x @ self.wx.array.T + self.b.array + h_prev @ self.wh.array.T
         c, tanh_c, h = (np.empty_like(h_prev) for _ in range(3))
         self._activate(gates, c_prev, c, tanh_c, h)
         y = h @ self.w_out.array + self.b_out.array[0]
         cache = LSTMStepCache(x, h_prev, c_prev, gates, tanh_c, h)
-        if squeeze:
-            return float(y[0]), RecurrentState(h[0], c[0]), cache
         return y, RecurrentState(h, c), cache
 
     def backward_step(
@@ -344,7 +337,7 @@ class LSTMCell:
         dh_next/dc_next come from the following step. Returns (dh_prev,
         dc_prev); the gradient of the input rows is not computed, as no
         caller reads it."""
-        dy = np.atleast_1d(np.asarray(dy, dtype=float))
+        dy = np.asarray(dy, dtype=float)
         if dh_next is None:
             dh_next = np.zeros_like(cache.h)
         if dc_next is None:

@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from bystander.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_TRAINING, dispatch
-from bystander.config import RunManifest
+from bystander.config import RunManifest, apply_overrides, config_to_text, parse_config_text
 from bystander.training import load_policy
 
-TINY = [
-    "env.preset=skirmish-small",
+# run-experiment reads no env.* key: its grid names the presets
+TINY_TRAIN = [
     "train.episodes=8",
     "train.batch_size=4",
     "train.buffer_capacity=64",
@@ -19,6 +19,7 @@ TINY = [
     "train.eval_episodes=2",
     "train.competence_floor=0.0",
 ]
+TINY = ["env.preset=skirmish-small", *TINY_TRAIN]
 
 
 def _run(command, out, extra=()):
@@ -169,7 +170,7 @@ def test_a_missing_checkpoint_file_fails_the_started_run(tmp_path, trained, comm
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_fewer_than_one_worker_is_refused(tmp_path, workers):
     argv = ["run-experiment", "--experiment", "rq3", "--workers", workers, "--out", str(tmp_path)]
-    for item in [*TINY, "experiment.seeds=5"]:
+    for item in [*TINY_TRAIN, "experiment.seeds=5"]:
         argv += ["--set", item]
     assert dispatch(argv) == EXIT_CONFIG
     assert not list(tmp_path.iterdir())
@@ -217,7 +218,7 @@ def test_defend_retrain_is_reproducible(tmp_path, trained):
 
 def _run_experiment(out, seed):
     argv = ["run-experiment", "--experiment", "rq3", "--seed", str(seed), "--out", str(out)]
-    for item in [*TINY, "experiment.seeds=5"]:
+    for item in [*TINY_TRAIN, "experiment.seeds=5"]:
         argv += ["--set", item]
     return dispatch(argv)
 
@@ -268,3 +269,51 @@ def test_flags_and_keys_only_where_they_are_read(tmp_path):
     for flag in ("--config", "--set", "--out"):
         assert dispatch(["oracle-check", flag, str(tmp_path)]) == EXIT_CONFIG
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("run-experiment", "env.preset=corridor-med"),
+        ("run-experiment", "env.horizon=5"),
+        ("run-experiment", "adversary_checkpoint=adversaries.npz"),
+        ("train-victim", "victim_checkpoint=victims.npz"),
+        ("train-victim", "experiment.seeds=1,2"),
+        ("train-victim", "train.seed=9"),  # the seed is --seed
+        ("train-adversary", "adversary_checkpoint=adversaries.npz"),
+        ("evaluate", "experiment.seeds=1,2"),
+    ],
+)
+def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, key):
+    out = tmp_path / "runs"
+    argv = [command, "--seed", "1", "--out", str(out)]
+    if command == "run-experiment":
+        argv += ["--experiment", "rq3"]
+        given = [*TINY_TRAIN, "experiment.seeds=5"]
+    elif command == "train-victim":
+        given = TINY
+    else:
+        # an absent checkpoint: a run that started would fail on it with exit 3
+        given = [*TINY, f"victim_checkpoint={tmp_path / 'victims.npz'}"]
+    for item in [*given, key]:
+        argv += ["--set", item]
+    assert dispatch(argv) == EXIT_CONFIG
+    name = key.split("=")[0]
+    assert f"{command} does not read config key(s) {name}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_config_file_is_merged_under_the_overrides(tmp_path, trained):
+    victims, _ = trained
+    config = tmp_path / "tiny.cfg"
+    lines = [item for item in TINY if not item.startswith("train.episodes=")]
+    config.write_text("\n".join(["# tiny victims", *lines, "train.episodes = 3"]) + "\n")
+    argv = ["train-victim", "--seed", "1", "--out", str(tmp_path), "--config", str(config)]
+    assert dispatch([*argv, "--set", "train.episodes=8"]) == EXIT_OK
+    out = tmp_path / "train-victim"
+    manifest = _manifest(out)
+    merged = apply_overrides(parse_config_text(config.read_text()), ["train.episodes=8"])
+    assert (manifest.status, manifest.config_text) == ("done", config_to_text(merged))
+    assert "train.episodes = 8\n" in manifest.config_text
+    # the override won: the same policy as the run of `trained`, given every key by --set
+    assert load_policy(out / "victims.npz").checksum() == load_policy(victims).checksum()

@@ -10,7 +10,6 @@ from bystander.config import (
     build_experiment_seeds,
     build_training_config,
     parse_config_text,
-    validate_keys,
 )
 from bystander.core import ConfigError
 from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig
@@ -35,13 +34,16 @@ def test_parse_errors_name_the_line(text, match):
         parse_config_text(text)
 
 
-def test_overrides_replace_values_and_refuse_bad_items():
+def test_overrides_replace_values_and_refuse_bad_items(tmp_path):
     kv = apply_overrides({"train.episodes": "12"}, ["train.episodes=30", "train.gamma = 0.9"])
     assert kv == {"train.episodes": "30", "train.gamma": "0.9"}
     with pytest.raises(ConfigError, match="not key=value"):
         apply_overrides(kv, ["train.episodes"])
-    with pytest.raises(ConfigError, match="unknown config key"):
-        apply_overrides(kv, ["train.epochs=3"])
+    with pytest.raises(ConfigError, match="empty key"):
+        apply_overrides(kv, [" = 3"])
+    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--set", "train.epochs=3"]) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -60,9 +62,15 @@ def test_overrides_replace_values_and_refuse_bad_items():
         "victims",
     ],
 )
-def test_unread_keys_are_refused(key):
-    with pytest.raises(ConfigError, match="unknown config key"):
-        validate_keys({key: "1"})
+def test_unread_keys_are_refused(tmp_path, capsys, key):
+    # through a command that reads the key's group, so that only the key is unread
+    if key.startswith("experiment."):
+        argv = ["run-experiment", "--experiment", "rq3"]
+    else:
+        argv = ["train-victim", "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--out", str(tmp_path), "--set", f"{key}=1"]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unread_train_key_exits_as_config_error(tmp_path):
@@ -74,14 +82,18 @@ def test_unread_train_key_exits_as_config_error(tmp_path):
 def test_preset_takes_overrides_of_its_own_kind():
     kv = {"env.preset": "skirmish-small", "env.horizon": "25", "env.grid_size": "9x6"}
     assert build_env_config(kv) == dataclasses.replace(PRESETS["skirmish-small"], horizon=25, grid_size=(9, 6))
-    assert build_env_config({"env.kind": "corridor", "env.lanes": "3"}) == CorridorConfig(lanes=3)
+    assert kv == {}  # the builder pops the keys it reads
+    assert build_env_config({"env.preset": "corridor-small", "env.lanes": "3"}) == CorridorConfig(lanes=3)
+    # each kind's defaults stay reachable from a preset
+    assert build_env_config({"env.preset": "corridor-small"}) == CorridorConfig()
+    assert build_env_config({"env.preset": "skirmish-small", "env.horizon": "60"}) == SkirmishConfig()
 
 
 @pytest.mark.parametrize(
     "kv, key",
     [
         ({"env.preset": "corridor-small", "env.grid_size": "10x10"}, "env.grid_size"),
-        ({"env.kind": "skirmish", "env.lanes": "7"}, "env.lanes"),
+        ({"env.preset": "skirmish-small", "env.lanes": "7"}, "env.lanes"),
     ],
 )
 def test_env_key_of_the_other_kind_is_refused(kv, key):
@@ -89,17 +101,16 @@ def test_env_key_of_the_other_kind_is_refused(kv, key):
         build_env_config(kv)
 
 
-@pytest.mark.parametrize("kind", ["banana", "skirmish"])
-def test_preset_with_another_or_unknown_kind_is_refused(kind):
-    with pytest.raises(ConfigError, match=r"env\.kind.*env\.preset"):
+@pytest.mark.parametrize("kind", ["banana", "skirmish", "corridor"])
+def test_env_kind_is_refused(kind):
+    # the preset names the kind; there is no second key for it
+    with pytest.raises(ConfigError, match=r"env\.kind"):
         build_env_config({"env.preset": "corridor-small", "env.kind": kind})
-    kv = {"env.preset": "corridor-small", "env.kind": "corridor"}
-    assert build_env_config(kv) == PRESETS["corridor-small"]
 
 
-def test_env_needs_a_preset_or_kind():
-    with pytest.raises(ConfigError, match="env.preset or env.kind"):
-        build_env_config({"env.kind": "maze"})
+def test_env_needs_a_known_preset():
+    with pytest.raises(ConfigError, match="needs env.preset"):
+        build_env_config({"env.lanes": "3"})
     with pytest.raises(ConfigError, match="unknown preset"):
         build_env_config({"env.preset": "maze-small"})
 
@@ -108,7 +119,11 @@ def test_training_values_are_converted_or_refused():
     cfg = build_training_config({"train.episodes": "30", "train.reward_mode": "rule_immediate"}, seed=5)
     assert (cfg.episodes, cfg.reward_mode.value, cfg.seed) == (30, "rule_immediate", 5)
     with pytest.raises(ConfigError, match="bad value for train.episodes"):
-        build_training_config({"train.episodes": "many"})
+        build_training_config({"train.episodes": "many"}, seed=0)
+    # the seed is --seed's: train.seed is left unread, for the command to refuse
+    kv = {"train.seed": "9", "train.episodes": "30"}
+    assert build_training_config(kv, seed=5).seed == 5
+    assert kv == {"train.seed": "9"}
 
 
 def test_failure_weights_must_be_nonnegative_with_one_positive(tmp_path):

@@ -12,7 +12,7 @@ from bystander.core import (
     derive_seed,
     validate_trajectory,
 )
-from bystander.envs import preset
+from bystander.envs import PRESETS, make_env
 
 
 def outcome(terminal=False, success=False, failed=False, signals=(0.0, 0.0)):
@@ -56,7 +56,7 @@ def _trajectory(env, state, outcomes):
 
 @pytest.fixture()
 def skirmish():
-    return preset("skirmish-small")
+    return make_env(PRESETS["skirmish-small"])
 
 
 def test_one_step_terminal_trajectory_passes(skirmish):

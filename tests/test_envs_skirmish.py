@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bystander.core import AgentId, ConfigError, Party
-from bystander.envs import PRESETS, SkirmishConfig, SkirmishEnv, audit_neutrality, preset
+from bystander.envs import PRESETS, SkirmishConfig, SkirmishEnv, audit_neutrality, make_env
 from bystander.rollout import RandomController, run_episode
 
 V0, V1, V2 = (AgentId(Party.VICTIM, i) for i in range(3))
@@ -232,7 +232,5 @@ def test_descriptor_failure_paths(env):
 
 
 def test_presets_exposed():
-    env = preset("skirmish-hard")
+    env = make_env(PRESETS["skirmish-hard"])
     assert env.config.victim_count < env.config.opponent_count
-    with pytest.raises(ConfigError):
-        preset("nonexistent")

@@ -104,20 +104,28 @@ def test_lstm_zero_params_zero_state_zero_output():
     cell = LSTMCell("c", 3, 5, np.random.default_rng(0))
     for p in cell.params():
         p.values[:] = 0.0
-    y, state, _ = cell.step(np.ones(3), cell.initial_state())
-    assert y == 0.0
+    y, state, _ = cell.step(np.ones((1, 3)), cell.initial_state(1))
+    assert np.all(y == 0.0)
     assert np.all(state.hidden == 0.0) and np.all(state.cell == 0.0)
 
 
 def test_lstm_purity():
     rng = np.random.default_rng(5)
     cell = LSTMCell("c", 3, 4, rng)
-    x = rng.normal(size=3)
-    st0 = cell.initial_state()
+    x = rng.normal(size=(1, 3))
+    st0 = cell.initial_state(1)
     y1, s1, _ = cell.step(x, st0)
     y2, s2, _ = cell.step(x, st0)
-    assert y1 == y2
+    assert np.array_equal(y1, y2)
     assert np.array_equal(s1.hidden, s2.hidden) and np.array_equal(s1.cell, s2.cell)
+
+
+def test_lstm_step_takes_batches_only():
+    cell = LSTMCell("c", 3, 4, np.random.default_rng(0))
+    with pytest.raises(StructuralError, match="input"):
+        cell.step(np.ones(3), cell.initial_state(1))
+    with pytest.raises(StructuralError, match="state"):
+        cell.step(np.ones((2, 3)), cell.initial_state(1))
 
 
 def test_lstm_gradients_match_finite_differences():
