@@ -7,8 +7,8 @@ output root that --out sets (default ./runs).
 The config keys each run command reads, from --config and --set:
 - train-victim: env.*, train.*
 - train-adversary: env.*, train.*, victim_checkpoint
-- evaluate: env.*, train.*, victim_checkpoint, adversary_checkpoint
-  (optional: a checkpoint, or "random")
+- evaluate: env.*, train.eval_episodes, victim_checkpoint,
+  adversary_checkpoint (optional: a checkpoint, or "random")
 - defend-retrain: env.*, train.*, victim_checkpoint, adversary_checkpoint
 - run-experiment: train.*, experiment.seeds, victim_checkpoint (optional)
 Here env.* is env.preset and overrides of that preset's fields, and train.*
@@ -126,18 +126,18 @@ def _train_adversary(args, kv):
 
 def _evaluate(args, kv):
     env_cfg = build_env_config(kv)
-    cfg = build_training_config(kv, seed=args.seed)
+    # the one training setting evaluation reads, checked as TrainingConfig checks it
+    read = {key: kv.pop(key) for key in ("train.eval_episodes",) if key in kv}
+    episodes = build_training_config(read, seed=args.seed).eval_episodes
     victim_path = _required(kv, "victim_checkpoint")
     attack = kv.pop("adversary_checkpoint", None) or None  # a checkpoint, "random", or None for absent
 
     def work(out: Path) -> list[str]:
         victims = load_policy(victim_path)
         adversary = attack if attack in (None, "random") else load_policy(attack)
-        rate, half = evaluate_win_rate(env_cfg, victims, adversary, cfg.eval_episodes, args.seed)
-        (out / "eval.csv").write_text(
-            "win_rate,halfwidth,episodes\n" f"{rate:.10g},{half:.10g},{cfg.eval_episodes}\n"
-        )
-        return [f"win rate: {rate:.3f} +/- {half:.3f} ({cfg.eval_episodes} episodes)"]
+        rate, half = evaluate_win_rate(env_cfg, victims, adversary, episodes, args.seed)
+        (out / "eval.csv").write_text("win_rate,halfwidth,episodes\n" f"{rate:.10g},{half:.10g},{episodes}\n")
+        return [f"win rate: {rate:.3f} +/- {half:.3f} ({episodes} episodes)"]
 
     return work
 

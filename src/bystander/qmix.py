@@ -3,6 +3,10 @@ agent-stacked MLP (each forward or backward is one batched product per layer
 for all agents), a monotone mixing network conditioned on the learning
 party's own observations (no global state), TD targets with a periodically
 synced target copy, and the batched squared-error update.
+
+A learner step packs its sampled episodes' transitions into rows, episode
+after episode, with no padding: the target pass, both forwards, the loss and
+both backwards each run once over the batch's real transitions.
 """
 
 from __future__ import annotations
@@ -16,18 +20,6 @@ from .core import ContractViolation, StructuralError, TrainingFault
 from .neural import Adam, Linear, MLP, ParamTensor
 
 MASK_SENTINEL = -1e9
-
-
-def select_action(q_values: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over masked Q values; greedy ties break to the lowest
-    action id, exploration is uniform over available actions."""
-    q_values = np.asarray(q_values, dtype=float)
-    available = q_values > MASK_SENTINEL / 2
-    if not available.any():
-        raise ContractViolation("no available action to select")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.choice(np.flatnonzero(available)))
-    return int(np.argmax(q_values))
 
 
 def agent_rows(obs: np.ndarray) -> np.ndarray:
@@ -185,12 +177,16 @@ class ReplayBuffer:
 
 @dataclass
 class Batch:
-    """Zero-padded stack of B episodes: obs (B, T+1, n, D), avail
-    (B, T+1, n, A) and per-transition actions, rewards and terminal
-    (B, T, ...); mask (B, T) flags real (non-padding) transitions."""
+    """The N real transitions of B episodes as packed rows, episode after
+    episode and step after step within each: obs (N, n, D) of each
+    transition's state, next_obs (N, n, D) and next_avail (N, n, A) of the
+    state it leads to, and actions (N, n), rewards (N,) and terminal (N,).
+    mask (B, T_max) marks the real steps of the episodes padded to the
+    longest; its True entries, row by row, are the N rows."""
 
     obs: np.ndarray
-    avail: np.ndarray
+    next_obs: np.ndarray
+    next_avail: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     terminal: np.ndarray
@@ -198,28 +194,18 @@ class Batch:
 
 
 def stack_batch(episodes: Sequence[PreparedEpisode]) -> Batch:
-    B = len(episodes)
-    T = max(len(e) for e in episodes)
-    n, D = episodes[0].obs.shape[1:]
-    A = episodes[0].avail.shape[2]
-    out = Batch(
-        obs=np.zeros((B, T + 1, n, D)),
-        avail=np.zeros((B, T + 1, n, A), dtype=bool),
-        actions=np.zeros((B, T, n), dtype=int),
-        rewards=np.zeros((B, T)),
-        terminal=np.zeros((B, T), dtype=bool),
-        mask=np.zeros((B, T), dtype=bool),
+    """The episodes' transitions packed into one Batch, in the given episode
+    order; no row is padding."""
+    lengths = np.array([len(e) for e in episodes])
+    return Batch(
+        obs=np.concatenate([e.obs[:-1] for e in episodes]),
+        next_obs=np.concatenate([e.obs[1:] for e in episodes]),
+        next_avail=np.concatenate([e.avail[1:] for e in episodes]),
+        actions=np.concatenate([e.actions for e in episodes]),
+        rewards=np.concatenate([e.rewards for e in episodes]),
+        terminal=np.concatenate([e.terminal for e in episodes]),
+        mask=np.arange(lengths.max()) < lengths[:, None],
     )
-    out.avail[..., 0] = True  # padding rows keep noop available for the argmax
-    for b, e in enumerate(episodes):
-        L = len(e)
-        out.obs[b, : L + 1] = e.obs
-        out.avail[b, : L + 1] = e.avail
-        out.actions[b, :L] = e.actions
-        out.rewards[b, :L] = e.rewards
-        out.terminal[b, :L] = e.terminal
-        out.mask[b, :L] = True
-    return out
 
 
 class TargetNetworkPair:
@@ -274,23 +260,12 @@ def greedy_joint_q(
     return q_tot
 
 
-def td_targets(
-    batch: Batch,
-    pair: TargetNetworkPair,
-    rewards: np.ndarray,
-    gamma: float,
-) -> np.ndarray:
+def td_targets(batch: Batch, pair: TargetNetworkPair, gamma: float) -> np.ndarray:
     """One-step targets y = r + gamma * Q_tot' of the target pair's greedy
-    joint action; terminal steps cut the bootstrap."""
-    B, T = batch.mask.shape
-    rewards = np.asarray(rewards, dtype=float)
-    if rewards.shape != (B, T):
-        raise StructuralError(f"rewards {rewards.shape} misaligned with batch {(B, T)}")
-    flat_next = batch.obs[:, 1:].reshape(B * T, *batch.obs.shape[2:])
-    flat_avail = batch.avail[:, 1:].reshape(B * T, *batch.avail.shape[2:])
-    q_next = greedy_joint_q(pair.target_net, pair.target_mixer, flat_next, flat_avail)
-    q_next = q_next.reshape(B, T)
-    return rewards + gamma * np.where(batch.terminal, 0.0, q_next)
+    joint action, one per row of the batch; terminal rows cut the
+    bootstrap."""
+    q_next = greedy_joint_q(pair.target_net, pair.target_mixer, batch.next_obs, batch.next_avail)
+    return batch.rewards + gamma * np.where(batch.terminal, 0.0, q_next)
 
 
 def learner_step(
@@ -303,34 +278,27 @@ def learner_step(
 ) -> float:
     """One gradient step on the squared TD error over a sampled batch.
 
-    Loss is the mean over real (unpadded) transitions so the learning rate
-    is batch-size invariant; returns the loss and syncs the target pair on
-    its schedule.
+    Every product runs over the batch's real transitions only. The loss is
+    their mean, so the learning rate is batch-size invariant; returns the
+    loss and syncs the target pair on its schedule.
     """
-    episodes = buffer.sample(batch_size, rng)
-    batch = stack_batch(episodes)
-    B, T = batch.mask.shape
-    n, D = batch.obs.shape[2:]
-    targets = td_targets(batch, pair, batch.rewards, gamma)
+    batch = stack_batch(buffer.sample(batch_size, rng))
+    targets = td_targets(batch, pair, gamma)
+    N, n, D = batch.obs.shape
 
-    flat_obs = batch.obs[:, :T].reshape(B * T, n, D)
-    # per agent, the index of its chosen action in each row: (n, B * T, 1)
-    picked = batch.actions.reshape(B * T, n).T[:, :, None]
-    q, cache = pair.net.forward(agent_rows(flat_obs))
+    # per agent, the index of its chosen action in each row: (n, N, 1)
+    picked = batch.actions.T[:, :, None]
+    q, cache = pair.net.forward(agent_rows(batch.obs))
     chosen = np.take_along_axis(q, picked, axis=2)[:, :, 0].T
-    q_tot, mix_cache = pair.mixer.forward(chosen, flat_obs.reshape(B * T, n * D))
-    q_tot = q_tot.reshape(B, T)
+    q_tot, mix_cache = pair.mixer.forward(chosen, batch.obs.reshape(N, n * D))
 
-    mask = batch.mask
-    count = mask.sum()
-    err = np.where(mask, q_tot - targets, 0.0)
-    loss = float((err**2).sum() / count)
+    err = q_tot - targets
+    loss = float((err**2).sum() / N)
     if not np.isfinite(loss):
         raise TrainingFault("TD loss is not finite")
 
     optimizer.zero_grad()
-    d_qtot = (2.0 * err / count).reshape(B * T)
-    dq = pair.mixer.backward(mix_cache, d_qtot)
+    dq = pair.mixer.backward(mix_cache, 2.0 * err / N)
     dq_full = np.zeros_like(q)
     np.put_along_axis(dq_full, picked, dq.T[:, :, None], axis=2)
     pair.net.backward(cache, dq_full)

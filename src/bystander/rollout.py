@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import EpisodeTrajectory, Party, StepOutcome
 from .envs.base import Environment
-from .qmix import masked_q, select_action
+from .qmix import masked_q
 
 
 class Controller:
@@ -40,7 +40,11 @@ class RandomController(Controller):
 
 
 class EpsilonGreedyController(Controller):
-    """Online-net controller; epsilon is set from the training schedule."""
+    """Online-net controller; epsilon is set from the training schedule.
+
+    Greedy ties break to the lowest action id. With epsilon > 0 each agent,
+    in agent order, draws once and with probability epsilon explores
+    uniformly over its available actions, as RandomController draws."""
 
     def __init__(self, net, rng: np.random.Generator):
         self.net = net
@@ -48,8 +52,13 @@ class EpsilonGreedyController(Controller):
         self.epsilon = 0.0
 
     def act(self, obs_mat, mask_mat):
-        q = masked_q(self.net, obs_mat, mask_mat)
-        return np.array([select_action(row, self.epsilon, self.rng) for row in q], dtype=int)
+        actions = masked_q(self.net, obs_mat, mask_mat).argmax(axis=-1)
+        if self.epsilon > 0.0:
+            for i, m in enumerate(mask_mat):
+                if self.rng.random() < self.epsilon:
+                    legal = np.flatnonzero(m)
+                    actions[i] = legal[self.rng.integers(0, legal.size)]
+        return actions
 
 
 @dataclass

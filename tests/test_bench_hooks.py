@@ -33,6 +33,29 @@ def test_benchmark_tracer_hooks_resolve_and_are_undone(monkeypatch):
         assert vars(owner).get(attr, _MISSING) is value, f"{owner.__name__}.{attr} was not restored"
 
 
+def test_benchmark_tracer_reaches_every_learner_hook(monkeypatch):
+    """In a traced victim training run, the batch stacking, the TD targets,
+    the agent nets' backward pass and the optimizer step are each reached
+    once per learner step: a learner that computed one of them inline would
+    leave its layer reading 0."""
+    from bystander.envs import PRESETS
+    from bystander.training import TrainingConfig, train_victims
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    cfg = TrainingConfig(seed=3, episodes=6, batch_size=2, eval_interval=10**6, eval_episodes=2, competence_floor=0.0)
+    tracer = tracing.Tracer()
+    with tracing.Patches() as patches:
+        tracer.install(patches)
+        train_victims(PRESETS["skirmish-small"], cfg)
+    steps = tracer.calls["qmix.learner_step"]
+    assert steps == cfg.episodes - cfg.batch_size + 1
+    for name in ("qmix.stack_batch", "qmix.td_targets", "neural.MLP.backward", "neural.Adam.step"):
+        assert tracer.calls[name] == steps, name
+        assert tracer.self_s[name] > 0, name
+    assert 0 < tracer.real_transitions <= tracer.padded_transitions
+
+
 def test_benchmark_recount_holds_for_trained_and_random_bystanders(monkeypatch):
     """`workloads.recount` replays evaluation episodes through `run_episode`
     and audits them with `audit_neutrality` and `validate_trajectory`, as

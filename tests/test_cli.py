@@ -20,11 +20,13 @@ TINY_TRAIN = [
     "train.competence_floor=0.0",
 ]
 TINY = ["env.preset=skirmish-small", *TINY_TRAIN]
+# evaluate reads one train.* key
+TINY_EVAL = ["env.preset=skirmish-small", "train.eval_episodes=2"]
 
 
 def _run(command, out, extra=()):
     argv = [command, "--seed", "1", "--out", str(out)]
-    for item in [*TINY, *extra]:
+    for item in [*(TINY_EVAL if command == "evaluate" else TINY), *extra]:
         argv += ["--set", item]
     return dispatch(argv)
 
@@ -282,6 +284,7 @@ def test_flags_and_keys_only_where_they_are_read(tmp_path):
         ("train-victim", "train.seed=9"),  # the seed is --seed
         ("train-adversary", "adversary_checkpoint=adversaries.npz"),
         ("evaluate", "experiment.seeds=1,2"),
+        ("evaluate", "train.learning_rate=0.5"),
     ],
 )
 def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, key):
@@ -294,7 +297,7 @@ def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, k
         given = TINY
     else:
         # an absent checkpoint: a run that started would fail on it with exit 3
-        given = [*TINY, f"victim_checkpoint={tmp_path / 'victims.npz'}"]
+        given = [*(TINY_EVAL if command == "evaluate" else TINY), f"victim_checkpoint={tmp_path / 'victims.npz'}"]
     for item in [*given, key]:
         argv += ["--set", item]
     assert dispatch(argv) == EXIT_CONFIG

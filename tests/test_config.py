@@ -74,9 +74,11 @@ def test_unread_keys_are_refused(tmp_path, capsys, key):
 
 
 def test_unread_train_key_exits_as_config_error(tmp_path):
-    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
-    assert dispatch([*argv, "--set", "train.stack_frames=2"]) == EXIT_CONFIG
-    assert not (tmp_path / "train-victim").exists()
+    # evaluate reads train.eval_episodes and no other training key
+    argv = ["evaluate", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    argv += ["--set", f"victim_checkpoint={tmp_path / 'victims.npz'}", "--set", "train.eval_episodes=2"]
+    assert dispatch([*argv, "--set", "train.episodes=999"]) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
 
 
 def test_preset_takes_overrides_of_its_own_kind():

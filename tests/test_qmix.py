@@ -12,10 +12,10 @@ from bystander.qmix import (
     greedy_joint_q,
     learner_step,
     masked_q,
-    select_action,
     stack_batch,
     td_targets,
 )
+from bystander.rollout import EpsilonGreedyController
 
 
 def test_agent_q_matches_independent_forward():
@@ -46,31 +46,6 @@ def test_masked_q_is_each_agents_forward_with_the_sentinel():
         ]
         assert np.array_equal(one, np.stack(expected))
         np.testing.assert_allclose(rows[r], one, rtol=1e-12)
-
-
-def test_select_action_greedy_and_ties():
-    rng = np.random.default_rng(0)
-    assert select_action(np.array([1.0, 3.0, 2.0]), 0.0, rng) == 1
-    assert select_action(np.array([2.0, 2.0]), 0.0, rng) == 0  # tie -> lowest id
-    with pytest.raises(ContractViolation):
-        select_action(np.full(3, MASK_SENTINEL), 0.0, rng)
-
-
-def test_select_action_uniform_exploration():
-    rng = np.random.default_rng(123)
-    q = np.array([0.0, 1.0, 2.0, 3.0])
-    n = 100_000
-    counts = np.bincount([select_action(q, 1.0, rng) for _ in range(n)], minlength=4)
-    # binomial 3-sigma bound around p = 1/4
-    sigma = np.sqrt(n * 0.25 * 0.75)
-    assert np.all(np.abs(counts - n * 0.25) < 3 * sigma)
-
-
-def test_select_action_respects_mask_when_exploring():
-    rng = np.random.default_rng(7)
-    q = np.array([MASK_SENTINEL, 1.0, MASK_SENTINEL, 0.0])
-    picks = {select_action(q, 1.0, rng) for _ in range(200)}
-    assert picks <= {1, 3}
 
 
 def test_mixer_single_agent_identity_like():
@@ -170,24 +145,45 @@ def _pair(rng, n=2, D=3, A=3, hidden=8, embed=4, sync=50):
     return TargetNetworkPair(net, mixer, sync, rng)
 
 
+def test_stack_batch_packs_the_real_transitions_in_episode_order():
+    rng = np.random.default_rng(13)
+    episodes = [_episode(rng, T=T) for T in (3, 1, 5)]
+    batch = stack_batch(episodes)
+    assert batch.obs.shape == batch.next_obs.shape == (9, 2, 3)
+    assert batch.next_avail.shape == (9, 2, 3) and batch.actions.shape == (9, 2)
+    # the rows are the True entries, row by row, of the padded (B, T_max) layout
+    assert batch.mask.shape == (3, 5) and batch.mask.sum() == 9
+    padded_obs = np.zeros((3, 6, 2, 3))
+    padded_rewards = np.zeros((3, 5))
+    for b, e in enumerate(episodes):
+        padded_obs[b, : len(e) + 1] = e.obs
+        padded_rewards[b, : len(e)] = e.rewards
+    assert np.array_equal(batch.obs, padded_obs[:, :5][batch.mask])
+    assert np.array_equal(batch.next_obs, padded_obs[:, 1:][batch.mask])
+    assert np.array_equal(batch.rewards, padded_rewards[batch.mask])
+    assert np.array_equal(batch.terminal, np.concatenate([e.terminal for e in episodes]))
+
+
 def test_td_targets_terminal_and_gamma():
     rng = np.random.default_rng(7)
     pair = _pair(rng)
     ep = _episode(rng)
     batch = stack_batch([ep])
     # terminal step: y = r exactly
-    y = td_targets(batch, pair, batch.rewards, gamma=0.9)
-    assert y[0, -1] == pytest.approx(ep.rewards[-1])
+    y = td_targets(batch, pair, gamma=0.9)
+    assert y[-1] == pytest.approx(ep.rewards[-1])
     # gamma = 0: y = r everywhere
-    y0 = td_targets(batch, pair, batch.rewards, gamma=0.0)
-    assert np.allclose(y0[0], ep.rewards)
+    y0 = td_targets(batch, pair, gamma=0.0)
+    assert np.allclose(y0, ep.rewards)
     # hand substitution: y = r + gamma * greedy Q_tot
     qn = greedy_joint_q(pair.target_net, pair.target_mixer, ep.obs[1:], ep.avail[1:])
-    y9 = td_targets(batch, pair, batch.rewards, gamma=0.9)
+    y9 = td_targets(batch, pair, gamma=0.9)
     expect = ep.rewards + 0.9 * np.where(ep.terminal, 0.0, qn)
-    assert np.allclose(y9[0], expect)
-    with pytest.raises(StructuralError):
-        td_targets(batch, pair, np.zeros((2, 99)), gamma=0.9)
+    assert np.allclose(y9, expect)
+    # a batch's targets are its episodes' targets, one after the other
+    other = _episode(rng, T=2)
+    both = td_targets(stack_batch([ep, other]), pair, gamma=0.9)
+    assert np.allclose(both, np.concatenate([y9, td_targets(stack_batch([other]), pair, gamma=0.9)]))
 
 
 def test_learner_step_fixed_point_and_nonnegativity():
@@ -267,12 +263,13 @@ def test_target_sync_schedule():
 def test_greedy_invariance_under_positive_scaling():
     rng = np.random.default_rng(12)
     net = MLP(["a"], [3, 8, 8, 4], rng)
-    obs = rng.normal(size=3)
-    mask = np.ones(4, dtype=bool)
-    q = np.where(mask, net.forward(obs[None, None])[0][0, 0], MASK_SENTINEL)
-    a1 = select_action(q, 0.0, rng)
-    scaled = np.where(mask, q * 7.5, MASK_SENTINEL)
-    assert select_action(scaled, 0.0, rng) == a1
+    greedy = EpsilonGreedyController(net, rng)
+    obs, mask = rng.normal(size=(1, 3)), np.ones((1, 4), dtype=bool)
+    a1 = greedy.act(obs, mask)
+    # scaling the output layer scales every Q value by the same positive factor
+    net.w[-1] *= 7.5
+    net.b[-1] *= 7.5
+    assert np.array_equal(greedy.act(obs, mask), a1)
 
 
 def test_tabular_chain_convergence_to_value_iteration():

@@ -6,9 +6,10 @@ import pytest
 from bystander import rewards, training
 from bystander.core import ContractViolation, Party
 from bystander.envs import PRESETS, make_env
-from bystander.neural import Adam
+from bystander.neural import MLP, Adam
+from bystander.qmix import MASK_SENTINEL, masked_q
 from bystander.rewards import RewardModel
-from bystander.rollout import Controller, RandomController, run_episode
+from bystander.rollout import Controller, EpsilonGreedyController, RandomController, run_episode
 from bystander.training import EstimationProvider
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
@@ -17,6 +18,71 @@ PARTIES = (Party.VICTIM, Party.ADVERSARY)
 def random_controllers(seed):
     rng = np.random.default_rng(seed)
     return {p: RandomController(rng) for p in PARTIES}
+
+
+def fixed_q_controller(q, epsilon=0.0, seed=0):
+    """An EpsilonGreedyController whose agent i's Q values are q[i],
+    whatever it observes (one input feature)."""
+    q = np.asarray(q, dtype=float)
+    net = MLP([f"a{i}" for i in range(len(q))], [1, q.shape[1]], None)
+    net.b[0][...] = q
+    controller = EpsilonGreedyController(net, np.random.default_rng(seed))
+    controller.epsilon = epsilon
+    return controller
+
+
+def test_epsilon_greedy_greedy_and_ties():
+    greedy = fixed_q_controller([[1.0, 3.0, 2.0], [2.0, 2.0, 0.0]])
+    obs = np.zeros((2, 1))
+    assert greedy.act(obs, np.ones((2, 3), dtype=bool)).tolist() == [1, 0]  # a tie goes to the lowest id
+    assert greedy.act(obs, np.array([[True, False, True], [False, True, True]])).tolist() == [2, 1]
+
+
+def test_epsilon_greedy_explores_uniformly():
+    explorer = fixed_q_controller(np.tile([0.0, 1.0, 2.0, 3.0], (4, 1)), epsilon=1.0, seed=123)
+    obs, masks = np.zeros((4, 1)), np.ones((4, 4), dtype=bool)
+    picks = np.concatenate([explorer.act(obs, masks) for _ in range(25_000)])
+    n = picks.size
+    counts = np.bincount(picks, minlength=4)
+    # binomial 3-sigma bound around p = 1/4
+    sigma = np.sqrt(n * 0.25 * 0.75)
+    assert np.all(np.abs(counts - n * 0.25) < 3 * sigma)
+
+
+def test_epsilon_greedy_respects_mask_when_exploring():
+    explorer = fixed_q_controller([[0.0, 1.0, 2.0, 0.0]], epsilon=1.0, seed=7)
+    mask = np.array([[False, True, False, True]])
+    picks = {int(explorer.act(np.zeros((1, 1)), mask)[0]) for _ in range(200)}
+    assert picks == {1, 3}
+
+
+def per_row_epsilon_greedy(q, epsilon, rng):
+    """The per-agent rule: each masked Q row draws once when epsilon > 0 and
+    explores with rng.choice over its available actions."""
+    actions = []
+    for row in q:
+        if epsilon > 0.0 and rng.random() < epsilon:
+            actions.append(int(rng.choice(np.flatnonzero(row > MASK_SENTINEL / 2))))
+        else:
+            actions.append(int(np.argmax(row)))
+    return actions
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_epsilon_greedy_is_the_per_row_rule_draw_for_draw(seed):
+    rng = np.random.default_rng(seed)
+    net = MLP([f"a{i}" for i in range(3)], [5, 8, 6], rng)
+    for epsilon in (0.0, 0.05, 0.5, 0.9, 1.0):
+        controller = EpsilonGreedyController(net, np.random.default_rng(seed + 10))
+        controller.epsilon = epsilon
+        reference = np.random.default_rng(seed + 10)
+        for _ in range(300):
+            obs = rng.normal(size=(3, 5))
+            masks = rng.random((3, 6)) < 0.5
+            masks[:, 0] = True
+            expected = per_row_epsilon_greedy(masked_q(net, obs, masks), epsilon, reference)
+            assert controller.act(obs, masks).tolist() == expected
+        assert controller.rng.bit_generator.state == reference.bit_generator.state
 
 
 def replay_states(env, traj):
