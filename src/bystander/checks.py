@@ -1,12 +1,13 @@
 """Self-contained verification suites behind `oracle-check` and
 `grad-check`, each with documented seeds.
 
-`oracle-check` checks properties the method rests on, on shipped code: the
-QMIX mixer's monotonicity and the decentralized argmax it licenses, on
-`MixingNet`; a negative-weight counterexample showing that argmax check can
-fail; and the bystander replay, on both envs, that makes the bystanders'
-problem a single-party MDP once the victims are frozen. `grad-check`
-compares the hand-written gradients with finite differences.
+`oracle-check` checks properties the method rests on, all on shipped code:
+the QMIX mixer's monotonicity and the decentralized argmax it licenses, on
+`MixingNet`; and the bystander replay, on both envs, that makes the
+bystanders' problem a single-party MDP once the victims are frozen.
+`grad-check` compares the hand-written gradients of the agent nets, the
+packed recurrent cell, the mixer and the reward model's episode-sum loss
+with finite differences.
 """
 
 from __future__ import annotations
@@ -103,26 +104,6 @@ def argmax_consistency_residual(n_cases: int = 500, seed: int = 3100) -> float:
         vals = np.array([[q[a] for q, a in zip(q_tables, greedy)]])
         worst = max(worst, abs(best - mixer.forward(vals, cond)[0][0]))
     return worst
-
-
-def find_nonmonotone_counterexample(seed: int = 3200, max_tries: int = 200) -> bool:
-    """With a deliberately negative mixing weight, the composed argmax must
-    stop matching the exhaustive search on some instance."""
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        n = 2
-        q_tables = [rng.normal(size=3) for _ in range(n)]
-        weights = np.array([1.0, -1.0])  # second agent mixed negatively
-
-        def mixer_fn(vals):
-            return float(weights @ vals)
-
-        _, best = brute_force_joint_argmax(q_tables, mixer_fn)
-        greedy = composed_argmax(q_tables)
-        greedy_val = mixer_fn(np.array([q[a] for q, a in zip(q_tables, greedy)]))
-        if best - greedy_val > 1e-9:
-            return True
-    return False
 
 
 class _Playback(Controller):
@@ -230,38 +211,34 @@ def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
 
     worst = 0.0
     for loss_fn, backward_fn, params, _ in _resample_until_smooth(build, seeds):
-        worst = max(worst, grad_check(loss_fn, params, backward_fn=backward_fn).max_rel_error)
+        worst = max(worst, grad_check(loss_fn, params, backward_fn).max_rel_error)
     return worst
 
 
-def recurrent_gradient_residual(seeds=GRAD_SEEDS, steps: int = 5) -> float:
+def packed_recurrent_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 3, 1)) -> float:
+    """Gradient of `LSTMCell.forward_packed`/`backward_packed`, the path
+    the reward model trains through, under a loss that weights every packed
+    row's head output by its own random factor, so that each row gets its
+    own upstream gradient. The sequences are ragged and packed longest
+    first, so rows leave the unroll as their sequences end."""
+    live = np.sum(np.array(lengths) > np.arange(max(lengths))[:, None], axis=1)
     worst = 0.0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         cell = LSTMCell("g", 3, 8, rng)
-        xs = rng.normal(size=(steps, 1, 3))
+        x = rng.normal(size=(sum(lengths), 3))
+        weights = rng.normal(size=len(x))
 
         def loss_fn():
-            st = cell.initial_state(batch=1)
-            total = 0.0
-            for t in range(steps):
-                y, st, _ = cell.step(xs[t], st)
-                total += float(y[0])
-            return total
+            return float(weights @ cell.forward_packed(x, live)[0])
 
         def backward_fn():
             for p in cell.params():
                 p.zero_grad()
-            st = cell.initial_state(batch=1)
-            caches = []
-            for t in range(steps):
-                _, st, cache = cell.step(xs[t], st)
-                caches.append(cache)
-            dh = dc = None
-            for cache in reversed(caches):
-                dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
+            _, cache = cell.forward_packed(x, live)
+            cell.backward_packed(cache, weights)
 
-        worst = max(worst, grad_check(loss_fn, cell.params(), backward_fn=backward_fn).max_rel_error)
+        worst = max(worst, grad_check(loss_fn, cell.params(), backward_fn).max_rel_error)
     return worst
 
 
@@ -291,7 +268,7 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
 
     worst = 0.0
     for loss_fn, backward_fn, params, _ in _resample_until_smooth(build, seeds):
-        worst = max(worst, grad_check(loss_fn, params, backward_fn=backward_fn).max_rel_error)
+        worst = max(worst, grad_check(loss_fn, params, backward_fn).max_rel_error)
     return worst
 
 
@@ -316,16 +293,14 @@ def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
                 p.zero_grad()
             episode_sum_loss_grad(model, episodes, gts)
 
-        worst = max(worst, grad_check(loss_fn, model.params(), backward_fn=backward_fn).max_rel_error)
+        worst = max(worst, grad_check(loss_fn, model.params(), backward_fn).max_rel_error)
     return worst
 
 
 def run_oracle_checks() -> list[CheckResult]:
-    found = find_nonmonotone_counterexample()
     return [
         CheckResult("mixer monotonicity (worst FD slope violation)", monotonicity_residual(), 1e-9),
         CheckResult("decentralized vs exhaustive argmax value", argmax_consistency_residual(), 1e-12),
-        CheckResult("negative-weight counterexample found", 0.0 if found else 1.0, 0.5),
         CheckResult(
             f"bystander replay against frozen victims ({', '.join(REPLAY_PRESETS)})",
             bystander_replay_residual(),
@@ -337,7 +312,7 @@ def run_oracle_checks() -> list[CheckResult]:
 def run_grad_checks() -> list[CheckResult]:
     return [
         CheckResult("mlp analytic vs finite differences", mlp_gradient_residual(), 1e-4),
-        CheckResult("recurrent cell (5-step unroll)", recurrent_gradient_residual(), 1e-4),
+        CheckResult("packed recurrent cell (per-row loss, ragged)", packed_recurrent_gradient_residual(), 1e-4),
         CheckResult("mixing network", mixer_gradient_residual(), 1e-4),
         CheckResult("episode-sum loss", episode_sum_gradient_residual(), 1e-4),
     ]

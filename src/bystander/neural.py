@@ -10,7 +10,7 @@ All math is float64 so finite-difference checks are reliable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -230,10 +230,12 @@ class LSTMCell:
     Every path computes the pre-activation as (x wx^T + b) + h wh^T and
     shares one copy of the gate equations (`_activate`) and of their
     gradients (`_slopes`, `_gate_grads`):
-    - `step`/`backward_step`: one batched tick with its cache; the per-tick
-      reference that the gradient checks and tests compare against.
+    - `step`/`backward_step`: one batched tick with its cache. No program
+      path runs it; it is the per-tick reference the tests hold the packed
+      path to.
     - `forward_packed`/`backward_packed`: a whole unroll of ragged
-      sequences packed tick-major. The input projection, the head, the
+      sequences packed tick-major, the path the reward model trains
+      through and `grad-check` checks. The input projection, the head, the
       gates' local derivatives and every weight gradient are one operation
       over all rows; a tick computes only its recurrent product and the
       gate arithmetic that depends on it.
@@ -434,58 +436,33 @@ class LSTMCell:
         return float(h_new @ self.w_out.values + self.b_out.values[0]), h_new, c_new
 
 
-@dataclass
-class OptimizerState:
-    step: int
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
-    learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
-
-
 class Adam:
     """Adaptive-moment optimizer with bias correction; zeroes grads after
-    each update."""
+    each update. Only the learning rate is settable."""
 
-    def __init__(
-        self,
-        params: Sequence[ParamTensor],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError("betas must be in (0, 1)")
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-8
+
+    def __init__(self, params: Sequence[ParamTensor], learning_rate: float = 1e-3):
         self.params = list(params)
-        self.state = OptimizerState(
-            step=0,
-            first_moment={p.name: np.zeros_like(p.values) for p in self.params},
-            second_moment={p.name: np.zeros_like(p.values) for p in self.params},
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+        self.learning_rate = learning_rate
+        self.steps = 0
+        self.moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in self.params]
 
     def step(self) -> None:
-        s = self.state
         for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 raise TrainingFault(f"non-finite gradient in {p.name}")
-        s.step += 1
-        bc1 = 1.0 - s.beta1**s.step
-        bc2 = 1.0 - s.beta2**s.step
-        for p in self.params:
-            m = s.first_moment[p.name]
-            v = s.second_moment[p.name]
-            m *= s.beta1
-            m += (1.0 - s.beta1) * p.grad
-            v *= s.beta2
-            v += (1.0 - s.beta2) * p.grad**2
-            p.values -= s.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + s.epsilon)
+        self.steps += 1
+        bc1 = 1.0 - self.BETA1**self.steps
+        bc2 = 1.0 - self.BETA2**self.steps
+        for p, (m, v) in zip(self.params, self.moments):
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * p.grad
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * p.grad**2
+            p.values -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPSILON)
             p.zero_grad()
 
     def zero_grad(self) -> None:
@@ -504,32 +481,29 @@ class GradCheckReport:
 
 
 def grad_check(
-    loss_fn: Callable[[], float],
-    params: Sequence[ParamTensor],
-    perturbation: float = 1e-5,
-    backward_fn: Callable[[], None] | None = None,
+    loss_fn: Callable[[], float], params: Sequence[ParamTensor], backward_fn: Callable[[], None]
 ) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences of
+    step 1e-5.
 
-    loss_fn recomputes the scalar loss from the params' current values with
-    no side effects. If backward_fn is given it is called first (it must zero
-    and repopulate every param's grad); otherwise grads are assumed fresh.
-    Relative error uses a 1e-6 floor so genuinely tiny gradients do not
-    register as spurious failures.
+    backward_fn is called first; it must zero and repopulate every param's
+    grad. loss_fn recomputes the scalar loss from the params' current
+    values with no side effects. Relative error uses a 1e-6 floor so
+    genuinely tiny gradients do not register as spurious failures.
     """
-    if backward_fn is not None:
-        backward_fn()
+    backward_fn()
     analytic = {p.name: p.grad.copy() for p in params}
+    h = 1e-5
     worst, worst_name, checked = 0.0, "", 0
     for p in params:
         for k in range(p.values.size):
             orig = p.values[k]
-            p.values[k] = orig + perturbation
+            p.values[k] = orig + h
             hi = loss_fn()
-            p.values[k] = orig - perturbation
+            p.values[k] = orig - h
             lo = loss_fn()
             p.values[k] = orig
-            fd = (hi - lo) / (2.0 * perturbation)
+            fd = (hi - lo) / (2.0 * h)
             a = analytic[p.name][k]
             err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
             checked += 1
@@ -541,50 +515,30 @@ def grad_check(
 # --- checkpoint container -----------------------------------------------
 #
 # The one checkpoint format, for trained nets and frozen policies alike.
-# Versioned npz: flat float64 arrays keyed "p/<name>" plus moment arrays
-# "m/<name>", "v/<name>" when optimizer state is included, and a JSON meta
-# blob with shapes, hyperparameters and the caller's `fields` (a frozen
-# policy's party and per-agent nets) in stable (sorted) order.
+# Versioned npz: flat float64 arrays keyed "p/<name>" and a JSON meta blob
+# with shapes and the caller's `fields` (a frozen policy's party and
+# per-agent nets) in stable (sorted) order.
 # Readers look parameters up by name, never by their order in the meta.
 
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(
-    path, params: Sequence[ParamTensor], optimizer: Adam | None = None, fields: dict | None = None
-) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    meta: dict = {
+def save_checkpoint(path, params: Sequence[ParamTensor], fields: dict | None = None) -> None:
+    meta = {
         "version": CHECKPOINT_VERSION,
         "params": {p.name: list(p.shape) for p in sorted(params, key=lambda p: p.name)},
         "fields": fields or {},
     }
-    for p in params:
-        arrays[f"p/{p.name}"] = p.values
-    if optimizer is not None:
-        s = optimizer.state
-        meta["optimizer"] = {
-            "step": s.step,
-            "learning_rate": s.learning_rate,
-            "beta1": s.beta1,
-            "beta2": s.beta2,
-            "epsilon": s.epsilon,
-        }
-        for name, m in s.first_moment.items():
-            arrays[f"m/{name}"] = m
-        for name, v in s.second_moment.items():
-            arrays[f"v/{name}"] = v
+    arrays = {f"p/{p.name}": p.values for p in params}
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
     )
     np.savez(path, **arrays)
 
 
-def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None, dict]:
-    """Load named ParamTensors (grads zeroed), raw optimizer state and fields.
+def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict]:
+    """Load named ParamTensors (grads zeroed) and the fields.
 
-    Returns (params_by_name, optimizer_meta_or_None, fields); optimizer_meta
-    carries the hyperparameters plus 'first_moment'/'second_moment' dicts.
     StructuralError for a directory, or a file np.load does not open as an
     npz archive.
     """
@@ -601,17 +555,4 @@ def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict | None, dict]:
         for name, shape in meta["params"].items():
             values = data[f"p/{name}"]
             params[name] = ParamTensor(name, tuple(shape), values.copy(), np.zeros_like(values))
-        opt = None
-        if "optimizer" in meta:
-            opt = dict(meta["optimizer"])
-            opt["first_moment"] = {n: data[f"m/{n}"].copy() for n in meta["params"]}
-            opt["second_moment"] = {n: data[f"v/{n}"].copy() for n in meta["params"]}
-    return params, opt, meta.get("fields", {})
-
-
-def restore_optimizer(optimizer: Adam, opt_meta: dict) -> None:
-    s = optimizer.state
-    s.step = int(opt_meta["step"])
-    for p in optimizer.params:
-        s.first_moment[p.name][:] = opt_meta["first_moment"][p.name]
-        s.second_moment[p.name][:] = opt_meta["second_moment"][p.name]
+    return params, meta.get("fields", {})

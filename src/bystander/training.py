@@ -570,8 +570,9 @@ def evaluate_win_rate(
     return rate, wilson_half_width(rate, episodes)
 
 
-def wilson_half_width(p_hat: float, n: int, z: float = 1.959963984540054) -> float:
+def wilson_half_width(p_hat: float, n: int) -> float:
     """Half-width of the Wilson 95% score interval."""
+    z = 1.959963984540054  # the standard normal's 97.5% quantile
     denom = 1.0 + z * z / n
     return (z * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))) / denom
 
@@ -598,7 +599,7 @@ def load_policy(path) -> FrozenPolicy:
     Extra fields, such as the frame-stack count older files carry, are not
     read; check_fits refuses a net wider than the env's observation."""
     try:
-        params, _, fields = load_checkpoint(path)
+        params, fields = load_checkpoint(path)
         names = [name for name, _ in fields["agents"]]
         dims = {tuple(d) for _, d in fields["agents"]}
         if len(dims) != 1:

@@ -7,15 +7,31 @@ import pytest
 from bystander import checks
 from bystander.cli import EXIT_OK, EXIT_TRAINING, dispatch
 from bystander.envs import SkirmishEnv
+from bystander.qmix import MixingNet
 
 
-def test_oracle_check_passes_all_four_checks(capsys):
+def test_oracle_check_passes_every_check(capsys):
     assert dispatch(["oracle-check"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 3
     assert all(line.startswith("[pass]") for line in lines)
     assert "[pass] mixer monotonicity (worst FD slope violation): residual 0.000e+00 (bound 1.0e-09)" in lines
     assert lines[-1].startswith("[pass] bystander replay against frozen victims (skirmish-small, corridor-small)")
+
+
+def test_argmax_check_catches_a_nonmonotone_mixer(monkeypatch, capsys):
+    # the mixer's output takes one agent's Q with a negative weight, so the
+    # per-agent greedy actions no longer maximise the mixed value
+    def nonmonotone(self, q, cond):
+        weights = np.ones(q.shape[1])
+        weights[-1] = -1.0
+        return q @ weights, None
+
+    monkeypatch.setattr(MixingNet, "forward", nonmonotone)
+    assert checks.argmax_consistency_residual() > 1e-12
+    assert dispatch(["oracle-check"]) == EXIT_TRAINING
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("[FAIL] decentralized vs exhaustive argmax value") for line in lines)
 
 
 def test_bystander_replay_catches_a_nondeterministic_third_party(monkeypatch, capsys):
@@ -37,7 +53,7 @@ def test_bystander_replay_catches_a_nondeterministic_third_party(monkeypatch, ca
     "residual",
     [
         checks.mlp_gradient_residual,
-        checks.recurrent_gradient_residual,
+        checks.packed_recurrent_gradient_residual,
         checks.mixer_gradient_residual,
         checks.episode_sum_gradient_residual,
     ],

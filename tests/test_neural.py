@@ -11,7 +11,6 @@ from bystander.neural import (
     ParamTensor,
     grad_check,
     load_checkpoint,
-    restore_optimizer,
     save_checkpoint,
 )
 from bystander.qmix import (
@@ -159,22 +158,50 @@ def test_lstm_gradients_match_finite_differences():
     assert report.max_rel_error < 1e-4, report
 
 
+def test_backward_packed_with_per_row_gradients_matches_the_per_tick_reference():
+    """Every packed row gets its own upstream gradient. The packed unroll's
+    outputs and parameter gradients match each sequence stepped on its own,
+    one batch-1 `step` and `backward_step` per tick, to 1e-12."""
+    lengths = (7, 4, 4, 2, 1)
+    live = np.array([sum(L > t for L in lengths) for t in range(max(lengths))])
+    first_row = np.cumsum(live) - live
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        packed, reference = (LSTMCell("c", 5, 8, np.random.default_rng(100 + seed)) for _ in range(2))
+        x = rng.normal(size=(sum(lengths), 5))
+        dy = rng.normal(size=len(x))
+        y, cache = packed.forward_packed(x, live)
+        packed.backward_packed(cache, dy)
+        for j, L in enumerate(lengths):
+            rows = first_row[:L] + j  # sequence j's packed row at each of its ticks
+            state, caches = reference.initial_state(1), []
+            for r in rows:
+                y_r, state, step_cache = reference.step(x[r : r + 1], state)
+                assert abs(y_r[0] - y[r]) < 1e-12
+                caches.append(step_cache)
+            dh = dc = None
+            for r, step_cache in zip(rows[::-1], caches[::-1]):
+                dh, dc = reference.backward_step(step_cache, dy[r : r + 1], dh, dc)
+        for p, q in zip(packed.params(), reference.params()):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=0, atol=1e-12, err_msg=p.name)
+
+
 def test_adam_zero_gradient_is_fixed_point():
     p = ParamTensor.zeros("p", (3,))
     p.values[:] = [1.0, -2.0, 3.0]
     opt = Adam([p], learning_rate=0.1)
     opt.step()
     assert np.array_equal(p.values, [1.0, -2.0, 3.0])
-    assert opt.state.step == 1
+    assert opt.steps == 1
 
 
 def test_adam_single_step_matches_hand_formula():
     # frozen from the bias-corrected update: m_hat = g, v_hat = g^2
     p = ParamTensor.zeros("p", (2,))
     p.grad[:] = [0.5, -2.0]
-    lr, eps = 0.01, 1e-8
-    expected = -lr * np.array([0.5, -2.0]) / (np.array([0.5, 2.0]) + eps)
-    opt = Adam([p], learning_rate=lr, epsilon=eps)
+    lr = 0.01
+    expected = -lr * np.array([0.5, -2.0]) / (np.array([0.5, 2.0]) + 1e-8)
+    opt = Adam([p], learning_rate=lr)
     opt.step()
     assert np.max(np.abs(p.values - expected)) < 1e-15
     assert np.all(p.grad == 0.0)  # grads zeroed after the update
@@ -186,11 +213,6 @@ def test_adam_rejects_nan_gradient():
     opt = Adam([p])
     with pytest.raises(TrainingFault, match="p"):
         opt.step()
-
-
-def test_adam_beta_validation():
-    with pytest.raises(ValueError):
-        Adam([ParamTensor.zeros("p", (1,))], beta1=1.0)
 
 
 def test_grad_check_exact_for_linear_model():
@@ -234,26 +256,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         mlp.backward(cache, y)
         opt.step()
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, mlp.params(), opt)
-    params, opt_meta, fields = load_checkpoint(path)
-    assert fields == {}
+    fields = {"party": "victim", "agents": [["m", [4, 6, 2]]]}
+    save_checkpoint(path, mlp.params(), fields=fields)
+    params, loaded_fields = load_checkpoint(path)
+    assert loaded_fields == fields
+    assert sorted(params) == sorted(p.name for p in mlp.params())
     for p in mlp.params():
+        assert params[p.name].shape == p.shape
         assert np.array_equal(params[p.name].values, p.values)
-    mlp2 = MLP(["m"], [4, 6, 2], np.random.default_rng(99))
-    for p in mlp2.params():
-        p.values[:] = params[p.name].values
-    opt2 = Adam(mlp2.params(), learning_rate=opt_meta["learning_rate"])
-    restore_optimizer(opt2, opt_meta)
-    assert opt2.state.step == opt.state.step
-    # both continue identically
-    for _ in range(2):
-        for m in (mlp, mlp2):
-            y, cache = m.forward(x)
-            m.backward(cache, y)
-        opt.step()
-        opt2.step()
-    for p, q in zip(mlp.params(), mlp2.params()):
-        assert np.array_equal(p.values, q.values)
+        assert np.all(params[p.name].grad == 0.0)
+    save_checkpoint(path, mlp.params())
+    assert load_checkpoint(path)[1] == {}
 
 
 # --- the agent stack against separate per-agent nets --------------------------
