@@ -127,7 +127,7 @@ def _same_play(a: EpisodeTrajectory, b: EpisodeTrajectory) -> bool:
             if not np.array_equal(x[p], y[p]):
                 return False
     return all(
-        (x.terminal, x.victim_success, x.victim_failed) == (y.terminal, y.victim_success, y.victim_failed)
+        (x.terminal, x.victim_success) == (y.terminal, y.victim_success)
         and np.array_equal(x.failure_signals, y.failure_signals)
         for x, y in zip(a.outcomes, b.outcomes)
     )

@@ -18,6 +18,13 @@ nothing, then starts its manifest and finalizes it as "done", or as
 "failed" with the error of whatever stopped the run after the start, a bad
 checkpoint included. Either way the manifest lists, sorted, the files under
 the run directory that the run created or changed.
+
+defend-retrain (rq5) is train-victim with the frozen attack of
+adversary_checkpoint in place of random bystanders, on the same seed
+streams. Its rq5_table.csv holds the original (before) and the retrained
+(after) victims' win rates under_attack, with no_attack and with random
+bystanders. Victims that miss train.competence_floor without bystanders
+are a training fault, in either command.
 """
 
 from __future__ import annotations
@@ -38,14 +45,7 @@ from .config import (
 )
 from .core import ConfigError, TrainingFault
 from .evaluation import default_spec, run_defense_experiment, run_experiment
-from .training import (
-    TrainingFailed,
-    evaluate_win_rate,
-    load_policy,
-    save_policy,
-    train_adversaries,
-    train_victims,
-)
+from .training import evaluate_win_rate, load_policy, save_policy, train_adversaries, train_victims
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,11 +149,8 @@ def _defend_retrain(args, kv):
     adversary_path = _required(kv, "adversary_checkpoint")
 
     def work(out: Path) -> list[str]:
-        result = run_defense_experiment(env_cfg, victim_path, adversary_path, cfg, out)
-        return [
-            f"under attack: {result.before_under_attack:.3f} -> {result.after_under_attack:.3f}; "
-            f"no attack: {result.before_no_attack:.3f} -> {result.after_no_attack:.3f}"
-        ]
+        table = run_defense_experiment(env_cfg, victim_path, adversary_path, cfg, out)
+        return [f"{condition}: {before:.3f} -> {after:.3f}" for condition, (before, after) in table.items()]
 
     return work
 
@@ -228,7 +225,7 @@ def _failure(exc: BaseException) -> tuple[str, int | None]:
     for kinds, kind, code in (
         (ConfigError, "config error", EXIT_CONFIG),
         (FileNotFoundError, "dependency error", EXIT_DEPENDENCY),
-        ((TrainingFault, TrainingFailed), "training fault", EXIT_TRAINING),
+        (TrainingFault, "training fault", EXIT_TRAINING),
     ):
         if isinstance(exc, kinds):
             return f"{kind}: {exc}", code

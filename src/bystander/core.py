@@ -62,20 +62,17 @@ class AgentId:
 class StepOutcome:
     """Per-step result flags plus the failure-path signal vector.
 
-    Success/failure are decided only at episode end: both flags stay False on
-    non-terminal steps and are mutually exclusive on the terminal one.
+    Success is decided only at episode end: victim_success stays False on
+    non-terminal steps, and a terminal step without it is a victim failure.
     """
 
     terminal: bool
     victim_success: bool
-    victim_failed: bool
     failure_signals: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.victim_success and self.victim_failed:
-            raise ValueError("victim_success and victim_failed are mutually exclusive")
-        if not self.terminal and (self.victim_success or self.victim_failed):
-            raise ValueError("success/failure may only be set on a terminal step")
+        if self.victim_success and not self.terminal:
+            raise ValueError("success may only be set on a terminal step")
         sig = np.asarray(self.failure_signals, dtype=float)
         if sig.ndim != 1:
             raise ValueError("failure_signals must be a flat vector")
@@ -139,7 +136,9 @@ class ConfigError(ValueError):
 
 
 class TrainingFault(RuntimeError):
-    """Raised when training produces non-finite values."""
+    """Raised when training goes wrong: non-finite values, a frozen policy
+    that changed while another party trained, or a trained party that
+    misses its competence floor."""
 
 
 def validate_trajectory(traj: EpisodeTrajectory, descriptor) -> ValidationReport:

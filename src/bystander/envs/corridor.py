@@ -292,7 +292,6 @@ class CorridorEnv(Environment):
         return StepOutcome(
             terminal=terminal,
             victim_success=success,
-            victim_failed=terminal and not success,
             failure_signals=np.array([collision, timeout, stalls]),
         )
 

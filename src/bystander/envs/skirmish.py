@@ -338,7 +338,6 @@ class SkirmishEnv(Environment):
         return StepOutcome(
             terminal=terminal,
             victim_success=success,
-            victim_failed=terminal and not success,
             failure_signals=np.array([damage_frac, delay]),
         )
 

@@ -4,7 +4,10 @@ counts and seeds, producing win-rate tables and learning-curve CSVs.
 Experiment ids follow the study structure: rq1 cross-environment
 generalization, rq2 reward-mode comparison, rq3 bystander-count sweep,
 rq4 task-difficulty sweep. The rq5 defense retraining is no sweep: it is
-`run_defense_experiment`, behind the `defend-retrain` command.
+`run_defense_experiment`, behind the `defend-retrain` command, which
+retrains victims as phase 1 does but against a frozen attack, and tables
+the original and the retrained victims under attack, without bystanders
+and with bystanders acting at random.
 
 A sweep plays each of its evaluations once, with `train.eval_episodes`
 episodes on the seeds `derive_seed(seed, "eval.episode", k)` of its grid
@@ -30,12 +33,10 @@ import numpy as np
 from .core import ConfigError, Party
 from .envs import PRESETS, make_env
 from .training import (
-    DefenseResult,
     RewardMode,
     TrainingConfig,
     evaluate_win_rate,
     load_policy,
-    retrain_victims_defense,
     save_policy,
     train_adversaries,
     train_victims,
@@ -212,21 +213,36 @@ def run_defense_experiment(
     adversary_path: Path,
     cfg: TrainingConfig,
     out_dir,
-) -> DefenseResult:
-    """RQ5: retrain victims against a frozen attack and report the before vs
-    after win rates."""
+) -> dict[str, tuple[float, float]]:
+    """RQ5: phase-1 victim training against the frozen attack, at cfg.seed.
+
+    Both checkpoints are loaded, and the original victims checked against
+    the env, before any training. Returns, and writes to rq5_table.csv, the
+    win rate of the original victims (before) and of the retrained ones
+    (after) per condition: under_attack, no_attack and random. The retrained
+    victims' two baselines are the ones `train_victims` measures."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     victims = load_policy(victim_path)
-    adversaries = load_policy(adversary_path)
-    result = retrain_victims_defense(env_cfg, adversaries, cfg, victims, out_dir)
+    attack = load_policy(adversary_path)
+    victims.check_fits(make_env(env_cfg), Party.VICTIM)
+    retrained = train_victims(env_cfg, cfg, out_dir, bystanders=attack)
+    save_policy(out_dir / "retrained_victims.npz", retrained.policy)
+
+    def rate(policy, bystanders) -> float:
+        return evaluate_win_rate(env_cfg, policy, bystanders, cfg.eval_episodes, cfg.seed)[0]
+
+    table = {
+        "under_attack": (rate(victims, attack), rate(retrained.policy, attack)),
+        "no_attack": (rate(victims, None), retrained.no_attack_win_rate),
+        "random": (rate(victims, "random"), retrained.random_neutral_win_rate),
+    }
     with open(out_dir / "rq5_table.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("condition", "before", "after"))
-        w.writerow(("under_attack", f"{result.before_under_attack:.10g}", f"{result.after_under_attack:.10g}"))
-        w.writerow(("no_attack", f"{result.before_no_attack:.10g}", f"{result.after_no_attack:.10g}"))
-    save_policy(out_dir / "retrained_victims.npz", result.retrained)
-    return result
+        for condition, (before, after) in table.items():
+            w.writerow((condition, f"{before:.10g}", f"{after:.10g}"))
+    return table
 
 
 def default_spec(

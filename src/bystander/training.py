@@ -1,6 +1,7 @@
 """Two-phase pipeline: train victim agents to competence against scripted
-opponents (bystanders acting randomly), freeze them, then train the
-bystander party to break them.
+opponents, with the bystanders acting at random, freeze them, then train the
+bystander party to break them. Phase 1 also takes frozen bystanders in
+place of random ones: the defense retrains victims against a frozen attack.
 
 The bystander learner only ever receives FrozenPolicy callables for the
 victims: there is no code path handing it victim parameters, so its learning
@@ -96,14 +97,6 @@ class TrainingConfig:
         return self.epsilon_start + frac * (self.epsilon_end - self.epsilon_start)
 
 
-class TrainingFailed(RuntimeError):
-    """Raised when a trained party misses its competence floor."""
-
-    def __init__(self, message: str, win_rate: float):
-        super().__init__(message)
-        self.win_rate = win_rate
-
-
 class FrozenPolicy:
     """Immutable greedy snapshot of one party's Q networks.
 
@@ -164,7 +157,7 @@ class FrozenController(Controller):
 
 
 def victim_task_reward(outcome, native_reward, bystander_obs) -> float:
-    """Native task reward of the victim party (phase 1 and defense retrain)."""
+    """Native task reward of the victim party (phase 1)."""
     return native_reward
 
 
@@ -414,28 +407,44 @@ class VictimTrainingResult:
     curve: list[tuple[int, float]]
 
 
+def _bystander_controller(env: Environment, bystanders, seed: int, stream: str) -> Controller:
+    """The controller of env's bystanders: uniform random for "random", on
+    the `{stream}.random_adv` seed stream, or a FrozenPolicy, which must
+    fit them (ConfigError otherwise, also when env has no bystanders)."""
+    if isinstance(bystanders, FrozenPolicy):
+        bystanders.check_fits(env, Party.ADVERSARY)
+        return bystanders.as_controller()
+    if bystanders == "random":
+        return RandomController(np.random.default_rng(derive_seed(seed, f"{stream}.random_adv", 0)))
+    raise ConfigError(f"unsupported bystander policy {bystanders!r}")
+
+
 def train_victims(
-    env_config, cfg: TrainingConfig, out_dir: Path | None = None
+    env_config,
+    cfg: TrainingConfig,
+    out_dir: Path | None = None,
+    bystanders: FrozenPolicy | None = None,
 ) -> VictimTrainingResult:
-    """Phase 1: victims learn their native task while any bystanders present
-    act uniformly at random; returns frozen greedy policies."""
+    """Phase 1: victims learn their native task against the bystanders,
+    which act uniformly at random (None) or by a frozen policy, such as an
+    attack to defend against; returns frozen greedy policies and their
+    no-attack and random-bystander win rates. A policy that does not fit the
+    env's bystanders is a ConfigError before any episode is played; victims
+    below cfg.competence_floor without bystanders are a TrainingFault."""
     env = make_env(env_config)
     other: dict[Party, Controller] = {}
-    if env.agents(Party.ADVERSARY):
-        other[Party.ADVERSARY] = RandomController(
-            np.random.default_rng(derive_seed(cfg.seed, "victim_train.random_adv", 0))
+    if bystanders is not None or env.agents(Party.ADVERSARY):
+        other[Party.ADVERSARY] = _bystander_controller(
+            env, "random" if bystanders is None else bystanders, cfg.seed, "victim_train"
         )
     result = train_party(
         env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "victim_train"
     )
     policy = result.policy
     no_attack = evaluate_win_rate(env_config, policy, None, cfg.eval_episodes, cfg.seed)[0]
-    random_rate = evaluate_win_rate(env_config, policy, "random", cfg.eval_episodes, cfg.seed)[0]
     if no_attack < cfg.competence_floor:
-        raise TrainingFailed(
-            f"victims reached win rate {no_attack:.3f} < floor {cfg.competence_floor}",
-            no_attack,
-        )
+        raise TrainingFault(f"victims reached win rate {no_attack:.3f} < floor {cfg.competence_floor}")
+    random_rate = evaluate_win_rate(env_config, policy, "random", cfg.eval_episodes, cfg.seed)[0]
     return VictimTrainingResult(policy, no_attack, random_rate, result.curve)
 
 
@@ -495,49 +504,6 @@ def train_adversaries(
     return AdversaryTrainingResult(policy, reward_model, under, result.curve)
 
 
-@dataclass
-class DefenseResult:
-    retrained: FrozenPolicy
-    before_under_attack: float
-    before_no_attack: float
-    after_under_attack: float
-    after_no_attack: float
-    curve: list[tuple[int, float]]
-
-
-def retrain_victims_defense(
-    env_config,
-    frozen_adversaries: FrozenPolicy,
-    cfg: TrainingConfig,
-    original_victims: FrozenPolicy,
-    out_dir: Path | None = None,
-) -> DefenseResult:
-    """Simple defense: retrain victims from scratch against the fixed attack
-    and report win rates with and without the attack, before and after."""
-    if not isinstance(frozen_adversaries, FrozenPolicy):
-        raise ConfigError("defense retraining accepts only frozen bystander policies")
-    env = make_env(env_config)
-    frozen_adversaries.check_fits(env, Party.ADVERSARY)
-    original_victims.check_fits(env, Party.VICTIM)
-    other = {Party.ADVERSARY: frozen_adversaries.as_controller()}
-    result = train_party(env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "defense_retrain")
-    retrained = result.policy
-    after_under = evaluate_win_rate(
-        env_config, retrained, frozen_adversaries, cfg.eval_episodes, cfg.seed
-    )[0]
-    after_no = evaluate_win_rate(env_config, retrained, None, cfg.eval_episodes, cfg.seed)[0]
-    if after_no < cfg.competence_floor:
-        raise TrainingFailed(
-            f"retrained victims reached win rate {after_no:.3f} < floor {cfg.competence_floor}",
-            after_no,
-        )
-    before_under = evaluate_win_rate(
-        env_config, original_victims, frozen_adversaries, cfg.eval_episodes, cfg.seed
-    )[0]
-    before_no = evaluate_win_rate(env_config, original_victims, None, cfg.eval_episodes, cfg.seed)[0]
-    return DefenseResult(retrained, before_under, before_no, after_under, after_no, result.curve)
-
-
 def evaluate_win_rate(
     env_config,
     victim_policy: FrozenPolicy,
@@ -557,15 +523,8 @@ def evaluate_win_rate(
     env = make_env(env_config)
     victim_policy.check_fits(env, Party.VICTIM)
     controllers: dict[Party, Controller] = {Party.VICTIM: victim_policy.as_controller()}
-    if isinstance(adversary_policy, FrozenPolicy):
-        adversary_policy.check_fits(env, Party.ADVERSARY)
-        controllers[Party.ADVERSARY] = adversary_policy.as_controller()
-    elif adversary_policy == "random":
-        controllers[Party.ADVERSARY] = RandomController(
-            np.random.default_rng(derive_seed(seed, "eval.random_adv", 0))
-        )
-    elif adversary_policy is not None:
-        raise ConfigError(f"unsupported adversary policy {adversary_policy!r}")
+    if adversary_policy is not None:
+        controllers[Party.ADVERSARY] = _bystander_controller(env, adversary_policy, seed, "eval")
     rate = evaluate_party(env, controllers, episodes, seed, "eval.episode")
     return rate, wilson_half_width(rate, episodes)
 

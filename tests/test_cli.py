@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from bystander.cli import EXIT_CONFIG, EXIT_DEPENDENCY, EXIT_OK, EXIT_TRAINING, dispatch
-from bystander.config import RunManifest, apply_overrides, config_to_text, parse_config_text
-from bystander.training import load_policy
+from bystander.config import RunManifest, apply_overrides, build_training_config, config_to_text, parse_config_text
+from bystander.envs import PRESETS
+from bystander.training import evaluate_win_rate, load_policy, train_victims
 
 # run-experiment reads no env.* key: its grid names the presets
 TINY_TRAIN = [
@@ -216,6 +217,40 @@ def test_defend_retrain_is_reproducible(tmp_path, trained):
         checksums.append(load_policy(out / "retrained_victims.npz").checksum())
     assert checksums[0] == checksums[1]
     assert checksums[0] != load_policy(victims).checksum()
+
+
+def test_defend_retrain_tables_both_victims_under_each_condition(tmp_path, trained, capsys):
+    victims, adversaries = trained
+    extra = [f"victim_checkpoint={victims}", f"adversary_checkpoint={adversaries}", "train.eval_episodes=6"]
+    assert _run("defend-retrain", tmp_path, extra) == EXIT_OK
+    out = tmp_path / "defend-retrain"
+    header, *rows = (out / "rq5_table.csv").read_text().splitlines()
+    assert header == "condition,before,after"
+    assert [row.split(",")[0] for row in rows] == ["under_attack", "no_attack", "random"]
+    attack, retrained = load_policy(adversaries), load_policy(out / "retrained_victims.npz")
+    originals, env_cfg = load_policy(victims), PRESETS["skirmish-small"]
+    for row, bystanders in zip(rows, (attack, None, "random")):
+        before, after = (evaluate_win_rate(env_cfg, policy, bystanders, 6, 1)[0] for policy in (originals, retrained))
+        assert row.split(",")[1:] == [f"{before:.10g}", f"{after:.10g}"]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == ["under_attack", "no_attack", "random"]
+    # the phase-1 run at the same seed, with the attack for bystanders
+    cfg = build_training_config(apply_overrides({}, [*TINY_TRAIN, "train.eval_episodes=6"]), seed=1)
+    assert train_victims(env_cfg, cfg, bystanders=attack).policy.checksum() == retrained.checksum()
+    assert str(out / "victim_train_curve.csv") in _manifest(out).artifacts
+
+
+def test_defend_retrain_refuses_victims_that_do_not_fit_before_training(tmp_path, trained):
+    _, adversaries = trained
+    # the bystanders' checkpoint given as the victims': the attack fits, the victims do not
+    extra = [f"victim_checkpoint={adversaries}", f"adversary_checkpoint={adversaries}"]
+    assert _run("defend-retrain", tmp_path, extra) == EXIT_CONFIG
+    out = tmp_path / "defend-retrain"
+    manifest = _manifest(out)
+    assert manifest.status == "failed"
+    assert manifest.error.startswith("config error: policy (party, agents, obs_dim, n_actions) ('adversary'")
+    assert not list(out.glob("victim_train_*.csv"))
+    assert manifest.artifacts == []
 
 
 def _run_experiment(out, seed):

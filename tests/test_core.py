@@ -15,8 +15,8 @@ from bystander.core import (
 from bystander.envs import PRESETS, make_env
 
 
-def outcome(terminal=False, success=False, failed=False, signals=(0.0, 0.0)):
-    return StepOutcome(terminal, success, failed, np.asarray(signals, dtype=float))
+def outcome(terminal=False, success=False, signals=(0.0, 0.0)):
+    return StepOutcome(terminal, success, np.asarray(signals, dtype=float))
 
 
 def test_party_partition_and_ordering():
@@ -33,11 +33,9 @@ def test_agent_index_must_be_nonnegative():
 
 def test_outcome_exclusivity():
     with pytest.raises(ValueError):
-        StepOutcome(True, True, True, np.zeros(2))
+        StepOutcome(False, True, np.zeros(2))
     with pytest.raises(ValueError):
-        StepOutcome(False, True, False, np.zeros(2))
-    with pytest.raises(ValueError):
-        StepOutcome(True, False, True, np.array([-0.1, 0.0]))
+        StepOutcome(True, False, np.array([-0.1, 0.0]))
 
 
 def _trajectory(env, state, outcomes):
@@ -61,7 +59,7 @@ def skirmish():
 
 def test_one_step_terminal_trajectory_passes(skirmish):
     state = skirmish.reset(0)
-    traj = _trajectory(skirmish, state, [outcome(terminal=True, failed=True)])
+    traj = _trajectory(skirmish, state, [outcome(terminal=True)])
     report = validate_trajectory(traj, skirmish.descriptor)
     assert report.ok, report.violations
     assert traj.final_outcome is traj.outcomes[-1] and len(traj) == 1
@@ -69,7 +67,7 @@ def test_one_step_terminal_trajectory_passes(skirmish):
 
 def test_terminal_before_end_fails(skirmish):
     state = skirmish.reset(0)
-    term = outcome(terminal=True, failed=True)
+    term = outcome(terminal=True)
     traj = _trajectory(skirmish, state, [term, term])
     report = validate_trajectory(traj, skirmish.descriptor)
     assert not report.ok
@@ -81,7 +79,7 @@ def test_terminal_before_end_fails(skirmish):
 
 def test_wrong_observation_shape_names_record(skirmish):
     state = skirmish.reset(0)
-    traj = _trajectory(skirmish, state, [outcome(terminal=True, failed=True)])
+    traj = _trajectory(skirmish, state, [outcome(terminal=True)])
     bad = dataclasses.replace(traj, obs={**traj.obs, Party.VICTIM: np.zeros((2, 3, 17))})
     report = validate_trajectory(bad, skirmish.descriptor)
     assert not report.ok
@@ -94,7 +92,7 @@ def test_wrong_observation_shape_names_record(skirmish):
 
 def test_unavailable_action_names_record_and_agent(skirmish):
     state = skirmish.reset(0)
-    term = outcome(terminal=True, failed=True)
+    term = outcome(terminal=True)
     traj = _trajectory(skirmish, state, [outcome(), term])
     avail = traj.avail[Party.VICTIM].copy()
     avail[1, 2] = False
@@ -112,7 +110,7 @@ def test_unavailable_action_names_record_and_agent(skirmish):
 
 
 def test_joint_action_is_each_partys_row_of_the_step(skirmish):
-    traj = _trajectory(skirmish, skirmish.reset(0), [outcome(terminal=True, failed=True)])
+    traj = _trajectory(skirmish, skirmish.reset(0), [outcome(terminal=True)])
     traj.actions[Party.VICTIM][0] = [4, 5, 6]
     joint = traj.joint_action(0)
     assert list(joint) == [Party.VICTIM, Party.ADVERSARY]

@@ -338,7 +338,8 @@ def random_play_digest(episodes: int) -> str:
                     h.update(np.ascontiguousarray(arrays[p], dtype=np.float64).tobytes())
             h.update(traj.rewards.tobytes())
             for out in traj.outcomes:
-                h.update(bytes([out.terminal, out.victim_success, out.victim_failed]))
+                # the third byte is the former victim_failed flag, which keeps the pin
+                h.update(bytes([out.terminal, out.victim_success, out.terminal and not out.victim_success]))
                 h.update(out.failure_signals.tobytes())
     return h.hexdigest()
 

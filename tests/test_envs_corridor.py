@@ -50,7 +50,7 @@ def test_victim_rear_end_collision_fails(env):
     # stopped bystander directly ahead; the victim drives into it
     state = env.state_from_vehicles({V0: (0, 3, 2), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
-    assert outcome.terminal and outcome.victim_failed
+    assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
     assert nxt.vehicle(V0).crashed
 
@@ -77,7 +77,7 @@ def test_scripted_traffic_rear_ends_stopped_victim(env):
     # constant-speed traffic cannot brake: a victim stopped in its path is hit
     state = env.state_from_vehicles({T0: (0, 2, 1), V0: (0, 3, 0), A0: (1, 0, 0), A1: (1, 1, 0), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
-    assert outcome.terminal and outcome.victim_failed
+    assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
     assert nxt.vehicle(V0).crashed
 
@@ -117,7 +117,7 @@ def test_timeout_fails(env):
         state, outcome = env.step(state, KEEP_ALL)
         if outcome.terminal:
             break
-    assert outcome.terminal and outcome.victim_failed
+    assert outcome.terminal and not outcome.victim_success
     assert state.step_count == env.config.horizon
 
 

@@ -10,8 +10,8 @@ from bystander.rewards import EpisodeEstimator, RewardModel, reward_model_update
 from bystander.training import rule_immediate_reward
 
 
-def out(terminal, success=False, failed=False, signals=(0.0, 0.0)):
-    return StepOutcome(terminal, success, failed, np.asarray(signals, dtype=float))
+def out(terminal, success=False, signals=(0.0, 0.0)):
+    return StepOutcome(terminal, success, np.asarray(signals, dtype=float))
 
 
 def test_weighted_reward_examples():
@@ -47,7 +47,7 @@ def test_terminal_rule_success_is_zero():
 
 
 def test_terminal_rule_failure_is_r_fail():
-    gt = terminal_reward(out(True, failed=True), r_fail=20)
+    gt = terminal_reward(out(True), r_fail=20)
     assert gt == 20.0 and type(gt) is float
 
 
@@ -61,7 +61,7 @@ def test_rule_immediate_reward_adds_the_terminal_ground_truth():
     signals = [0.0, 1.0 / 60.0]
     step = rule_immediate_reward(w, 20.0, out(False, signals=signals), -1.0, None)
     assert step == pytest.approx(0.3 / 60.0)
-    assert rule_immediate_reward(w, 20.0, out(True, failed=True, signals=signals), -1.0, None) == step + 20.0
+    assert rule_immediate_reward(w, 20.0, out(True, signals=signals), -1.0, None) == step + 20.0
     assert rule_immediate_reward(w, 20.0, out(True, success=True, signals=signals), -1.0, None) == step
 
 

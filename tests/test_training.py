@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -271,3 +272,23 @@ def test_check_fits_refuses_wrong_party_and_shapes(tmp_path):
     for key, name in (("victim_checkpoint", "victims"), ("adversary_checkpoint", "old")):
         argv += ["--set", f"{key}={tmp_path / name}.npz"]
     assert dispatch(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("case", ["agent_count", "victim_policy", "no_bystanders"])
+def test_train_victims_refuses_an_attack_that_does_not_fit_before_playing(tiny_victims, monkeypatch, case):
+    env_cfg = PRESETS["skirmish-small"]
+    env = make_env(env_cfg)
+    d, n = env.descriptor, len(env.agents(Party.ADVERSARY))
+    fitting = FrozenPolicy(Party.ADVERSARY, _nets(d.obs_dim(Party.ADVERSARY), d.n_actions(Party.ADVERSARY), n))
+    if case == "agent_count":
+        attack = FrozenPolicy(Party.ADVERSARY, _nets(d.obs_dim(Party.ADVERSARY), d.n_actions(Party.ADVERSARY), n + 1))
+    elif case == "victim_policy":
+        attack = tiny_victims
+    else:
+        # an env without bystanders refuses the attack rather than ignore it
+        attack, env_cfg = fitting, dataclasses.replace(env_cfg, adversary_count=0)
+    played = []
+    monkeypatch.setattr(training, "run_episode", lambda *args, **kwargs: played.append(args))
+    with pytest.raises(ConfigError, match="does not fit"):
+        train_victims(env_cfg, TrainingConfig(**TINY, seed=3), bystanders=attack)
+    assert played == []
