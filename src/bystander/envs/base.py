@@ -68,11 +68,11 @@ class FailurePathDescriptor:
 
 def check_failure_weights(weights: tuple[float, ...], n_paths: int, env_name: str) -> None:
     """ConfigError unless there is one weight per failure path, every weight
-    is >= 0 and at least one is > 0."""
+    is finite and >= 0 and at least one is > 0."""
     if len(weights) != n_paths:
         raise ConfigError(f"{env_name} has exactly {n_paths} failure paths")
-    if not (all(w >= 0 for w in weights) and any(w > 0 for w in weights)):
-        raise ConfigError(f"failure_weights {weights} must be >= 0 with at least one > 0")
+    if not (all(0 <= w < np.inf for w in weights) and any(w > 0 for w in weights)):
+        raise ConfigError(f"failure_weights {weights} must be finite and >= 0 with at least one > 0")
 
 
 @dataclass(frozen=True)

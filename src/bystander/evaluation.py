@@ -60,6 +60,9 @@ class ExperimentSpec:
             raise ConfigError(f"experiment id must be one of {EXPERIMENT_IDS}")
         if not self.seeds:
             raise ConfigError("an experiment needs at least one seed")
+        # a repeated seed would share its grid points' jobs and count twice in the table
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"experiment seeds {self.seeds} repeat a seed")
         if set(self.seeds) & {self.train.seed}:
             raise ConfigError("evaluation seeds must be disjoint from the training seed")
 

@@ -1,9 +1,12 @@
 """Minimal differentiable building blocks with hand-written gradients.
 
 Feed-forward nets, a gated recurrent (LSTM-style) cell with a scalar head,
-and an adaptive-moment optimizer. No autodiff graph: every forward that is
-trained through returns a cache and every backward consumes it, accumulating
-into ParamTensor.grad.
+and an adaptive-moment optimizer. No autodiff graph: every backward
+accumulates into ParamTensor.grad from the cache its forward returned, or,
+for `Linear`, which keeps no cache, from the layer's input. A backward
+computes only the gradients that are read, so `Linear.backward` and
+`MLP.backward` return nothing, and `Adam.step` is the one place that resets
+the grads.
 All math is float64 so finite-difference checks are reliable.
 """
 
@@ -64,22 +67,26 @@ class ParamTensor:
 class Linear:
     """Affine layer y = x W^T + b operating on (batch, in) matrices."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator):
-        limit = 1.0 / np.sqrt(d_in)
-        self.w = ParamTensor.uniform(f"{name}.w", (d_out, d_in), rng, limit)
+    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator | None):
+        """Weights uniform in +-1/sqrt(d_in), biases zero. With rng None
+        every value starts at zero."""
+        shape = (d_out, d_in)
+        if rng is None:
+            self.w = ParamTensor.zeros(f"{name}.w", shape)
+        else:
+            self.w = ParamTensor.uniform(f"{name}.w", shape, rng, 1.0 / np.sqrt(d_in))
         self.b = ParamTensor.zeros(f"{name}.b", (d_out,))
 
     def params(self) -> list[ParamTensor]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x @ self.w.array.T + self.b.array, x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w.array.T + self.b.array
 
-    def backward(self, cache: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        x = cache
+    def backward(self, x: np.ndarray, dy: np.ndarray) -> None:
+        """Accumulate the parameter grads of upstream dy at input x."""
         self.w.grad_array[...] += dy.T @ x
         self.b.grad_array[...] += dy.sum(axis=0)
-        return dy @ self.w.array
 
 
 @dataclass
@@ -170,21 +177,18 @@ class MLP:
                 x = np.maximum(x, 0.0)
         return x, MLPCache(inputs)
 
-    def backward(self, cache: MLPCache, dy: np.ndarray) -> np.ndarray:
+    def backward(self, cache: MLPCache, dy: np.ndarray) -> None:
         """Accumulate the parameter grads of upstream dy (n_agents, R,
-        d_out); returns the input gradient (n_agents, R, d_in)."""
+        d_out). The input gradient is not computed, as no caller reads it."""
         if cache.consumed:
             raise LifecycleError(f"{','.join(self.names)}: cache already consumed")
         cache.consumed = True
         dy = np.asarray(dy, dtype=float)
-        last = len(self.w) - 1
         for l in reversed(range(len(self.w))):
-            if l < last:
-                dy = dy * (cache.layer_inputs[l + 1] > 0)
             self.w_grad[l] += np.matmul(dy.transpose(0, 2, 1), cache.layer_inputs[l])
             self.b_grad[l] += dy.sum(axis=1)
-            dy = np.matmul(dy, self.w[l])
-        return dy
+            if l > 0:
+                dy = np.matmul(dy, self.w[l]) * (cache.layer_inputs[l] > 0)
 
 
 @dataclass(frozen=True)
@@ -437,8 +441,9 @@ class LSTMCell:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction; zeroes grads after
-    each update. Only the learning rate is settable."""
+    """Adaptive-moment optimizer with bias correction; zeroes the grads
+    after each update, the one place that resets them. Only the learning
+    rate is settable."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -465,26 +470,12 @@ class Adam:
             p.values -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPSILON)
             p.zero_grad()
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str
-    n_checked: int
-
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
 
 def grad_check(
     loss_fn: Callable[[], float], params: Sequence[ParamTensor], backward_fn: Callable[[], None]
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences of
-    step 1e-5.
+) -> float:
+    """The worst relative error of the analytic gradients against central
+    finite differences of step 1e-5.
 
     backward_fn is called first; it must zero and repopulate every param's
     grad. loss_fn recomputes the scalar loss from the params' current
@@ -494,7 +485,7 @@ def grad_check(
     backward_fn()
     analytic = {p.name: p.grad.copy() for p in params}
     h = 1e-5
-    worst, worst_name, checked = 0.0, "", 0
+    worst = 0.0
     for p in params:
         for k in range(p.values.size):
             orig = p.values[k]
@@ -505,11 +496,8 @@ def grad_check(
             p.values[k] = orig
             fd = (hi - lo) / (2.0 * h)
             a = analytic[p.name][k]
-            err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-            checked += 1
-            if err > worst:
-                worst, worst_name = err, f"{p.name}[{k}]"
-    return GradCheckReport(worst, worst_name, checked)
+            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+    return worst
 
 
 # --- checkpoint container -----------------------------------------------

@@ -6,7 +6,10 @@ synced target copy, and the batched squared-error update.
 
 A learner step packs its sampled episodes' transitions into rows, episode
 after episode, with no padding: the target pass, both forwards, the loss and
-both backwards each run once over the batch's real transitions.
+both backwards each run once over the batch's real transitions. Nothing is
+computed that no caller reads: the target pair starts as zeros that its
+first sync overwrites, and the mixer's backward returns no gradient of its
+conditioning input.
 """
 
 from __future__ import annotations
@@ -53,10 +56,8 @@ class MixCache:
     h: np.ndarray
     w2_raw: np.ndarray
     w2: np.ndarray
-    hw1_cache: np.ndarray
-    hb1_cache: np.ndarray
-    hw2_cache: np.ndarray
-    hv_cache: np.ndarray
+    # the input of all four hypernetworks
+    cond: np.ndarray
 
 
 class MixingNet:
@@ -64,7 +65,7 @@ class MixingNet:
     learner, the party's concatenated observations) and emit absolute-valued
     mixing weights, so dQ_tot/dQ_i >= 0 by construction."""
 
-    def __init__(self, name: str, n_agents: int, cond_dim: int, embed: int, rng):
+    def __init__(self, name: str, n_agents: int, cond_dim: int, embed: int, rng: np.random.Generator | None):
         self.name = name
         self.n_agents = n_agents
         self.cond_dim = cond_dim
@@ -90,36 +91,34 @@ class MixingNet:
             raise StructuralError(f"expected (B, {self.n_agents}) agent values, got {q.shape}")
         if cond.ndim != 2 or cond.shape[1] != self.cond_dim:
             raise StructuralError(f"expected (B, {self.cond_dim}) conditioning, got {cond.shape}")
-        w1_raw, hw1_cache = self.hyper_w1.forward(cond)
-        b1, hb1_cache = self.hyper_b1.forward(cond)
-        w2_raw, hw2_cache = self.hyper_w2.forward(cond)
-        v, hv_cache = self.hyper_v.forward(cond)
+        w1_raw = self.hyper_w1.forward(cond)
+        b1 = self.hyper_b1.forward(cond)
+        w2_raw = self.hyper_w2.forward(cond)
+        v = self.hyper_v.forward(cond)
         w1 = np.abs(w1_raw).reshape(-1, self.n_agents, self.embed)
         w2 = np.abs(w2_raw)
         h_pre = np.einsum("bn,bne->be", q, w1) + b1
         h = _elu(h_pre)
         q_tot = (h * w2).sum(axis=1) + v[:, 0]
-        cache = MixCache(
-            q, w1_raw, w1, h_pre, h, w2_raw, w2,
-            hw1_cache, hb1_cache, hw2_cache, hv_cache,
-        )
-        return q_tot, cache
+        return q_tot, MixCache(q, w1_raw, w1, h_pre, h, w2_raw, w2, cond)
 
     def backward(self, cache: MixCache, dq_tot: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads; returns the gradient w.r.t. the
-        per-agent Q inputs."""
+        per-agent Q inputs. The conditioning input's gradient is not
+        computed, as no caller reads it."""
         dq_tot = np.asarray(dq_tot, dtype=float)
+        cond = cache.cond
         dv = dq_tot[:, None]
-        self.hyper_v.backward(cache.hv_cache, dv)
+        self.hyper_v.backward(cond, dv)
         dw2 = dq_tot[:, None] * cache.h
         dh = dq_tot[:, None] * cache.w2
-        self.hyper_w2.backward(cache.hw2_cache, dw2 * np.sign(cache.w2_raw))
+        self.hyper_w2.backward(cond, dw2 * np.sign(cache.w2_raw))
         dh_pre = dh * _elu_grad(cache.h_pre)
-        self.hyper_b1.backward(cache.hb1_cache, dh_pre)
+        self.hyper_b1.backward(cond, dh_pre)
         dw1 = np.einsum("bn,be->bne", cache.q, dh_pre)
         dq = np.einsum("bne,be->bn", cache.w1, dh_pre)
         dw1_raw = dw1.reshape(dw1.shape[0], -1) * np.sign(cache.w1_raw)
-        self.hyper_w1.backward(cache.hw1_cache, dw1_raw)
+        self.hyper_w1.backward(cond, dw1_raw)
         return dq
 
 
@@ -127,18 +126,18 @@ class MixingNet:
 class PreparedEpisode:
     """Episode of T transitions as dense arrays for the learner, each state
     stored once. Shapes: obs (T+1, n, D) and avail (T+1, n, A) over the
-    states s_0..s_T, actions (T, n), rewards (T,) and terminal (T,) per
-    transition; transition t runs from state t to state t+1."""
+    states s_0..s_T, and actions (T, n) and rewards (T,) per transition;
+    transition t runs from state t to state t+1, and the last one ends the
+    episode."""
 
     obs: np.ndarray
     avail: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
-    terminal: np.ndarray
 
     def __post_init__(self) -> None:
         T = self.rewards.shape[0]
-        for name, length in (("obs", T + 1), ("avail", T + 1), ("actions", T), ("terminal", T)):
+        for name, length in (("obs", T + 1), ("avail", T + 1), ("actions", T)):
             if getattr(self, name).shape[0] != length:
                 raise StructuralError(f"misaligned episode arrays: {name}")
 
@@ -180,9 +179,10 @@ class Batch:
     """The N real transitions of B episodes as packed rows, episode after
     episode and step after step within each: obs (N, n, D) of each
     transition's state, next_obs (N, n, D) and next_avail (N, n, A) of the
-    state it leads to, and actions (N, n), rewards (N,) and terminal (N,).
-    mask (B, T_max) marks the real steps of the episodes padded to the
-    longest; its True entries, row by row, are the N rows."""
+    state it leads to, and actions (N, n), rewards (N,) and terminal (N,),
+    True on each episode's last transition. mask (B, T_max) marks the real
+    steps of the episodes padded to the longest; its True entries, row by
+    row, are the N rows."""
 
     obs: np.ndarray
     next_obs: np.ndarray
@@ -197,31 +197,31 @@ def stack_batch(episodes: Sequence[PreparedEpisode]) -> Batch:
     """The episodes' transitions packed into one Batch, in the given episode
     order; no row is padding."""
     lengths = np.array([len(e) for e in episodes])
+    terminal = np.zeros(lengths.sum(), dtype=bool)
+    terminal[np.cumsum(lengths) - 1] = True
     return Batch(
         obs=np.concatenate([e.obs[:-1] for e in episodes]),
         next_obs=np.concatenate([e.obs[1:] for e in episodes]),
         next_avail=np.concatenate([e.avail[1:] for e in episodes]),
         actions=np.concatenate([e.actions for e in episodes]),
         rewards=np.concatenate([e.rewards for e in episodes]),
-        terminal=np.concatenate([e.terminal for e in episodes]),
+        terminal=terminal,
         mask=np.arange(lengths.max()) < lengths[:, None],
     )
 
 
 class TargetNetworkPair:
     """Online agent net and mixer plus a frozen copy refreshed every
-    sync_interval learner steps."""
+    sync_interval learner steps; built as zeros, it is filled by the first sync."""
 
-    def __init__(self, net: MLP, mixer: MixingNet, sync_interval: int, rng):
+    def __init__(self, net: MLP, mixer: MixingNet, sync_interval: int):
         if sync_interval < 1:
             raise ValueError("sync_interval must be >= 1")
         self.net = net
         self.mixer = mixer
         self.sync_interval = sync_interval
-        self.target_net = MLP([f"{name}.target" for name in net.names], net.dims, rng)
-        self.target_mixer = MixingNet(
-            f"{mixer.name}.target", mixer.n_agents, mixer.cond_dim, mixer.embed, rng
-        )
+        self.target_net = MLP([f"{name}.target" for name in net.names], net.dims, None)
+        self.target_mixer = MixingNet(f"{mixer.name}.target", mixer.n_agents, mixer.cond_dim, mixer.embed, None)
         self.steps_since_sync = 0
         self.syncs = 0
         self.sync()
@@ -280,7 +280,8 @@ def learner_step(
 
     Every product runs over the batch's real transitions only. The loss is
     their mean, so the learning rate is batch-size invariant; returns the
-    loss and syncs the target pair on its schedule.
+    loss and syncs the target pair on its schedule. The grads start at the
+    zeros that `optimizer.step` leaves.
     """
     batch = stack_batch(buffer.sample(batch_size, rng))
     targets = td_targets(batch, pair, gamma)
@@ -297,7 +298,6 @@ def learner_step(
     if not np.isfinite(loss):
         raise TrainingFault("TD loss is not finite")
 
-    optimizer.zero_grad()
     dq = pair.mixer.backward(mix_cache, 2.0 * err / N)
     dq_full = np.zeros_like(q)
     np.put_along_axis(dq_full, picked, dq.T[:, :, None], axis=2)

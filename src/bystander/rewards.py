@@ -111,8 +111,8 @@ def reward_model_update(
     optimizer: Adam,
 ) -> float:
     """One optimizer step on the mean squared episode-sum error of a
-    minibatch (see `episode_sum_loss_grad`); returns the loss."""
-    optimizer.zero_grad()
+    minibatch (see `episode_sum_loss_grad`), from the zero grads that
+    `optimizer.step` leaves; returns the loss."""
     loss = episode_sum_loss_grad(model, episodes, ground_truths)
     if not np.isfinite(loss):
         raise TrainingFault("reward model loss is not finite")

@@ -78,8 +78,8 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be positive")
         # negated comparisons, so that NaN is refused too
         for name in ("r_fail", "estimate_clip", "learning_rate", "model_learning_rate"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
         for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_frac", "competence_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -298,7 +298,7 @@ def _build_learner(env: Environment, party: Party, cfg: TrainingConfig, seed_str
     # the mixer reads the party's own concatenated observations, not a
     # global state: bystanders have none
     mixer = MixingNet(f"{party.label}_mixer", n_agents, n_agents * obs_dim, cfg.mix_embed, rng)
-    pair = TargetNetworkPair(net, mixer, cfg.target_sync_interval, rng)
+    pair = TargetNetworkPair(net, mixer, cfg.target_sync_interval)
     optimizer = Adam(pair.online_params(), learning_rate=cfg.learning_rate)
     return pair, optimizer
 
@@ -361,17 +361,7 @@ def train_party(
         controller.epsilon = cfg.epsilon_at(episode)
         seed = derive_seed(cfg.seed, f"{label}.episode", episode)
         traj = run_episode(env, controllers, seed, reward).trajectory
-        terminal = np.zeros(len(traj), dtype=bool)
-        terminal[-1] = True
-        buffer.add(
-            PreparedEpisode(
-                obs=traj.obs[party],
-                avail=traj.avail[party],
-                actions=traj.actions[party],
-                rewards=traj.rewards,
-                terminal=terminal,
-            )
-        )
+        buffer.add(PreparedEpisode(traj.obs[party], traj.avail[party], traj.actions[party], traj.rewards))
         returns_since_eval.append(sum(traj.rewards.tolist()))
         if len(buffer) >= cfg.batch_size:
             loss = learner_step(buffer, pair, optimizer, cfg.batch_size, cfg.gamma, sample_rng)
@@ -423,20 +413,20 @@ def train_victims(
     env_config,
     cfg: TrainingConfig,
     out_dir: Path | None = None,
-    bystanders: FrozenPolicy | None = None,
+    bystanders: FrozenPolicy | str = "random",
 ) -> VictimTrainingResult:
     """Phase 1: victims learn their native task against the bystanders,
-    which act uniformly at random (None) or by a frozen policy, such as an
-    attack to defend against; returns frozen greedy policies and their
-    no-attack and random-bystander win rates. A policy that does not fit the
-    env's bystanders is a ConfigError before any episode is played; victims
-    below cfg.competence_floor without bystanders are a TrainingFault."""
+    which act uniformly at random ("random") or by a frozen policy, such as
+    an attack to defend against; returns frozen greedy policies and their
+    no-attack and random-bystander win rates. Anything else, or a policy
+    that does not fit the env's bystanders, is a ConfigError before any
+    episode is played; victims below cfg.competence_floor without
+    bystanders are a TrainingFault."""
     env = make_env(env_config)
     other: dict[Party, Controller] = {}
-    if bystanders is not None or env.agents(Party.ADVERSARY):
-        other[Party.ADVERSARY] = _bystander_controller(
-            env, "random" if bystanders is None else bystanders, cfg.seed, "victim_train"
-        )
+    # random bystanders play only where the env has some
+    if bystanders != "random" or env.agents(Party.ADVERSARY):
+        other[Party.ADVERSARY] = _bystander_controller(env, bystanders, cfg.seed, "victim_train")
     result = train_party(
         env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "victim_train"
     )

@@ -126,12 +126,17 @@ def test_training_values_are_converted_or_refused():
     kv = {"train.seed": "9", "train.episodes": "30"}
     assert build_training_config(kv, seed=5).seed == 5
     assert kv == {"train.seed": "9"}
+    # "inf" parses as a float, so the range check refuses it
+    for name in ("r_fail", "estimate_clip", "learning_rate", "model_learning_rate"):
+        for bad in ("inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                build_training_config({f"train.{name}": bad}, seed=0)
 
 
 def test_failure_weights_must_be_nonnegative_with_one_positive(tmp_path):
     for cls, bad in (
-        (SkirmishConfig, [(-1.0, 2.0), (0.0, 0.0), (float("nan"), 1.0)]),
-        (CorridorConfig, [(0.5, -0.1, 0.2), (0.0, 0.0, 0.0)]),
+        (SkirmishConfig, [(-1.0, 2.0), (0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0)]),
+        (CorridorConfig, [(0.5, -0.1, 0.2), (0.0, 0.0, 0.0), (float("inf"), 0.0, 0.0), (0.5, float("-inf"), 0.2)]),
     ):
         for weights in bad:
             with pytest.raises(ConfigError, match="failure_weights"):
@@ -140,9 +145,10 @@ def test_failure_weights_must_be_nonnegative_with_one_positive(tmp_path):
     # refused where the value enters, even in a reward mode that never reads it
     argv = ["train-adversary", "--out", str(tmp_path), "--set", "train.reward_mode=traditional"]
     argv += ["--set", "train.victim_reward_access=true"]
-    for preset, weights in (("skirmish-small", "-1,2"), ("corridor-small", "0,0,0")):
+    for preset, weights in (("skirmish-small", "-1,2"), ("corridor-small", "0,0,0"), ("corridor-small", "inf,0,0")):
         env = ["--set", f"env.preset={preset}", "--set", f"env.failure_weights={weights}"]
         assert dispatch([*argv, *env]) == EXIT_CONFIG
+    assert not (tmp_path / "train-adversary").exists()
 
 
 def test_sensing_range_below_one_is_refused(tmp_path):
@@ -171,10 +177,14 @@ def test_r_fail_must_be_positive(tmp_path):
     [
         ("estimate_clip", 0.0),
         ("estimate_clip", -1.0),
+        ("estimate_clip", float("inf")),
         ("learning_rate", 0.0),
         ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
         ("model_learning_rate", -1e-3),
         ("model_learning_rate", float("nan")),
+        ("model_learning_rate", float("inf")),
+        ("r_fail", float("inf")),
         ("epsilon_start", 1.5),
         ("epsilon_end", -0.1),
         ("epsilon_decay_frac", float("nan")),
@@ -199,6 +209,13 @@ def test_experiment_settings():
 def test_bad_experiment_seeds_exit_as_config_error(tmp_path):
     argv = ["run-experiment", "--experiment", "rq2", "--out", str(tmp_path)]
     assert dispatch([*argv, "--set", "experiment.seeds=a,b"]) == EXIT_CONFIG
+    # a repeated seed would share its grid points and count twice in the
+    # table; the tiny budget keeps a run that is not refused short
+    argv = ["run-experiment", "--experiment", "rq1", "--out", str(tmp_path), "--set", "experiment.seeds=101,101"]
+    for item in ("train.episodes=1", "train.eval_episodes=1", "train.competence_floor=0"):
+        argv += ["--set", item]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_verify_detects_edited_config(tmp_path):

@@ -130,3 +130,8 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
 def test_an_experiment_needs_a_seed():
     with pytest.raises(ConfigError, match="at least one seed"):
         default_spec("rq3", TINY, seeds=[])
+
+
+def test_an_experiment_refuses_a_repeated_seed():
+    with pytest.raises(ConfigError, match="repeat"):
+        default_spec("rq1", TINY, seeds=[101, 102, 101])

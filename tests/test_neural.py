@@ -154,8 +154,7 @@ def test_lstm_gradients_match_finite_differences():
         for cache in reversed(caches):
             dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
 
-    report = grad_check(loss_fn, cell.params(), backward_fn=backward_fn)
-    assert report.max_rel_error < 1e-4, report
+    assert grad_check(loss_fn, cell.params(), backward_fn=backward_fn) < 1e-4
 
 
 def test_backward_packed_with_per_row_gradients_matches_the_per_tick_reference():
@@ -230,8 +229,7 @@ def test_grad_check_exact_for_linear_model():
         y, cache = mlp.forward(x)
         mlp.backward(cache, np.ones_like(y))
 
-    report = grad_check(loss_fn, mlp.params(), backward_fn=backward_fn)
-    assert report.max_rel_error < 1e-8
+    assert grad_check(loss_fn, mlp.params(), backward_fn=backward_fn) < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -290,7 +288,7 @@ def reference_forward(net, i, x):
 
 
 def reference_backward(net, i, inputs, dy):
-    """Agent i's (weight grads, bias grads, input grad) for upstream dy."""
+    """Agent i's (weight grads, bias grads) for upstream dy."""
     dws, dbs = [], []
     for l in reversed(range(len(net.w))):
         if l < len(net.w) - 1:
@@ -298,7 +296,7 @@ def reference_backward(net, i, inputs, dy):
         dws.insert(0, dy.T @ inputs[l])
         dbs.insert(0, dy.sum(axis=0))
         dy = dy @ net.w[l][i]
-    return dws, dbs, dy
+    return dws, dbs
 
 
 def _stacked(seed=0, n=3, dims=(31, 64, 64, 7)):
@@ -335,11 +333,10 @@ def test_stacked_backward_is_each_agents_backward_bit_for_bit(rows):
     x = rng.normal(size=(net.n_agents, rows, net.dims[0]))
     dy = rng.normal(size=(net.n_agents, rows, net.dims[-1]))
     _, cache = net.forward(x)
-    dx = net.backward(cache, dy)
+    assert net.backward(cache, dy) is None
     for i in range(net.n_agents):
         _, inputs = reference_forward(net, i, x[i])
-        dws, dbs, dx_i = reference_backward(net, i, inputs, dy[i])
-        assert np.array_equal(dx[i], dx_i)
+        dws, dbs = reference_backward(net, i, inputs, dy[i])
         for l in range(len(net.w)):
             assert np.array_equal(net.w_grad[l][i], dws[l])
             assert np.array_equal(net.b_grad[l][i], dbs[l])
@@ -378,12 +375,11 @@ def reference_learner_step(buffer, pair, optimizer, batch_size, gamma, rng):
     chosen = np.stack([np.take_along_axis(q, actions[:, i : i + 1], axis=1)[:, 0] for i, (q, _) in enumerate(outs)], axis=-1)
     q_tot, mix_cache = pair.mixer.forward(chosen, batch.obs.reshape(N, n * D))
     err = q_tot - targets
-    optimizer.zero_grad()
     dq = pair.mixer.backward(mix_cache, 2.0 * err / N)
     for i, (q, inputs) in enumerate(outs):
         dy = np.zeros_like(q)
         np.put_along_axis(dy, actions[:, i : i + 1], dq[:, i : i + 1], axis=1)
-        dws, dbs, _ = reference_backward(pair.net, i, inputs, dy)
+        dws, dbs = reference_backward(pair.net, i, inputs, dy)
         for l in range(len(dws)):
             pair.net.w_grad[l][i] += dws[l]
             pair.net.b_grad[l][i] += dbs[l]
@@ -407,7 +403,7 @@ def padded_learner_step(buffer, pair, optimizer, batch_size, gamma, rng):
     for b, e in enumerate(episodes):
         L = len(e)
         obs[b, : L + 1], avail[b, : L + 1] = e.obs, e.avail
-        actions[b, :L], rewards[b, :L], terminal[b, :L], mask[b, :L] = e.actions, e.rewards, e.terminal, True
+        actions[b, :L], rewards[b, :L], terminal[b, L - 1], mask[b, :L] = e.actions, e.rewards, True, True
     nxt = obs[:, 1:].reshape(B * T, n, D)
     q_next = greedy_joint_q(pair.target_net, pair.target_mixer, nxt, avail[:, 1:].reshape(B * T, n, A))
     targets = rewards + gamma * np.where(terminal, 0.0, q_next.reshape(B, T))
@@ -418,7 +414,6 @@ def padded_learner_step(buffer, pair, optimizer, batch_size, gamma, rng):
     q_tot, mix_cache = pair.mixer.forward(chosen, flat.reshape(B * T, n * D))
     count = mask.sum()
     err = np.where(mask, q_tot.reshape(B, T) - targets, 0.0)
-    optimizer.zero_grad()
     dq = pair.mixer.backward(mix_cache, (2.0 * err / count).reshape(B * T))
     dq_full = np.zeros_like(q)
     np.put_along_axis(dq_full, picked, dq.T[:, :, None], axis=2)
@@ -431,7 +426,7 @@ def padded_learner_step(buffer, pair, optimizer, batch_size, gamma, rng):
 def _learner(seed=5, n=3, D=6, A=4):
     rng = np.random.default_rng(seed)
     net = MLP([f"a{i}" for i in range(n)], [D, 16, 16, A], rng)
-    pair = TargetNetworkPair(net, MixingNet("mx", n, n * D, 8, rng), 2, rng)
+    pair = TargetNetworkPair(net, MixingNet("mx", n, n * D, 8, rng), 2)
     return pair, Adam(pair.online_params(), learning_rate=1e-2)
 
 
@@ -448,7 +443,6 @@ def _ragged_buffer():
                 avail=avail,
                 actions=rng.integers(0, 4, size=(T, 3)),
                 rewards=rng.normal(size=T),
-                terminal=np.arange(T) == T - 1,
             )
         )
     return buffer

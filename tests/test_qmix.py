@@ -105,7 +105,6 @@ def _episode(rng, T=4, n=2, D=3, A=3):
         avail=np.ones((T + 1, n, A), dtype=bool),
         actions=rng.integers(0, A, size=(T, n)),
         rewards=rng.normal(size=T),
-        terminal=np.array([False] * (T - 1) + [True]),
     )
 
 
@@ -129,10 +128,9 @@ def test_prepared_episode_alignment_error():
         avail=np.ones((4, 2, 3), dtype=bool),
         actions=np.zeros((3, 2), dtype=int),
         rewards=np.zeros(3),
-        terminal=np.zeros(3, dtype=bool),
     )
     assert len(PreparedEpisode(**arrays)) == 3
-    for field in ("obs", "avail", "actions", "terminal"):
+    for field in ("obs", "avail", "actions"):
         # states must number T+1, per-transition arrays T
         short = {**arrays, field: arrays[field][:-1]}
         with pytest.raises(StructuralError, match=field):
@@ -142,7 +140,7 @@ def test_prepared_episode_alignment_error():
 def _pair(rng, n=2, D=3, A=3, hidden=8, embed=4, sync=50):
     net = MLP([f"a{i}" for i in range(n)], [D, hidden, hidden, A], rng)
     mixer = MixingNet("mx", n, n * D, embed, rng)
-    return TargetNetworkPair(net, mixer, sync, rng)
+    return TargetNetworkPair(net, mixer, sync)
 
 
 def test_stack_batch_packs_the_real_transitions_in_episode_order():
@@ -161,7 +159,8 @@ def test_stack_batch_packs_the_real_transitions_in_episode_order():
     assert np.array_equal(batch.obs, padded_obs[:, :5][batch.mask])
     assert np.array_equal(batch.next_obs, padded_obs[:, 1:][batch.mask])
     assert np.array_equal(batch.rewards, padded_rewards[batch.mask])
-    assert np.array_equal(batch.terminal, np.concatenate([e.terminal for e in episodes]))
+    # each episode's last transition, and no other, is terminal
+    assert np.array_equal(np.flatnonzero(batch.terminal), [2, 3, 8])
 
 
 def test_td_targets_terminal_and_gamma():
@@ -178,7 +177,7 @@ def test_td_targets_terminal_and_gamma():
     # hand substitution: y = r + gamma * greedy Q_tot
     qn = greedy_joint_q(pair.target_net, pair.target_mixer, ep.obs[1:], ep.avail[1:])
     y9 = td_targets(batch, pair, gamma=0.9)
-    expect = ep.rewards + 0.9 * np.where(ep.terminal, 0.0, qn)
+    expect = ep.rewards + 0.9 * np.where(np.arange(len(ep)) == len(ep) - 1, 0.0, qn)
     assert np.allclose(y9, expect)
     # a batch's targets are its episodes' targets, one after the other
     other = _episode(rng, T=2)
@@ -205,7 +204,6 @@ def test_learner_step_single_transition_hand_loss():
         avail=np.ones((2, 1, 2), dtype=bool),
         actions=np.array([[1]]),
         rewards=np.array([5.0]),
-        terminal=np.array([True]),
     )
     # hand computation: terminal -> y = 5; loss = (q_tot - 5)^2, the mixer
     # reading the first state's observations
@@ -229,7 +227,6 @@ def test_learner_step_zero_error_leaves_params_fixed():
         avail=np.ones((2, 1, 2), dtype=bool),
         actions=np.array([[0]]),
         rewards=np.zeros(1),
-        terminal=np.array([True]),
     )
     q = pair.net.forward(ep.obs[0][:, None, :])[0][0]  # the one agent's (1, A)
     q_tot, _ = pair.mixer.forward(q[:, 0][None, :], ep.obs[0].reshape(1, -1))
@@ -242,6 +239,31 @@ def test_learner_step_zero_error_leaves_params_fixed():
     assert loss == pytest.approx(0.0, abs=1e-20)
     for p, b in zip(pair.online_params(), before):
         assert np.array_equal(p.values, b)
+
+
+def test_a_new_target_pair_is_an_equal_copy_of_the_online_nets():
+    pair = _pair(np.random.default_rng(14))
+    target = pair.target_net.params() + pair.target_mixer.params()
+    for p, q in zip(pair.online_params(), target, strict=True):
+        assert np.array_equal(p.values, q.values), q.name
+        assert not np.shares_memory(p.values, q.values), q.name
+    for online_stack, target_stack in zip(pair.net.w + pair.net.b, pair.target_net.w + pair.target_net.b):
+        assert not np.shares_memory(online_stack, target_stack)
+
+
+def test_learner_step_leaves_every_grad_zero():
+    """The backward passes accumulate into the grads; the optimizer's step is
+    the one place that resets them, so the next step starts from zero."""
+    rng = np.random.default_rng(15)
+    pair = _pair(rng)
+    opt = Adam(pair.online_params(), learning_rate=1e-3)
+    buf = ReplayBuffer(8)
+    for _ in range(6):
+        buf.add(_episode(rng))
+    for _ in range(3):
+        learner_step(buf, pair, opt, 4, 0.99, rng)
+        for p in pair.online_params() + pair.target_net.params() + pair.target_mixer.params():
+            assert not p.grad.any(), p.name
 
 
 def test_target_sync_schedule():
@@ -275,18 +297,11 @@ def test_greedy_invariance_under_positive_scaling():
 def test_tabular_chain_convergence_to_value_iteration():
     """Two-state chain with known optimal Q: the full learner (agent net +
     mixer + targets) regresses its mixed value to within 0.05 of value
-    iteration in under 5000 steps."""
+    iteration on its buffer's transitions in under 5000 steps."""
     rng = np.random.default_rng(42)
     P = {0: {0: 0, 1: 1}, 1: {0: 1, 1: 0}}
     R = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.0}
     gamma = 0.9
-    q_star = np.zeros((2, 2))
-    for _ in range(3000):
-        v = q_star.max(axis=1)
-        q_new = np.array([[R[(s, a)] + gamma * v[P[s][a]] for a in range(2)] for s in range(2)])
-        if np.abs(q_new - q_star).max() < 1e-13:
-            break
-        q_star = q_new
 
     def onehot(s):
         v = np.zeros(2)
@@ -306,16 +321,33 @@ def test_tabular_chain_convergence_to_value_iteration():
             avail=np.ones((L + 1, 1, 2), dtype=bool),
             actions=np.array(actions),
             rewards=np.array(rewards),
-            terminal=np.zeros(L, dtype=bool),  # continuing task: bootstrap everywhere
         )
 
     net = MLP(["a0"], [2, 32, 32, 2], rng)
     mixer = MixingNet("mx", 1, 2, 8, rng)
-    pair = TargetNetworkPair(net, mixer, 50, rng)
+    pair = TargetNetworkPair(net, mixer, 50)
     opt = Adam(pair.online_params(), learning_rate=1e-3)
-    buf = ReplayBuffer(300)
-    for _ in range(300):
+    # every batch is the whole buffer, so each step descends the one loss
+    # over all its transitions
+    buf = ReplayBuffer(32)
+    for _ in range(32):
         buf.add(episode(rng))
+    # an episode's last transition does not bootstrap: from (s, a), the share
+    # `ends` of the buffer's transitions that end an episode cut the
+    # discounted next value
+    taken, ends = np.zeros((2, 2)), np.zeros((2, 2))
+    for e in buf.episodes:
+        s, a = e.obs[:-1, 0].argmax(axis=1), e.actions[:, 0]
+        np.add.at(taken, (s, a), 1)
+        ends[s[-1], a[-1]] += 1
+    ends /= taken
+    q_star = np.zeros((2, 2))
+    for _ in range(3000):
+        v = q_star.max(axis=1)
+        q_new = np.array([[R[(s, a)] + gamma * (1 - ends[s, a]) * v[P[s][a]] for a in range(2)] for s in range(2)])
+        if np.abs(q_new - q_star).max() < 1e-13:
+            break
+        q_star = q_new
     for _ in range(4500):
         learner_step(buf, pair, opt, 32, gamma, rng)
     learned = np.zeros((2, 2))

@@ -111,6 +111,18 @@ def test_update_loss_zero_at_fixed_point():
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
+def test_update_leaves_every_grad_zero():
+    """The packed backward accumulates into the grads; the optimizer's step
+    is the one place that resets them, so the next update starts from zero."""
+    rng = np.random.default_rng(16)
+    model = RewardModel(3, 6, rng)
+    opt = Adam(model.params(), learning_rate=1e-2)
+    for lengths in ([4, 1, 6], [2], [5, 5]):
+        reward_model_update(model, [rng.normal(size=(T, 3)) for T in lengths], list(rng.normal(size=len(lengths))), opt)
+        for p in model.params():
+            assert not p.grad.any(), p.name
+
+
 def test_update_single_step_episode_hand_computed():
     # one 1-step episode: loss = (gt - y)^2 with y the cell's scalar head
     rng = np.random.default_rng(6)
@@ -160,7 +172,6 @@ def per_episode_update(model, episodes, ground_truths, optimizer):
     one batch-1 cell step at a time."""
     n = len(episodes)
     loss = 0.0
-    optimizer.zero_grad()
     for ep, gt in zip(episodes, ground_truths):
         state = model.cell.initial_state(batch=1)
         caches = []

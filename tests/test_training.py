@@ -292,3 +292,18 @@ def test_train_victims_refuses_an_attack_that_does_not_fit_before_playing(tiny_v
     with pytest.raises(ConfigError, match="does not fit"):
         train_victims(env_cfg, TrainingConfig(**TINY, seed=3), bystanders=attack)
     assert played == []
+
+
+@pytest.mark.parametrize("with_bystanders", [True, False])
+def test_train_victims_refuses_none_bystanders_before_playing(monkeypatch, with_bystanders):
+    """Random bystanders are "random", the default, as in evaluate_win_rate;
+    None, which means absent bystanders there, is refused here, also on an
+    env without bystanders."""
+    env_cfg = PRESETS["skirmish-small"]
+    if not with_bystanders:
+        env_cfg = dataclasses.replace(env_cfg, adversary_count=0)
+    played = []
+    monkeypatch.setattr(training, "run_episode", lambda *args, **kwargs: played.append(args))
+    with pytest.raises(ConfigError, match="unsupported bystander policy None"):
+        train_victims(env_cfg, TrainingConfig(**TINY, seed=3), bystanders=None)
+    assert played == []
