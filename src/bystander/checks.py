@@ -165,22 +165,23 @@ def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_se
     return float(misses)
 
 
-def _resample_until_smooth(build, seeds):
-    """Build (loss_fn, backward_fn, params, kink_gap_fn) per seed; bump the
-    seed while any rectifier/abs preactivation sits within KINK_GAP of its
-    kink, where finite differences are unreliable."""
-    cases = []
+def _worst_kink_free(build, seeds) -> float:
+    """The worst grad_check residual over one case per seed, each built as
+    (loss_fn, backward_fn, store, kink_gap_fn); the seed is bumped while any
+    rectifier/abs preactivation sits within KINK_GAP of its kink, where
+    finite differences are unreliable."""
+    worst = 0.0
     for seed in seeds:
         attempt = seed
         for _ in range(50):
-            case = build(np.random.default_rng(attempt))
-            if case[3]() > KINK_GAP:
-                cases.append(case)
+            loss_fn, backward_fn, store, kink_gap = build(np.random.default_rng(attempt))
+            if kink_gap() > KINK_GAP:
+                worst = max(worst, grad_check(loss_fn, store, backward_fn))
                 break
             attempt += 100_000
         else:
             raise RuntimeError("could not find a kink-free sample")
-    return cases
+    return worst
 
 
 def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
@@ -194,8 +195,6 @@ def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
             return float(((y - target) ** 2).sum())
 
         def backward_fn():
-            for p in mlp.params():
-                p.zero_grad()
             y, cache = mlp.forward(x)
             mlp.backward(cache, 2.0 * (y - target))
 
@@ -207,12 +206,9 @@ def mlp_gradient_residual(seeds=GRAD_SEEDS) -> float:
                 for l, inputs in enumerate(cache.layer_inputs[:-1])
             )
 
-        return loss_fn, backward_fn, mlp.params(), kink_gap
+        return loss_fn, backward_fn, mlp.flat, kink_gap
 
-    worst = 0.0
-    for loss_fn, backward_fn, params, _ in _resample_until_smooth(build, seeds):
-        worst = max(worst, grad_check(loss_fn, params, backward_fn))
-    return worst
+    return _worst_kink_free(build, seeds)
 
 
 def packed_recurrent_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 3, 1)) -> float:
@@ -233,12 +229,10 @@ def packed_recurrent_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 3, 1)) -
             return float(weights @ cell.forward_packed(x, live)[0])
 
         def backward_fn():
-            for p in cell.params():
-                p.zero_grad()
             _, cache = cell.forward_packed(x, live)
             cell.backward_packed(cache, weights)
 
-        worst = max(worst, grad_check(loss_fn, cell.params(), backward_fn))
+        worst = max(worst, grad_check(loss_fn, cell.flat, backward_fn))
     return worst
 
 
@@ -254,8 +248,6 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
             return float((q_tot**2).sum())
 
         def backward_fn():
-            for p in mixer.params():
-                p.zero_grad()
             q_tot, cache = mixer.forward(q, cond)
             mixer.backward(cache, 2.0 * q_tot)
 
@@ -264,12 +256,9 @@ def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
             hypers = (mixer.hyper_w1, mixer.hyper_w2)
             return min(float(np.min(np.abs(lin.forward(cond)))) for lin in hypers)
 
-        return loss_fn, backward_fn, mixer.params(), kink_gap
+        return loss_fn, backward_fn, mixer.flat, kink_gap
 
-    worst = 0.0
-    for loss_fn, backward_fn, params, _ in _resample_until_smooth(build, seeds):
-        worst = max(worst, grad_check(loss_fn, params, backward_fn))
-    return worst
+    return _worst_kink_free(build, seeds)
 
 
 def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
@@ -289,11 +278,9 @@ def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
             return float(err @ err) / len(episodes)
 
         def backward_fn():
-            for p in model.params():
-                p.zero_grad()
             episode_sum_loss_grad(model, episodes, gts)
 
-        worst = max(worst, grad_check(loss_fn, model.params(), backward_fn))
+        worst = max(worst, grad_check(loss_fn, model.cell.flat, backward_fn))
     return worst
 
 

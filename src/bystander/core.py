@@ -102,10 +102,6 @@ class EpisodeTrajectory:
     def __len__(self) -> int:
         return len(self.outcomes)
 
-    @property
-    def final_outcome(self) -> StepOutcome:
-        return self.outcomes[-1]
-
     def joint_action(self, t: int) -> dict[Party, np.ndarray]:
         """The actions of step t, one (n,) array per party, as env.step
         takes them."""

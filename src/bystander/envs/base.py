@@ -177,10 +177,6 @@ class Environment(ABC):
     def agents(self, party: Party) -> tuple[AgentId, ...]:
         return self._agents[party]
 
-    @property
-    def controllable_agents(self) -> tuple[AgentId, ...]:
-        return self._agents[Party.VICTIM] + self._agents[Party.ADVERSARY]
-
     @abstractmethod
     def reset(self, seed: int): ...
 

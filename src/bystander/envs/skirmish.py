@@ -112,9 +112,6 @@ class SkirmishState:
         except KeyError:
             raise KeyError(f"unknown agent {agent.key}") from None
 
-    def party_health(self, party: Party) -> int:
-        return sum(u.health for u in self.units if u.agent.party is party)
-
 
 def _chebyshev(a: Unit, b: Unit) -> int:
     return max(abs(a.x - b.x), abs(a.y - b.y))
@@ -170,9 +167,6 @@ class SkirmishEnv(Environment):
         self._noop_rows = {p: [True] + [False] * (len(table) - 1) for p, table in self._actions.items()}
         w, h = config.grid_size
         self._scale = (max(w - 1, 1), max(h - 1, 1))
-
-    def action_index(self, party: Party, label: str) -> int:
-        return self.descriptor.action_labels[party].index(label)
 
     # --- lifecycle ----------------------------------------------------------
 

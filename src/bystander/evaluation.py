@@ -172,9 +172,9 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
     for label, count, seed in product(env_cfgs, spec.adversary_counts, spec.seeds):
         point_cfg = dataclasses.replace(env_cfgs[label], adversary_count=count)
         jobs["random", label, count, seed] = (_play_baseline, point_cfg, "random", seed, victim_paths[label], episodes)
-    # one pool for the attacks and the baselines of the whole grid
+    # one pool for the whole grid, no larger than it: a pool starts every worker on first submit
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(*job) for job in jobs.values()]
             results = dict(zip(jobs, [f.result() for f in futures]))
     else:

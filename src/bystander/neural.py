@@ -7,6 +7,10 @@ for `Linear`, which keeps no cache, from the layer's input. A backward
 computes only the gradients that are read, so `Linear.backward` and
 `MLP.backward` return nothing, and `Adam.step` is the one place that resets
 the grads.
+Each module (`MLP`, `LSTMCell`, qmix's `MixingNet`) keeps its parameters in
+one values and one grad array, its `flat` store from `param_store`, and every
+tensor it reads is a view into them: the optimizer, the target sync and the
+gradient check act on stores, checkpoints and checksums on the named views.
 All math is float64 so finite-difference checks are reliable.
 """
 
@@ -44,13 +48,6 @@ class ParamTensor:
         n = int(np.prod(shape))
         return cls(name, tuple(shape), np.zeros(n), np.zeros(n))
 
-    @classmethod
-    def uniform(
-        cls, name: str, shape: Sequence[int], rng: np.random.Generator, limit: float
-    ) -> "ParamTensor":
-        n = int(np.prod(shape))
-        return cls(name, tuple(shape), rng.uniform(-limit, limit, size=n), np.zeros(n))
-
     @property
     def array(self) -> np.ndarray:
         """Shaped view onto the flat values; writes propagate."""
@@ -64,21 +61,22 @@ class ParamTensor:
         self.grad[:] = 0.0
 
 
+def param_store(name: str, shapes: Sequence[tuple[str, Sequence[int]]]) -> tuple[ParamTensor, list[ParamTensor]]:
+    """A module's one values array and one grad array, zeroed, as the flat
+    ParamTensor `name`, and a named view into both for each (name, shape),
+    laid end to end in the given order."""
+    ends = np.cumsum([int(np.prod(shape)) for _, shape in shapes])
+    flat = ParamTensor.zeros(name, (int(ends[-1]),))
+    values, grads = np.split(flat.values, ends[:-1]), np.split(flat.grad, ends[:-1])
+    return flat, [ParamTensor(view, tuple(shape), v, g) for (view, shape), v, g in zip(shapes, values, grads)]
+
+
+@dataclass
 class Linear:
-    """Affine layer y = x W^T + b operating on (batch, in) matrices."""
+    """Affine layer y = x W^T + b on (batch, in) matrices; w and b are views into its owner's store."""
 
-    def __init__(self, name: str, d_in: int, d_out: int, rng: np.random.Generator | None):
-        """Weights uniform in +-1/sqrt(d_in), biases zero. With rng None
-        every value starts at zero."""
-        shape = (d_out, d_in)
-        if rng is None:
-            self.w = ParamTensor.zeros(f"{name}.w", shape)
-        else:
-            self.w = ParamTensor.uniform(f"{name}.w", shape, rng, 1.0 / np.sqrt(d_in))
-        self.b = ParamTensor.zeros(f"{name}.b", (d_out,))
-
-    def params(self) -> list[ParamTensor]:
-        return [self.w, self.b]
+    w: ParamTensor
+    b: ParamTensor
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w.array.T + self.b.array
@@ -105,9 +103,10 @@ class MLP:
     d_in) and a bias stack `b[l]` of shape (n_agents, d_out), so a forward
     or backward pass makes one batched product per layer for all agents.
     Each agent's tensors are ParamTensor views into the stacks, named
-    `<agent name>.l<l>.w`/`.b` and listed agent by agent, so checkpoints,
-    checksums and optimizer state see the same per-agent bytes as separate
-    nets would.
+    `<agent name>.l<l>.w`/`.b` and listed agent by agent, so checkpoints
+    and checksums see the same per-agent bytes as separate nets would. The
+    stacks are views into the store `flat`, laid out layer by layer (weight
+    stack, then bias stack), so each stack is one contiguous run.
     """
 
     def __init__(self, names: Sequence[str], dims: Sequence[int], rng: np.random.Generator | None):
@@ -121,10 +120,10 @@ class MLP:
         self.dims = tuple(dims)
         n = len(self.names)
         shapes = list(zip(self.dims[1:], self.dims[:-1]))
-        self.w = [np.zeros((n, d_out, d_in)) for d_out, d_in in shapes]
-        self.b = [np.zeros((n, d_out)) for d_out, _ in shapes]
-        self.w_grad = [np.zeros_like(w) for w in self.w]
-        self.b_grad = [np.zeros_like(b) for b in self.b]
+        layers = [((f"l{l}.w", (n, d_out, d_in)), (f"l{l}.b", (n, d_out))) for l, (d_out, d_in) in enumerate(shapes)]
+        self.flat, stacks = param_store(",".join(self.names), [stack for layer in layers for stack in layer])
+        self.w, self.w_grad = [s.array for s in stacks[0::2]], [s.grad_array for s in stacks[0::2]]
+        self.b, self.b_grad = [s.array for s in stacks[1::2]], [s.grad_array for s in stacks[1::2]]
         self._params = []
         for i, name in enumerate(self.names):
             for l, (d_out, d_in) in enumerate(shapes):
@@ -244,20 +243,22 @@ class LSTMCell:
       over all rows; a tick computes only its recurrent product and the
       gate arithmetic that depends on it.
     - `step_row`: one (d_in,) row with no cache, for streaming.
+    The five tensors wx, wh, b, w_out and b_out are views into the store `flat`.
     """
 
     def __init__(self, name: str, d_in: int, hidden: int, rng: np.random.Generator):
         self.name = name
         self.d_in = d_in
         self.hidden = hidden
+        H4 = 4 * hidden
+        shapes = [("wx", (H4, d_in)), ("wh", (H4, hidden)), ("b", (H4,)), ("w_out", (hidden,)), ("b_out", (1,))]
+        self.flat, views = param_store(name, [(f"{name}.{k}", shape) for k, shape in shapes])
+        self.wx, self.wh, self.b, self.w_out, self.b_out = views
         limit = 1.0 / np.sqrt(hidden)
-        self.wx = ParamTensor.uniform(f"{name}.wx", (4 * hidden, d_in), rng, limit)
-        self.wh = ParamTensor.uniform(f"{name}.wh", (4 * hidden, hidden), rng, limit)
-        self.b = ParamTensor.zeros(f"{name}.b", (4 * hidden,))
+        for p in (self.wx, self.wh, self.w_out):
+            p.values[:] = rng.uniform(-limit, limit, size=p.values.size)
         # forget-gate bias starts at 1 so early training keeps cell memory
         self.b.array[hidden : 2 * hidden] = 1.0
-        self.w_out = ParamTensor.uniform(f"{name}.w_out", (hidden,), rng, limit)
-        self.b_out = ParamTensor.zeros(f"{name}.b_out", (1,))
         # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5, so one tanh activates all
         # four gates: scale and shift are 0.5 for i, f, o and 1, 0 for g
         self._gate_scale = np.full(4 * hidden, 0.5)
@@ -443,7 +444,9 @@ class LSTMCell:
 class Adam:
     """Adaptive-moment optimizer with bias correction; zeroes the grads
     after each update, the one place that resets them. Only the learning
-    rate is settable."""
+    rate is settable. It is elementwise, so the learners hand it stores. A step
+    computes in place, in one work array per tensor and in the grad once read:
+    a store's temporaries would cost more than its arithmetic."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -454,6 +457,7 @@ class Adam:
         self.learning_rate = learning_rate
         self.steps = 0
         self.moments = [(np.zeros_like(p.values), np.zeros_like(p.values)) for p in self.params]
+        self._work = [np.empty_like(p.values) for p in self.params]
 
     def step(self) -> None:
         for p in self.params:
@@ -462,41 +466,44 @@ class Adam:
         self.steps += 1
         bc1 = 1.0 - self.BETA1**self.steps
         bc2 = 1.0 - self.BETA2**self.steps
-        for p, (m, v) in zip(self.params, self.moments):
+        # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps), operation by operation
+        for p, (m, v), a in zip(self.params, self.moments, self._work):
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * p.grad
+            m += np.multiply(p.grad, 1.0 - self.BETA1, out=a)
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * p.grad**2
-            p.values -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPSILON)
+            v += np.multiply(np.multiply(p.grad, p.grad, out=a), 1.0 - self.BETA2, out=a)
+            # the grad is read: it holds the denominator until it is zeroed
+            np.multiply(np.divide(m, bc1, out=a), self.learning_rate, out=a)
+            np.sqrt(np.divide(v, bc2, out=p.grad), out=p.grad)
+            p.grad += self.EPSILON
+            p.values -= np.divide(a, p.grad, out=a)
             p.zero_grad()
 
 
-def grad_check(
-    loss_fn: Callable[[], float], params: Sequence[ParamTensor], backward_fn: Callable[[], None]
-) -> float:
-    """The worst relative error of the analytic gradients against central
-    finite differences of step 1e-5.
+def grad_check(loss_fn: Callable[[], float], param: ParamTensor, backward_fn: Callable[[], None]) -> float:
+    """The worst relative error of the analytic gradient of `param`, a
+    module's store, against central finite differences of step 1e-5.
 
-    backward_fn is called first; it must zero and repopulate every param's
-    grad. loss_fn recomputes the scalar loss from the params' current
-    values with no side effects. Relative error uses a 1e-6 floor so
-    genuinely tiny gradients do not register as spurious failures.
+    param's grad is zeroed, then backward_fn is called; it must accumulate
+    the loss's gradient into it. loss_fn recomputes the scalar loss from
+    param's current values with no side effects. Relative error uses a 1e-6
+    floor so genuinely tiny gradients do not register as spurious failures.
     """
+    param.zero_grad()
     backward_fn()
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = param.grad.copy()
     h = 1e-5
     worst = 0.0
-    for p in params:
-        for k in range(p.values.size):
-            orig = p.values[k]
-            p.values[k] = orig + h
-            hi = loss_fn()
-            p.values[k] = orig - h
-            lo = loss_fn()
-            p.values[k] = orig
-            fd = (hi - lo) / (2.0 * h)
-            a = analytic[p.name][k]
-            worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
+    for k in range(param.values.size):
+        orig = param.values[k]
+        param.values[k] = orig + h
+        hi = loss_fn()
+        param.values[k] = orig - h
+        lo = loss_fn()
+        param.values[k] = orig
+        fd = (hi - lo) / (2.0 * h)
+        a = analytic[k]
+        worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
     return worst
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ContractViolation, StructuralError, TrainingFault
-from .neural import Adam, Linear, MLP, ParamTensor
+from .neural import Adam, Linear, MLP, ParamTensor, param_store
 
 MASK_SENTINEL = -1e9
 
@@ -63,25 +63,28 @@ class MixCache:
 class MixingNet:
     """Monotone mixer: hypernetworks read the conditioning vector (in the
     learner, the party's concatenated observations) and emit absolute-valued
-    mixing weights, so dQ_tot/dQ_i >= 0 by construction."""
+    mixing weights, so dQ_tot/dQ_i >= 0 by construction. The four
+    hypernetworks' tensors are views into the mixer's store `flat`."""
 
     def __init__(self, name: str, n_agents: int, cond_dim: int, embed: int, rng: np.random.Generator | None):
+        """Weights uniform in +-1/sqrt(cond_dim), biases zero; all zeros with rng None."""
         self.name = name
         self.n_agents = n_agents
         self.cond_dim = cond_dim
         self.embed = embed
-        self.hyper_w1 = Linear(f"{name}.hw1", cond_dim, n_agents * embed, rng)
-        self.hyper_b1 = Linear(f"{name}.hb1", cond_dim, embed, rng)
-        self.hyper_w2 = Linear(f"{name}.hw2", cond_dim, embed, rng)
-        self.hyper_v = Linear(f"{name}.hv", cond_dim, 1, rng)
+        shapes = []
+        for hyper, d_out in (("hw1", n_agents * embed), ("hb1", embed), ("hw2", embed), ("hv", 1)):
+            shapes += [(f"{name}.{hyper}.w", (d_out, cond_dim)), (f"{name}.{hyper}.b", (d_out,))]
+        self.flat, self._params = param_store(name, shapes)
+        weights, biases = self._params[0::2], self._params[1::2]
+        if rng is not None:
+            limit = 1.0 / np.sqrt(cond_dim)
+            for w in weights:
+                w.values[:] = rng.uniform(-limit, limit, size=w.values.size)
+        self.hyper_w1, self.hyper_b1, self.hyper_w2, self.hyper_v = map(Linear, weights, biases)
 
     def params(self) -> list[ParamTensor]:
-        return (
-            self.hyper_w1.params()
-            + self.hyper_b1.params()
-            + self.hyper_w2.params()
-            + self.hyper_v.params()
-        )
+        return list(self._params)
 
     def forward(self, q: np.ndarray, cond: np.ndarray) -> tuple[np.ndarray, MixCache]:
         """Q_tot (B,) of agent values q (B, n) under conditioning cond (B, cond_dim)."""
@@ -227,10 +230,9 @@ class TargetNetworkPair:
         self.sync()
 
     def sync(self) -> None:
-        for online, target in zip(self.net.w + self.net.b, self.target_net.w + self.target_net.b):
-            target[...] = online
-        for p, q in zip(self.mixer.params(), self.target_mixer.params()):
-            q.values[:] = p.values
+        """One copy per module: the online stores into the target's."""
+        self.target_net.flat.values[:] = self.net.flat.values
+        self.target_mixer.flat.values[:] = self.mixer.flat.values
         self.steps_since_sync = 0
         self.syncs += 1
 
@@ -240,7 +242,8 @@ class TargetNetworkPair:
             self.sync()
 
     def online_params(self) -> list[ParamTensor]:
-        return self.net.params() + self.mixer.params()
+        """The online net's and mixer's stores, what the optimizer updates."""
+        return [self.net.flat, self.mixer.flat]
 
 
 def greedy_joint_q(

@@ -111,7 +111,8 @@ class FrozenPolicy:
     def __init__(self, party: Party, net: MLP):
         self.party = party
         self.net = MLP.from_params(net.names, net.dims, {p.name: p for p in net.params()})
-        for values in [*self.net.w, *self.net.b, *(p.values for p in self.net.params())]:
+        # the views were made before the store is locked, so each is locked too
+        for values in [self.net.flat.values, *self.net.w, *self.net.b, *(p.values for p in self.net.params())]:
             values.setflags(write=False)
         self.obs_dim = self.net.dims[0]
         self.n_actions = self.net.dims[-1]
@@ -458,7 +459,7 @@ def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * n_adv
     model_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0))
     model = RewardModel(input_dim, cfg.model_hidden, model_rng)
-    opt = Adam(model.params(), learning_rate=cfg.model_learning_rate)
+    opt = Adam([model.cell.flat], learning_rate=cfg.model_learning_rate)
     provider = EstimationProvider(
         model,
         cfg.r_fail,

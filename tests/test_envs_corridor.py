@@ -4,6 +4,7 @@ import pytest
 from bystander.core import AgentId, ConfigError, ContractViolation, Party
 from bystander.envs import CorridorConfig, CorridorEnv, audit_neutrality
 from bystander.rollout import RandomController, run_episode
+from helpers import controllable_agents
 
 KEEP, FASTER, SLOWER, LANE_UP, LANE_DOWN = range(5)
 
@@ -143,7 +144,7 @@ def test_neutrality_audit_random_play(env):
 
 def test_observation_bounds_and_sentinels(env):
     state = env.reset(3)
-    for agent in env.controllable_agents:
+    for agent in controllable_agents(env):
         obs = env.observe(state, agent)
         assert np.all(np.abs(obs) <= 1.0)
     # exited vehicle observes zeros

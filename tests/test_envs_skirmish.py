@@ -6,6 +6,7 @@ import pytest
 from bystander.core import AgentId, ConfigError, Party
 from bystander.envs import PRESETS, SkirmishConfig, SkirmishEnv, audit_neutrality, make_env
 from bystander.rollout import RandomController, run_episode
+from helpers import action_index, controllable_agents, party_health
 
 V0, V1, V2 = (AgentId(Party.VICTIM, i) for i in range(3))
 A0, A1 = (AgentId(Party.ADVERSARY, i) for i in range(2))
@@ -47,7 +48,7 @@ def test_noop_step_keeps_victim_positions(env):
     nxt, outcome = env.step(state, ja)
     assert nxt.step_count == 1
     assert not outcome.terminal
-    for agent in env.controllable_agents:
+    for agent in controllable_agents(env):
         assert (nxt.unit(agent).x, nxt.unit(agent).y) == (state.unit(agent).x, state.unit(agent).y)
 
 
@@ -61,7 +62,7 @@ def test_duel_hand_simulation():
     env = SkirmishEnv(cfg)
     v, t = AgentId(Party.VICTIM, 0), AgentId(Party.THIRD, 0)
     state = env.state_from_positions({v: (3, 2), t: (4, 2)})
-    attack = env.action_index(Party.VICTIM, "attack_opponent_0")
+    attack = action_index(env, Party.VICTIM, "attack_opponent_0")
     for step in range(1, 4):
         state, outcome = env.step(state, {Party.VICTIM: [attack]})
         assert state.unit(v).health == 6 - 2 * step
@@ -109,8 +110,8 @@ def test_dead_unit_gets_only_noop(env):
 def test_victim_adjacent_opponent_can_attack(env):
     state = env.state_from_positions({V0: (5, 1), V1: (0, 0), V2: (0, 4), T0: (6, 1), T1: (7, 4)})
     mask = env.available_actions(state, V0)
-    assert mask[env.action_index(Party.VICTIM, "attack_opponent_0")]
-    assert not mask[env.action_index(Party.VICTIM, "attack_opponent_1")]  # out of range
+    assert mask[action_index(env, Party.VICTIM, "attack_opponent_0")]
+    assert not mask[action_index(env, Party.VICTIM, "attack_opponent_1")]  # out of range
 
 
 def test_adversary_never_attacks_victims():
@@ -138,7 +139,7 @@ def test_adversary_opponent_attack_flag():
         {A0: (6, 2), T0: (7, 2), A1: (0, 0), V0: (1, 1), V1: (1, 2), V2: (1, 3), T1: (7, 4)}
     )
     mask = env.available_actions(state, A0)
-    assert mask[env.action_index(Party.ADVERSARY, "attack_opponent_0")]
+    assert mask[action_index(env, Party.ADVERSARY, "attack_opponent_0")]
 
 
 def test_failure_signals_definition(env):
@@ -163,8 +164,8 @@ def test_move_conflict_lower_agent_wins(env):
     state = env.state_from_positions(
         {V0: (1, 2), V1: (3, 2), V2: (0, 0), T0: (7, 0), T1: (7, 4)}
     )
-    east = env.action_index(Party.VICTIM, "east")
-    west = env.action_index(Party.VICTIM, "west")
+    east = action_index(env, Party.VICTIM, "east")
+    west = action_index(env, Party.VICTIM, "west")
     nxt, _ = env.step(state, {Party.VICTIM: [east, west, 0]})
     assert (nxt.unit(V0).x, nxt.unit(V0).y) == (2, 2)
     assert (nxt.unit(V1).x, nxt.unit(V1).y) == (3, 2)
@@ -176,7 +177,7 @@ def test_blocking_is_conservative(env):
     state = env.state_from_positions(
         {V0: (1, 2), V1: (2, 2), V2: (0, 0), T0: (7, 0), T1: (7, 4)}
     )
-    east = env.action_index(Party.VICTIM, "east")
+    east = action_index(env, Party.VICTIM, "east")
     nxt, _ = env.step(state, {Party.VICTIM: [east, east, 0]})
     assert (nxt.unit(V1).x) == 3  # occupant moved on
     assert (nxt.unit(V0).x) == 1  # follower blocked by the stale cell
@@ -202,12 +203,12 @@ def test_conservation_and_boundedness(env):
     for seed in range(25):
         result = _random_episode(env, seed)
         assert len(result.trajectory) <= cfg.horizon
-        assert result.trajectory.final_outcome.terminal
+        assert result.trajectory.outcomes[-1].terminal
         prev_health = cfg.victim_count * cfg.unit_health
         state = env.reset(seed)
         for t in range(len(result.trajectory)):
             state, outcome = env.step(state, result.trajectory.joint_action(t))
-            health = state.party_health(Party.VICTIM)
+            health = party_health(state, Party.VICTIM)
             assert health <= prev_health  # non-increasing
             lost = prev_health - health
             dealt = outcome.failure_signals[0] * cfg.victim_count * cfg.unit_health

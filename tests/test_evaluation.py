@@ -1,4 +1,5 @@
 import dataclasses
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -55,6 +56,38 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
     point = tmp_path / "w1" / "skirmish-small_estimation_adv2" / "seed1"
     assert (point / "adversary_train_curve.csv").exists()
     assert not (point / "attack_curve.csv").exists()
+
+
+def test_a_pool_has_no_more_workers_than_the_grid_has_jobs(tmp_path, monkeypatch):
+    """A process pool starts all of its workers on its first submit, so
+    `--workers 64` on a grid of 6 jobs must ask for 6. The stand-in pool
+    records its size and runs every job inline, in this process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
+    # rq1 at one seed: 2 attacks, 2 absent and 2 random baselines
+    spec = default_spec("rq1", TINY, seeds=[1])
+    run_experiment(spec, tmp_path / "w1", workers=1)
+    assert sizes == []
+    run_experiment(spec, tmp_path / "w64", workers=64)
+    assert sizes == [6]
+    one, many = ((tmp_path / w / "rq1_table.csv").read_bytes() for w in ("w1", "w64"))
+    assert one == many
 
 
 def test_rq5_is_the_defend_retrain_command_not_a_sweep(tmp_path):

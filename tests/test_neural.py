@@ -143,8 +143,6 @@ def test_lstm_gradients_match_finite_differences():
         return total
 
     def backward_fn():
-        for p in cell.params():
-            p.zero_grad()
         st = cell.initial_state(batch=1)
         caches = []
         for t in range(5):
@@ -154,7 +152,7 @@ def test_lstm_gradients_match_finite_differences():
         for cache in reversed(caches):
             dh, dc = cell.backward_step(cache, np.array([1.0]), dh, dc)
 
-    assert grad_check(loss_fn, cell.params(), backward_fn=backward_fn) < 1e-4
+    assert grad_check(loss_fn, cell.flat, backward_fn=backward_fn) < 1e-4
 
 
 def test_backward_packed_with_per_row_gradients_matches_the_per_tick_reference():
@@ -224,12 +222,10 @@ def test_grad_check_exact_for_linear_model():
         return float(y.sum())
 
     def backward_fn():
-        for p in mlp.params():
-            p.zero_grad()
         y, cache = mlp.forward(x)
         mlp.backward(cache, np.ones_like(y))
 
-    assert grad_check(loss_fn, mlp.params(), backward_fn=backward_fn) < 1e-8
+    assert grad_check(loss_fn, mlp.flat, backward_fn=backward_fn) < 1e-8
 
 
 @settings(max_examples=20, deadline=None)
@@ -476,3 +472,62 @@ def test_packed_learner_step_matches_the_padded_grid():
         assert loss_p == pytest.approx(loss_g, rel=1e-14, abs=0)
         for p, q in zip(packed.online_params(), padded.online_params()):
             np.testing.assert_allclose(p.values, q.values, rtol=0, atol=1e-15, err_msg=p.name)
+
+
+# --- one parameter store per module -------------------------------------------
+#
+# Each module keeps one values and one grad array, its `flat` store, and every
+# tensor it reads is a view into them: the optimizer, the target sync and the
+# gradient check act on the store, checkpoints and checksums on the views.
+
+
+def _modules():
+    rng = np.random.default_rng(21)
+    mlp = MLP([f"a{i}" for i in range(3)], [5, 7, 4], rng)
+    return [mlp, MixingNet("mx", 3, 6, 4, rng), LSTMCell("c", 3, 5, rng)]
+
+
+@pytest.mark.parametrize("module", _modules(), ids=["mlp", "mixer", "lstm"])
+def test_every_tensor_is_a_view_into_its_modules_store(module):
+    store = module.flat
+    for p in module.params():
+        assert np.shares_memory(p.values, store.values) and np.shares_memory(p.grad, store.grad), p.name
+    if isinstance(module, MLP):
+        # each layer's stack is one contiguous run of the store
+        for stacks, array in ((module.w + module.b, store.values), (module.w_grad + module.b_grad, store.grad)):
+            for stack in stacks:
+                assert np.shares_memory(stack, array) and stack.flags.c_contiguous
+
+
+@pytest.mark.parametrize("module", _modules(), ids=["mlp", "mixer", "lstm"])
+def test_the_tensors_tile_the_store_exactly(module):
+    n = module.flat.values.size
+    module.flat.values[:] = np.arange(n)
+    module.flat.grad[:] = np.arange(n) + n
+    for field, offset in (("values", 0), ("grad", n)):
+        tiles = np.sort(np.concatenate([getattr(p, field) for p in module.params()]))
+        assert np.array_equal(tiles, np.arange(n) + offset), field
+
+
+def test_a_write_through_an_agent_tensor_shows_in_its_stack():
+    mlp = _modules()[0]
+    w = next(p for p in mlp.params() if p.name == "a2.l1.w")
+    b = next(p for p in mlp.params() if p.name == "a1.l0.b")
+    w.array[3, 2] = 7.5
+    w.grad_array[0, 1] = -2.5
+    b.values[4] = 1.25
+    assert mlp.w[1][2, 3, 2] == 7.5 and mlp.w_grad[1][2, 0, 1] == -2.5 and mlp.b[0][1, 4] == 1.25
+
+
+def test_adam_on_the_stores_is_adam_on_every_tensor_bit_for_bit():
+    """Adam is elementwise, so 20 learner steps updating the net's and the
+    mixer's stores leave the same bits as updating each of their tensors."""
+    buffer = _ragged_buffer()
+    (stores, opt_s), (tensors, _) = _learner(), _learner()
+    opt_t = Adam(tensors.net.params() + tensors.mixer.params(), learning_rate=1e-2)
+    assert len(opt_s.params) == 2 and len(opt_t.params) > 2
+    rng_s, rng_t = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(20):
+        assert learner_step(buffer, stores, opt_s, 4, 0.99, rng_s) == learner_step(buffer, tensors, opt_t, 4, 0.99, rng_t)
+    for module in ("net", "mixer", "target_net", "target_mixer"):
+        assert np.array_equal(getattr(stores, module).flat.values, getattr(tensors, module).flat.values), module

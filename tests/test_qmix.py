@@ -243,7 +243,7 @@ def test_learner_step_zero_error_leaves_params_fixed():
 
 def test_a_new_target_pair_is_an_equal_copy_of_the_online_nets():
     pair = _pair(np.random.default_rng(14))
-    target = pair.target_net.params() + pair.target_mixer.params()
+    target = [pair.target_net.flat, pair.target_mixer.flat]
     for p, q in zip(pair.online_params(), target, strict=True):
         assert np.array_equal(p.values, q.values), q.name
         assert not np.shares_memory(p.values, q.values), q.name

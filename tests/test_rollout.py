@@ -114,7 +114,7 @@ def test_party_arrays_cover_states_and_steps(name):
             for p in PARTIES:
                 np.testing.assert_array_equal(traj.obs[p][t], env.observe_party(state, p))
                 np.testing.assert_array_equal(traj.avail[p][t], env.masks_party(state, p))
-        assert traj.final_outcome is traj.outcomes[-1] and traj.final_outcome.terminal
+        assert traj.outcomes[-1].terminal
 
 
 def test_absent_party_has_no_arrays():
@@ -191,7 +191,7 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     # warm-up: only the terminal rule reward; afterwards the clipped estimates
     warm = trajs[0]
     assert not warm.rewards[:-1].any()
-    assert warm.rewards[-1] == (0.0 if warm.final_outcome.victim_success else 20.0)
+    assert warm.rewards[-1] == (0.0 if warm.outcomes[-1].victim_success else 20.0)
     np.testing.assert_array_equal(trajs[2].rewards, np.clip(estimators[2].estimates, -5.0, 5.0))
 
 

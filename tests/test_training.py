@@ -176,7 +176,7 @@ def test_frozen_values_are_read_only_copies(tmp_path):
     assert policy.checksum() == before
     save_policy(tmp_path / "policy.npz", policy)
     for frozen in (policy, load_policy(tmp_path / "policy.npz")):
-        for values in [*frozen.net.w, *frozen.net.b, *(p.values for p in frozen.net.params())]:
+        for values in [frozen.net.flat.values, *frozen.net.w, *frozen.net.b, *(p.values for p in frozen.net.params())]:
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 0.0
