@@ -86,10 +86,7 @@ def _convert(name: str, value: str, typ: str) -> object:
             return RewardMode(value)
         if typ.startswith("tuple"):
             parts = [p for p in value.replace("x", ",").split(",") if p.strip()]
-            floats = [float(p) for p in parts]
-            if all(f.is_integer() for f in floats) and "float" not in typ:
-                return tuple(int(f) for f in floats)
-            return tuple(floats)
+            return tuple(float(p) if "float" in typ else int(p) for p in parts)
     except (ValueError, TypeError):
         raise ConfigError(f"bad value for {name}: {value!r}") from None
     raise ConfigError(f"cannot convert key {name} of type {typ}")

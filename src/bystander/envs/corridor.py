@@ -102,9 +102,6 @@ class CorridorState:
         except KeyError:
             raise KeyError(f"unknown agent {agent.key}") from None
 
-    def party(self, party: Party) -> list[Vehicle]:
-        return [v for v in self.vehicles if v.agent.party is party]
-
 
 class CorridorEnv(Environment):
     """Configured corridor instance; all episode state lives in

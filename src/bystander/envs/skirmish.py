@@ -61,6 +61,8 @@ class SkirmishConfig:
     failure_weights: tuple[float, ...] = (0.7, 0.3)
 
     def __post_init__(self) -> None:
+        if len(self.grid_size) != 2 or not all(isinstance(n, int) for n in self.grid_size):
+            raise ConfigError(f"grid_size {self.grid_size!r} is not two ints, width x height")
         w, h = self.grid_size
         if w < 6 or h < 1:
             raise ConfigError(f"grid {w}x{h} too small; need width >= 6")

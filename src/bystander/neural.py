@@ -1,7 +1,10 @@
 """Minimal differentiable building blocks with hand-written gradients.
 
 Feed-forward nets, a gated recurrent (LSTM-style) cell with a scalar head,
-and an adaptive-moment optimizer. No autodiff graph: every backward
+and an adaptive-moment optimizer. The cell has two paths: one batched tick
+(`step`/`backward_step`, which the reward estimator streams through) and a
+packed unroll of ragged sequences (`forward_packed`/`backward_packed`, which
+the reward model trains through). No autodiff graph: every backward
 accumulates into ParamTensor.grad from the cache its forward returned, or,
 for `Linear`, which keeps no cache, from the layer's input. A backward
 computes only the gradients that are read, so `Linear.backward` and
@@ -190,20 +193,6 @@ class MLP:
                 dy = np.matmul(dy, self.w[l]) * (cache.layer_inputs[l] > 0)
 
 
-@dataclass(frozen=True)
-class RecurrentState:
-    """Hidden and cell rows (B, H) of the gated recurrent cell."""
-
-    hidden: np.ndarray
-    cell: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.hidden.shape != self.cell.shape:
-            raise StructuralError("hidden and cell sizes must match")
-        if not (np.all(np.isfinite(self.hidden)) and np.all(np.isfinite(self.cell))):
-            raise StructuralError("recurrent state must be finite")
-
-
 @dataclass
 class LSTMStepCache:
     """What the backward pass reads of one batched step: its input rows,
@@ -232,17 +221,17 @@ class LSTMCell:
 
     Every path computes the pre-activation as (x wx^T + b) + h wh^T and
     shares one copy of the gate equations (`_activate`) and of their
-    gradients (`_slopes`, `_gate_grads`):
-    - `step`/`backward_step`: one batched tick with its cache. No program
-      path runs it; it is the per-tick reference the tests hold the packed
-      path to.
+    gradients (`_slopes`, `_gate_grads`). There are two paths:
+    - `step`/`backward_step`: one batched tick with its cache. The reward
+      estimator streams a rollout through `step`, one (1, d_in) row a
+      step; `backward_step` is the per-tick backward the tests hold the
+      packed path to.
     - `forward_packed`/`backward_packed`: a whole unroll of ragged
       sequences packed tick-major, the path the reward model trains
       through and `grad-check` checks. The input projection, the head, the
       gates' local derivatives and every weight gradient are one operation
       over all rows; a tick computes only its recurrent product and the
       gate arithmetic that depends on it.
-    - `step_row`: one (d_in,) row with no cache, for streaming.
     The five tensors wx, wh, b, w_out and b_out are views into the store `flat`.
     """
 
@@ -268,9 +257,6 @@ class LSTMCell:
 
     def params(self) -> list[ParamTensor]:
         return [self.wx, self.wh, self.b, self.w_out, self.b_out]
-
-    def initial_state(self, batch: int) -> RecurrentState:
-        return RecurrentState(np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden)))
 
     def _activate(
         self, gates: np.ndarray, c_prev: np.ndarray, c: np.ndarray, tanh_c: np.ndarray, h: np.ndarray
@@ -316,22 +302,24 @@ class LSTMCell:
         return dc * f
 
     def step(
-        self, x: np.ndarray, state: RecurrentState
-    ) -> tuple[np.ndarray, RecurrentState, LSTMStepCache]:
-        """One gated update of a (B, d_in) batch from a (B, H) state; the
-        scalar head output is (B,)."""
+        self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, LSTMStepCache]:
+        """One gated update of a (B, d_in) batch from (B, H) hidden and cell
+        rows. Returns the scalar head output (B,), the new hidden and cell,
+        and the cache `backward_step` reads. StructuralError if the new
+        hidden is not finite (which covers the cell, see `forward_packed`)."""
         x = np.asarray(x, dtype=float)
-        h_prev, c_prev = state.hidden, state.cell
         if x.ndim != 2 or x.shape[1] != self.d_in:
             raise StructuralError(f"{self.name}: input {x.shape} is not (B, {self.d_in})")
-        if h_prev.shape != (len(x), self.hidden):
-            raise StructuralError(f"{self.name}: state {h_prev.shape} is not ({len(x)}, {self.hidden})")
+        if h_prev.shape != (len(x), self.hidden) or c_prev.shape != h_prev.shape:
+            raise StructuralError(f"{self.name}: state {h_prev.shape}/{c_prev.shape} is not ({len(x)}, {self.hidden})")
         gates = x @ self.wx.array.T + self.b.array + h_prev @ self.wh.array.T
         c, tanh_c, h = (np.empty_like(h_prev) for _ in range(3))
         self._activate(gates, c_prev, c, tanh_c, h)
+        if not np.isfinite(h).all():
+            raise StructuralError(f"{self.name}: recurrent state must be finite")
         y = h @ self.w_out.array + self.b_out.array[0]
-        cache = LSTMStepCache(x, h_prev, c_prev, gates, tanh_c, h)
-        return y, RecurrentState(h, c), cache
+        return y, h, c, LSTMStepCache(x, h_prev, c_prev, gates, tanh_c, h)
 
     def backward_step(
         self,
@@ -427,18 +415,6 @@ class LSTMCell:
         self.b.grad_array[...] += dz.sum(axis=0)
         self.w_out.grad_array[...] += cache.h.T @ dy
         self.b_out.grad_array[...] += dy.sum()
-
-    def step_row(self, x: np.ndarray, h: np.ndarray, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """One update of a single (d_in,) row from hidden and cell vectors,
-        keeping no cache; the caller checks the row's width. Returns the
-        head output and the new hidden and cell. StructuralError if the new
-        hidden is not finite (which covers the cell, see `forward_packed`)."""
-        gates = self.wx.array @ x + self.b.values + self.wh.array @ h
-        c_new, tanh_c, h_new = (np.empty(self.hidden) for _ in range(3))
-        self._activate(gates, c, c_new, tanh_c, h_new)
-        if not np.isfinite(h_new).all():
-            raise StructuralError(f"{self.name}: recurrent state must be finite")
-        return float(h_new @ self.w_out.values + self.b_out.values[0]), h_new, c_new
 
 
 class Adam:

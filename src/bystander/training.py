@@ -110,10 +110,14 @@ class FrozenPolicy:
 
     def __init__(self, party: Party, net: MLP):
         self.party = party
-        self.net = MLP.from_params(net.names, net.dims, {p.name: p for p in net.params()})
-        # the views were made before the store is locked, so each is locked too
-        for values in [self.net.flat.values, *self.net.w, *self.net.b, *(p.values for p in self.net.params())]:
-            values.setflags(write=False)
+        self.net = MLP(net.names, net.dims, None)
+        self.net.flat.values[:] = net.flat.values
+        # the views were made before the stores are locked, so each is locked
+        # too; a backward through the frozen net then raises
+        frozen = self.net
+        views = [a for p in frozen.params() for a in (p.values, p.grad)]
+        for array in [frozen.flat.values, frozen.flat.grad, *frozen.w, *frozen.b, *frozen.w_grad, *frozen.b_grad, *views]:
+            array.setflags(write=False)
         self.obs_dim = self.net.dims[0]
         self.n_actions = self.net.dims[-1]
 
@@ -267,7 +271,7 @@ class MetricsWriter:
             with open(self._paths[idx], "a", newline="") as fh:
                 csv.writer(fh).writerow(row)
 
-    def step_row(self, step, loss, epsilon, buffer_fill, syncs) -> None:
+    def learner_row(self, step, loss, epsilon, buffer_fill, syncs) -> None:
         self._append(0, (step, f"{loss:.10g}", f"{epsilon:.6g}", buffer_fill, syncs))
 
     def curve_row(self, episode, win_rate, mean_reward, loss, epsilon) -> None:
@@ -367,7 +371,7 @@ def train_party(
         if len(buffer) >= cfg.batch_size:
             loss = learner_step(buffer, pair, optimizer, cfg.batch_size, cfg.gamma, sample_rng)
             learner_steps += 1
-            metrics.step_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
+            metrics.learner_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
         if (episode + 1) % cfg.eval_interval == 0:
             check_frozen()
             eval_controllers = dict(controllers)

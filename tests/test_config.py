@@ -103,6 +103,23 @@ def test_env_key_of_the_other_kind_is_refused(kv, key):
         build_env_config(kv)
 
 
+@pytest.mark.parametrize("grid", ["8.5x5", "8x5x3", "8"])
+def test_malformed_grid_size_exits_as_config_error(tmp_path, grid):
+    # refused where the value enters: no run starts and nothing is written
+    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
+    assert dispatch([*argv, "--set", f"env.grid_size={grid}"]) == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_size_is_two_ints():
+    # an integer tuple is parsed with int(), so a float spelling is refused too
+    with pytest.raises(ConfigError, match="env.grid_size"):
+        build_env_config({"env.preset": "skirmish-small", "env.grid_size": "8.0x5"})
+    for grid in ((8,), (8, 5, 3), (8.0, 5)):
+        with pytest.raises(ConfigError, match="grid_size"):
+            SkirmishConfig(grid_size=grid)
+
+
 @pytest.mark.parametrize("kind", ["banana", "skirmish", "corridor"])
 def test_env_kind_is_refused(kind):
     # the preset names the kind; there is no second key for it

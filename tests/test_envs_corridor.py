@@ -32,8 +32,9 @@ def test_config_validation():
 
 def test_reset_victims_at_column_zero(env):
     state = env.reset(7)
-    for v in state.party(Party.VICTIM):
-        assert v.col == 0
+    for v in state.vehicles:
+        if v.agent.party is Party.VICTIM:
+            assert v.col == 0
     cells = [(v.lane, v.col) for v in state.vehicles]
     assert len(set(cells)) == len(cells)
     assert env.reset(7) == env.reset(7)

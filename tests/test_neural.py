@@ -105,28 +105,28 @@ def test_lstm_zero_params_zero_state_zero_output():
     cell = LSTMCell("c", 3, 5, np.random.default_rng(0))
     for p in cell.params():
         p.values[:] = 0.0
-    y, state, _ = cell.step(np.ones((1, 3)), cell.initial_state(1))
+    y, h, c, _ = cell.step(np.ones((1, 3)), np.zeros((1, 5)), np.zeros((1, 5)))
     assert np.all(y == 0.0)
-    assert np.all(state.hidden == 0.0) and np.all(state.cell == 0.0)
+    assert np.all(h == 0.0) and np.all(c == 0.0)
 
 
 def test_lstm_purity():
     rng = np.random.default_rng(5)
     cell = LSTMCell("c", 3, 4, rng)
     x = rng.normal(size=(1, 3))
-    st0 = cell.initial_state(1)
-    y1, s1, _ = cell.step(x, st0)
-    y2, s2, _ = cell.step(x, st0)
+    h0, c0 = np.zeros((1, 4)), np.zeros((1, 4))
+    y1, h1, c1, _ = cell.step(x, h0, c0)
+    y2, h2, c2, _ = cell.step(x, h0, c0)
     assert np.array_equal(y1, y2)
-    assert np.array_equal(s1.hidden, s2.hidden) and np.array_equal(s1.cell, s2.cell)
+    assert np.array_equal(h1, h2) and np.array_equal(c1, c2)
 
 
 def test_lstm_step_takes_batches_only():
     cell = LSTMCell("c", 3, 4, np.random.default_rng(0))
     with pytest.raises(StructuralError, match="input"):
-        cell.step(np.ones(3), cell.initial_state(1))
+        cell.step(np.ones(3), np.zeros((1, 4)), np.zeros((1, 4)))
     with pytest.raises(StructuralError, match="state"):
-        cell.step(np.ones((2, 3)), cell.initial_state(1))
+        cell.step(np.ones((2, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -135,18 +135,18 @@ def test_lstm_gradients_match_finite_differences():
     xs = rng.normal(size=(5, 1, 2))
 
     def loss_fn():
-        st = cell.initial_state(batch=1)
+        h, c = np.zeros((1, 6)), np.zeros((1, 6))
         total = 0.0
         for t in range(5):
-            y, st, _ = cell.step(xs[t], st)
+            y, h, c, _ = cell.step(xs[t], h, c)
             total += float(y[0])
         return total
 
     def backward_fn():
-        st = cell.initial_state(batch=1)
+        h, c = np.zeros((1, 6)), np.zeros((1, 6))
         caches = []
         for t in range(5):
-            _, st, cache = cell.step(xs[t], st)
+            _, h, c, cache = cell.step(xs[t], h, c)
             caches.append(cache)
         dh = dc = None
         for cache in reversed(caches):
@@ -171,9 +171,9 @@ def test_backward_packed_with_per_row_gradients_matches_the_per_tick_reference()
         packed.backward_packed(cache, dy)
         for j, L in enumerate(lengths):
             rows = first_row[:L] + j  # sequence j's packed row at each of its ticks
-            state, caches = reference.initial_state(1), []
+            h, c, caches = np.zeros((1, 8)), np.zeros((1, 8)), []
             for r in rows:
-                y_r, state, step_cache = reference.step(x[r : r + 1], state)
+                y_r, h, c, step_cache = reference.step(x[r : r + 1], h, c)
                 assert abs(y_r[0] - y[r]) < 1e-12
                 caches.append(step_cache)
             dh = dc = None

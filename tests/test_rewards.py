@@ -173,11 +173,11 @@ def per_episode_update(model, episodes, ground_truths, optimizer):
     n = len(episodes)
     loss = 0.0
     for ep, gt in zip(episodes, ground_truths):
-        state = model.cell.initial_state(batch=1)
+        h, c = np.zeros((1, model.hidden)), np.zeros((1, model.hidden))
         caches = []
         total = 0.0
         for t in range(len(ep)):
-            y, state, cache = model.cell.step(ep[t : t + 1], state)
+            y, h, c, cache = model.cell.step(ep[t : t + 1], h, c)
             caches.append(cache)
             total += float(y[0])
         err = total - gt

@@ -180,6 +180,12 @@ def test_frozen_values_are_read_only_copies(tmp_path):
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 0.0
+        # the grads are locked as well: a backward through a frozen net raises
+        # instead of writing into a store nothing reads
+        y, cache = frozen.net.forward(np.ones((frozen.n_agents, 2, frozen.obs_dim)))
+        with pytest.raises(ValueError, match="read-only"):
+            frozen.net.backward(cache, np.ones_like(y))
+        assert not frozen.net.flat.grad.any()
 
 
 def _write_former_policy_format(path, policy):
