@@ -304,20 +304,3 @@ class CorridorEnv(Environment):
         if any(v.crashed for v in nxt.vehicles[victims]):
             reward -= 1.0
         return reward
-
-    # --- test/audit helpers ------------------------------------------------
-
-    def state_from_vehicles(
-        self, spec: Mapping[AgentId, tuple[int, int, int]], step_count: int = 0
-    ) -> CorridorState:
-        """Build a state from {agent: (lane, col, speed)}; omitted agents are
-        treated as already exited."""
-        vehicles = []
-        for party in Party:
-            for agent in self._agents[party]:
-                if agent in spec:
-                    lane, col, speed = spec[agent]
-                    vehicles.append(Vehicle(agent, lane, col, speed))
-                else:
-                    vehicles.append(Vehicle(agent, 0, self.config.goal_col, 0, exited=True))
-        return CorridorState(vehicles=tuple(vehicles), step_count=step_count, seed=-1, slots=self.unit_slots)

@@ -345,25 +345,3 @@ class SkirmishEnv(Environment):
         if outcome.victim_success:
             reward += 1.0
         return reward
-
-    # --- test/audit helpers ----------------------------------------------------
-
-    def state_from_positions(
-        self,
-        positions: Mapping[AgentId, tuple[int, int]],
-        healths: Mapping[AgentId, int] | None = None,
-        step_count: int = 0,
-    ) -> SkirmishState:
-        """Build an arbitrary mid-episode state; agents omitted from
-        `positions` are treated as already dead."""
-        c = self.config
-        units = []
-        for party in Party:
-            for agent in self._agents[party]:
-                if agent in positions:
-                    x, y = positions[agent]
-                    hp = (healths or {}).get(agent, c.unit_health)
-                else:
-                    x, y, hp = 0, 0, 0
-                units.append(Unit(agent, x, y, hp))
-        return SkirmishState(units=tuple(units), step_count=step_count, seed=-1, slots=self.unit_slots)

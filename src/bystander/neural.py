@@ -13,16 +13,14 @@ the grads.
 Each module (`MLP`, `LSTMCell`, qmix's `MixingNet`) keeps its parameters in
 one values and one grad array, its `flat` store from `param_store`, and every
 tensor it reads is a view into them: the optimizer, the target sync and the
-gradient check act on stores, checkpoints and checksums on the named views.
+gradient check act on stores.
 All math is float64 so finite-difference checks are reliable.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,8 +104,8 @@ class MLP:
     d_in) and a bias stack `b[l]` of shape (n_agents, d_out), so a forward
     or backward pass makes one batched product per layer for all agents.
     Each agent's tensors are ParamTensor views into the stacks, named
-    `<agent name>.l<l>.w`/`.b` and listed agent by agent, so checkpoints
-    and checksums see the same per-agent bytes as separate nets would. The
+    `<agent name>.l<l>.w`/`.b` and listed agent by agent, so a policy file
+    holds the same per-agent tensors as separate nets would. The
     stacks are views into the store `flat`, laid out layer by layer (weight
     stack, then bias stack), so each stack is one contiguous run.
     """
@@ -137,17 +135,6 @@ class MLP:
                     ParamTensor(f"{name}.l{l}.w", (d_out, d_in), self.w[l][i].reshape(-1), self.w_grad[l][i].reshape(-1)),
                     ParamTensor(f"{name}.l{l}.b", (d_out,), self.b[l][i], self.b_grad[l][i]),
                 ]
-
-    @classmethod
-    def from_params(cls, names: Sequence[str], dims: Sequence[int], params: Mapping[str, ParamTensor]) -> "MLP":
-        """An MLP holding copies of the tensors `<name>.l<l>.w`/`.b` of each
-        named agent."""
-        mlp = cls(names, dims, None)
-        for p in mlp.params():
-            if params[p.name].shape != p.shape:
-                raise StructuralError(f"{p.name}: shape {params[p.name].shape} does not match dims {mlp.dims}")
-            p.values[:] = params[p.name].values
-        return mlp
 
     @property
     def n_agents(self) -> int:
@@ -481,49 +468,3 @@ def grad_check(loss_fn: Callable[[], float], param: ParamTensor, backward_fn: Ca
         a = analytic[k]
         worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-6))
     return worst
-
-
-# --- checkpoint container -----------------------------------------------
-#
-# The one checkpoint format, for trained nets and frozen policies alike.
-# Versioned npz: flat float64 arrays keyed "p/<name>" and a JSON meta blob
-# with shapes and the caller's `fields` (a frozen policy's party and
-# per-agent nets) in stable (sorted) order.
-# Readers look parameters up by name, never by their order in the meta.
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, params: Sequence[ParamTensor], fields: dict | None = None) -> None:
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "params": {p.name: list(p.shape) for p in sorted(params, key=lambda p: p.name)},
-        "fields": fields or {},
-    }
-    arrays = {f"p/{p.name}": p.values for p in params}
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path) -> tuple[dict[str, ParamTensor], dict]:
-    """Load named ParamTensors (grads zeroed) and the fields.
-
-    StructuralError for a directory, or a file np.load does not open as an
-    npz archive.
-    """
-    if Path(path).is_dir():
-        raise StructuralError(f"{path}: a directory, not an npz checkpoint")
-    data = np.load(path)
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise StructuralError(f"{path}: not an npz checkpoint")
-    with data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION or "params" not in meta:
-            raise StructuralError(f"{path}: not a version {CHECKPOINT_VERSION} checkpoint")
-        params = {}
-        for name, shape in meta["params"].items():
-            values = data[f"p/{name}"]
-            params[name] = ParamTensor(name, tuple(shape), values.copy(), np.zeros_like(values))
-    return params, meta.get("fields", {})

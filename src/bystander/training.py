@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
+import zipfile
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -23,7 +25,7 @@ import numpy as np
 from .core import ConfigError, Party, TrainingFault, derive_seed
 from .envs import make_env
 from .envs.base import Environment
-from .neural import Adam, MLP, load_checkpoint, save_checkpoint
+from .neural import Adam, MLP
 from .qmix import (
     MixingNet,
     PreparedEpisode,
@@ -103,9 +105,9 @@ class FrozenPolicy:
     Holds a read-only copy of the party's agent-stacked MLP and acts through
     one MLP.forward for all agents, so acting is a pure function of the
     agents' observations and replays are bit-identical forever. The
-    checksum hashes each agent's tensors in turn, as the checkpoint stores
-    them. save_policy and load_policy move it through the neural checkpoint
-    format.
+    checksum hashes the layer stacks `act` reads, agent by agent, in the
+    order of a policy file's tensors. save_policy and load_policy move it
+    through a policy file.
     """
 
     def __init__(self, party: Party, net: MLP):
@@ -130,8 +132,10 @@ class FrozenPolicy:
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for p in self.net.params():
-            h.update(p.values.tobytes())
+        for i in range(self.n_agents):
+            for w, b in zip(self.net.w, self.net.b):
+                h.update(w[i].tobytes())
+                h.update(b[i].tobytes())
         return h.hexdigest()
 
     def check_fits(self, env: Environment, party: Party) -> None:
@@ -531,34 +535,55 @@ def wilson_half_width(p_hat: float, n: int) -> float:
     return (z * np.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n))) / denom
 
 
-# --- policy persistence ---------------------------------------------------
+# --- policy files -----------------------------------------------------------
+#
+# The one checkpoint format. A policy file is a version-1 npz holding one flat
+# float64 array "p/<name>" per agent tensor (`<agent>.l<l>.w`/`.b`, agent by
+# agent) and "__meta__", the bytes of a sorted-key JSON object:
+#   {"version": 1, "params": {name: shape}, "fields": {"party": label,
+#    "agents": [[name, dims], ...]}}
+# The reader looks tensors up by name, never by their order in the file, and
+# reads no other field (older files carry "stack_frames") or tensor.
 
 
 def save_policy(path, policy: FrozenPolicy) -> None:
-    """Write a frozen policy as a neural checkpoint whose fields hold its
-    party and per-agent (name, dims); round-trips bit-exactly."""
+    """Write a frozen policy as a policy file; round-trips bit-exactly."""
     net = policy.net
-    save_checkpoint(
-        path,
-        net.params(),
-        fields={
-            "party": policy.party.label,
-            "agents": [[name, list(net.dims)] for name in net.names],
-        },
-    )
+    fields = {"party": policy.party.label, "agents": [[name, list(net.dims)] for name in net.names]}
+    meta = {"version": 1, "params": {p.name: list(p.shape) for p in net.params()}, "fields": fields}
+    arrays = {f"p/{p.name}": p.values for p in net.params()}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
 
 
 def load_policy(path) -> FrozenPolicy:
-    """Read a policy that save_policy wrote; any other file is a ConfigError.
-    Extra fields, such as the frame-stack count older files carry, are not
-    read; check_fits refuses a net wider than the env's observation."""
+    """Read a policy file; any other file, empty or cut short too, is a
+    ConfigError naming the path, and a missing one an OSError. Each tensor is
+    read by name into one net of the agents' dims, after its meta shape and
+    its array's length are checked against the net's. check_fits refuses a
+    net wider than the env's observation."""
     try:
-        params, fields = load_checkpoint(path)
-        names = [name for name, _ in fields["agents"]]
-        dims = {tuple(d) for _, d in fields["agents"]}
-        if len(dims) != 1:
-            raise ValueError(f"the agents' nets must share one set of dims, got {sorted(dims)}")
-        net = MLP.from_params(names, dims.pop(), params)
+        if Path(path).is_dir():
+            raise ValueError("a directory")
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            if meta.get("version") != 1 or "params" not in meta:
+                raise ValueError("not a version 1 policy file")
+            fields = meta["fields"]
+            dims = {tuple(d) for _, d in fields["agents"]}
+            if len(dims) != 1:
+                raise ValueError(f"the agents' nets must share one set of dims, got {sorted(dims)}")
+            net = MLP([name for name, _ in fields["agents"]], dims.pop(), None)
+            for p in net.params():
+                values = data[f"p/{p.name}"]
+                if tuple(meta["params"][p.name]) != p.shape or values.shape != p.values.shape:
+                    raise ValueError(
+                        f"{p.name}: shape {meta['params'][p.name]}, {values.size} values, does not match dims {net.dims}"
+                    )
+                p.values[:] = values
         return FrozenPolicy(Party.from_label(fields["party"]), net)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path} is not a frozen-policy checkpoint: {exc}") from None

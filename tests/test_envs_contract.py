@@ -11,6 +11,7 @@ from bystander.core import AgentId, ContractViolation, LifecycleError, Party
 from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, SkirmishState, make_env
 from bystander.rollout import RandomController, run_episode
 from bystander.training import victim_task_reward
+from helpers import state_from_positions, state_from_vehicles
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
 ENV_NAMES = ("skirmish-small", "corridor-med")
@@ -30,9 +31,9 @@ def terminal_state(env):
     """A state no step may follow: one victim alone, already beaten."""
     if isinstance(env.config, SkirmishConfig):
         one = make_env(SkirmishConfig(victim_count=1, opponent_count=1, adversary_count=0))
-        return one, one.state_from_positions({AgentId(Party.THIRD, 0): (4, 2)})
+        return one, state_from_positions(one, {AgentId(Party.THIRD, 0): (4, 2)})
     one = make_env(CorridorConfig(victim_count=1, adversary_count=0, other_vehicle_count=0))
-    return one, one.state_from_vehicles({})  # the victim has exited
+    return one, state_from_vehicles(one, {})  # the victim has exited
 
 
 def test_unavailable_action_is_refused(env):
@@ -219,15 +220,18 @@ def skirmish_edge_states():
         yield env, [
             # corners; V1 exactly at the sensing radius of V0, T0 one past;
             # T1 exactly at attack range of V2 and A1, one past it for A0
-            env.state_from_positions(
+            state_from_positions(
+                env,
                 {V0: (0, 0), V1: (3, 3), V2: (5, 1), A0: (7, 4), A1: (6, 3), T0: (4, 4), T1: (6, 2)}
             ),
             # dead units: V1 at zero health, A1 and T0 omitted
-            env.state_from_positions(
+            state_from_positions(
+                env,
                 {V0: (0, 4), V1: (1, 4), V2: (7, 0), A0: (3, 1), T1: (6, 0)}, healths={V1: 0, V2: 1}
             ),
             # one past the radius diagonally, and a diagonal attack
-            env.state_from_positions(
+            state_from_positions(
+                env,
                 {V0: (2, 2), V1: (6, 2), V2: (5, 0), A0: (2, 3), A1: (3, 2), T0: (3, 3), T1: (4, 1)}
             ),
         ]
@@ -239,7 +243,8 @@ def corridor_edge_states():
     env = make_env(PRESETS["corridor-med"])
     # V1 exactly at the sensing columns of V0, A0 one past; V0 in the lowest
     # lane at speed 0, A1 in the top lane at top speed; T0 blocks V0's lane_up
-    base = env.state_from_vehicles(
+    base = state_from_vehicles(
+        env,
         {
             V0: (0, 2, 0), V1: (2, 4, 1), V2: (1, 7, 2), A0: (1, 5, 1),
             A1: (2, 6, 2), A2: (0, 9, 1), T0: (1, 2, 1), T1: (0, 0, 2),
@@ -249,7 +254,7 @@ def corridor_edge_states():
         base, vehicles=tuple(replace(v, crashed=True) if v.agent in (V1, T0) else v for v in base.vehicles)
     )
     # A0, T1 and V2 omitted: exited
-    exited = env.state_from_vehicles({V0: (1, 3, 1), V1: (1, 5, 2), A1: (0, 3, 0), A2: (2, 1, 1), T0: (2, 3, 1)})
+    exited = state_from_vehicles(env, {V0: (1, 3, 1), V1: (1, 5, 2), A1: (0, 3, 0), A2: (2, 1, 1), T0: (2, 3, 1)})
     yield env, [base, crashed, exited]
 
 

@@ -4,7 +4,7 @@ import pytest
 from bystander.core import AgentId, ConfigError, ContractViolation, Party
 from bystander.envs import CorridorConfig, CorridorEnv, audit_neutrality
 from bystander.rollout import RandomController, run_episode
-from helpers import controllable_agents
+from helpers import controllable_agents, state_from_vehicles
 
 KEEP, FASTER, SLOWER, LANE_UP, LANE_DOWN = range(5)
 
@@ -41,7 +41,7 @@ def test_reset_victims_at_column_zero(env):
 
 
 def test_goal_reach_is_success_with_zero_signals(env):
-    state = env.state_from_vehicles({V0: (0, 7, 2), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {V0: (0, 7, 2), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and outcome.victim_success
     assert np.allclose(outcome.failure_signals, [0.0, 0.0, 0.0])
@@ -50,7 +50,7 @@ def test_goal_reach_is_success_with_zero_signals(env):
 
 def test_victim_rear_end_collision_fails(env):
     # stopped bystander directly ahead; the victim drives into it
-    state = env.state_from_vehicles({V0: (0, 3, 2), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {V0: (0, 3, 2), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
@@ -58,7 +58,7 @@ def test_victim_rear_end_collision_fails(env):
 
 
 def test_victim_can_brake_to_avoid(env):
-    state = env.state_from_vehicles({V0: (0, 3, 1), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {V0: (0, 3, 1), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, {Party.VICTIM: [SLOWER], Party.ADVERSARY: [KEEP, KEEP]})
     assert not outcome.terminal
     assert nxt.vehicle(V0).col == 3 and nxt.vehicle(V0).speed == 0
@@ -68,7 +68,7 @@ def test_victim_can_brake_to_avoid(env):
 
 def test_adversary_movement_truncates_before_victims(env):
     # bystander at speed 2 behind a stopped victim never initiates contact
-    state = env.state_from_vehicles({A0: (0, 2, 2), V0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {A0: (0, 2, 2), V0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
     assert nxt.vehicle(A0).col == 3  # stopped short
     assert not nxt.vehicle(V0).crashed
@@ -77,7 +77,7 @@ def test_adversary_movement_truncates_before_victims(env):
 
 def test_scripted_traffic_rear_ends_stopped_victim(env):
     # constant-speed traffic cannot brake: a victim stopped in its path is hit
-    state = env.state_from_vehicles({T0: (0, 2, 1), V0: (0, 3, 0), A0: (1, 0, 0), A1: (1, 1, 0), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {T0: (0, 2, 1), V0: (0, 3, 0), A0: (1, 0, 0), A1: (1, 1, 0), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
@@ -88,7 +88,7 @@ def test_lane_change_conflict_counts_violation(env):
     cfg = CorridorConfig(lanes=3, victim_count=2, adversary_count=0, other_vehicle_count=0)
     env3 = CorridorEnv(cfg)
     v0, v1 = AgentId(Party.VICTIM, 0), AgentId(Party.VICTIM, 1)
-    state = env3.state_from_vehicles({v0: (0, 3, 0), v1: (2, 3, 0)})
+    state = state_from_vehicles(env3, {v0: (0, 3, 0), v1: (2, 3, 0)})
     nxt, outcome = env3.step(state, {Party.VICTIM: [LANE_UP, LANE_DOWN]})
     # both claim (1, 3): lower id wins, the other is canceled
     assert nxt.vehicle(v0).lane == 1
@@ -98,14 +98,14 @@ def test_lane_change_conflict_counts_violation(env):
 
 
 def test_lane_change_into_occupied_cell_masked(env):
-    state = env.state_from_vehicles({V0: (0, 4, 1), A0: (1, 4, 1), A1: (1, 0, 0), T0: (1, 6, 1), T1: (0, 8, 1)})
+    state = state_from_vehicles(env, {V0: (0, 4, 1), A0: (1, 4, 1), A1: (1, 0, 0), T0: (1, 6, 1), T1: (0, 8, 1)})
     mask = env.available_actions(state, V0)
     assert not mask[LANE_UP]
     assert not mask[LANE_DOWN]  # edge of road
 
 
 def test_speed_masks(env):
-    state = env.state_from_vehicles({V0: (0, 2, 0), A0: (1, 3, 2), A1: (1, 0, 0), T0: (1, 6, 1), T1: (0, 8, 1)})
+    state = state_from_vehicles(env, {V0: (0, 2, 0), A0: (1, 3, 2), A1: (1, 0, 0), T0: (1, 6, 1), T1: (0, 8, 1)})
     vmask = env.available_actions(state, V0)
     assert vmask[FASTER] and not vmask[SLOWER]
     amask = env.available_actions(state, A0)
@@ -113,7 +113,7 @@ def test_speed_masks(env):
 
 
 def test_timeout_fails(env):
-    state = env.state_from_vehicles({V0: (0, 0, 0), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {V0: (0, 0, 0), A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     outcome = None
     for _ in range(env.config.horizon):
         state, outcome = env.step(state, KEEP_ALL)
@@ -149,7 +149,7 @@ def test_observation_bounds_and_sentinels(env):
         obs = env.observe(state, agent)
         assert np.all(np.abs(obs) <= 1.0)
     # exited vehicle observes zeros
-    state = env.state_from_vehicles({A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
+    state = state_from_vehicles(env, {A0: (1, 3, 0), A1: (1, 4, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     assert np.all(env.observe(state, V0) == 0.0)
 
 

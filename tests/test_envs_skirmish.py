@@ -6,7 +6,7 @@ import pytest
 from bystander.core import AgentId, ConfigError, Party
 from bystander.envs import PRESETS, SkirmishConfig, SkirmishEnv, audit_neutrality, make_env
 from bystander.rollout import RandomController, run_episode
-from helpers import action_index, controllable_agents, party_health
+from helpers import action_index, controllable_agents, party_health, state_from_positions
 
 V0, V1, V2 = (AgentId(Party.VICTIM, i) for i in range(3))
 A0, A1 = (AgentId(Party.ADVERSARY, i) for i in range(2))
@@ -61,7 +61,7 @@ def test_duel_hand_simulation():
     )
     env = SkirmishEnv(cfg)
     v, t = AgentId(Party.VICTIM, 0), AgentId(Party.THIRD, 0)
-    state = env.state_from_positions({v: (3, 2), t: (4, 2)})
+    state = state_from_positions(env, {v: (3, 2), t: (4, 2)})
     attack = action_index(env, Party.VICTIM, "attack_opponent_0")
     for step in range(1, 4):
         state, outcome = env.step(state, {Party.VICTIM: [attack]})
@@ -75,14 +75,14 @@ def test_observe_empty_radius_zero_block():
     cfg = SkirmishConfig(grid_size=(12, 9), victim_count=1, opponent_count=1, adversary_count=0)
     env = SkirmishEnv(cfg)
     v, t = AgentId(Party.VICTIM, 0), AgentId(Party.THIRD, 0)
-    state = env.state_from_positions({v: (0, 0), t: (11, 8)})  # far out of radius
+    state = state_from_positions(env, {v: (0, 0), t: (11, 8)})  # far out of radius
     obs = env.observe(state, v)
     assert np.all(obs[3:] == 0.0)  # all slots zeroed
     assert obs[2] == 1.0  # self health
 
 
 def test_observe_antisymmetric_offsets(env):
-    state = env.state_from_positions({V0: (3, 2), V1: (4, 2), T0: (7, 0), T1: (7, 4)})
+    state = state_from_positions(env, {V0: (3, 2), V1: (4, 2), T0: (7, 0), T1: (7, 4)})
     obs0 = env.observe(state, V0)
     obs1 = env.observe(state, V1)
     # first teammate slot: (present, dx, dy, health)
@@ -92,14 +92,15 @@ def test_observe_antisymmetric_offsets(env):
 
 def test_observe_visibility_boundary(env):
     r = env.config.sensing_radius
-    state = env.state_from_positions({V0: (0, 2), V1: (r, 2), T0: (7, 0), T1: (7, 4)})
+    state = state_from_positions(env, {V0: (0, 2), V1: (r, 2), T0: (7, 0), T1: (7, 4)})
     assert env.observe(state, V0)[3] == 1.0  # exactly at radius: visible
-    state = env.state_from_positions({V0: (0, 2), V1: (r + 1, 2), T0: (7, 0), T1: (7, 4)})
+    state = state_from_positions(env, {V0: (0, 2), V1: (r + 1, 2), T0: (7, 0), T1: (7, 4)})
     assert np.all(env.observe(state, V0)[3:7] == 0.0)  # one past: zero slot
 
 
 def test_dead_unit_gets_only_noop(env):
-    state = env.state_from_positions(
+    state = state_from_positions(
+        env,
         {V0: (1, 1), V1: (1, 2), T0: (6, 1), T1: (6, 3)},
         healths={V0: 0},
     )
@@ -108,7 +109,7 @@ def test_dead_unit_gets_only_noop(env):
 
 
 def test_victim_adjacent_opponent_can_attack(env):
-    state = env.state_from_positions({V0: (5, 1), V1: (0, 0), V2: (0, 4), T0: (6, 1), T1: (7, 4)})
+    state = state_from_positions(env, {V0: (5, 1), V1: (0, 0), V2: (0, 4), T0: (6, 1), T1: (7, 4)})
     mask = env.available_actions(state, V0)
     assert mask[action_index(env, Party.VICTIM, "attack_opponent_0")]
     assert not mask[action_index(env, Party.VICTIM, "attack_opponent_1")]  # out of range
@@ -135,7 +136,8 @@ def test_adversary_never_attacks_victims():
 def test_adversary_opponent_attack_flag():
     cfg = SkirmishConfig(adversaries_may_attack_opponents=True)
     env = SkirmishEnv(cfg)
-    state = env.state_from_positions(
+    state = state_from_positions(
+        env,
         {A0: (6, 2), T0: (7, 2), A1: (0, 0), V0: (1, 1), V1: (1, 2), V2: (1, 3), T1: (7, 4)}
     )
     mask = env.available_actions(state, A0)
@@ -153,7 +155,7 @@ def test_victim_damage_signal_arithmetic():
     cfg = SkirmishConfig(unit_health=10, attack_damage=2, victim_count=2, opponent_count=1, horizon=60)
     env = SkirmishEnv(cfg)
     v0, v1, t0 = AgentId(Party.VICTIM, 0), AgentId(Party.VICTIM, 1), AgentId(Party.THIRD, 0)
-    state = env.state_from_positions({v0: (3, 2), v1: (0, 0), t0: (4, 2)})
+    state = state_from_positions(env, {v0: (3, 2), v1: (0, 0), t0: (4, 2)})
     nxt, outcome = env.step(state, {Party.VICTIM: [0, 0]})
     # opponent deals 2 of the party's 20 total health
     assert np.allclose(outcome.failure_signals, [0.1, 1.0 / 60.0])
@@ -161,7 +163,8 @@ def test_victim_damage_signal_arithmetic():
 
 def test_move_conflict_lower_agent_wins(env):
     # V0 and V1 both step into (2, 2); the lower AgentId takes the cell
-    state = env.state_from_positions(
+    state = state_from_positions(
+        env,
         {V0: (1, 2), V1: (3, 2), V2: (0, 0), T0: (7, 0), T1: (7, 4)}
     )
     east = action_index(env, Party.VICTIM, "east")
@@ -174,7 +177,8 @@ def test_move_conflict_lower_agent_wins(env):
 def test_blocking_is_conservative(env):
     # moving into a cell that was occupied at tick start is canceled, even
     # if the occupant leaves this tick
-    state = env.state_from_positions(
+    state = state_from_positions(
+        env,
         {V0: (1, 2), V1: (2, 2), V2: (0, 0), T0: (7, 0), T1: (7, 4)}
     )
     east = action_index(env, Party.VICTIM, "east")

@@ -10,8 +10,6 @@ from bystander.neural import (
     MLP,
     ParamTensor,
     grad_check,
-    load_checkpoint,
-    save_checkpoint,
 )
 from bystander.qmix import (
     MASK_SENTINEL,
@@ -238,29 +236,6 @@ def test_forward_determinism_property(seed):
     y2, _ = mlp.forward(x)
     assert np.array_equal(y1, y2)
     assert np.all(np.isfinite(y1))
-
-
-def test_checkpoint_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    mlp = MLP(["m"], [4, 6, 2], rng)
-    opt = Adam(mlp.params(), learning_rate=3e-4)
-    x = rng.normal(size=(1, 5, 4))
-    for _ in range(3):
-        y, cache = mlp.forward(x)
-        mlp.backward(cache, y)
-        opt.step()
-    path = tmp_path / "ckpt.npz"
-    fields = {"party": "victim", "agents": [["m", [4, 6, 2]]]}
-    save_checkpoint(path, mlp.params(), fields=fields)
-    params, loaded_fields = load_checkpoint(path)
-    assert loaded_fields == fields
-    assert sorted(params) == sorted(p.name for p in mlp.params())
-    for p in mlp.params():
-        assert params[p.name].shape == p.shape
-        assert np.array_equal(params[p.name].values, p.values)
-        assert np.all(params[p.name].grad == 0.0)
-    save_checkpoint(path, mlp.params())
-    assert load_checkpoint(path)[1] == {}
 
 
 # --- the agent stack against separate per-agent nets --------------------------

@@ -11,7 +11,7 @@ from bystander.config import RunManifest
 from bystander import training
 from bystander.core import ConfigError, Party, TrainingFault
 from bystander.envs import PRESETS, make_env
-from bystander.neural import MLP, ParamTensor, save_checkpoint
+from bystander.neural import Adam, MLP
 from bystander.rollout import EpsilonGreedyController
 from bystander.training import (
     FrozenPolicy,
@@ -71,8 +71,7 @@ def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypat
     def tampering(env, controllers, seed, reward=None):
         calls.append(seed)
         if len(calls) == 3:
-            param = victims.net.params()[0]
-            param.values = param.values + 1.0
+            victims.net.w[0] = victims.net.w[0] + 1.0
         return played(env, controllers, seed, reward)
 
     monkeypatch.setattr(training, "run_episode", tampering)
@@ -100,6 +99,21 @@ def _per_agent(net):
     return [(name, [p for p in net.params() if p.name.startswith(f"{name}.")]) for name in net.names]
 
 
+def _write_policy_file(path, tensors, fields, shapes=None):
+    # a policy file written without save_policy: {name: shaped array} as
+    # "p/<name>" arrays, and the meta with their shapes (or, by name, the
+    # given ones) and the given fields
+    shapes = {name: list(a.shape) for name, a in tensors.items()} | (shapes or {})
+    meta = {"version": 1, "params": shapes, "fields": fields}
+    arrays = {f"p/{name}": a.reshape(-1) for name, a in tensors.items()}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def _fields(policy, **extra):
+    return {"party": policy.party.label, "agents": [[name, list(policy.net.dims)] for name in policy.net.names], **extra}
+
+
 def _masked_observations(rng, n_agents=3, obs_dim=6, n_actions=4):
     obs = rng.normal(size=(n_agents, obs_dim))
     masks = rng.random((n_agents, n_actions)) < 0.5
@@ -121,12 +135,44 @@ def test_policy_round_trip_keeps_checksum_fields_and_actions(tmp_path):
         assert np.array_equal(loaded.act(obs, masks), policy.act(obs, masks))
 
 
+def test_adam_trained_policy_round_trips_bit_exactly(tmp_path):
+    rng = np.random.default_rng(13)
+    net = MLP(["m0", "m1"], [4, 6, 2], rng)
+    opt = Adam([net.flat], learning_rate=3e-4)
+    x = rng.normal(size=(2, 5, 4))
+    for _ in range(3):
+        y, cache = net.forward(x)
+        net.backward(cache, y)
+        opt.step()
+    assert net.b[0].any()
+    policy = FrozenPolicy(Party.VICTIM, net)
+    save_policy(tmp_path / "policy.npz", policy)
+    with np.load(tmp_path / "policy.npz") as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+        assert sorted(data.files) == sorted(["__meta__", *(f"p/{p.name}" for p in net.params())])
+    assert meta == {
+        "version": 1,
+        "params": {p.name: list(p.shape) for p in net.params()},
+        "fields": {"party": "victim", "agents": [["m0", [4, 6, 2]], ["m1", [4, 6, 2]]]},
+    }
+    loaded = load_policy(tmp_path / "policy.npz")
+    assert loaded.net.flat.values.tobytes() == net.flat.values.tobytes()
+    assert not loaded.net.flat.grad.any()
+    assert loaded.checksum() == policy.checksum()
+    # and writing it again gives the same bytes in every member
+    save_policy(tmp_path / "again.npz", loaded)
+    with np.load(tmp_path / "policy.npz") as before, np.load(tmp_path / "again.npz") as after:
+        assert before.files == after.files
+        for key in before.files:
+            assert before[key].tobytes() == after[key].tobytes(), key
+
+
 def test_policy_file_with_frame_stack_field_still_loads(tmp_path):
     # files written while policies carried a frame-stack count hold an extra
     # "stack_frames" field; it is not read
     policy = FrozenPolicy(Party.VICTIM, _nets())
-    fields = {"party": "victim", "stack_frames": 1, "agents": [[name, list(policy.net.dims)] for name in policy.net.names]}
-    save_checkpoint(tmp_path / "policy.npz", policy.net.params(), fields=fields)
+    tensors = {p.name: p.array for p in policy.net.params()}
+    _write_policy_file(tmp_path / "policy.npz", tensors, _fields(policy, stack_frames=1))
     assert load_policy(tmp_path / "policy.npz").checksum() == policy.checksum()
 
 
@@ -135,17 +181,16 @@ def test_per_agent_policy_file_loads_into_the_stacked_net(tmp_path):
     # them before the agents' nets were stacked
     rng = np.random.default_rng(6)
     dims = [6, 8, 8, 4]
-    tensors = []
+    by_name = {}
     for i in range(3):
         for l, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-            tensors.append(ParamTensor(f"v{i}.l{l}.w", (d_out, d_in), rng.normal(size=d_out * d_in), np.zeros(d_out * d_in)))
-            tensors.append(ParamTensor(f"v{i}.l{l}.b", (d_out,), rng.normal(size=d_out), np.zeros(d_out)))
+            by_name[f"v{i}.l{l}.w"] = rng.normal(size=(d_out, d_in))
+            by_name[f"v{i}.l{l}.b"] = rng.normal(size=d_out)
     fields = {"party": "victim", "agents": [[f"v{i}", dims] for i in range(3)]}
-    save_checkpoint(tmp_path / "per_agent.npz", tensors, fields=fields)
+    _write_policy_file(tmp_path / "per_agent.npz", by_name, fields)
     loaded = load_policy(tmp_path / "per_agent.npz")
-    assert loaded.checksum() == hashlib.sha256(b"".join(t.values.tobytes() for t in tensors)).hexdigest()
+    assert loaded.checksum() == hashlib.sha256(b"".join(a.tobytes() for a in by_name.values())).hexdigest()
     # it acts as the per-agent nets do
-    by_name = {t.name: t.array for t in tensors}
     obs, masks = _masked_observations(np.random.default_rng(7))
     actions = loaded.act(obs, masks)
     for i in range(3):
@@ -162,9 +207,28 @@ def test_per_agent_policy_file_loads_into_the_stacked_net(tmp_path):
             assert before[key].tobytes() == after[key].tobytes(), key
     # agents whose nets differ in shape cannot share one stack
     fields["agents"][2][1] = [6, 8, 4]
-    save_checkpoint(tmp_path / "mixed.npz", tensors, fields=fields)
+    _write_policy_file(tmp_path / "mixed.npz", by_name, fields)
     with pytest.raises(ConfigError, match="one set of dims"):
         load_policy(tmp_path / "mixed.npz")
+
+
+def test_policy_file_whose_tensor_does_not_fit_the_dims_is_a_config_error(tmp_path):
+    policy = FrozenPolicy(Party.VICTIM, _nets())
+    tensors = {p.name: p.array for p in policy.net.params()}
+    cases = {
+        # an array of length 1 under the right meta shape: it would broadcast
+        # into the net's view unchecked
+        "short": ({**tensors, "v1.l0.b": np.zeros(1)}, {"v1.l0.b": [8]}),
+        # a meta shape that disagrees with the agents' dims, on an array of
+        # the right length
+        "transposed": (tensors, {"v2.l0.w": [6, 8]}),
+        "missing": ({name: a for name, a in tensors.items() if name != "v0.l2.b"}, None),
+    }
+    for name, (bad, shapes) in cases.items():
+        path = tmp_path / f"{name}.npz"
+        _write_policy_file(path, bad, _fields(policy), shapes)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_policy(path)
 
 
 def test_frozen_values_are_read_only_copies(tmp_path):
@@ -222,6 +286,36 @@ def test_former_policy_format_is_a_config_error_naming_the_file(tmp_path):
         assert dispatch(["run-experiment", "--experiment", "rq3", *checkpoint]) == EXIT_CONFIG
         manifest = RunManifest.load(runs / "experiment-rq3" / "manifest.json")
         assert manifest.status == "failed" and str(path) in manifest.error
+
+
+def test_empty_or_truncated_policy_file_is_a_config_error(tmp_path):
+    whole = tmp_path / "whole.npz"
+    save_policy(whole, FrozenPolicy(Party.VICTIM, _nets(n_agents=30)))
+    empty, cut = tmp_path / "empty.npz", tmp_path / "cut.npz"
+    empty.write_bytes(b"")
+    cut.write_bytes(whole.read_bytes()[:3000])
+    for path in (empty, cut):
+        runs = tmp_path / path.stem
+        checkpoint = ["--out", str(runs), "--set", f"victim_checkpoint={path}"]
+        assert dispatch(["evaluate", *checkpoint, "--set", "env.preset=skirmish-small"]) == EXIT_CONFIG
+        manifest = RunManifest.load(runs / "evaluate" / "manifest.json")
+        assert manifest.status == "failed"
+        assert manifest.error.startswith("config error:") and str(path) in manifest.error
+
+
+def test_checksum_hashes_the_stacks_that_act_reads():
+    policy = FrozenPolicy(Party.VICTIM, _nets())
+    before = policy.checksum()
+    # rebinding a per-agent view changes nothing act reads, nor the checksum
+    view = policy.net.params()[0]
+    view.values = view.values + 1.0
+    assert policy.checksum() == before
+    # rebinding a layer stack changes the Q values, and so the checksum
+    obs, masks = _masked_observations(np.random.default_rng(4))
+    q = policy.net.forward(obs[:, None, :])[0]
+    policy.net.w[0] = policy.net.w[0] + 1.0
+    assert not np.array_equal(policy.net.forward(obs[:, None, :])[0], q)
+    assert policy.checksum() != before
 
 
 def test_frozen_act_matches_greedy_controller_over_source_nets():
