@@ -47,17 +47,12 @@ class CheckResult:
         return f"[{status}] {self.name}: residual {self.residual:.3e} (bound {self.bound:.1e})"
 
 
-def brute_force_joint_argmax(
-    q_tables: Sequence[np.ndarray], mixer_fn: Callable[[np.ndarray], float]
-) -> tuple[tuple[int, ...], float]:
+def brute_force_joint_max(q_tables: Sequence[np.ndarray], mixer_fn: Callable[[np.ndarray], float]) -> float:
     """Exhaustive search over joint actions for the best mixed value."""
-    best_joint, best_val = None, -np.inf
+    best_val = -np.inf
     for joint in product(*(range(len(q)) for q in q_tables)):
-        vals = np.array([q[a] for q, a in zip(q_tables, joint)])
-        total = mixer_fn(vals)
-        if total > best_val:
-            best_joint, best_val = joint, total
-    return best_joint, float(best_val)
+        best_val = max(best_val, mixer_fn(np.array([q[a] for q, a in zip(q_tables, joint)])))
+    return float(best_val)
 
 
 def composed_argmax(q_tables: Sequence[np.ndarray]) -> tuple[int, ...]:
@@ -99,7 +94,7 @@ def argmax_consistency_residual(n_cases: int = 500, seed: int = 3100) -> float:
         mixer = MixingNet("probe", n, cond_dim, 4, rng)
         cond = rng.normal(size=(1, cond_dim))
         q_tables = [rng.normal(size=a) for a in actions]
-        _, best = brute_force_joint_argmax(q_tables, lambda v: mixer.forward(v[None], cond)[0][0])
+        best = brute_force_joint_max(q_tables, lambda v: mixer.forward(v[None], cond)[0][0])
         greedy = composed_argmax(q_tables)
         vals = np.array([[q[a] for q, a in zip(q_tables, greedy)]])
         worst = max(worst, abs(best - mixer.forward(vals, cond)[0][0]))

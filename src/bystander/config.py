@@ -80,8 +80,6 @@ def _convert(name: str, value: str, typ: str) -> object:
             return int(value)
         if typ == "float":
             return float(value)
-        if typ == "str":
-            return value
         if typ == "RewardMode":
             return RewardMode(value)
         if typ.startswith("tuple"):

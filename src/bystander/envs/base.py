@@ -19,15 +19,16 @@ environment instance owns only its configuration and derived lookup tables.
     (`config.adversary_slots`), its own party's block leaving out itself.
     Each block is (present, feature...) and stays zero when the unit is
     absent or out of sight.
-  - the unit positions: a state keeps its units in sorted agent order
+  - the state type: a `State` keeps its units in sorted agent order
     (party order, then index), so each party holds a contiguous run of
     positions. `unit_slots` (built once per env, shared by all its states)
-    maps an agent to its position there, for audits and tests; the
-    observation, mask and step paths read units by position and hash no
-    agent.
-An environment supplies its dynamics (`_resolve`, `_terminal`, the scripted
-third-party action, the tick-start occupied cells), its mask rows and the
-two observation hooks.
+    maps an agent to its position there, for `State.unit`, audits and
+    tests; the observation, mask and step paths read units by position and
+    hash no agent.
+An environment supplies its unit type and its dynamics (`reset`,
+`_resolve`, `_terminal`, the scripted third-party action, the tick-start
+occupied cells), its mask rows (`_mask_rows`) and the two observation hooks
+(`_own_features`, `_sees`).
 
 Policies and learners read a state only through `observe_party` and
 `masks_party`: each walks one party once, by unit position, and returns one
@@ -41,7 +42,7 @@ party's mixer reads its own agents' observations. `positions` and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -105,6 +106,22 @@ class StepEvents:
 
     attacks: tuple[tuple[AgentId, AgentId, int], ...]  # attacker, target, damage
     collisions: tuple[tuple[AgentId, AgentId], ...]  # mover, obstacle
+
+
+@dataclass(frozen=True)
+class State:
+    """Units in sorted agent order; `slots` is the env's `unit_slots`."""
+
+    units: tuple
+    step_count: int
+    seed: int
+    slots: Mapping[AgentId, int] = field(compare=False, repr=False)
+
+    def unit(self, agent: AgentId):
+        try:
+            return self.units[self.slots[agent]]
+        except KeyError:
+            raise KeyError(f"unknown agent {agent.key}") from None
 
 
 # slot blocks follow the observer's own features in this party order
@@ -249,7 +266,7 @@ class Environment(ABC):
         """The party's (n, obs_dim) observations in agent-index order: each
         agent's own features, then its slot blocks; all zero for an agent
         out of play."""
-        units = self._units(state)
+        units = state.units
         views = self._views[party]
         dim = self._obs_dim[party]
         n_own, n_seen = len(self.SELF_FEATURES), len(self.SLOT_FEATURES)
@@ -288,10 +305,6 @@ class Environment(ABC):
         if agent not in self.unit_slots:
             raise KeyError(f"unknown agent {agent.key}")
         return agent.index
-
-    @abstractmethod
-    def _units(self, state) -> tuple:
-        """The state's units in unit order."""
 
     @abstractmethod
     def _own_features(self, me) -> tuple[float, ...] | None:

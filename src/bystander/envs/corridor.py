@@ -21,13 +21,12 @@ walling lanes, forcing stops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import AgentId, ConfigError, Party, StepOutcome
-from .base import Environment, FailurePathDescriptor, StepEvents, check_failure_weights
+from .base import Environment, FailurePathDescriptor, State, StepEvents, check_failure_weights
 
 # every party's action table: (label, speed delta, lane delta)
 ACTIONS = (("keep", 0, 0), ("faster", 1, 0), ("slower", -1, 0), ("lane_up", 0, 1), ("lane_down", 0, -1))
@@ -87,20 +86,11 @@ class Vehicle:
         return not self.crashed and not self.exited
 
 
-@dataclass(frozen=True)
-class CorridorState:
-    """Vehicles in sorted agent order; `slots` is the env's `unit_slots`."""
+class CorridorState(State):
+    """A corridor state; its units are `Vehicle`s."""
 
-    vehicles: tuple[Vehicle, ...]
-    step_count: int
-    seed: int
-    slots: Mapping[AgentId, int] = field(compare=False, repr=False)
-
-    def vehicle(self, agent: AgentId) -> Vehicle:
-        try:
-            return self.vehicles[self.slots[agent]]
-        except KeyError:
-            raise KeyError(f"unknown agent {agent.key}") from None
+    # the lookup under its corridor name, which the benchmark's tracer counts
+    vehicle = State.unit
 
 
 class CorridorEnv(Environment):
@@ -142,13 +132,10 @@ class CorridorEnv(Environment):
                 lane, col = mid[int(pick)]
                 vehicles.append(Vehicle(agent, lane, col, 1))
         vehicles.sort(key=lambda v: v.agent)
-        return CorridorState(vehicles=tuple(vehicles), step_count=0, seed=seed, slots=self.unit_slots)
+        return CorridorState(units=tuple(vehicles), step_count=0, seed=seed, slots=self.unit_slots)
 
     def positions(self, state: CorridorState) -> dict[AgentId, tuple]:
-        return {v.agent: (v.lane, v.col) for v in state.vehicles if v.on_road}
-
-    def _units(self, state: CorridorState) -> tuple[Vehicle, ...]:
-        return state.vehicles
+        return {v.agent: (v.lane, v.col) for v in state.units if v.on_road}
 
     def _own_features(self, me: Vehicle) -> tuple[float, ...] | None:
         if not me.on_road:
@@ -171,7 +158,7 @@ class CorridorEnv(Environment):
         # a lane change never targets the mover's own cell
         occupied = self._occupied(state)
         rows: list[bool] = []
-        for me in state.vehicles[self._span[party]]:
+        for me in state.units[self._span[party]]:
             if not me.on_road:
                 rows += self._keep_row
                 continue
@@ -187,7 +174,7 @@ class CorridorEnv(Environment):
     # --- step ------------------------------------------------------------
 
     def _occupied(self, state: CorridorState) -> set[tuple[int, int]]:
-        return {(v.lane, v.col) for v in state.vehicles if v.on_road}
+        return {(v.lane, v.col) for v in state.units if v.on_road}
 
     def _scripted_action(self, state: CorridorState, k: int, occupied: set[tuple[int, int]]) -> int:
         return 0  # scripted traffic keeps lane and speed
@@ -196,7 +183,7 @@ class CorridorEnv(Environment):
         self, state: CorridorState, actions: list[int], occupied_at_start: set[tuple[int, int]]
     ) -> tuple[CorridorState, StepOutcome, StepEvents]:
         goal = self.config.goal_col
-        vehicles = list(state.vehicles)
+        vehicles = list(state.units)
         # no maneuver takes a vehicle off the road
         on_road = [k for k, v in enumerate(vehicles) if v.on_road]
         canceled_victims = 0
@@ -259,12 +246,12 @@ class CorridorEnv(Environment):
                 occupancy[(v.lane, col)] = k
 
         nxt = CorridorState(
-            vehicles=tuple(vehicles), step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots
+            units=tuple(vehicles), step_count=state.step_count + 1, seed=state.seed, slots=self.unit_slots
         )
         return nxt, self._outcome(nxt, canceled_victims), StepEvents(attacks=(), collisions=tuple(collisions))
 
     def _terminal(self, state: CorridorState) -> bool:
-        victims = state.vehicles[self._span[Party.VICTIM]]
+        victims = state.units[self._span[Party.VICTIM]]
         return (
             state.step_count >= self.config.horizon
             or any(v.crashed for v in victims)
@@ -276,7 +263,7 @@ class CorridorEnv(Environment):
         this step."""
         c = self.config
         crashed = exited = stalled = 0
-        for v in nxt.vehicles[self._span[Party.VICTIM]]:
+        for v in nxt.units[self._span[Party.VICTIM]]:
             crashed += v.crashed
             exited += v.exited
             stalled += v.on_road and v.speed == 0
@@ -296,11 +283,11 @@ class CorridorEnv(Environment):
         c = self.config
         victims = self._span[Party.VICTIM]
         progress = 0.0
-        for a, b in zip(prev.vehicles[victims], nxt.vehicles[victims]):
+        for a, b in zip(prev.units[victims], nxt.units[victims]):
             progress += (b.col - a.col) / c.goal_col
         reward = progress / c.victim_count
         if outcome.victim_success:
             reward += 1.0
-        if any(v.crashed for v in nxt.vehicles[victims]):
+        if any(v.crashed for v in nxt.units[victims]):
             reward -= 1.0
         return reward

@@ -21,13 +21,13 @@ positional: standing in cells victims or opponents want.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core import AgentId, ConfigError, Party, StepOutcome
-from .base import Environment, FailurePathDescriptor, StepEvents, check_failure_weights
+from .base import Environment, FailurePathDescriptor, State, StepEvents, check_failure_weights
 
 MOVE_DELTAS = {
     "north": (0, -1),
@@ -99,20 +99,8 @@ class Unit:
         return self.health > 0
 
 
-@dataclass(frozen=True)
-class SkirmishState:
-    """Units in sorted agent order; `slots` is the env's `unit_slots`."""
-
-    units: tuple[Unit, ...]
-    step_count: int
-    seed: int
-    slots: Mapping[AgentId, int] = field(compare=False, repr=False)
-
-    def unit(self, agent: AgentId) -> Unit:
-        try:
-            return self.units[self.slots[agent]]
-        except KeyError:
-            raise KeyError(f"unknown agent {agent.key}") from None
+class SkirmishState(State):
+    """A skirmish state; its units are `Unit`s."""
 
 
 def _chebyshev(a: Unit, b: Unit) -> int:
@@ -197,9 +185,6 @@ class SkirmishEnv(Environment):
         return {u.agent: (u.x, u.y) for u in state.units if u.alive}
 
     # --- observation / masks ------------------------------------------------
-
-    def _units(self, state: SkirmishState) -> tuple[Unit, ...]:
-        return state.units
 
     def _own_features(self, me: Unit) -> tuple[float, ...] | None:
         if me.health <= 0:

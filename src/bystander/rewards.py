@@ -145,4 +145,4 @@ class EpisodeEstimator:
         return min(max(estimate, -self.clip), self.clip)
 
     def episode_inputs(self) -> np.ndarray:
-        return np.stack(self.inputs) if self.inputs else np.zeros((0, self.model.input_dim))
+        return np.stack(self.inputs)

@@ -191,27 +191,15 @@ class EstimationProvider:
     """Recurrent estimator reward: per-step clipped estimates are the reward
     once the model has warmed up; before that, only the terminal ground
     truth is passed through. An episode's first step starts a fresh
-    EpisodeEstimator; its terminal step trains the model on a minibatch of
-    recent episodes against their terminal ground truths. It holds r_fail
-    and no failure-path weights, so it cannot score the simulator's failure
-    signals."""
+    EpisodeEstimator; its terminal step trains the model, with its own Adam,
+    on a minibatch of recent episodes against their terminal ground truths.
+    It reads its settings from cfg and gets no env and no descriptor, so it
+    cannot read the failure weights or score the failure signals."""
 
-    def __init__(
-        self,
-        model: RewardModel,
-        r_fail: float,
-        optimizer: Adam,
-        clip: float,
-        warmup_episodes: int,
-        model_batch: int,
-        rng: np.random.Generator,
-    ):
+    def __init__(self, model: RewardModel, cfg: TrainingConfig, rng: np.random.Generator):
         self.model = model
-        self.r_fail = r_fail
-        self.optimizer = optimizer
-        self.clip = clip
-        self.warmup_episodes = warmup_episodes
-        self.model_batch = model_batch
+        self.cfg = cfg
+        self.optimizer = Adam([model.cell.flat], learning_rate=cfg.model_learning_rate)
         self.rng = rng
         self.episode_count = 0
         self.recent: list[tuple[np.ndarray, float]] = []
@@ -222,20 +210,20 @@ class EstimationProvider:
         if bystander_obs is None:
             raise ConfigError("estimation reward needs bystander observations")
         if self._estimator is None:
-            self._estimator = EpisodeEstimator(self.model, self.clip)
+            self._estimator = EpisodeEstimator(self.model, self.cfg.estimate_clip)
         estimate = self._estimator.step(bystander_obs)
-        warm_up = self.episode_count < self.warmup_episodes
+        warm_up = self.episode_count < self.cfg.warmup_episodes
         if not outcome.terminal:
             return 0.0 if warm_up else estimate
-        gt = terminal_reward(outcome, self.r_fail)
+        gt = terminal_reward(outcome, self.cfg.r_fail)
         self._end_episode(gt)
         return gt if warm_up else estimate
 
     def _end_episode(self, gt: float) -> None:
         self.recent.append((self._estimator.episode_inputs(), gt))
-        if len(self.recent) > 4 * self.model_batch:
+        if len(self.recent) > 4 * self.cfg.model_batch:
             self.recent.pop(0)
-        take = min(self.model_batch, len(self.recent))
+        take = min(self.cfg.model_batch, len(self.recent))
         idx = self.rng.choice(len(self.recent), size=take, replace=False)
         batch = [self.recent[int(i)] for i in idx]
         self.last_model_loss = reward_model_update(
@@ -292,17 +280,16 @@ class MetricsWriter:
 # --- generic party trainer ----------------------------------------------------
 
 
-@dataclass
-class PartyTrainingResult:
-    policy: FrozenPolicy
-    curve: list[tuple[int, float]]
+def _phase_label(party: Party) -> str:
+    """Prefix of the seed streams and metrics files of the phase training `party`."""
+    return f"{party.label}_train"
 
 
-def _build_learner(env: Environment, party: Party, cfg: TrainingConfig, seed_stream: str):
+def _build_learner(env: Environment, party: Party, cfg: TrainingConfig):
     n_agents = len(env.agents(party))
     obs_dim = env.descriptor.obs_dim(party)
     dims = [obs_dim, cfg.hidden_size, cfg.hidden_size, env.descriptor.n_actions(party)]
-    rng = np.random.default_rng(derive_seed(cfg.seed, f"{seed_stream}.init", 0))
+    rng = np.random.default_rng(derive_seed(cfg.seed, f"{_phase_label(party)}.init", 0))
     net = MLP([f"{party.label}{i}" for i in range(n_agents)], dims, rng)
     # the mixer reads the party's own concatenated observations, not a
     # global state: bystanders have none
@@ -334,18 +321,20 @@ def train_party(
     other_controllers: Mapping[Party, Controller],
     reward,
     out_dir: Path | None = None,
-    label: str | None = None,
-) -> PartyTrainingResult:
-    """Run the value-decomposition training loop for one party.
+) -> tuple[FrozenPolicy, list[tuple[int, float]]]:
+    """Run the value-decomposition training loop for one party; returns its
+    frozen greedy policy and the (episode, win rate) curve of the periodic
+    evaluations.
 
     other_controllers drive the remaining externally controlled parties and
     are used unchanged during periodic evaluations; reward is the per-step
-    call that run_episode documents. The checksum of every frozen policy
+    call that run_episode documents. `{party.label}_train` prefixes the seed
+    streams and the metrics files. The checksum of every frozen policy
     among other_controllers is verified at each evaluation and after the
     last episode (TrainingFault if it changed).
     """
-    label = label or f"{party.label}_train"
-    pair, optimizer = _build_learner(env, party, cfg, label)
+    label = _phase_label(party)
+    pair, optimizer = _build_learner(env, party, cfg)
     buffer = ReplayBuffer(cfg.buffer_capacity)
     explore_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.explore", 0))
     sample_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.sample", 0))
@@ -392,7 +381,7 @@ def train_party(
             returns_since_eval = []
 
     check_frozen()
-    return PartyTrainingResult(FrozenPolicy(party, pair.net), curve)
+    return FrozenPolicy(party, pair.net), curve
 
 
 # --- phase wrappers -----------------------------------------------------------
@@ -435,16 +424,13 @@ def train_victims(
     other: dict[Party, Controller] = {}
     # random bystanders play only where the env has some
     if bystanders != "random" or env.agents(Party.ADVERSARY):
-        other[Party.ADVERSARY] = _bystander_controller(env, bystanders, cfg.seed, "victim_train")
-    result = train_party(
-        env, Party.VICTIM, cfg, other, victim_task_reward, out_dir, "victim_train"
-    )
-    policy = result.policy
+        other[Party.ADVERSARY] = _bystander_controller(env, bystanders, cfg.seed, _phase_label(Party.VICTIM))
+    policy, curve = train_party(env, Party.VICTIM, cfg, other, victim_task_reward, out_dir)
     no_attack = evaluate_win_rate(env_config, policy, None, cfg.eval_episodes, cfg.seed)[0]
     if no_attack < cfg.competence_floor:
         raise TrainingFault(f"victims reached win rate {no_attack:.3f} < floor {cfg.competence_floor}")
     random_rate = evaluate_win_rate(env_config, policy, "random", cfg.eval_episodes, cfg.seed)[0]
-    return VictimTrainingResult(policy, no_attack, random_rate, result.curve)
+    return VictimTrainingResult(policy, no_attack, random_rate, curve)
 
 
 @dataclass
@@ -455,7 +441,7 @@ class AdversaryTrainingResult:
     curve: list[tuple[int, float]]
 
 
-def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
+def _make_reward(env: Environment, cfg: TrainingConfig):
     """The bystanders' per-step reward call for cfg.reward_mode, and the
     reward model it trains (None outside estimation mode)."""
     if cfg.reward_mode is RewardMode.TRADITIONAL:
@@ -463,21 +449,11 @@ def _make_reward(env: Environment, cfg: TrainingConfig, label: str):
     if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
         weights = np.asarray(env.descriptor.default_weights, dtype=float)
         return partial(rule_immediate_reward, weights, cfg.r_fail), None
-    n_adv = len(env.agents(Party.ADVERSARY))
-    input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * n_adv
-    model_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0))
-    model = RewardModel(input_dim, cfg.model_hidden, model_rng)
-    opt = Adam([model.cell.flat], learning_rate=cfg.model_learning_rate)
-    provider = EstimationProvider(
-        model,
-        cfg.r_fail,
-        opt,
-        cfg.estimate_clip,
-        cfg.warmup_episodes,
-        cfg.model_batch,
-        np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0)),
-    )
-    return provider, model
+    input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
+    label = _phase_label(Party.ADVERSARY)
+    model = RewardModel(input_dim, cfg.model_hidden, np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0)))
+    batch_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0))
+    return EstimationProvider(model, cfg, batch_rng), model
 
 
 def train_adversaries(
@@ -494,13 +470,11 @@ def train_adversaries(
     if not env.agents(Party.ADVERSARY):
         raise ConfigError("environment has no bystander agents to train")
     frozen_victims.check_fits(env, Party.VICTIM)
-    label = "adversary_train"
-    reward, reward_model = _make_reward(env, cfg, label)
+    reward, reward_model = _make_reward(env, cfg)
     other = {Party.VICTIM: frozen_victims.as_controller()}
-    result = train_party(env, Party.ADVERSARY, cfg, other, reward, out_dir, label)
-    policy = result.policy
+    policy, curve = train_party(env, Party.ADVERSARY, cfg, other, reward, out_dir)
     under = evaluate_win_rate(env_config, frozen_victims, policy, cfg.eval_episodes, cfg.seed)[0]
-    return AdversaryTrainingResult(policy, reward_model, under, result.curve)
+    return AdversaryTrainingResult(policy, reward_model, under, curve)
 
 
 def evaluate_win_rate(
@@ -557,18 +531,18 @@ def save_policy(path, policy: FrozenPolicy) -> None:
 
 
 def load_policy(path) -> FrozenPolicy:
-    """Read a policy file; any other file, empty or cut short too, is a
-    ConfigError naming the path, and a missing one an OSError. Each tensor is
-    read by name into one net of the agents' dims, after its meta shape and
-    its array's length are checked against the net's. check_fits refuses a
-    net wider than the env's observation."""
+    """Read a policy file; any other file, empty, cut short or with meta of
+    the wrong JSON types too, is a ConfigError naming the path, and a missing
+    one an OSError. Each tensor is read by name into one net of the agents'
+    dims, after its meta shape and its array's length are checked against the
+    net's. check_fits refuses a net wider than the env's observation."""
     try:
         if Path(path).is_dir():
             raise ValueError("a directory")
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an npz archive")
-        with data:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
             meta = json.loads(bytes(data["__meta__"]).decode())
             if meta.get("version") != 1 or "params" not in meta:
                 raise ValueError("not a version 1 policy file")
@@ -584,6 +558,7 @@ def load_policy(path) -> FrozenPolicy:
                         f"{p.name}: shape {meta['params'][p.name]}, {values.size} values, does not match dims {net.dims}"
                     )
                 p.values[:] = values
-        return FrozenPolicy(Party.from_label(fields["party"]), net)
-    except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            party = Party.from_label(fields["party"])
+    except (KeyError, ValueError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"{path} is not a frozen-policy checkpoint: {exc}") from None
+    return FrozenPolicy(party, net)

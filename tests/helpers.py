@@ -45,4 +45,4 @@ def state_from_vehicles(env, spec, step_count=0) -> CorridorState:
                 vehicles.append(Vehicle(agent, lane, col, speed))
             else:
                 vehicles.append(Vehicle(agent, 0, env.config.goal_col, 0, exited=True))
-    return CorridorState(vehicles=tuple(vehicles), step_count=step_count, seed=-1, slots=env.unit_slots)
+    return CorridorState(units=tuple(vehicles), step_count=step_count, seed=-1, slots=env.unit_slots)

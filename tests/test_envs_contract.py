@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bystander.core import AgentId, ContractViolation, LifecycleError, Party
-from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, SkirmishState, make_env
+from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, make_env
 from bystander.rollout import RandomController, run_episode
 from bystander.training import victim_task_reward
 from helpers import state_from_positions, state_from_vehicles
@@ -130,17 +130,13 @@ def reference_features(env, me, other):
     return own, seen
 
 
-def reference_unit(state, agent):
-    return state.unit(agent) if isinstance(state, SkirmishState) else state.vehicle(agent)
-
-
 def reference_observation(env, state, agent):
     """Own features, then one (present, feature...) block per slot label: the
     block `<party>_slot<k>` shows the k-th agent of that party other than
     the observer, and stays zero when there is none or it is out of sight."""
     labels = env.descriptor.obs_labels[agent.party]
     obs = np.zeros(len(labels))
-    me = reference_unit(state, agent)
+    me = state.unit(agent)
     if reference_features(env, me, None) is None:
         return obs
     own, _ = reference_features(env, me, None)
@@ -151,7 +147,7 @@ def reference_observation(env, state, agent):
         party_label, k = label[: -len("_present")].split("_slot")
         others = [a for a in env.agents(Party.from_label(party_label)) if a != agent]
         if int(k) < len(others):
-            _, seen = reference_features(env, me, reference_unit(state, others[int(k)]))
+            _, seen = reference_features(env, me, state.unit(others[int(k)]))
             if seen is not None:
                 obs[i] = 1.0
                 obs[i + 1 : i + 1 + len(seen)] = seen
@@ -168,7 +164,7 @@ def reference_mask(env, state, agent):
     labels = env.descriptor.action_labels[agent.party]
     mask = np.zeros(len(labels), dtype=bool)
     mask[0] = True
-    me = reference_unit(state, agent)
+    me = state.unit(agent)
     if isinstance(c, SkirmishConfig):
         if me.health <= 0:
             return mask
@@ -184,7 +180,7 @@ def reference_mask(env, state, agent):
         return mask
     if me.crashed or me.exited:
         return mask
-    occupied = {(v.lane, v.col) for v in state.vehicles if not (v.crashed or v.exited)}
+    occupied = {(v.lane, v.col) for v in state.units if not (v.crashed or v.exited)}
     for i, label in enumerate(labels[1:], 1):
         speed, lane = CORRIDOR_MANEUVERS[label]
         if speed:
@@ -251,7 +247,7 @@ def corridor_edge_states():
         }
     )
     crashed = replace(
-        base, vehicles=tuple(replace(v, crashed=True) if v.agent in (V1, T0) else v for v in base.vehicles)
+        base, units=tuple(replace(v, crashed=True) if v.agent in (V1, T0) else v for v in base.units)
     )
     # A0, T1 and V2 omitted: exited
     exited = state_from_vehicles(env, {V0: (1, 3, 1), V1: (1, 5, 2), A1: (0, 3, 0), A2: (2, 1, 1), T0: (2, 3, 1)})

@@ -32,10 +32,10 @@ def test_config_validation():
 
 def test_reset_victims_at_column_zero(env):
     state = env.reset(7)
-    for v in state.vehicles:
+    for v in state.units:
         if v.agent.party is Party.VICTIM:
             assert v.col == 0
-    cells = [(v.lane, v.col) for v in state.vehicles]
+    cells = [(v.lane, v.col) for v in state.units]
     assert len(set(cells)) == len(cells)
     assert env.reset(7) == env.reset(7)
 
@@ -45,7 +45,7 @@ def test_goal_reach_is_success_with_zero_signals(env):
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and outcome.victim_success
     assert np.allclose(outcome.failure_signals, [0.0, 0.0, 0.0])
-    assert nxt.vehicle(V0).exited
+    assert nxt.unit(V0).exited
 
 
 def test_victim_rear_end_collision_fails(env):
@@ -54,14 +54,14 @@ def test_victim_rear_end_collision_fails(env):
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
-    assert nxt.vehicle(V0).crashed
+    assert nxt.unit(V0).crashed
 
 
 def test_victim_can_brake_to_avoid(env):
     state = state_from_vehicles(env, {V0: (0, 3, 1), A0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, {Party.VICTIM: [SLOWER], Party.ADVERSARY: [KEEP, KEEP]})
     assert not outcome.terminal
-    assert nxt.vehicle(V0).col == 3 and nxt.vehicle(V0).speed == 0
+    assert nxt.unit(V0).col == 3 and nxt.unit(V0).speed == 0
     # stopped on the road counts as a rule-violation signal
     assert outcome.failure_signals[2] == 1.0
 
@@ -70,8 +70,8 @@ def test_adversary_movement_truncates_before_victims(env):
     # bystander at speed 2 behind a stopped victim never initiates contact
     state = state_from_vehicles(env, {A0: (0, 2, 2), V0: (0, 4, 0), A1: (1, 0, 0), T0: (1, 5, 1), T1: (1, 6, 1)})
     nxt, outcome = env.step(state, KEEP_ALL)
-    assert nxt.vehicle(A0).col == 3  # stopped short
-    assert not nxt.vehicle(V0).crashed
+    assert nxt.unit(A0).col == 3  # stopped short
+    assert not nxt.unit(V0).crashed
     assert not outcome.terminal or not outcome.failure_signals[0]
 
 
@@ -81,7 +81,7 @@ def test_scripted_traffic_rear_ends_stopped_victim(env):
     nxt, outcome = env.step(state, KEEP_ALL)
     assert outcome.terminal and not outcome.victim_success
     assert outcome.failure_signals[0] == 1.0
-    assert nxt.vehicle(V0).crashed
+    assert nxt.unit(V0).crashed
 
 
 def test_lane_change_conflict_counts_violation(env):
@@ -91,8 +91,8 @@ def test_lane_change_conflict_counts_violation(env):
     state = state_from_vehicles(env3, {v0: (0, 3, 0), v1: (2, 3, 0)})
     nxt, outcome = env3.step(state, {Party.VICTIM: [LANE_UP, LANE_DOWN]})
     # both claim (1, 3): lower id wins, the other is canceled
-    assert nxt.vehicle(v0).lane == 1
-    assert nxt.vehicle(v1).lane == 2
+    assert nxt.unit(v0).lane == 1
+    assert nxt.unit(v1).lane == 2
     # canceled victim maneuver + two stopped victims
     assert outcome.failure_signals[2] == 3.0
 

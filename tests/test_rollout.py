@@ -6,11 +6,11 @@ import pytest
 from bystander import rewards, training
 from bystander.core import ContractViolation, Party
 from bystander.envs import PRESETS, make_env
-from bystander.neural import MLP, Adam
+from bystander.neural import MLP
 from bystander.qmix import MASK_SENTINEL, masked_q
 from bystander.rewards import RewardModel
 from bystander.rollout import Controller, EpsilonGreedyController, RandomController, run_episode
-from bystander.training import EstimationProvider
+from bystander.training import EstimationProvider, TrainingConfig
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
 
@@ -155,10 +155,8 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     env = make_env(PRESETS["skirmish-small"])
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
     model = RewardModel(input_dim, 8, np.random.default_rng(0))
-    provider = EstimationProvider(
-        model, 20.0, Adam(model.params(), learning_rate=1e-3),
-        clip=5.0, warmup_episodes=1, model_batch=2, rng=np.random.default_rng(1),
-    )
+    cfg = TrainingConfig(r_fail=20.0, estimate_clip=5.0, warmup_episodes=1, model_batch=2, model_learning_rate=1e-3)
+    provider = EstimationProvider(model, cfg, np.random.default_rng(1))
     updates, steps_seen = [], []
     update = training.reward_model_update
 

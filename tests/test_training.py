@@ -303,6 +303,24 @@ def test_empty_or_truncated_policy_file_is_a_config_error(tmp_path):
         assert manifest.error.startswith("config error:") and str(path) in manifest.error
 
 
+def test_policy_meta_of_the_wrong_json_types_is_a_config_error(tmp_path):
+    whole = tmp_path / "whole.npz"
+    save_policy(whole, FrozenPolicy(Party.VICTIM, _nets(n_agents=30)))
+    with np.load(whole) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    bad_agents = {**meta, "fields": {**meta["fields"], "agents": 5}}
+    for name, bad in (("agents.npz", bad_agents), ("list.npz", [meta])):
+        path = tmp_path / name
+        np.savez(path, **{**arrays, "__meta__": np.frombuffer(json.dumps(bad).encode(), dtype=np.uint8)})
+        runs = tmp_path / path.stem
+        checkpoint = ["--out", str(runs), "--set", f"victim_checkpoint={path}"]
+        assert dispatch(["evaluate", *checkpoint, "--set", "env.preset=skirmish-small"]) == EXIT_CONFIG
+        manifest = RunManifest.load(runs / "evaluate" / "manifest.json")
+        assert manifest.status == "failed"
+        assert manifest.error.startswith("config error:") and str(path) in manifest.error
+
+
 def test_checksum_hashes_the_stacks_that_act_reads():
     policy = FrozenPolicy(Party.VICTIM, _nets())
     before = policy.checksum()
