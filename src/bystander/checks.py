@@ -164,7 +164,7 @@ def _worst_kink_free(build, seeds) -> float:
     """The worst grad_check residual over one case per seed, each built as
     (loss_fn, backward_fn, store, kink_gap_fn); the seed is bumped while any
     rectifier/abs preactivation sits within KINK_GAP of its kink, where
-    finite differences are unreliable."""
+    finite differences are unreliable. A case without kinks has gap inf."""
     worst = 0.0
     for seed in seeds:
         attempt = seed
@@ -213,9 +213,8 @@ def packed_recurrent_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 3, 1)) -
     own upstream gradient. The sequences are ragged and packed longest
     first, so rows leave the unroll as their sequences end."""
     live = np.sum(np.array(lengths) > np.arange(max(lengths))[:, None], axis=1)
-    worst = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+
+    def build(rng):
         cell = LSTMCell("g", 3, 8, rng)
         x = rng.normal(size=(sum(lengths), 3))
         weights = rng.normal(size=len(x))
@@ -227,8 +226,9 @@ def packed_recurrent_gradient_residual(seeds=GRAD_SEEDS, lengths=(6, 3, 3, 1)) -
             _, cache = cell.forward_packed(x, live)
             cell.backward_packed(cache, weights)
 
-        worst = max(worst, grad_check(loss_fn, cell.flat, backward_fn))
-    return worst
+        return loss_fn, backward_fn, cell.flat, lambda: np.inf
+
+    return _worst_kink_free(build, seeds)
 
 
 def mixer_gradient_residual(seeds=GRAD_SEEDS) -> float:
@@ -261,9 +261,7 @@ def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
     reward-model update accumulates it, on a ragged batch whose longest
     episode is not first, so that the unroll's reordering and the rows
     leaving it as their episodes end are checked too."""
-    worst = 0.0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    def build(rng):
         model = RewardModel(4, 8, rng)
         episodes = [rng.normal(size=(steps, 4)) for steps in lengths]
         gts = rng.normal(size=len(lengths))
@@ -275,8 +273,9 @@ def episode_sum_gradient_residual(seeds=GRAD_SEEDS, lengths=(3, 6, 1)) -> float:
         def backward_fn():
             episode_sum_loss_grad(model, episodes, gts)
 
-        worst = max(worst, grad_check(loss_fn, model.cell.flat, backward_fn))
-    return worst
+        return loss_fn, backward_fn, model.cell.flat, lambda: np.inf
+
+    return _worst_kink_free(build, seeds)
 
 
 def run_oracle_checks() -> list[CheckResult]:

@@ -45,7 +45,7 @@ from .config import (
 )
 from .core import ConfigError, TrainingFault
 from .evaluation import default_spec, run_defense_experiment, run_experiment
-from .training import evaluate_win_rate, load_policy, save_policy, train_adversaries, train_victims
+from .training import evaluate_win_rate, load_policy, save_policy, train_adversaries, train_victims, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,7 +136,7 @@ def _evaluate(args, kv):
         victims = load_policy(victim_path)
         adversary = attack if attack in (None, "random") else load_policy(attack)
         rate, half = evaluate_win_rate(env_cfg, victims, adversary, episodes, args.seed)
-        (out / "eval.csv").write_text("win_rate,halfwidth,episodes\n" f"{rate:.10g},{half:.10g},{episodes}\n")
+        write_table(out / "eval.csv", [("win_rate", "halfwidth", "episodes"), (rate, half, episodes)])
         return [f"win rate: {rate:.3f} +/- {half:.3f} ({episodes} episodes)"]
 
     return work
@@ -169,7 +169,7 @@ def _run_experiment(args, kv):
         return [
             f"{row.label}: under attack {row.under_attack:.3f} "
             f"(no attack {row.no_attack_absent:.3f}, random {row.no_attack_random:.3f})"
-            for row in table.rows
+            for row in table
         ]
 
     return work

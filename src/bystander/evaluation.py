@@ -1,5 +1,5 @@
 """Experiment harness: sweeps over environments, reward modes, bystander
-counts and seeds, producing win-rate tables and learning-curve CSVs.
+counts and seeds, writing win-rate and learning-curve tables (`write_table`).
 
 Experiment ids follow the study structure: rq1 cross-environment
 generalization, rq2 reward-mode comparison, rq3 bystander-count sweep,
@@ -20,11 +20,10 @@ bystanders absent once per (env, seed), as no count changes that play.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .training import (
     save_policy,
     train_adversaries,
     train_victims,
+    write_table,
 )
 
 EXPERIMENT_IDS = ("rq1", "rq2", "rq3", "rq4")
@@ -75,29 +75,6 @@ class TableRow:
     no_attack_absent: float
     no_attack_random: float
     seeds: int
-
-
-@dataclass
-class WinRateTable:
-    rows: list[TableRow] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ("label", "under_attack", "under_attack_std", "no_attack_absent", "no_attack_random", "seeds")
-            )
-            for r in self.rows:
-                w.writerow(
-                    (
-                        r.label,
-                        f"{r.under_attack:.10g}",
-                        f"{r.under_attack_std:.10g}",
-                        f"{r.no_attack_absent:.10g}",
-                        f"{r.no_attack_random:.10g}",
-                        r.seeds,
-                    )
-                )
 
 
 def _point_label(env_label: str, mode: RewardMode, count: int) -> str:
@@ -147,9 +124,10 @@ def _play_baseline(env_cfg, adversary, seed, victim_path, episodes) -> float:
     return evaluate_win_rate(env_cfg, load_policy(victim_path), adversary, episodes, seed)[0]
 
 
-def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTable:
-    """Execute the grid, aggregate over seeds, and write tables plus
-    plot-ready long-format curves.
+def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[TableRow]:
+    """Execute the grid, aggregate over seeds, and write the table of its
+    rows, `{id}_table.csv` with TableRow's fields for header, plus the
+    plot-ready long-format curves, `{id}_curves_long.csv`; returns the rows.
 
     A row's under-attack rate is the mean over seeds of `train_adversaries`'
     own evaluation; its baseline columns are played on the same episode
@@ -180,14 +158,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
     else:
         results = {key: fn(*args) for key, (fn, *args) in jobs.items()}
 
-    table = WinRateTable()
-    long_rows: list[tuple] = []
+    table: list[TableRow] = []
+    long_rows: list[tuple] = [("experiment", "env", "reward_mode", "adversary_count", "seed", "episode", "win_rate")]
     for label, mode, count in points:
         attacks = [results["attack", label, mode, count, seed] for seed in spec.seeds]
         under = np.array([r["under_attack"] for r in attacks])
         absent = np.mean([results["absent", label, seed] for seed in spec.seeds])
         random_rate = np.mean([results["random", label, count, seed] for seed in spec.seeds])
-        table.rows.append(
+        table.append(
             TableRow(
                 label=_point_label(label, mode, count),
                 under_attack=float(under.mean()),
@@ -201,12 +179,9 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> WinRateTa
             for ep, rate in r["curve"]:
                 long_rows.append((spec.experiment_id, label, mode.value, count, r["seed"], ep, rate))
 
-    table.write_csv(out_dir / f"{spec.experiment_id}_table.csv")
-    with open(out_dir / f"{spec.experiment_id}_curves_long.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("experiment", "env", "reward_mode", "adversary_count", "seed", "episode", "win_rate"))
-        for row in long_rows:
-            w.writerow(row)
+    header = [f.name for f in dataclasses.fields(TableRow)]
+    write_table(out_dir / f"{spec.experiment_id}_table.csv", [header, *(dataclasses.astuple(r) for r in table)])
+    write_table(out_dir / f"{spec.experiment_id}_curves_long.csv", long_rows)
     return table
 
 
@@ -240,11 +215,8 @@ def run_defense_experiment(
         "no_attack": (rate(victims, None), retrained.no_attack_win_rate),
         "random": (rate(victims, "random"), retrained.random_neutral_win_rate),
     }
-    with open(out_dir / "rq5_table.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("condition", "before", "after"))
-        for condition, (before, after) in table.items():
-            w.writerow((condition, f"{before:.10g}", f"{after:.10g}"))
+    rows = [(condition, before, after) for condition, (before, after) in table.items()]
+    write_table(out_dir / "rq5_table.csv", [("condition", "before", "after"), *rows])
     return table
 
 

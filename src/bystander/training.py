@@ -92,6 +92,8 @@ class TrainingConfig:
             )
         if self.batch_size > self.buffer_capacity:
             raise ConfigError("batch_size cannot exceed buffer_capacity")
+        if self.batch_size > self.episodes:
+            raise ConfigError("batch_size cannot exceed episodes: no learner step would run")
 
     def epsilon_at(self, episode: int) -> float:
         decay_len = max(int(self.episodes * self.epsilon_decay_frac), 1)
@@ -233,48 +235,16 @@ class EstimationProvider:
         self._estimator = None
 
 
-# --- metrics ------------------------------------------------------------------
+# --- tables -------------------------------------------------------------------
 
 
-class MetricsWriter:
-    """Append-only CSV writers for the learner-step log and the eval curve."""
-
-    def __init__(self, out_dir: Path | None, label: str):
-        self._paths = None
-        if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            self._paths = (
-                out_dir / f"{label}_learner_steps.csv",
-                out_dir / f"{label}_curve.csv",
-            )
-            for path, header in zip(
-                self._paths,
-                (
-                    ("step", "loss", "epsilon", "buffer_fill", "target_syncs"),
-                    ("episode", "win_rate", "mean_episode_reward", "loss", "epsilon"),
-                ),
-            ):
-                with open(path, "w", newline="") as fh:
-                    csv.writer(fh).writerow(header)
-
-    def _append(self, idx: int, row: tuple) -> None:
-        if self._paths is not None:
-            with open(self._paths[idx], "a", newline="") as fh:
-                csv.writer(fh).writerow(row)
-
-    def learner_row(self, step, loss, epsilon, buffer_fill, syncs) -> None:
-        self._append(0, (step, f"{loss:.10g}", f"{epsilon:.6g}", buffer_fill, syncs))
-
-    def curve_row(self, episode, win_rate, mean_reward, loss, epsilon) -> None:
-        row = (
-            episode,
-            f"{win_rate:.10g}",
-            f"{mean_reward:.10g}",
-            f"{loss:.10g}",
-            f"{epsilon:.6g}",
-        )
-        self._append(1, row)
+def write_table(path, rows, mode: str = "w") -> None:
+    """Write rows to the CSV file at path with csv.writer, or append them
+    with mode="a". Every float cell, numpy float64 included, is written as
+    `.10g`, and every other cell as it is. Every CSV a run writes goes
+    through it."""
+    with open(path, mode, newline="") as fh:
+        csv.writer(fh).writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
 # --- generic party trainer ----------------------------------------------------
@@ -329,9 +299,12 @@ def train_party(
     other_controllers drive the remaining externally controlled parties and
     are used unchanged during periodic evaluations; reward is the per-step
     call that run_episode documents. `{party.label}_train` prefixes the seed
-    streams and the metrics files. The checksum of every frozen policy
-    among other_controllers is verified at each evaluation and after the
-    last episode (TrainingFault if it changed).
+    streams and the metrics tables: given out_dir, it writes their headers,
+    then appends a row per learner step (`_learner_steps.csv`, numbered by
+    the optimizer's steps) and per evaluation (`_curve.csv`), so a failed
+    run keeps its rows. The checksum of every frozen policy among
+    other_controllers is verified at each evaluation and after the last
+    episode (TrainingFault if it changed).
     """
     label = _phase_label(party)
     pair, optimizer = _build_learner(env, party, cfg)
@@ -341,11 +314,16 @@ def train_party(
     controller = EpsilonGreedyController(pair.net, explore_rng)
     controllers = dict(other_controllers)
     controllers[party] = controller
-    metrics = MetricsWriter(out_dir, label)
     curve: list[tuple[int, float]] = []
     loss = float("nan")
     returns_since_eval: list[float] = []
-    learner_steps = 0
+
+    steps_path = curve_path = None
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        steps_path, curve_path = (Path(out_dir) / f"{label}_{table}.csv" for table in ("learner_steps", "curve"))
+        write_table(steps_path, [("step", "loss", "epsilon", "buffer_fill", "target_syncs")])
+        write_table(curve_path, [("episode", "win_rate", "mean_episode_reward", "loss", "epsilon")])
 
     frozen = {p: c.policy for p, c in other_controllers.items() if isinstance(c, FrozenController)}
     checksums = {p: policy.checksum() for p, policy in frozen.items()}
@@ -363,8 +341,8 @@ def train_party(
         returns_since_eval.append(sum(traj.rewards.tolist()))
         if len(buffer) >= cfg.batch_size:
             loss = learner_step(buffer, pair, optimizer, cfg.batch_size, cfg.gamma, sample_rng)
-            learner_steps += 1
-            metrics.learner_row(learner_steps, loss, controller.epsilon, len(buffer), pair.syncs)
+            if steps_path is not None:
+                write_table(steps_path, [(optimizer.steps, loss, controller.epsilon, len(buffer), pair.syncs)], "a")
         if (episode + 1) % cfg.eval_interval == 0:
             check_frozen()
             eval_controllers = dict(controllers)
@@ -376,7 +354,8 @@ def train_party(
                 derive_seed(cfg.seed, f"{label}.eval", episode),
             )
             mean_ret = float(np.mean(returns_since_eval)) if returns_since_eval else 0.0
-            metrics.curve_row(episode + 1, rate, mean_ret, loss, controller.epsilon)
+            if curve_path is not None:
+                write_table(curve_path, [(episode + 1, rate, mean_ret, loss, controller.epsilon)], "a")
             curve.append((episode + 1, rate))
             returns_since_eval = []
 

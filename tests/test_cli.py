@@ -104,6 +104,18 @@ def test_failed_run_marks_manifest_failed(tmp_path):
     assert manifest.artifacts == _written(tmp_path / "train-victim") != []
 
 
+def test_a_batch_larger_than_the_run_is_refused_before_any_file(tmp_path, capsys):
+    # two episodes never fill a batch of four: no learner step would run, and
+    # the victims' initial nets would be saved as if trained
+    argv = ["train-victim", "--out", str(tmp_path)]
+    for item in ("env.preset=skirmish-small", "train.episodes=2", "train.batch_size=4", "train.buffer_capacity=4",
+                 "train.competence_floor=0", "train.eval_episodes=1"):
+        argv += ["--set", item]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert "batch_size cannot exceed episodes" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "command", ["train-victim", "train-adversary", "evaluate", "defend-retrain", "run-experiment"]
 )

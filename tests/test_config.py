@@ -135,12 +135,12 @@ def test_env_needs_a_known_preset():
 
 
 def test_training_values_are_converted_or_refused():
-    cfg = build_training_config({"train.episodes": "30", "train.reward_mode": "rule_immediate"}, seed=5)
-    assert (cfg.episodes, cfg.reward_mode.value, cfg.seed) == (30, "rule_immediate", 5)
+    cfg = build_training_config({"train.episodes": "40", "train.reward_mode": "rule_immediate"}, seed=5)
+    assert (cfg.episodes, cfg.reward_mode.value, cfg.seed) == (40, "rule_immediate", 5)
     with pytest.raises(ConfigError, match="bad value for train.episodes"):
         build_training_config({"train.episodes": "many"}, seed=0)
     # the seed is --seed's: train.seed is left unread, for the command to refuse
-    kv = {"train.seed": "9", "train.episodes": "30"}
+    kv = {"train.seed": "9", "train.episodes": "40"}
     assert build_training_config(kv, seed=5).seed == 5
     assert kv == {"train.seed": "9"}
     # "inf" parses as a float, so the range check refuses it
@@ -223,15 +223,24 @@ def test_experiment_settings():
         build_experiment_seeds({"experiment.seeds": "a,b"})
 
 
-def test_bad_experiment_seeds_exit_as_config_error(tmp_path):
+def test_bad_experiment_seeds_exit_as_config_error(tmp_path, capsys):
     argv = ["run-experiment", "--experiment", "rq2", "--out", str(tmp_path)]
     assert dispatch([*argv, "--set", "experiment.seeds=a,b"]) == EXIT_CONFIG
     # a repeated seed would share its grid points and count twice in the
-    # table; the tiny budget keeps a run that is not refused short
+    # table; the tiny budget, valid on its own, keeps a run that is not
+    # refused short
     argv = ["run-experiment", "--experiment", "rq1", "--out", str(tmp_path), "--set", "experiment.seeds=101,101"]
-    for item in ("train.episodes=1", "train.eval_episodes=1", "train.competence_floor=0"):
+    for item in (
+        "train.episodes=1",
+        "train.batch_size=1",
+        "train.buffer_capacity=1",
+        "train.eval_episodes=1",
+        "train.competence_floor=0",
+    ):
         argv += ["--set", item]
+    capsys.readouterr()
     assert dispatch(argv) == EXIT_CONFIG
+    assert "repeat a seed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

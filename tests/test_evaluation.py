@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 from concurrent.futures import Future
 
@@ -42,7 +43,7 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
     spec = default_spec("rq2", TINY, seeds=[1, 2])
     for workers in (1, 2):
         table = run_experiment(spec, tmp_path / f"w{workers}", workers=workers)
-        assert [row.label for row in table.rows] == [
+        assert [row.label for row in table] == [
             f"{env}|{mode}|adv2"
             for env in ("skirmish-small", "corridor-small")
             for mode in ("traditional", "rule_immediate", "estimation")
@@ -53,6 +54,11 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
         assert one == two
     # 2 envs x 3 modes x 2 seeds x 2 curve points
     assert len((tmp_path / "w1" / "rq2_curves_long.csv").read_text().splitlines()) == 1 + 2 * 3 * 2 * 2
+    # every float cell is written with 10 significant digits, the win rate too
+    with open(tmp_path / "w1" / "rq2_curves_long.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[-1] == "win_rate"
+    assert all(row[-1] == f"{float(row[-1]):.10g}" for row in rows)
     point = tmp_path / "w1" / "skirmish-small_estimation_adv2" / "seed1"
     assert (point / "adversary_train_curve.csv").exists()
     assert not (point / "attack_curve.csv").exists()
@@ -145,7 +151,7 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
     assert len(calls) == 2 * 12
 
     for env, label in (("SkirmishConfig", "skirmish-small"), ("CorridorConfig", "corridor-small")):
-        rows = [row for row in table.rows if row.label.startswith(label)]
+        rows = [row for row in table if row.label.startswith(label)]
         for row, mode in zip(rows, modes):
             assert row.under_attack == np.mean([attacks[env, mode, s] for s in seeds])
         assert len({(row.no_attack_absent, row.no_attack_random) for row in rows}) == 1
@@ -157,7 +163,7 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
     baselines = [c for c in calls if c[2] != TINY.seed and c[1] != "attack"]
     assert sorted(c[1:] for c in baselines if c[1] == "absent") == [("absent", 1), ("absent", 2)]
     assert sorted(c[2] for c in baselines if c[1] == "random") == sorted(seeds * 3)
-    assert len({row.no_attack_absent for row in table.rows}) == 1
+    assert len({row.no_attack_absent for row in table}) == 1
 
 
 def test_an_experiment_needs_a_seed():

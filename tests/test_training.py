@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -78,6 +79,28 @@ def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypat
     cfg = TrainingConfig(**{**TINY, "eval_interval": eval_interval}, seed=4)
     with pytest.raises(TrainingFault, match="frozen victim policy changed"):
         train_adversaries(PRESETS["skirmish-small"], victims, cfg)
+
+
+def _table(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_metrics_tables_hold_each_learner_step_and_the_curve(tmp_path):
+    cfg = TrainingConfig(**{**TINY, "eval_interval": 3}, epsilon_decay_frac=1.0, seed=3)
+    curve = train_victims(PRESETS["skirmish-small"], cfg, tmp_path).curve
+    header, *steps = _table(tmp_path / "victim_train_learner_steps.csv")
+    assert header == ["step", "loss", "epsilon", "buffer_fill", "target_syncs"]
+    assert [int(row[0]) for row in steps] == list(range(1, cfg.episodes - cfg.batch_size + 2))
+    # the first step follows the episode that fills the first batch; the
+    # decay over the whole run gives epsilons with more than 6 digits
+    first = cfg.batch_size - 1
+    assert [row[2] for row in steps] == [f"{cfg.epsilon_at(e):.10g}" for e in range(first, cfg.episodes)]
+    header, *points = _table(tmp_path / "victim_train_curve.csv")
+    assert header == ["episode", "win_rate", "mean_episode_reward", "loss", "epsilon"]
+    assert [(int(row[0]), float(row[1])) for row in points] == curve
+    assert [row[4] for row in points] == [f"{cfg.epsilon_at(episode - 1):.10g}" for episode, _ in curve]
+    assert len(curve) == cfg.episodes // 3
 
 
 def test_traditional_mode_needs_victim_reward_access():
