@@ -115,7 +115,7 @@ class _Playback(Controller):
 
 
 def _same_play(a: EpisodeTrajectory, b: EpisodeTrajectory) -> bool:
-    if len(a) != len(b):
+    if len(a) != len(b) or a.states != b.states:
         return False
     for p in a.actions:
         for x, y in ((a.obs, b.obs), (a.avail, b.avail), (a.actions, b.actions)):
@@ -136,8 +136,8 @@ def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_se
     with random bystanders, then again from the same seed with the same
     victims and the recorded bystander actions played back. Once the victims
     are frozen, the bystanders' actions alone must fix the episode, so every
-    party's observations, masks and actions and every step outcome must
-    repeat bit for bit; a replayed action env.step refuses, or a replay that
+    state, every party's observations, masks and actions and every step
+    outcome must repeat bit for bit; a replayed action env.step refuses, or a replay that
     outlasts the record, counts as a miss too."""
     misses = 0
     for name in presets:

@@ -88,14 +88,15 @@ class StepOutcome:
 class EpisodeTrajectory:
     """The record of one played episode, held as the arrays the rollout
     builds: per party, obs (T+1, n, D) and avail (T+1, n, A) over the states
-    s_0..s_T and actions (T, n); per transition, rewards (T,) and the T
-    StepOutcomes env.step returned. A learner reads its party's arrays;
+    s_0..s_T and actions (T, n); the T+1 env states themselves; per
+    transition, the T StepOutcomes env.step returned. It holds no reward: a
+    reward scores it after the rollout. A learner reads its party's arrays;
     audits replay the episode from `seed` through `joint_action`."""
 
     obs: Mapping[Party, np.ndarray]
     avail: Mapping[Party, np.ndarray]
     actions: Mapping[Party, np.ndarray]
-    rewards: np.ndarray
+    states: tuple
     outcomes: tuple[StepOutcome, ...]
     seed: int
 
@@ -161,8 +162,8 @@ def validate_trajectory(traj: EpisodeTrajectory, descriptor) -> ValidationReport
                 f"record {t} shape: signals {out.failure_signals.shape} "
                 f"!= ({descriptor.n_failure_paths},)"
             )
-    if np.shape(traj.rewards) != (steps,):
-        violations.append(f"shape: rewards {np.shape(traj.rewards)} != ({steps},)")
+    if len(traj.states) != steps + 1:
+        violations.append(f"shape: {len(traj.states)} states != {steps + 1}")
     arrays = {"obs": traj.obs, "avail": traj.avail, "actions": traj.actions}
     for party in sorted(set().union(*arrays.values())):
         n, n_act = descriptor.party_counts[party], descriptor.n_actions(party)

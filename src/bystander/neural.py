@@ -210,8 +210,8 @@ class LSTMCell:
     shares one copy of the gate equations (`_activate`) and of their
     gradients (`_slopes`, `_gate_grads`). There are two paths:
     - `step`/`backward_step`: one batched tick with its cache. The reward
-      estimator streams a rollout through `step`, one (1, d_in) row a
-      step; `backward_step` is the per-tick backward the tests hold the
+      estimator streams a played episode through `step`, one (1, d_in)
+      row a step; `backward_step` is the per-tick backward the tests hold the
       packed path to.
     - `forward_packed`/`backward_packed`: a whole unroll of ragged
       sequences packed tick-major, the path the reward model trains

@@ -121,28 +121,23 @@ def reward_model_update(
 
 
 class EpisodeEstimator:
-    """Streams one episode through the reward model during a rollout, one
-    batch-1 `LSTMCell.step` per step from (1, H) hidden and cell rows,
-    recording inputs and estimates for the end-of-episode model update."""
+    """Streams one episode through the reward model, one batch-1
+    `LSTMCell.step` per step from (1, H) hidden and cell rows, recording
+    the unclipped estimates."""
 
     def __init__(self, model: RewardModel, clip: float):
         self.model = model
         self.clip = float(clip)
         self.hidden = np.zeros((1, model.hidden))
         self.cell = np.zeros((1, model.hidden))
-        self.inputs: list[np.ndarray] = []
         self.estimates: list[float] = []
 
     def step(self, concat_obs: np.ndarray) -> float:
         """The clipped estimate of one step; StructuralError (from
         `LSTMCell.step`) for a row that is not (input_dim,) or a non-finite
         recurrent state."""
-        x = np.array(concat_obs, dtype=float)
+        x = np.asarray(concat_obs, dtype=float)
         y, self.hidden, self.cell, _ = self.model.cell.step(x[None], self.hidden, self.cell)
         estimate = float(y[0])
-        self.inputs.append(x)
         self.estimates.append(estimate)
         return min(max(estimate, -self.clip), self.clip)
-
-    def episode_inputs(self) -> np.ndarray:
-        return np.stack(self.inputs)

@@ -163,40 +163,43 @@ class FrozenController(Controller):
 
 # --- rewards -----------------------------------------------------------------
 #
-# A reward is one call per step, reward(outcome, native_reward, bystander_obs)
-# -> float, made by run_episode after env.step.
+# A reward scores one played episode: reward(trajectory) -> (T,) array of its
+# per-step rewards, called by train_party after run_episode.
 
 
-def victim_task_reward(outcome, native_reward, bystander_obs) -> float:
-    """Native task reward of the victim party (phase 1)."""
-    return native_reward
+def victim_task_rewards(env: Environment, traj) -> np.ndarray:
+    """Native task rewards of the victim party (phase 1), scored on the
+    trajectory's states; the one caller of env.victim_task_reward."""
+    s = traj.states
+    return np.array([env.victim_task_reward(s[t], s[t + 1], out) for t, out in enumerate(traj.outcomes)], dtype=float)
 
 
-def traditional_reward(outcome, native_reward, bystander_obs) -> float:
+def traditional_rewards(env: Environment, traj) -> np.ndarray:
     """Baseline bystander reward: the negated victim task reward. Reading the
     victims' reward channel is an oracle-only evaluation device, which
     TrainingConfig refuses unless victim_reward_access is set."""
-    return -native_reward
+    return -victim_task_rewards(env, traj)
 
 
-def rule_immediate_reward(weights: np.ndarray, r_fail: float, outcome, native_reward, bystander_obs) -> float:
-    """Rule-based baseline: the failure-path weights dotted with the step's
+def rule_immediate_rewards(weights: np.ndarray, r_fail: float, traj) -> np.ndarray:
+    """Rule-based baseline: the failure-path weights dotted with each step's
     failure signals, plus the terminal ground truth on the last step. The
     signals come from the simulator, so this is an oracle-only baseline."""
-    r = float(weights @ outcome.failure_signals)
-    if outcome.terminal:
-        r += terminal_reward(outcome, r_fail)
+    r = np.array([float(weights @ out.failure_signals) for out in traj.outcomes])
+    r[-1] += terminal_reward(traj.outcomes[-1], r_fail)
     return r
 
 
 class EstimationProvider:
-    """Recurrent estimator reward: per-step clipped estimates are the reward
-    once the model has warmed up; before that, only the terminal ground
-    truth is passed through. An episode's first step starts a fresh
-    EpisodeEstimator; its terminal step trains the model, with its own Adam,
-    on a minibatch of recent episodes against their terminal ground truths.
-    It reads its settings from cfg and gets no env and no descriptor, so it
-    cannot read the failure weights or score the failure signals."""
+    """Recurrent estimator reward of one episode, given only the bystanders'
+    (T, input_dim) post-step observation rows and the terminal ground truth.
+    The rows stream through a fresh EpisodeEstimator; then the model trains,
+    with its own Adam, on a minibatch of recent episodes against their
+    terminal ground truths. The clipped estimates are the reward once the
+    model has warmed up; before that, only the ground truth on the last
+    step. It reads its settings from cfg and gets no env and no descriptor,
+    so it cannot read the victims' reward, the failure weights or the
+    failure signals."""
 
     def __init__(self, model: RewardModel, cfg: TrainingConfig, rng: np.random.Generator):
         self.model = model
@@ -205,34 +208,24 @@ class EstimationProvider:
         self.rng = rng
         self.episode_count = 0
         self.recent: list[tuple[np.ndarray, float]] = []
-        self.last_model_loss = float("nan")
-        self._estimator: EpisodeEstimator | None = None
 
-    def __call__(self, outcome, native_reward, bystander_obs) -> float:
-        if bystander_obs is None:
-            raise ConfigError("estimation reward needs bystander observations")
-        if self._estimator is None:
-            self._estimator = EpisodeEstimator(self.model, self.cfg.estimate_clip)
-        estimate = self._estimator.step(bystander_obs)
+    def __call__(self, rows: np.ndarray, truth: float) -> np.ndarray:
+        estimator = EpisodeEstimator(self.model, self.cfg.estimate_clip)
+        estimates = np.array([estimator.step(x) for x in rows])
         warm_up = self.episode_count < self.cfg.warmup_episodes
-        if not outcome.terminal:
-            return 0.0 if warm_up else estimate
-        gt = terminal_reward(outcome, self.cfg.r_fail)
-        self._end_episode(gt)
-        return gt if warm_up else estimate
-
-    def _end_episode(self, gt: float) -> None:
-        self.recent.append((self._estimator.episode_inputs(), gt))
+        self.recent.append((rows, truth))
         if len(self.recent) > 4 * self.cfg.model_batch:
             self.recent.pop(0)
         take = min(self.cfg.model_batch, len(self.recent))
         idx = self.rng.choice(len(self.recent), size=take, replace=False)
         batch = [self.recent[int(i)] for i in idx]
-        self.last_model_loss = reward_model_update(
-            self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer
-        )
+        reward_model_update(self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer)
         self.episode_count += 1
-        self._estimator = None
+        if not warm_up:
+            return estimates
+        rewards = np.zeros(len(rows))
+        rewards[-1] = truth
+        return rewards
 
 
 # --- tables -------------------------------------------------------------------
@@ -297,14 +290,14 @@ def train_party(
     evaluations.
 
     other_controllers drive the remaining externally controlled parties and
-    are used unchanged during periodic evaluations; reward is the per-step
-    call that run_episode documents. `{party.label}_train` prefixes the seed
-    streams and the metrics tables: given out_dir, it writes their headers,
-    then appends a row per learner step (`_learner_steps.csv`, numbered by
-    the optimizer's steps) and per evaluation (`_curve.csv`), so a failed
-    run keeps its rows. The checksum of every frozen policy among
-    other_controllers is verified at each evaluation and after the last
-    episode (TrainingFault if it changed).
+    are used unchanged during periodic evaluations; reward scores each
+    played episode, as the rewards section documents. `{party.label}_train`
+    prefixes the seed streams and the metrics tables: given out_dir, it
+    writes their headers, then appends a row per learner step
+    (`_learner_steps.csv`, numbered by the optimizer's steps) and per
+    evaluation (`_curve.csv`), so a failed run keeps its rows. The checksum
+    of every frozen policy among other_controllers is verified at each
+    evaluation and after the last episode (TrainingFault if it changed).
     """
     label = _phase_label(party)
     pair, optimizer = _build_learner(env, party, cfg)
@@ -336,9 +329,10 @@ def train_party(
     for episode in range(cfg.episodes):
         controller.epsilon = cfg.epsilon_at(episode)
         seed = derive_seed(cfg.seed, f"{label}.episode", episode)
-        traj = run_episode(env, controllers, seed, reward).trajectory
-        buffer.add(PreparedEpisode(traj.obs[party], traj.avail[party], traj.actions[party], traj.rewards))
-        returns_since_eval.append(sum(traj.rewards.tolist()))
+        traj = run_episode(env, controllers, seed).trajectory
+        rewards = reward(traj)
+        buffer.add(PreparedEpisode(traj.obs[party], traj.avail[party], traj.actions[party], rewards))
+        returns_since_eval.append(sum(rewards.tolist()))
         if len(buffer) >= cfg.batch_size:
             loss = learner_step(buffer, pair, optimizer, cfg.batch_size, cfg.gamma, sample_rng)
             if steps_path is not None:
@@ -404,7 +398,7 @@ def train_victims(
     # random bystanders play only where the env has some
     if bystanders != "random" or env.agents(Party.ADVERSARY):
         other[Party.ADVERSARY] = _bystander_controller(env, bystanders, cfg.seed, _phase_label(Party.VICTIM))
-    policy, curve = train_party(env, Party.VICTIM, cfg, other, victim_task_reward, out_dir)
+    policy, curve = train_party(env, Party.VICTIM, cfg, other, partial(victim_task_rewards, env), out_dir)
     no_attack = evaluate_win_rate(env_config, policy, None, cfg.eval_episodes, cfg.seed)[0]
     if no_attack < cfg.competence_floor:
         raise TrainingFault(f"victims reached win rate {no_attack:.3f} < floor {cfg.competence_floor}")
@@ -421,18 +415,28 @@ class AdversaryTrainingResult:
 
 
 def _make_reward(env: Environment, cfg: TrainingConfig):
-    """The bystanders' per-step reward call for cfg.reward_mode, and the
-    reward model it trains (None outside estimation mode)."""
+    """The bystanders' episode reward for cfg.reward_mode, and the reward
+    model it trains (None outside estimation mode). Estimation is given
+    only the bystanders' post-step observations, one concatenated row per
+    step, and the terminal ground truth."""
     if cfg.reward_mode is RewardMode.TRADITIONAL:
-        return traditional_reward, None
+        return partial(traditional_rewards, env), None
     if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
         weights = np.asarray(env.descriptor.default_weights, dtype=float)
-        return partial(rule_immediate_reward, weights, cfg.r_fail), None
+        return partial(rule_immediate_rewards, weights, cfg.r_fail), None
     input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
     label = _phase_label(Party.ADVERSARY)
     model = RewardModel(input_dim, cfg.model_hidden, np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0)))
     batch_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0))
-    return EstimationProvider(model, cfg, batch_rng), model
+    provider = EstimationProvider(model, cfg, batch_rng)
+
+    def estimation_rewards(traj):
+        # r_t reads the bystanders' view of s_{t+1}, so the estimate can see
+        # what the joint action of step t just did
+        rows = traj.obs[Party.ADVERSARY][1:]
+        return provider(rows.reshape(len(rows), -1), terminal_reward(traj.outcomes[-1], cfg.r_fail))
+
+    return estimation_rewards, model
 
 
 def train_adversaries(

@@ -1,13 +1,17 @@
 """The verification suites behind `oracle-check` and `grad-check`, run
 directly rather than only through the code they audit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bystander import checks
 from bystander.cli import EXIT_OK, EXIT_TRAINING, dispatch
-from bystander.envs import SkirmishEnv
+from bystander.core import Party
+from bystander.envs import PRESETS, SkirmishEnv
 from bystander.qmix import MixingNet
+from bystander.rollout import RandomController, run_episode
 
 
 def test_oracle_check_passes_every_check(capsys):
@@ -47,6 +51,17 @@ def test_bystander_replay_catches_a_nondeterministic_third_party(monkeypatch, ca
     assert checks.bystander_replay_residual(presets=("skirmish-small",)) > 0.5
     assert dispatch(["oracle-check"]) == EXIT_TRAINING
     assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] bystander replay")
+
+
+def test_a_replay_that_differs_only_in_a_state_is_a_miss():
+    # the seed field of a state is observed by no party, so only the
+    # recorded states can tell the two episodes apart
+    env = SkirmishEnv(PRESETS["skirmish-small"])
+    rng = np.random.default_rng(0)
+    played = run_episode(env, {p: RandomController(rng) for p in (Party.VICTIM, Party.ADVERSARY)}, 0).trajectory
+    assert checks._same_play(played, played)
+    last = dataclasses.replace(played.states[-1], seed=played.states[-1].seed + 1)
+    assert not checks._same_play(played, dataclasses.replace(played, states=played.states[:-1] + (last,)))
 
 
 @pytest.mark.parametrize(

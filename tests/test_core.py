@@ -46,7 +46,7 @@ def _trajectory(env, state, outcomes):
         obs={p: np.stack([env.observe_party(state, p)] * (steps + 1)) for p in parties},
         avail={p: np.stack([env.masks_party(state, p)] * (steps + 1)) for p in parties},
         actions={p: np.zeros((steps, len(env.agents(p))), dtype=int) for p in parties},
-        rewards=np.zeros(steps),
+        states=(state,) * (steps + 1),
         outcomes=tuple(outcomes),
         seed=0,
     )
@@ -88,6 +88,14 @@ def test_wrong_observation_shape_names_record(skirmish):
     short = dataclasses.replace(traj, avail={**traj.avail, Party.ADVERSARY: traj.avail[Party.ADVERSARY][:1]})
     report = validate_trajectory(short, skirmish.descriptor)
     assert any(v.startswith("shape: adversary avail") for v in report.violations)
+
+
+def test_wrong_number_of_states_is_reported(skirmish):
+    state = skirmish.reset(0)
+    traj = _trajectory(skirmish, state, [outcome(), outcome(terminal=True)])
+    for states in (traj.states[:-1], traj.states + (state,)):
+        report = validate_trajectory(dataclasses.replace(traj, states=states), skirmish.descriptor)
+        assert report.violations == (f"shape: {len(states)} states != 3",)
 
 
 def test_unavailable_action_names_record_and_agent(skirmish):

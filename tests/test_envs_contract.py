@@ -10,7 +10,7 @@ import pytest
 from bystander.core import AgentId, ContractViolation, LifecycleError, Party
 from bystander.envs import PRESETS, CorridorConfig, SkirmishConfig, make_env
 from bystander.rollout import RandomController, run_episode
-from bystander.training import victim_task_reward
+from bystander.training import victim_task_rewards
 from helpers import state_from_positions, state_from_vehicles
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
@@ -333,11 +333,11 @@ def random_play_digest(episodes: int) -> str:
     for name in sorted(PRESETS):
         env = make_env(PRESETS[name])
         for seed in range(episodes):
-            traj = run_episode(env, random_controllers(seed), seed, victim_task_reward).trajectory
+            traj = run_episode(env, random_controllers(seed), seed).trajectory
             for p in sorted(traj.obs, key=lambda p: p.label):
                 for arrays in (traj.obs, traj.avail, traj.actions):
                     h.update(np.ascontiguousarray(arrays[p], dtype=np.float64).tobytes())
-            h.update(traj.rewards.tobytes())
+            h.update(victim_task_rewards(env, traj).tobytes())
             for out in traj.outcomes:
                 # the third byte is the former victim_failed flag, which keeps the pin
                 h.update(bytes([out.terminal, out.victim_success, out.terminal and not out.victim_success]))

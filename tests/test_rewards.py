@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,23 @@ from bystander.checks import episode_sum_gradient_residual
 from bystander.core import ContractViolation, StepOutcome, StructuralError
 from bystander.neural import Adam
 from bystander.rewards import EpisodeEstimator, RewardModel, reward_model_update, terminal_reward
-from bystander.training import rule_immediate_reward
+from bystander.training import rule_immediate_rewards
 
 
 def out(terminal, success=False, signals=(0.0, 0.0)):
     return StepOutcome(terminal, success, np.asarray(signals, dtype=float))
 
 
+def rule_scores(weights, *outcomes):
+    """rule_immediate_rewards, at r_fail 20, of an episode of these step
+    outcomes; the rule reads nothing else of the trajectory."""
+    return rule_immediate_rewards(np.asarray(weights), 20.0, SimpleNamespace(outcomes=outcomes))
+
+
 def test_weighted_reward_examples():
     # on a non-terminal step the rule-based reward is the weighted signal sum
     def scored(weights, signals):
-        return rule_immediate_reward(np.array(weights), 20.0, out(False, signals=signals), 0.0, None)
+        return rule_scores(weights, out(False, signals=signals), out(True, success=True, signals=signals))[0]
 
     assert scored([1.0, 0.0], [0.5, 9.0]) == 0.5
     assert scored([0.5, 0.5, 0.0], [2.0, 4.0, 8.0]) == 3.0
@@ -37,7 +45,7 @@ def test_weighted_reward_linear_in_signals(n, a, b, seed):
     r1, r2 = rng.uniform(0.0, 5.0, size=n), rng.uniform(0.0, 5.0, size=n)
 
     def scored(signals):
-        return rule_immediate_reward(w, 20.0, out(False, signals=signals), 0.0, None)
+        return rule_scores(w, out(False, signals=signals), out(True, success=True, signals=signals))[0]
 
     assert scored(a * r1 + b * r2) == pytest.approx(a * scored(r1) + b * scored(r2), rel=1e-12, abs=1e-12)
 
@@ -59,10 +67,10 @@ def test_terminal_rule_rejects_nonterminal():
 def test_rule_immediate_reward_adds_the_terminal_ground_truth():
     w = np.array([0.7, 0.3])
     signals = [0.0, 1.0 / 60.0]
-    step = rule_immediate_reward(w, 20.0, out(False, signals=signals), -1.0, None)
+    step, failed = rule_scores(w, out(False, signals=signals), out(True, signals=signals))
     assert step == pytest.approx(0.3 / 60.0)
-    assert rule_immediate_reward(w, 20.0, out(True, signals=signals), -1.0, None) == step + 20.0
-    assert rule_immediate_reward(w, 20.0, out(True, success=True, signals=signals), -1.0, None) == step
+    assert failed == step + 20.0
+    assert rule_scores(w, out(False, signals=signals), out(True, success=True, signals=signals))[1] == step
 
 
 def test_zero_model_estimates_zero():

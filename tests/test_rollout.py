@@ -102,7 +102,6 @@ def test_party_arrays_cover_states_and_steps(name):
         traj = run_episode(env, random_controllers(seed), seed).trajectory
         steps = len(traj)
         assert steps == len(traj.outcomes) >= 1 and traj.seed == seed
-        assert traj.rewards.shape == (steps,) and not traj.rewards.any()
         assert list(traj.obs) == list(traj.avail) == list(traj.actions) == list(PARTIES)
         for p in PARTIES:
             n = len(env.agents(p))
@@ -110,6 +109,7 @@ def test_party_arrays_cover_states_and_steps(name):
             assert traj.avail[p].shape == (steps + 1, n, d.n_actions(p))
             assert traj.actions[p].shape == (steps, n)
         states = replay_states(env, traj)
+        assert traj.states == tuple(states)
         for t, state in enumerate(states):
             for p in PARTIES:
                 np.testing.assert_array_equal(traj.obs[p][t], env.observe_party(state, p))
@@ -124,31 +124,34 @@ def test_absent_party_has_no_arrays():
     assert all(set(a) <= {Party.VICTIM} for a in (traj.avail, traj.actions))
 
 
-def test_reward_is_called_once_per_step_with_post_step_bystander_view(monkeypatch):
+def test_a_rollout_computes_no_reward_and_estimation_reads_the_post_step_bystander_view(monkeypatch):
     env = make_env(PRESETS["skirmish-small"])
-    calls = []
 
-    def reward(outcome, native_reward, bystander_obs):
-        calls.append((outcome, native_reward, bystander_obs.copy()))
-        return float(len(calls))
-
-    traj = run_episode(env, random_controllers(4), 4, reward).trajectory
-    steps = len(traj)
-    assert len(calls) == steps
-    assert [c[0].terminal for c in calls] == [False] * (steps - 1) + [True]
-    assert all(c[0] is out for c, out in zip(calls, traj.outcomes))
-    np.testing.assert_array_equal(traj.rewards, np.arange(1, steps + 1))
-    states = replay_states(env, traj)
-    for t, (outcome, native, bystander_obs) in enumerate(calls):
-        np.testing.assert_array_equal(bystander_obs, traj.obs[Party.ADVERSARY][t + 1].reshape(-1))
-        assert native == env.victim_task_reward(states[t], states[t + 1], outcome)
-
-    # without a reward call the victims' task reward is never computed
     def refuse(*args):
-        raise AssertionError("victim_task_reward computed without a reward call")
+        raise AssertionError("victim_task_reward computed by a rollout")
 
     monkeypatch.setattr(env, "victim_task_reward", refuse)
-    assert len(run_episode(env, random_controllers(4), 4).trajectory) == steps
+    trajs = [run_episode(env, random_controllers(seed), seed).trajectory for seed in range(4)]
+
+    # the estimation reward hands its provider one row per step, the
+    # bystanders' concatenated view of the state that step led to, and the
+    # terminal ground truth: nothing else of the episode
+    calls = []
+
+    def provider(rows, truth):
+        calls.append((rows, truth))
+        return np.zeros(len(rows))
+
+    monkeypatch.setattr(training, "EstimationProvider", lambda model, cfg, rng: provider)
+    reward, _ = training._make_reward(env, TrainingConfig(r_fail=20.0))
+    for traj in trajs:
+        reward(traj)
+        rows, truth = calls[-1]
+        bystanders = traj.obs[Party.ADVERSARY]
+        assert rows.shape == (len(traj), bystanders[0].size)
+        for t in range(len(traj)):
+            np.testing.assert_array_equal(rows[t], bystanders[t + 1].reshape(-1))
+        assert truth == (0.0 if traj.outcomes[-1].victim_success else 20.0)
 
 
 def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monkeypatch):
@@ -168,29 +171,33 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     estimator_step = rewards.EpisodeEstimator.step
 
     def recording_step(self, concat_obs):
-        steps_seen.append((self, len(self.inputs), self.hidden.copy(), self.cell.copy()))
+        steps_seen.append((self, concat_obs, len(self.estimates), self.hidden.copy(), self.cell.copy()))
         return estimator_step(self, concat_obs)
 
     monkeypatch.setattr(rewards.EpisodeEstimator, "step", recording_step)
-    lengths, trajs = [], []
+    episodes, scored = [], []
     for k in range(3):
-        traj = run_episode(env, random_controllers(k), k, provider).trajectory
-        trajs.append(traj)
-        lengths.append(len(traj))
+        traj = run_episode(env, random_controllers(k), k).trajectory
+        rows = traj.obs[Party.ADVERSARY][1:].reshape(len(traj), -1)
+        episodes.append((traj, rows))
+        scored.append(provider(rows, rewards.terminal_reward(traj.outcomes[-1], 20.0)))
+        assert scored[-1].shape == (len(traj),)
         assert len(updates) == k + 1 and provider.episode_count == k + 1
     assert updates == [1, 2, 2]
-    assert len(steps_seen) == sum(lengths)
+    # one estimator step per row, in step order
+    np.testing.assert_array_equal([s[1] for s in steps_seen], np.concatenate([rows for _, rows in episodes]))
+    lengths = [len(traj) for traj, _ in episodes]
     firsts = np.cumsum([0, *lengths[:-1]])
     estimators = [steps_seen[i][0] for i in firsts]
     assert len({id(e) for e in estimators}) == 3
     for i in firsts:
-        _, n_inputs, hidden, cell = steps_seen[i]
-        assert n_inputs == 0 and not hidden.any() and not cell.any()
+        _, _, n_estimates, hidden, cell = steps_seen[i]
+        assert n_estimates == 0 and not hidden.any() and not cell.any()
     # warm-up: only the terminal rule reward; afterwards the clipped estimates
-    warm = trajs[0]
-    assert not warm.rewards[:-1].any()
-    assert warm.rewards[-1] == (0.0 if warm.outcomes[-1].victim_success else 20.0)
-    np.testing.assert_array_equal(trajs[2].rewards, np.clip(estimators[2].estimates, -5.0, 5.0))
+    warm = episodes[0][0]
+    assert not scored[0][:-1].any()
+    assert scored[0][-1] == (0.0 if warm.outcomes[-1].victim_success else 20.0)
+    np.testing.assert_array_equal(scored[2], np.clip(estimators[2].estimates, -5.0, 5.0))
 
 
 class FirstMaskedOut(Controller):

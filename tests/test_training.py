@@ -10,8 +10,8 @@ import pytest
 from bystander.cli import EXIT_CONFIG, dispatch
 from bystander.config import RunManifest
 from bystander import training
-from bystander.core import ConfigError, Party, TrainingFault
-from bystander.envs import PRESETS, make_env
+from bystander.core import ConfigError, Party, StepOutcome, TrainingFault
+from bystander.envs import PRESETS, SkirmishEnv, make_env
 from bystander.neural import Adam, MLP
 from bystander.rollout import EpsilonGreedyController
 from bystander.training import (
@@ -69,16 +69,60 @@ def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypat
     played = training.run_episode
     calls = []
 
-    def tampering(env, controllers, seed, reward=None):
+    def tampering(env, controllers, seed):
         calls.append(seed)
         if len(calls) == 3:
             victims.net.w[0] = victims.net.w[0] + 1.0
-        return played(env, controllers, seed, reward)
+        return played(env, controllers, seed)
 
     monkeypatch.setattr(training, "run_episode", tampering)
     cfg = TrainingConfig(**{**TINY, "eval_interval": eval_interval}, seed=4)
     with pytest.raises(TrainingFault, match="frozen victim policy changed"):
         train_adversaries(PRESETS["skirmish-small"], victims, cfg)
+
+
+class NoisySkirmish(SkirmishEnv):
+    """Skirmish whose victim task reward and failure signals are seeded
+    noise; its dynamics, terminal flags and victim success are skirmish's."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.noise = np.random.default_rng(2024)
+
+    def victim_task_reward(self, prev, nxt, outcome):
+        return float(self.noise.normal())
+
+    def _resolve(self, state, actions, occupied):
+        nxt, outcome, events = super()._resolve(state, actions, occupied)
+        signals = self.noise.uniform(size=outcome.failure_signals.shape)
+        return nxt, StepOutcome(outcome.terminal, outcome.victim_success, signals), events
+
+
+def _attack_checksums(victims, monkeypatch, noisy, **overrides):
+    """The checksums of the bystanders, and of the reward model if any, that
+    an attack on victims trains on plain or noisy skirmish."""
+    monkeypatch.setattr(training, "make_env", NoisySkirmish if noisy else make_env)
+    cfg = TrainingConfig(**TINY, model_hidden=16, model_batch=4, seed=5, **overrides)
+    result = train_adversaries(PRESETS["skirmish-small"], victims, cfg)
+    model = result.reward_model
+    return result.policy.checksum(), model and b"".join(p.values.tobytes() for p in model.params())
+
+
+# the threat model: the estimation reward reads only the bystanders' own
+# observations and the terminal outcome; warmup_episodes = episodes, the
+# terminal ground truth alone, stands in for a terminal reward mode
+@pytest.mark.parametrize("warmup", [4, TINY["episodes"]])
+def test_estimation_reads_neither_the_victim_reward_nor_the_failure_signals(tiny_victims, monkeypatch, warmup):
+    plain = _attack_checksums(tiny_victims, monkeypatch, False, warmup_episodes=warmup)
+    assert _attack_checksums(tiny_victims, monkeypatch, True, warmup_episodes=warmup) == plain
+
+
+# the positive controls: the oracle baselines read them
+@pytest.mark.parametrize("mode", ["rule_immediate", "traditional"])
+def test_the_oracle_rewards_read_the_victim_reward_or_the_failure_signals(tiny_victims, monkeypatch, mode):
+    modes = dict(reward_mode=RewardMode(mode), victim_reward_access=mode == "traditional")
+    plain = _attack_checksums(tiny_victims, monkeypatch, False, **modes)
+    assert _attack_checksums(tiny_victims, monkeypatch, True, **modes) != plain
 
 
 def _table(path):
