@@ -10,7 +10,9 @@ The config keys each run command reads, from --config and --set:
 - evaluate: env.*, train.eval_episodes, victim_checkpoint,
   adversary_checkpoint (optional: a checkpoint, or "random")
 - defend-retrain: env.*, train.*, victim_checkpoint, adversary_checkpoint
-- run-experiment: train.*, experiment.seeds, victim_checkpoint (optional)
+- run-experiment: train.* but reward_mode and victim_reward_access, which
+  each attack arm of the grid sets, experiment.seeds, victim_checkpoint
+  (optional)
 Here env.* is env.preset and overrides of that preset's fields, and train.*
 the fields of TrainingConfig but its seed, which --seed sets. A command
 refuses any other key. It checks its whole config, so a refused one writes
@@ -30,7 +32,6 @@ are a training fault, in either command.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from .config import (
     load_config,
 )
 from .core import ConfigError, TrainingFault
-from .evaluation import default_spec, run_defense_experiment, run_experiment
+from .evaluation import ExperimentSpec, run_defense_experiment, run_experiment
 from .training import evaluate_win_rate, load_policy, save_policy, train_adversaries, train_victims, write_table
 
 EXIT_OK = 0
@@ -158,11 +159,9 @@ def _defend_retrain(args, kv):
 def _run_experiment(args, kv):
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    cfg = build_training_config(kv, seed=args.seed)
-    spec = default_spec(args.experiment, cfg, seeds=build_experiment_seeds(kv))
-    victim_path = kv.pop("victim_checkpoint", None)
-    if victim_path:
-        spec = dataclasses.replace(spec, victim_checkpoint=victim_path)
+    cfg = build_training_config(kv, seed=args.seed, leave=("reward_mode", "victim_reward_access"))
+    seeds = build_experiment_seeds(kv) or ExperimentSpec.seeds
+    spec = ExperimentSpec(args.experiment, cfg, seeds, victim_checkpoint=kv.pop("victim_checkpoint", None))
 
     def work(out: Path) -> list[str]:
         table = run_experiment(spec, out, workers=args.workers)

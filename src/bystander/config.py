@@ -119,10 +119,11 @@ def build_env_config(kv: dict[str, str]):
     return dataclasses.replace(base, **_dataclass_kwargs(type(base), "env", kv))
 
 
-def build_training_config(kv: dict[str, str], seed: int) -> TrainingConfig:
+def build_training_config(kv: dict[str, str], seed: int, leave: tuple[str, ...] = ()) -> TrainingConfig:
     """Training config from the `train.*` keys it pops, with the given
-    seed; it leaves `train.seed` unread, as the seed has its own flag."""
-    kwargs = _dataclass_kwargs(TrainingConfig, "train", kv, leave=("seed",))
+    seed; it leaves `train.seed` unread, as the seed has its own flag, and
+    the fields named in `leave`, which the caller sets itself."""
+    kwargs = _dataclass_kwargs(TrainingConfig, "train", kv, leave=("seed", *leave))
     return TrainingConfig(**kwargs, seed=seed)
 
 

@@ -1,13 +1,13 @@
 """Experiment harness: sweeps over environments, reward modes, bystander
 counts and seeds, writing win-rate and learning-curve tables (`write_table`).
 
-Experiment ids follow the study structure: rq1 cross-environment
-generalization, rq2 reward-mode comparison, rq3 bystander-count sweep,
-rq4 task-difficulty sweep. The rq5 defense retraining is no sweep: it is
-`run_defense_experiment`, behind the `defend-retrain` command, which
-retrains victims as phase 1 does but against a frozen attack, and tables
-the original and the retrained victims under attack, without bystanders
-and with bystanders acting at random.
+`GRIDS` describes each sweep, keyed by its id in the study structure:
+rq1 cross-environment generalization, rq2 reward-mode comparison, rq3
+bystander-count sweep, rq4 task-difficulty sweep. The rq5 defense
+retraining is no sweep: it is `run_defense_experiment`, behind the
+`defend-retrain` command, which retrains victims as phase 1 does but
+against a frozen attack, and tables the original and the retrained victims
+under attack, without bystanders and with bystanders acting at random.
 
 A sweep plays each of its evaluations once, with `train.eval_episodes`
 episodes on the seeds `derive_seed(seed, "eval.episode", k)` of its grid
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -42,22 +43,35 @@ from .training import (
     write_table,
 )
 
-EXPERIMENT_IDS = ("rq1", "rq2", "rq3", "rq4")
+# id: (env presets, each labelled by its name; reward modes; bystander counts)
+GRIDS = {
+    "rq1": (("skirmish-small", "corridor-small"), (RewardMode.ESTIMATION,), (2,)),
+    "rq2": (
+        ("skirmish-small", "corridor-small"),
+        (RewardMode.TRADITIONAL, RewardMode.RULE_IMMEDIATE, RewardMode.ESTIMATION),
+        (2,),
+    ),
+    "rq3": (("skirmish-small",), (RewardMode.ESTIMATION,), (1, 2, 3)),
+    "rq4": (("skirmish-small", "skirmish-even", "skirmish-hard"), (RewardMode.ESTIMATION,), (2,)),
+}
 
 
 @dataclass
 class ExperimentSpec:
+    """One sweep of `GRIDS` at the given seeds. The victims train at
+    train.seed; each attack arm sets its own seed, reward mode and oracle
+    flag, so train's reward_mode and victim_reward_access go unread."""
+
     experiment_id: str
-    env_grid: list[tuple[str, object]]  # (label, env config)
-    reward_modes: list[RewardMode]
-    adversary_counts: list[int]
-    seeds: list[int]
     train: TrainingConfig
+    seeds: Sequence[int] = (101, 102, 103, 104, 105)
     victim_checkpoint: str | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment_id not in EXPERIMENT_IDS:
-            raise ConfigError(f"experiment id must be one of {EXPERIMENT_IDS}")
+        if self.experiment_id not in GRIDS:
+            raise ConfigError(
+                f"experiment id must be one of {tuple(GRIDS)}; rq5 (defense retraining) is the defend-retrain command"
+            )
         if not self.seeds:
             raise ConfigError("an experiment needs at least one seed")
         # a repeated seed would share its grid points' jobs and count twice in the table
@@ -81,19 +95,19 @@ def _point_label(env_label: str, mode: RewardMode, count: int) -> str:
     return f"{env_label}|{mode.value}|adv{count}"
 
 
-def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -> Path:
-    """Train one victim policy per environment label; a given
-    victim_checkpoint must fit the label's env (ConfigError)."""
-    path = out_dir / f"victims_{env_label}.npz"
+def _victims_for(spec: ExperimentSpec, preset: str, out_dir: Path) -> Path:
+    """Train one victim policy per env preset; a given victim_checkpoint
+    must fit the preset's env (ConfigError)."""
+    path = out_dir / f"victims_{preset}.npz"
     if spec.victim_checkpoint:
         src = Path(spec.victim_checkpoint)
         if not src.exists():
             raise FileNotFoundError(f"missing victim checkpoint: {src}")
-        load_policy(src).check_fits(make_env(env_cfg), Party.VICTIM)
+        load_policy(src).check_fits(make_env(PRESETS[preset]), Party.VICTIM)
         return src
-    result = train_victims(env_cfg, spec.train, out_dir / f"victim_{env_label}")
+    result = train_victims(PRESETS[preset], spec.train, out_dir / f"victim_{preset}")
     save_policy(path, result.policy)
-    (out_dir / f"victims_{env_label}.json").write_text(
+    (out_dir / f"victims_{preset}.json").write_text(
         json.dumps(
             {
                 "no_attack": result.no_attack_win_rate,
@@ -107,12 +121,13 @@ def _victims_for(spec: ExperimentSpec, env_label: str, env_cfg, out_dir: Path) -
 
 def _run_grid_point(env_cfg, mode, count, seed, victim_path, out_dir, base_train) -> dict:
     """One (env, mode, count, seed) attack run; self-contained for worker
-    processes."""
+    processes. Only the traditional arm reads the victims' reward."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     victims = load_policy(victim_path)
     point_cfg = dataclasses.replace(env_cfg, adversary_count=count)
-    cfg = dataclasses.replace(base_train, seed=seed, reward_mode=mode)
+    access = mode is RewardMode.TRADITIONAL
+    cfg = dataclasses.replace(base_train, seed=seed, reward_mode=mode, victim_reward_access=access)
     result = train_adversaries(point_cfg, victims, cfg, out_dir)
     save_policy(out_dir / "adversaries.npz", result.policy)
     return {"seed": seed, "under_attack": result.under_attack_win_rate, "curve": result.curve}
@@ -134,21 +149,21 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> list[Tabl
     seeds and shared by the row's modes (the absent one also by its counts)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    env_cfgs = dict(spec.env_grid)
+    presets, modes, counts = GRIDS[spec.experiment_id]
     # every env of the grid gets its victims before any point runs
-    victim_paths = {label: _victims_for(spec, label, env_cfg, out_dir) for label, env_cfg in env_cfgs.items()}
-    points = list(product(env_cfgs, spec.reward_modes, spec.adversary_counts))
+    victim_paths = {label: _victims_for(spec, label, out_dir) for label in presets}
+    points = list(product(presets, modes, counts))
     episodes = spec.train.eval_episodes
     jobs = {}
     for (label, mode, count), seed in product(points, spec.seeds):
         point_dir = out_dir / _point_label(label, mode, count).replace("|", "_") / f"seed{seed}"
         jobs["attack", label, mode, count, seed] = (
-            _run_grid_point, env_cfgs[label], mode, count, seed, victim_paths[label], point_dir, spec.train
+            _run_grid_point, PRESETS[label], mode, count, seed, victim_paths[label], point_dir, spec.train
         )
-    for label, seed in product(env_cfgs, spec.seeds):
-        jobs["absent", label, seed] = (_play_baseline, env_cfgs[label], None, seed, victim_paths[label], episodes)
-    for label, count, seed in product(env_cfgs, spec.adversary_counts, spec.seeds):
-        point_cfg = dataclasses.replace(env_cfgs[label], adversary_count=count)
+    for label, seed in product(presets, spec.seeds):
+        jobs["absent", label, seed] = (_play_baseline, PRESETS[label], None, seed, victim_paths[label], episodes)
+    for label, count, seed in product(presets, counts, spec.seeds):
+        point_cfg = dataclasses.replace(PRESETS[label], adversary_count=count)
         jobs["random", label, count, seed] = (_play_baseline, point_cfg, "random", seed, victim_paths[label], episodes)
     # one pool for the whole grid, no larger than it: a pool starts every worker on first submit
     if workers > 1:
@@ -219,49 +234,3 @@ def run_defense_experiment(
     write_table(out_dir / "rq5_table.csv", [("condition", "before", "after"), *rows])
     return table
 
-
-def default_spec(
-    experiment_id: str,
-    train: TrainingConfig,
-    seeds: list[int] | None = None,
-) -> ExperimentSpec:
-    """Desk-scale default grids for each research question."""
-    seeds = seeds if seeds is not None else [101, 102, 103, 104, 105]
-    skirmish = PRESETS["skirmish-small"]
-    grids = {
-        "rq1": (
-            [("skirmish-small", skirmish), ("corridor-small", PRESETS["corridor-small"])],
-            [RewardMode.ESTIMATION],
-            [2],
-        ),
-        "rq2": (
-            [("skirmish-small", skirmish), ("corridor-small", PRESETS["corridor-small"])],
-            [RewardMode.TRADITIONAL, RewardMode.RULE_IMMEDIATE, RewardMode.ESTIMATION],
-            [2],
-        ),
-        "rq3": ([("skirmish-small", skirmish)], [RewardMode.ESTIMATION], [1, 2, 3]),
-        "rq4": (
-            [
-                ("skirmish-small", skirmish),
-                ("skirmish-even", PRESETS["skirmish-even"]),
-                ("skirmish-hard", PRESETS["skirmish-hard"]),
-            ],
-            [RewardMode.ESTIMATION],
-            [2],
-        ),
-    }
-    if experiment_id not in grids:
-        raise ConfigError(
-            f"experiment id must be one of {EXPERIMENT_IDS}; rq5 (defense retraining) is the defend-retrain command"
-        )
-    env_grid, modes, counts = grids[experiment_id]
-    if experiment_id == "rq2":
-        train = dataclasses.replace(train, victim_reward_access=True)
-    return ExperimentSpec(
-        experiment_id=experiment_id,
-        env_grid=env_grid,
-        reward_modes=modes,
-        adversary_counts=counts,
-        seeds=seeds,
-        train=train,
-    )

@@ -122,15 +122,13 @@ def reward_model_update(
 
 class EpisodeEstimator:
     """Streams one episode through the reward model, one batch-1
-    `LSTMCell.step` per step from (1, H) hidden and cell rows, recording
-    the unclipped estimates."""
+    `LSTMCell.step` per step from (1, H) hidden and cell rows."""
 
     def __init__(self, model: RewardModel, clip: float):
         self.model = model
         self.clip = float(clip)
         self.hidden = np.zeros((1, model.hidden))
         self.cell = np.zeros((1, model.hidden))
-        self.estimates: list[float] = []
 
     def step(self, concat_obs: np.ndarray) -> float:
         """The clipped estimate of one step; StructuralError (from
@@ -138,6 +136,4 @@ class EpisodeEstimator:
         recurrent state."""
         x = np.asarray(concat_obs, dtype=float)
         y, self.hidden, self.cell, _ = self.model.cell.step(x[None], self.hidden, self.cell)
-        estimate = float(y[0])
-        self.estimates.append(estimate)
-        return min(max(estimate, -self.clip), self.clip)
+        return min(max(float(y[0]), -self.clip), self.clip)

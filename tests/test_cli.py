@@ -353,6 +353,24 @@ def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, key",
+    [
+        ("rq3", "train.reward_mode=rule_immediate"),
+        ("rq1", "train.reward_mode=traditional"),
+        ("rq2", "train.victim_reward_access=true"),
+    ],
+)
+def test_run_experiment_refuses_the_keys_each_arm_sets(tmp_path, capsys, experiment, key):
+    out = tmp_path / "runs"
+    argv = ["run-experiment", "--experiment", experiment, "--out", str(out)]
+    for item in [*TINY_TRAIN, "experiment.seeds=5", key]:
+        argv += ["--set", item]
+    assert dispatch(argv) == EXIT_CONFIG
+    assert f"run-experiment does not read config key(s) {key.split('=')[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_config_file_is_merged_under_the_overrides(tmp_path, trained):
     victims, _ = trained
     config = tmp_path / "tiny.cfg"

@@ -9,7 +9,7 @@ from bystander import evaluation, training
 from bystander.cli import EXIT_CONFIG, dispatch
 from bystander.core import ConfigError
 from bystander.envs import PRESETS
-from bystander.evaluation import default_spec, run_experiment
+from bystander.evaluation import GRIDS, ExperimentSpec, run_experiment
 from bystander.training import (
     FrozenPolicy,
     TrainingConfig,
@@ -40,7 +40,7 @@ def test_rq2_grid_is_identical_with_one_and_two_workers(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", CountedPool)
-    spec = default_spec("rq2", TINY, seeds=[1, 2])
+    spec = ExperimentSpec("rq2", TINY, seeds=[1, 2])
     for workers in (1, 2):
         table = run_experiment(spec, tmp_path / f"w{workers}", workers=workers)
         assert [row.label for row in table] == [
@@ -87,7 +87,7 @@ def test_a_pool_has_no_more_workers_than_the_grid_has_jobs(tmp_path, monkeypatch
 
     monkeypatch.setattr(evaluation, "ProcessPoolExecutor", InlinePool)
     # rq1 at one seed: 2 attacks, 2 absent and 2 random baselines
-    spec = default_spec("rq1", TINY, seeds=[1])
+    spec = ExperimentSpec("rq1", TINY, seeds=[1])
     run_experiment(spec, tmp_path / "w1", workers=1)
     assert sizes == []
     run_experiment(spec, tmp_path / "w64", workers=64)
@@ -98,7 +98,7 @@ def test_a_pool_has_no_more_workers_than_the_grid_has_jobs(tmp_path, monkeypatch
 
 def test_rq5_is_the_defend_retrain_command_not_a_sweep(tmp_path):
     with pytest.raises(ConfigError, match="defend-retrain"):
-        default_spec("rq5", TINY)
+        ExperimentSpec("rq5", TINY)
     assert dispatch(["run-experiment", "--experiment", "rq5", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert not (tmp_path / "experiment-rq5").exists()
 
@@ -108,7 +108,7 @@ def test_victim_checkpoint_must_fit_every_env_before_any_point_runs(tmp_path):
     victims = train_victims(PRESETS["skirmish-small"], TINY).policy
     save_policy(tmp_path / "victims.npz", victims)
     spec = dataclasses.replace(
-        default_spec("rq1", TINY, seeds=[1]),
+        ExperimentSpec("rq1", TINY, seeds=[1]),
         victim_checkpoint=str(tmp_path / "victims.npz"),
     )
     with pytest.raises(ConfigError, match="does not fit"):
@@ -135,7 +135,7 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "evaluate_win_rate", counted)
     monkeypatch.setattr(evaluation, "train_adversaries", recorded)
     seeds = [1, 2]
-    table = run_experiment(default_spec("rq2", TINY, seeds=seeds), tmp_path)
+    table = run_experiment(ExperimentSpec("rq2", TINY, seeds=seeds), tmp_path)
 
     modes = ("traditional", "rule_immediate", "estimation")
     for env in ("SkirmishConfig", "CorridorConfig"):
@@ -159,7 +159,7 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
     # rq3 sweeps three bystander counts: the absent play drops the
     # bystanders, so it runs once per seed and serves every count
     calls.clear()
-    table = run_experiment(default_spec("rq3", TINY, seeds=seeds), tmp_path / "rq3")
+    table = run_experiment(ExperimentSpec("rq3", TINY, seeds=seeds), tmp_path / "rq3")
     baselines = [c for c in calls if c[2] != TINY.seed and c[1] != "attack"]
     assert sorted(c[1:] for c in baselines if c[1] == "absent") == [("absent", 1), ("absent", 2)]
     assert sorted(c[2] for c in baselines if c[1] == "random") == sorted(seeds * 3)
@@ -168,9 +168,19 @@ def test_each_win_rate_of_the_grid_is_played_once(tmp_path, monkeypatch):
 
 def test_an_experiment_needs_a_seed():
     with pytest.raises(ConfigError, match="at least one seed"):
-        default_spec("rq3", TINY, seeds=[])
+        ExperimentSpec("rq3", TINY, seeds=[])
 
 
 def test_an_experiment_refuses_a_repeated_seed():
     with pytest.raises(ConfigError, match="repeat"):
-        default_spec("rq1", TINY, seeds=[101, 102, 101])
+        ExperimentSpec("rq1", TINY, seeds=[101, 102, 101])
+
+
+@pytest.mark.parametrize("experiment_id", sorted(GRIDS))
+def test_every_grid_tables_its_points_in_order(tmp_path, experiment_id):
+    presets, modes, counts = GRIDS[experiment_id]
+    table = run_experiment(ExperimentSpec(experiment_id, TINY, seeds=[1]), tmp_path)
+    labels = [f"{env}|{mode.value}|adv{count}" for env in presets for mode in modes for count in counts]
+    assert [row.label for row in table] == labels
+    for label in labels:
+        assert (tmp_path / label.replace("|", "_") / "seed1" / "adversaries.npz").exists()

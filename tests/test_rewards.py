@@ -79,7 +79,7 @@ def test_zero_model_estimates_zero():
         p.values[:] = 0.0
     est = EpisodeEstimator(model, clip=5.0)
     assert est.step(np.ones(4)) == 0.0
-    assert est.estimates == [0.0] and not est.hidden.any() and not est.cell.any()
+    assert not est.hidden.any() and not est.cell.any()
 
 
 def test_estimate_layout_mismatch():
@@ -170,9 +170,9 @@ def test_estimator_clipping():
     rng = np.random.default_rng(8)
     model = RewardModel(2, 4, rng)
     model.cell.b_out.values[:] = 50.0  # force a huge raw estimate
-    est = EpisodeEstimator(model, clip=5.0)
-    assert est.step(np.zeros(2)) == 5.0
-    assert est.estimates[0] > 5.0  # raw value recorded unclipped
+    assert EpisodeEstimator(model, clip=5.0).step(np.zeros(2)) == 5.0
+    raw, *_ = model.cell.step(np.zeros((1, 2)), np.zeros((1, 4)), np.zeros((1, 4)))
+    assert raw[0] > 5.0  # the cell's raw value, before the clip
 
 
 def per_episode_update(model, episodes, ground_truths, optimizer):

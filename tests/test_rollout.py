@@ -160,7 +160,7 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     model = RewardModel(input_dim, 8, np.random.default_rng(0))
     cfg = TrainingConfig(r_fail=20.0, estimate_clip=5.0, warmup_episodes=1, model_batch=2, model_learning_rate=1e-3)
     provider = EstimationProvider(model, cfg, np.random.default_rng(1))
-    updates, steps_seen = [], []
+    updates, steps_seen, returned = [], [], []
     update = training.reward_model_update
 
     def counting_update(model, episodes, ground_truths, optimizer):
@@ -171,8 +171,9 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     estimator_step = rewards.EpisodeEstimator.step
 
     def recording_step(self, concat_obs):
-        steps_seen.append((self, concat_obs, len(self.estimates), self.hidden.copy(), self.cell.copy()))
-        return estimator_step(self, concat_obs)
+        steps_seen.append((self, concat_obs, self.hidden.copy(), self.cell.copy()))
+        returned.append(estimator_step(self, concat_obs))
+        return returned[-1]
 
     monkeypatch.setattr(rewards.EpisodeEstimator, "step", recording_step)
     episodes, scored = [], []
@@ -191,13 +192,13 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     estimators = [steps_seen[i][0] for i in firsts]
     assert len({id(e) for e in estimators}) == 3
     for i in firsts:
-        _, _, n_estimates, hidden, cell = steps_seen[i]
-        assert n_estimates == 0 and not hidden.any() and not cell.any()
+        _, _, hidden, cell = steps_seen[i]
+        assert not hidden.any() and not cell.any()
     # warm-up: only the terminal rule reward; afterwards the clipped estimates
     warm = episodes[0][0]
     assert not scored[0][:-1].any()
     assert scored[0][-1] == (0.0 if warm.outcomes[-1].victim_success else 20.0)
-    np.testing.assert_array_equal(scored[2], np.clip(estimators[2].estimates, -5.0, 5.0))
+    np.testing.assert_array_equal(scored[2], returned[firsts[2] :])
 
 
 class FirstMaskedOut(Controller):
