@@ -129,10 +129,11 @@ def build_training_config(kv: dict[str, str], seed: int, leave: tuple[str, ...] 
 
 def build_experiment_seeds(kv: dict[str, str]) -> list[int] | None:
     """Seeds of a sweep from the `experiment.seeds` key it pops, a comma
-    list (None when unset, for the spec's default). Its evaluations are
+    list (None when unset, for the spec's default; an empty value is a
+    ConfigError, as is any seed that is no integer). Its evaluations are
     sized by `train.eval_episodes`."""
     seeds = kv.pop("experiment.seeds", None)
-    if not seeds:
+    if seeds is None:
         return None
     return [_convert("experiment.seeds", s, "int") for s in seeds.split(",")]
 

@@ -1,11 +1,23 @@
 """Episode rolling: controllers pick actions for the externally controlled
-parties, and run_episode drives the environment and returns the episode as
-one EpisodeTrajectory.
+parties. run_episode drives the environment through one episode and returns
+it as one EpisodeTrajectory; evaluate_party plays a run of seeded
+evaluation episodes in lockstep and keeps only their outcomes.
 
 Each state of an episode is observed once: run_episode keeps the T+1 states
 and one list of their per-party views (observations and action masks), which
 it stacks into the trajectory's per-party arrays. Learners, rewards and
 audits all read the trajectory; the rollout computes no reward.
+
+evaluate_party steps its live episodes together. Each tick, each playing
+party's controller acts once on the stacked views of the live episodes,
+(K, n, D) and (K, n, A); each live state steps with its row of the actions
+and the masks it was acted on, and an episode leaves the batch when it ends.
+It keeps a live episode's current state and views and a finished one's
+victim success, and nothing else: no trajectory is built and no terminal
+state is observed. A controller that draws from an rng it keeps across
+episodes (its class sets `draws`) gets its episodes one after another, in
+seed order, as run_episode would play them, so each episode sees the draws
+it would get there; the loop then acts on the lone view as run_episode does.
 """
 
 from __future__ import annotations
@@ -15,19 +27,28 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import EpisodeTrajectory, Party, StepOutcome
+from .core import EpisodeTrajectory, Party, StepOutcome, derive_seed
 from .envs.base import Environment
 from .qmix import masked_q
 
 
 class Controller:
-    """Chooses actions for one party from its agents' observations."""
+    """Chooses actions for one party from its agents' observations: act maps
+    one state's (n, D) observations and (n, A) masks to (n,) actions, and,
+    unless the class sets `draws`, a stack of K states' (K, n, D) and (K, n,
+    A) to (K, n), each row as act would pick it alone. `draws` marks an act
+    that draws from an rng kept across calls, whose draws depend on the
+    order of its calls."""
+
+    draws = False
 
     def act(self, obs_mat: np.ndarray, mask_mat: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class RandomController(Controller):
+    draws = True
+
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
@@ -46,6 +67,8 @@ class EpsilonGreedyController(Controller):
     Greedy ties break to the lowest action id. With epsilon > 0 each agent,
     in agent order, draws once and with probability epsilon explores
     uniformly over its available actions, as RandomController draws."""
+
+    draws = True
 
     def __init__(self, net, rng: np.random.Generator):
         self.net = net
@@ -111,3 +134,54 @@ def run_episode(
         seed=seed,
     )
     return RolloutResult(trajectory=trajectory, outcome=outcome)
+
+
+def _stack(views: list[np.ndarray]) -> np.ndarray:
+    # a lone view goes as it is, so one-at-a-time play costs what run_episode does
+    return views[0] if len(views) == 1 else np.stack(views)
+
+
+def evaluate_party(
+    env: Environment,
+    controllers: Mapping[Party, Controller],
+    episodes: int,
+    seed: int,
+    stream: str = "eval",
+) -> np.ndarray:
+    """Victim success of each seeded episode k, played from
+    env.reset(derive_seed(seed, stream, k)) as run_episode would play it: an
+    (episodes,) bool array in k order.
+
+    The episodes run in the lockstep loop the module docstring describes:
+    all of them together, or one after another when a playing controller
+    `draws`."""
+    parties = [p for p in (Party.VICTIM, Party.ADVERSARY) if env.agents(p) and p in controllers]
+    width = 1 if any(controllers[p].draws for p in parties) else episodes
+
+    def party_views(st):
+        return {p: (env.observe_party(st, p), env.masks_party(st, p)) for p in parties}
+
+    success = np.zeros(episodes, dtype=bool)
+    live: list[tuple[int, object, dict]] = []  # (k, state, its views)
+    started = 0
+    while started < episodes or live:
+        while started < episodes and len(live) < width:
+            state = env.reset(derive_seed(seed, stream, started))
+            live.append((started, state, party_views(state)))
+            started += 1
+        joint = {
+            p: np.asarray(
+                controllers[p].act(_stack([v[p][0] for _, _, v in live]), _stack([v[p][1] for _, _, v in live])),
+                dtype=int,
+            ).reshape(len(live), -1)
+            for p in parties
+        }
+        still = []
+        for i, (k, state, views) in enumerate(live):
+            state, outcome = env.step(state, {p: joint[p][i] for p in parties}, {p: views[p][1] for p in parties})
+            if outcome.terminal:
+                success[k] = outcome.victim_success
+            else:
+                still.append((k, state, party_views(state)))
+        live = still
+    return success

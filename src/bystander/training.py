@@ -35,7 +35,7 @@ from .qmix import (
     masked_q,
 )
 from .rewards import EpisodeEstimator, RewardModel, reward_model_update, terminal_reward
-from .rollout import Controller, EpsilonGreedyController, RandomController, run_episode
+from .rollout import Controller, EpsilonGreedyController, RandomController, evaluate_party, run_episode
 
 
 class RewardMode(Enum):
@@ -105,11 +105,15 @@ class FrozenPolicy:
     """Immutable greedy snapshot of one party's Q networks.
 
     Holds a read-only copy of the party's agent-stacked MLP and acts through
-    one MLP.forward for all agents, so acting is a pure function of the
-    agents' observations and replays are bit-identical forever. The
-    checksum hashes the layer stacks `act` reads, agent by agent, in the
-    order of a policy file's tensors. save_policy and load_policy move it
-    through a policy file.
+    one MLP.forward for all agents, on one state or a stack of states.
+    Acting is a pure function of the agents' observations up to the last
+    bits of Q, which depend on how many rows one forward holds (a matrix
+    product against a vector one): only a Q tie within those bits could
+    pick another action in a stack, and the tests hold stacked actions to
+    single-state ones on replayed states. Replays of the same calls are
+    bit-identical forever. The checksum hashes the layer stacks `act` reads,
+    agent by agent, in the order of a policy file's tensors. save_policy and
+    load_policy move it through a policy file.
     """
 
     def __init__(self, party: Party, net: MLP):
@@ -193,13 +197,13 @@ def rule_immediate_rewards(weights: np.ndarray, r_fail: float, traj) -> np.ndarr
 class EstimationProvider:
     """Recurrent estimator reward of one episode, given only the bystanders'
     (T, input_dim) post-step observation rows and the terminal ground truth.
-    The rows stream through a fresh EpisodeEstimator; then the model trains,
-    with its own Adam, on a minibatch of recent episodes against their
-    terminal ground truths. The clipped estimates are the reward once the
-    model has warmed up; before that, only the ground truth on the last
-    step. It reads its settings from cfg and gets no env and no descriptor,
-    so it cannot read the victims' reward, the failure weights or the
-    failure signals."""
+    During the first warmup_episodes the reward is only the ground truth on
+    the last step; after them, the rows stream through a fresh
+    EpisodeEstimator, whose clipped estimates are the reward. Then the model
+    trains, with its own Adam, on a minibatch of recent episodes against
+    their terminal ground truths. It reads its settings from cfg and gets no
+    env and no descriptor, so it cannot read the victims' reward, the
+    failure weights or the failure signals."""
 
     def __init__(self, model: RewardModel, cfg: TrainingConfig, rng: np.random.Generator):
         self.model = model
@@ -210,9 +214,13 @@ class EstimationProvider:
         self.recent: list[tuple[np.ndarray, float]] = []
 
     def __call__(self, rows: np.ndarray, truth: float) -> np.ndarray:
-        estimator = EpisodeEstimator(self.model, self.cfg.estimate_clip)
-        estimates = np.array([estimator.step(x) for x in rows])
-        warm_up = self.episode_count < self.cfg.warmup_episodes
+        if self.episode_count < self.cfg.warmup_episodes:
+            rewards = np.zeros(len(rows))
+            rewards[-1] = truth
+        else:
+            # the model as it was before this episode's update
+            estimator = EpisodeEstimator(self.model, self.cfg.estimate_clip)
+            rewards = np.array([estimator.step(x) for x in rows])
         self.recent.append((rows, truth))
         if len(self.recent) > 4 * self.cfg.model_batch:
             self.recent.pop(0)
@@ -221,10 +229,6 @@ class EstimationProvider:
         batch = [self.recent[int(i)] for i in idx]
         reward_model_update(self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer)
         self.episode_count += 1
-        if not warm_up:
-            return estimates
-        rewards = np.zeros(len(rows))
-        rewards[-1] = truth
         return rewards
 
 
@@ -260,21 +264,6 @@ def _build_learner(env: Environment, party: Party, cfg: TrainingConfig):
     pair = TargetNetworkPair(net, mixer, cfg.target_sync_interval)
     optimizer = Adam(pair.online_params(), learning_rate=cfg.learning_rate)
     return pair, optimizer
-
-
-def evaluate_party(
-    env: Environment,
-    controllers: Mapping[Party, Controller],
-    episodes: int,
-    seed: int,
-    stream: str = "eval",
-) -> float:
-    """Greedy-policy victim success rate over seeded episodes."""
-    wins = 0
-    for k in range(episodes):
-        result = run_episode(env, controllers, derive_seed(seed, stream, k))
-        wins += int(result.outcome.victim_success)
-    return wins / episodes
 
 
 def train_party(
@@ -341,12 +330,8 @@ def train_party(
             check_frozen()
             eval_controllers = dict(controllers)
             eval_controllers[party] = FrozenPolicy(party, pair.net).as_controller()
-            rate = evaluate_party(
-                env,
-                eval_controllers,
-                cfg.eval_episodes,
-                derive_seed(cfg.seed, f"{label}.eval", episode),
-            )
+            eval_seed = derive_seed(cfg.seed, f"{label}.eval", episode)
+            rate = float(evaluate_party(env, eval_controllers, cfg.eval_episodes, eval_seed).mean())
             mean_ret = float(np.mean(returns_since_eval)) if returns_since_eval else 0.0
             if curve_path is not None:
                 write_table(curve_path, [(episode + 1, rate, mean_ret, loss, controller.epsilon)], "a")
@@ -481,7 +466,7 @@ def evaluate_win_rate(
     controllers: dict[Party, Controller] = {Party.VICTIM: victim_policy.as_controller()}
     if adversary_policy is not None:
         controllers[Party.ADVERSARY] = _bystander_controller(env, adversary_policy, seed, "eval")
-    rate = evaluate_party(env, controllers, episodes, seed, "eval.episode")
+    rate = float(evaluate_party(env, controllers, episodes, seed, "eval.episode").mean())
     return rate, wilson_half_width(rate, episodes)
 
 

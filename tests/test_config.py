@@ -244,6 +244,22 @@ def test_bad_experiment_seeds_exit_as_config_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_empty_experiment_seeds_are_refused_before_any_file_is_written(tmp_path, capsys):
+    """An empty value is no request for the default seeds: it is refused as
+    `experiment.seeds=,` is, naming the key."""
+    for value in ("", ","):
+        with pytest.raises(ConfigError, match="experiment.seeds"):
+            build_experiment_seeds({"experiment.seeds": value})
+    # a tiny budget, so that a run that is not refused stays short
+    argv = ["run-experiment", "--experiment", "rq3", "--out", str(tmp_path), "--set", "experiment.seeds="]
+    for item in ("train.episodes=1", "train.batch_size=1", "train.buffer_capacity=1", "train.eval_episodes=1"):
+        argv += ["--set", item]
+    capsys.readouterr()
+    assert dispatch([*argv, "--set", "train.competence_floor=0"]) == EXIT_CONFIG
+    assert "experiment.seeds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_verify_detects_edited_config(tmp_path):
     manifest = RunManifest(command="evaluate", config_text="env.preset = skirmish-small\n", seed=1)
     assert manifest.verify()

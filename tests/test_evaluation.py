@@ -1,15 +1,19 @@
+import copy
 import csv
 import dataclasses
+import importlib
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bystander import evaluation, training
 from bystander.cli import EXIT_CONFIG, dispatch
-from bystander.core import ConfigError
-from bystander.envs import PRESETS
+from bystander.core import ConfigError, Party, derive_seed
+from bystander.envs import PRESETS, make_env
 from bystander.evaluation import GRIDS, ExperimentSpec, run_experiment
+from bystander.rollout import RandomController, evaluate_party, run_episode
 from bystander.training import (
     FrozenPolicy,
     TrainingConfig,
@@ -184,3 +188,91 @@ def test_every_grid_tables_its_points_in_order(tmp_path, experiment_id):
     assert [row.label for row in table] == labels
     for label in labels:
         assert (tmp_path / label.replace("|", "_") / "seed1" / "adversaries.npz").exists()
+
+
+# --- lockstep evaluation -------------------------------------------------------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+LOCKSTEP = dict(episodes=8, batch_size=4, hidden_size=16, mix_embed=8, eval_interval=10**6, eval_episodes=2)
+
+
+@pytest.fixture(scope="module", params=["skirmish-small", "corridor-med"])
+def tiny_pair(request):
+    """Tiny trained victims and bystanders on a preset."""
+    env_cfg = PRESETS[request.param]
+    victims = train_victims(env_cfg, TrainingConfig(**LOCKSTEP, competence_floor=0.0, seed=3)).policy
+    bystanders = train_adversaries(env_cfg, victims, TrainingConfig(**LOCKSTEP, seed=5)).policy
+    return env_cfg, victims, bystanders
+
+
+@pytest.mark.parametrize("leg", ["trained", "absent", "random"])
+def test_lockstep_evaluation_is_one_at_a_time_play(tiny_pair, monkeypatch, leg):
+    """evaluate_win_rate is the mean over `run_episode` replays of its
+    documented episode seeds, as the benchmark's recount replays them, and
+    each episode's outcome is the replay's; frozen policies act once per
+    tick on the stack of live episodes, a drawing controller once per
+    episode-tick."""
+    env_cfg, victims, bystanders = tiny_pair
+    adversary = {"trained": bystanders, "absent": None, "random": "random"}[leg]
+    episodes, seed = 24, 17
+    monkeypatch.syspath_prepend(str(BENCH))
+    replayed = importlib.import_module("workloads").replay(env_cfg, victims, adversary, episodes, seed)
+    outcomes = [r.outcome.victim_success for r in replayed]
+    lengths = [len(r.trajectory) for r in replayed]
+
+    calls = []
+    act = FrozenPolicy.act
+
+    def counted(self, obs, masks):
+        calls.append(obs.shape)
+        return act(self, obs, masks)
+
+    monkeypatch.setattr(FrozenPolicy, "act", counted)
+    assert evaluate_win_rate(env_cfg, victims, adversary, episodes, seed)[0] == sum(outcomes) / episodes
+    victim_calls = calls if leg != "trained" else calls[0::2]
+    if leg == "random":
+        assert len(victim_calls) == sum(lengths)
+    else:
+        assert len(victim_calls) == max(lengths) and victim_calls[0][0] == episodes
+
+    env = make_env(env_cfg if adversary is not None else dataclasses.replace(env_cfg, adversary_count=0))
+    controllers = {Party.VICTIM: victims.as_controller()}
+    if leg == "trained":
+        controllers[Party.ADVERSARY] = bystanders.as_controller()
+    elif leg == "random":
+        controllers[Party.ADVERSARY] = RandomController(np.random.default_rng(derive_seed(seed, "eval.random_adv", 0)))
+    assert evaluate_party(env, controllers, episodes, seed, "eval.episode").tolist() == outcomes
+
+
+@pytest.mark.parametrize("phase", ["victims", "adversaries"])
+def test_periodic_evaluations_are_one_at_a_time_play(phase, monkeypatch):
+    """Each point of a training curve is the rate of its evaluation episodes
+    replayed through `run_episode`, with the controllers the evaluation was
+    given as they were at its start: victim training evaluates against the
+    random bystanders whose rng its episodes share, so the replay also
+    leaves that rng where the evaluation left it."""
+    env_cfg = PRESETS["skirmish-small"]
+    cfg = TrainingConfig(**{**LOCKSTEP, "eval_interval": 3, "eval_episodes": 6}, competence_floor=0.0, seed=7)
+    played = []
+    evaluate = training.evaluate_party
+
+    def recorded(env, controllers, episodes, seed, stream="eval"):
+        before = copy.deepcopy(dict(controllers))
+        flags = evaluate(env, controllers, episodes, seed, stream)
+        played.append((env, before, copy.deepcopy(dict(controllers)), episodes, seed, stream))
+        return flags
+
+    monkeypatch.setattr(training, "evaluate_party", recorded)
+    if phase == "victims":
+        curve = train_victims(env_cfg, cfg).curve
+    else:
+        victims = train_victims(env_cfg, dataclasses.replace(cfg, eval_interval=10**6)).policy
+        played.clear()
+        curve = train_adversaries(env_cfg, victims, cfg).curve
+    assert [episode for episode, _ in curve] == [3, 6]
+    for (env, before, after, episodes, seed, stream), (_, rate) in zip(played, curve):
+        wins = [run_episode(env, before, derive_seed(seed, stream, k)).outcome.victim_success for k in range(episodes)]
+        assert rate == sum(wins) / episodes
+        if phase == "victims":
+            replayed_rng, rng = before[Party.ADVERSARY].rng, after[Party.ADVERSARY].rng
+            assert replayed_rng.bit_generator.state == rng.bit_generator.state

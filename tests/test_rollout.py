@@ -160,18 +160,19 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
     model = RewardModel(input_dim, 8, np.random.default_rng(0))
     cfg = TrainingConfig(r_fail=20.0, estimate_clip=5.0, warmup_episodes=1, model_batch=2, model_learning_rate=1e-3)
     provider = EstimationProvider(model, cfg, np.random.default_rng(1))
-    updates, steps_seen, returned = [], [], []
+    updates, updated_from, steps_seen, returned = [], [], [], []
     update = training.reward_model_update
 
     def counting_update(model, episodes, ground_truths, optimizer):
         updates.append(len(episodes))
+        updated_from.append(model.cell.flat.values.copy())
         return update(model, episodes, ground_truths, optimizer)
 
     monkeypatch.setattr(training, "reward_model_update", counting_update)
     estimator_step = rewards.EpisodeEstimator.step
 
     def recording_step(self, concat_obs):
-        steps_seen.append((self, concat_obs, self.hidden.copy(), self.cell.copy()))
+        steps_seen.append((self, concat_obs, self.hidden.copy(), self.cell.copy(), self.model.cell.flat.values.copy()))
         returned.append(estimator_step(self, concat_obs))
         return returned[-1]
 
@@ -184,21 +185,30 @@ def test_estimation_reward_updates_once_per_episode_from_a_fresh_estimator(monke
         scored.append(provider(rows, rewards.terminal_reward(traj.outcomes[-1], 20.0)))
         assert scored[-1].shape == (len(traj),)
         assert len(updates) == k + 1 and provider.episode_count == k + 1
+        if k == 0:
+            # warm-up episode 0 pays no estimate, so none is streamed
+            assert steps_seen == []
     assert updates == [1, 2, 2]
-    # one estimator step per row, in step order
-    np.testing.assert_array_equal([s[1] for s in steps_seen], np.concatenate([rows for _, rows in episodes]))
-    lengths = [len(traj) for traj, _ in episodes]
+    # after warm-up, one estimator step per row, in step order
+    streamed = episodes[1:]
+    np.testing.assert_array_equal([s[1] for s in steps_seen], np.concatenate([rows for _, rows in streamed]))
+    lengths = [len(traj) for traj, _ in streamed]
     firsts = np.cumsum([0, *lengths[:-1]])
     estimators = [steps_seen[i][0] for i in firsts]
-    assert len({id(e) for e in estimators}) == 3
+    assert len({id(e) for e in estimators}) == 2
     for i in firsts:
-        _, _, hidden, cell = steps_seen[i]
+        _, _, hidden, cell, _ = steps_seen[i]
         assert not hidden.any() and not cell.any()
+    # an episode is streamed through the model its own update starts from
+    for k, (start, length) in enumerate(zip(firsts, lengths), start=1):
+        for seen in steps_seen[start : start + length]:
+            np.testing.assert_array_equal(seen[4], updated_from[k])
     # warm-up: only the terminal rule reward; afterwards the clipped estimates
     warm = episodes[0][0]
     assert not scored[0][:-1].any()
     assert scored[0][-1] == (0.0 if warm.outcomes[-1].victim_success else 20.0)
-    np.testing.assert_array_equal(scored[2], returned[firsts[2] :])
+    np.testing.assert_array_equal(scored[1], returned[: firsts[1]])
+    np.testing.assert_array_equal(scored[2], returned[firsts[1] :])
 
 
 class FirstMaskedOut(Controller):

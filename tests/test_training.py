@@ -13,7 +13,7 @@ from bystander import training
 from bystander.core import ConfigError, Party, StepOutcome, TrainingFault
 from bystander.envs import PRESETS, SkirmishEnv, make_env
 from bystander.neural import Adam, MLP
-from bystander.rollout import EpsilonGreedyController
+from bystander.rollout import EpsilonGreedyController, RandomController
 from bystander.training import (
     FrozenPolicy,
     RewardMode,
@@ -427,6 +427,28 @@ def test_frozen_act_respects_masks():
         assert masks[np.arange(3), actions].all()
         q = net.forward(obs[:, None, :])[0][:, 0]
         assert np.array_equal(actions, np.argmax(np.where(masks, q, -np.inf), axis=1))
+
+
+@pytest.mark.parametrize("party", [Party.VICTIM, Party.ADVERSARY])
+def test_stacked_frozen_act_picks_the_single_state_actions(tiny_victims, party):
+    """On every state of a few replayed episodes, acting on a stack of K
+    states' rows, as the lockstep evaluation does, picks the actions of K
+    single calls, although the Q values may differ in their last bits."""
+    env = make_env(PRESETS["skirmish-small"])
+    d = env.descriptor
+    if party is Party.VICTIM:
+        policy = tiny_victims
+    else:
+        policy = FrozenPolicy(party, _nets(d.obs_dim(party), d.n_actions(party), len(env.agents(party)), seed=4))
+    controllers = {Party.VICTIM: tiny_victims.as_controller(), Party.ADVERSARY: RandomController(np.random.default_rng(9))}
+    trajs = [training.run_episode(env, controllers, seed).trajectory for seed in range(4)]
+    obs = np.concatenate([t.obs[party] for t in trajs])
+    masks = np.concatenate([t.avail[party] for t in trajs])
+    single = np.stack([policy.act(o, m) for o, m in zip(obs, masks)])
+    for k in (2, 7, len(obs)):
+        stacked = np.concatenate([policy.act(obs[i : i + k], masks[i : i + k]) for i in range(0, len(obs), k)])
+        assert stacked.shape == single.shape
+        assert np.array_equal(stacked, single), k
 
 
 def test_check_fits_refuses_wrong_party_and_shapes(tmp_path):
