@@ -4,7 +4,10 @@
 `oracle-check` checks properties the method rests on, all on shipped code:
 the QMIX mixer's monotonicity and the decentralized argmax it licenses, on
 `MixingNet`; and the bystander replay, on both envs, that makes the
-bystanders' problem a single-party MDP once the victims are frozen.
+bystanders' problem a single-party MDP once the victims are frozen, with
+the neutrality audit (`audit_neutrality`: no bystander attacks, collides
+with or shares a cell with a victim) and the trajectory audit
+(`validate_trajectory`) of every episode it plays.
 `grad-check` compares the hand-written gradients of the agent nets, the
 packed recurrent cell, the mixer and the reward model's episode-sum loss
 with finite differences.
@@ -18,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ContractViolation, EpisodeTrajectory, Party
-from .envs import PRESETS, make_env
+from .core import ContractViolation, EpisodeTrajectory, Party, validate_trajectory
+from .envs import PRESETS, audit_neutrality, make_env
 from .neural import LSTMCell, MLP, grad_check
 from .qmix import MixingNet
 from .rewards import RewardModel, episode_sum_loss_grad
@@ -138,7 +141,8 @@ def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_se
     are frozen, the bystanders' actions alone must fix the episode, so every
     state, every party's observations, masks and actions and every step
     outcome must repeat bit for bit; a replayed action env.step refuses, or a replay that
-    outlasts the record, counts as a miss too."""
+    outlasts the record, counts as a miss too, as does a played episode that
+    fails the neutrality or the trajectory audit."""
     misses = 0
     for name in presets:
         env = make_env(PRESETS[name])
@@ -152,11 +156,12 @@ def bystander_replay_residual(presets=REPLAY_PRESETS, seeds=REPLAY_SEEDS, net_se
             played = run_episode(env, {Party.VICTIM: victims, Party.ADVERSARY: bystanders}, seed).trajectory
             playback = _Playback(played.actions[Party.ADVERSARY])
             try:
+                audit_neutrality(env, played)
                 again = run_episode(env, {Party.VICTIM: victims, Party.ADVERSARY: playback}, seed).trajectory
             except (ContractViolation, IndexError):
                 misses += 1
                 continue
-            misses += not _same_play(played, again)
+            misses += not (_same_play(played, again) and validate_trajectory(played, d).ok)
     return float(misses)
 
 
@@ -283,7 +288,7 @@ def run_oracle_checks() -> list[CheckResult]:
         CheckResult("mixer monotonicity (worst FD slope violation)", monotonicity_residual(), 1e-9),
         CheckResult("decentralized vs exhaustive argmax value", argmax_consistency_residual(), 1e-12),
         CheckResult(
-            f"bystander replay against frozen victims ({', '.join(REPLAY_PRESETS)})",
+            f"bystander replay against frozen victims ({', '.join(REPLAY_PRESETS)}), with its audits",
             bystander_replay_residual(),
             0.5,
         ),

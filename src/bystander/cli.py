@@ -5,21 +5,27 @@ Exit codes: 0 success, 2 configuration/usage error, 3 missing dependency
 output root that --out sets (default ./runs).
 
 The config keys each run command reads, from --config and --set:
-- train-victim: env.*, train.*
+- train-victim: env.*, train.* but the bystander-reward fields
 - train-adversary: env.*, train.*, victim_checkpoint
 - evaluate: env.*, train.eval_episodes, victim_checkpoint,
   adversary_checkpoint (optional: a checkpoint, or "random")
-- defend-retrain: env.*, train.*, victim_checkpoint, adversary_checkpoint
-- run-experiment: train.* but reward_mode and victim_reward_access, which
-  each attack arm of the grid sets, experiment.seeds, victim_checkpoint
-  (optional)
+- defend-retrain: env.*, train.* but the bystander-reward fields,
+  victim_checkpoint, adversary_checkpoint
+- run-experiment: train.* but reward_mode and victim_reward_access
+  (ARM_FIELDS), which each attack arm of the grid sets, experiment.seeds,
+  victim_checkpoint (optional)
 Here env.* is env.preset and overrides of that preset's fields, and train.*
-the fields of TrainingConfig but its seed, which --seed sets. A command
-refuses any other key. It checks its whole config, so a refused one writes
-nothing, then starts its manifest and finalizes it as "done", or as
-"failed" with the error of whatever stopped the run after the start, a bad
-checkpoint included. Either way the manifest lists, sorted, the files under
-the run directory that the run created or changed.
+the fields of TrainingConfig but its seed, which --seed sets. The
+bystander-reward fields (REWARD_FIELDS) are reward_mode,
+victim_reward_access, r_fail, estimate_clip, warmup_episodes and the
+model_* fields; phase 1 does not read them. A reward mode whose
+training.REWARDS row names oracle channels, traditional and rule_immediate,
+needs train.victim_reward_access=true. A command refuses any other key.
+It checks its whole config, so a refused one writes nothing, then starts
+its manifest and finalizes it as "done", or as "failed" with the error of
+whatever stopped the run after the start, a bad checkpoint included.
+Either way the manifest lists, sorted, the files under the run directory
+that the run created or changed.
 
 defend-retrain (rq5) is train-victim with the frozen attack of
 adversary_checkpoint in place of random bystanders, on the same seed
@@ -52,6 +58,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEPENDENCY = 3
 EXIT_TRAINING = 4
+
+# the TrainingConfig fields each attack arm of run-experiment sets, and all
+# those that only the bystanders' reward reads, which phase 1 leaves unread
+ARM_FIELDS = ("reward_mode", "victim_reward_access")
+REWARD_FIELDS = (
+    *ARM_FIELDS, "r_fail", "estimate_clip", "warmup_episodes", "model_hidden", "model_learning_rate", "model_batch"
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -96,7 +109,7 @@ def _required(kv: dict[str, str], key: str) -> Path:
 
 def _train_victim(args, kv):
     env_cfg = build_env_config(kv)
-    cfg = build_training_config(kv, seed=args.seed)
+    cfg = build_training_config(kv, seed=args.seed, leave=REWARD_FIELDS)
 
     def work(out: Path) -> list[str]:
         result = train_victims(env_cfg, cfg, out)
@@ -145,7 +158,7 @@ def _evaluate(args, kv):
 
 def _defend_retrain(args, kv):
     env_cfg = build_env_config(kv)
-    cfg = build_training_config(kv, seed=args.seed)
+    cfg = build_training_config(kv, seed=args.seed, leave=REWARD_FIELDS)
     victim_path = _required(kv, "victim_checkpoint")
     adversary_path = _required(kv, "adversary_checkpoint")
 
@@ -159,7 +172,7 @@ def _defend_retrain(args, kv):
 def _run_experiment(args, kv):
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    cfg = build_training_config(kv, seed=args.seed, leave=("reward_mode", "victim_reward_access"))
+    cfg = build_training_config(kv, seed=args.seed, leave=ARM_FIELDS)
     seeds = build_experiment_seeds(kv) or ExperimentSpec.seeds
     spec = ExperimentSpec(args.experiment, cfg, seeds, victim_checkpoint=kv.pop("victim_checkpoint", None))
 

@@ -33,6 +33,7 @@ import numpy as np
 from .core import ConfigError, Party
 from .envs import PRESETS, make_env
 from .training import (
+    REWARDS,
     RewardMode,
     TrainingConfig,
     evaluate_win_rate,
@@ -121,12 +122,12 @@ def _victims_for(spec: ExperimentSpec, preset: str, out_dir: Path) -> Path:
 
 def _run_grid_point(env_cfg, mode, count, seed, victim_path, out_dir, base_train) -> dict:
     """One (env, mode, count, seed) attack run; self-contained for worker
-    processes. Only the traditional arm reads the victims' reward."""
+    processes. The oracle flag is set when the mode's REWARDS row has channels."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     victims = load_policy(victim_path)
     point_cfg = dataclasses.replace(env_cfg, adversary_count=count)
-    access = mode is RewardMode.TRADITIONAL
+    access = bool(REWARDS[mode][0])
     cfg = dataclasses.replace(base_train, seed=seed, reward_mode=mode, victim_reward_access=access)
     result = train_adversaries(point_cfg, victims, cfg, out_dir)
     save_policy(out_dir / "adversaries.npz", result.policy)

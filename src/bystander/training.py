@@ -85,9 +85,10 @@ class TrainingConfig:
         for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_frac", "competence_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.reward_mode is RewardMode.TRADITIONAL and not self.victim_reward_access:
+        channels = REWARDS[self.reward_mode][0]
+        if channels and not self.victim_reward_access:
             raise ConfigError(
-                "traditional reward mode negates the victims' task reward; "
+                f"{self.reward_mode.value} reward mode reads the oracle channel(s) {', '.join(channels)}; "
                 "set victim_reward_access=True to acknowledge the oracle flag"
             )
         if self.batch_size > self.buffer_capacity:
@@ -166,9 +167,6 @@ class FrozenController(Controller):
 
 
 # --- rewards -----------------------------------------------------------------
-#
-# A reward scores one played episode: reward(trajectory) -> (T,) array of its
-# per-step rewards, called by train_party after run_episode.
 
 
 def victim_task_rewards(env: Environment, traj) -> np.ndarray:
@@ -178,17 +176,10 @@ def victim_task_rewards(env: Environment, traj) -> np.ndarray:
     return np.array([env.victim_task_reward(s[t], s[t + 1], out) for t, out in enumerate(traj.outcomes)], dtype=float)
 
 
-def traditional_rewards(env: Environment, traj) -> np.ndarray:
-    """Baseline bystander reward: the negated victim task reward. Reading the
-    victims' reward channel is an oracle-only evaluation device, which
-    TrainingConfig refuses unless victim_reward_access is set."""
-    return -victim_task_rewards(env, traj)
-
-
-def rule_immediate_rewards(weights: np.ndarray, r_fail: float, traj) -> np.ndarray:
+def rule_immediate_rewards(weights, r_fail: float, traj) -> np.ndarray:
     """Rule-based baseline: the failure-path weights dotted with each step's
-    failure signals, plus the terminal ground truth on the last step. The
-    signals come from the simulator, so this is an oracle-only baseline."""
+    failure signals, plus the terminal ground truth on the last step."""
+    weights = np.asarray(weights, dtype=float)
     r = np.array([float(weights @ out.failure_signals) for out in traj.outcomes])
     r[-1] += terminal_reward(traj.outcomes[-1], r_fail)
     return r
@@ -230,6 +221,40 @@ class EstimationProvider:
         reward_model_update(self.model, [b[0] for b in batch], [b[1] for b in batch], self.optimizer)
         self.episode_count += 1
         return rewards
+
+
+def _estimation_reward(env: Environment, cfg: TrainingConfig):
+    """Estimation's reward, an EstimationProvider's, and the model it trains."""
+    input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
+    label = _phase_label(Party.ADVERSARY)
+    model = RewardModel(input_dim, cfg.model_hidden, np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0)))
+    batch_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0))
+    provider = EstimationProvider(model, cfg, batch_rng)
+
+    def estimation_rewards(traj):
+        # r_t reads the bystanders' view of s_{t+1}, so the estimate can see
+        # what the joint action of step t just did
+        rows = traj.obs[Party.ADVERSARY][1:]
+        return provider(rows.reshape(len(rows), -1), terminal_reward(traj.outcomes[-1], cfg.r_fail))
+
+    return estimation_rewards, model
+
+
+# The bystanders' rewards, one row per mode. A reward scores one played
+# episode, reward(trajectory) -> (T,) array, called by train_party after
+# run_episode. Any mode may read the bystanders' own observations and the
+# terminal ground truth; its row names the oracle channels it reads besides,
+# which victim_reward_access must acknowledge: "victim_reward", the victims'
+# task reward, and "failure_signals", the simulator's per-step signals.
+# mode: (oracle channels, builder (env, cfg) -> (reward, reward model or None))
+REWARDS = {
+    RewardMode.TRADITIONAL: (("victim_reward",), lambda env, cfg: (lambda traj: -victim_task_rewards(env, traj), None)),
+    RewardMode.RULE_IMMEDIATE: (
+        ("failure_signals",),
+        lambda env, cfg: (partial(rule_immediate_rewards, env.descriptor.default_weights, cfg.r_fail), None),
+    ),
+    RewardMode.ESTIMATION: ((), _estimation_reward),
+}
 
 
 # --- tables -------------------------------------------------------------------
@@ -280,7 +305,7 @@ def train_party(
 
     other_controllers drive the remaining externally controlled parties and
     are used unchanged during periodic evaluations; reward scores each
-    played episode, as the rewards section documents. `{party.label}_train`
+    played episode, as REWARDS documents. `{party.label}_train`
     prefixes the seed streams and the metrics tables: given out_dir, it
     writes their headers, then appends a row per learner step
     (`_learner_steps.csv`, numbered by the optimizer's steps) and per
@@ -399,31 +424,6 @@ class AdversaryTrainingResult:
     curve: list[tuple[int, float]]
 
 
-def _make_reward(env: Environment, cfg: TrainingConfig):
-    """The bystanders' episode reward for cfg.reward_mode, and the reward
-    model it trains (None outside estimation mode). Estimation is given
-    only the bystanders' post-step observations, one concatenated row per
-    step, and the terminal ground truth."""
-    if cfg.reward_mode is RewardMode.TRADITIONAL:
-        return partial(traditional_rewards, env), None
-    if cfg.reward_mode is RewardMode.RULE_IMMEDIATE:
-        weights = np.asarray(env.descriptor.default_weights, dtype=float)
-        return partial(rule_immediate_rewards, weights, cfg.r_fail), None
-    input_dim = env.descriptor.obs_dim(Party.ADVERSARY) * len(env.agents(Party.ADVERSARY))
-    label = _phase_label(Party.ADVERSARY)
-    model = RewardModel(input_dim, cfg.model_hidden, np.random.default_rng(derive_seed(cfg.seed, f"{label}.model", 0)))
-    batch_rng = np.random.default_rng(derive_seed(cfg.seed, f"{label}.model_batch", 0))
-    provider = EstimationProvider(model, cfg, batch_rng)
-
-    def estimation_rewards(traj):
-        # r_t reads the bystanders' view of s_{t+1}, so the estimate can see
-        # what the joint action of step t just did
-        rows = traj.obs[Party.ADVERSARY][1:]
-        return provider(rows.reshape(len(rows), -1), terminal_reward(traj.outcomes[-1], cfg.r_fail))
-
-    return estimation_rewards, model
-
-
 def train_adversaries(
     env_config,
     frozen_victims: FrozenPolicy,
@@ -438,7 +438,7 @@ def train_adversaries(
     if not env.agents(Party.ADVERSARY):
         raise ConfigError("environment has no bystander agents to train")
     frozen_victims.check_fits(env, Party.VICTIM)
-    reward, reward_model = _make_reward(env, cfg)
+    reward, reward_model = REWARDS[cfg.reward_mode][1](env, cfg)
     other = {Party.VICTIM: frozen_victims.as_controller()}
     policy, curve = train_party(env, Party.ADVERSARY, cfg, other, reward, out_dir)
     under = evaluate_win_rate(env_config, frozen_victims, policy, cfg.eval_episodes, cfg.seed)[0]

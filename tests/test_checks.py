@@ -8,7 +8,7 @@ import pytest
 
 from bystander import checks
 from bystander.cli import EXIT_OK, EXIT_TRAINING, dispatch
-from bystander.core import Party
+from bystander.core import Party, StepOutcome
 from bystander.envs import PRESETS, SkirmishEnv
 from bystander.qmix import MixingNet
 from bystander.rollout import RandomController, run_episode
@@ -48,6 +48,37 @@ def test_bystander_replay_catches_a_nondeterministic_third_party(monkeypatch, ca
         return 0 if unseeded.random() < 0.5 else scripted(self, state, k, occupied)
 
     monkeypatch.setattr(SkirmishEnv, "_scripted_action", sometimes_idle)
+    assert checks.bystander_replay_residual(presets=("skirmish-small",)) > 0.5
+    assert dispatch(["oracle-check"]) == EXIT_TRAINING
+    assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] bystander replay")
+
+
+def test_bystander_replay_audits_neutrality(monkeypatch, capsys):
+    # every step reports a bystander attack on a victim, and the states stay
+    # as they were, so the replay still repeats the episode bit for bit
+    resolve = SkirmishEnv._resolve
+
+    def reporting(self, state, actions, occupied):
+        nxt, outcome, events = resolve(self, state, actions, occupied)
+        attack = (self.agents(Party.ADVERSARY)[0], self.agents(Party.VICTIM)[0], 1)
+        return nxt, outcome, dataclasses.replace(events, attacks=(*events.attacks, attack))
+
+    monkeypatch.setattr(SkirmishEnv, "_resolve", reporting)
+    assert checks.bystander_replay_residual(presets=("skirmish-small",)) > 0.5
+    assert dispatch(["oracle-check"]) == EXIT_TRAINING
+    assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] bystander replay")
+
+
+def test_bystander_replay_audits_the_trajectory(monkeypatch, capsys):
+    # every step has one failure signal more than the descriptor's paths,
+    # played and replayed alike
+    outcome = SkirmishEnv._outcome
+
+    def one_too_many(self, nxt, victim_loss):
+        out = outcome(self, nxt, victim_loss)
+        return StepOutcome(out.terminal, out.victim_success, np.append(out.failure_signals, 0.0))
+
+    monkeypatch.setattr(SkirmishEnv, "_outcome", one_too_many)
     assert checks.bystander_replay_residual(presets=("skirmish-small",)) > 0.5
     assert dispatch(["oracle-check"]) == EXIT_TRAINING
     assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] bystander replay")

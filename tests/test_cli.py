@@ -23,6 +23,17 @@ TINY_TRAIN = [
 TINY = ["env.preset=skirmish-small", *TINY_TRAIN]
 # evaluate reads one train.* key
 TINY_EVAL = ["env.preset=skirmish-small", "train.eval_episodes=2"]
+# a valid value of each field that only the bystanders' reward reads
+BYSTANDER_REWARD_KEYS = [
+    "train.reward_mode=traditional",
+    "train.victim_reward_access=true",
+    "train.r_fail=3",
+    "train.estimate_clip=2",
+    "train.warmup_episodes=0",
+    "train.model_hidden=7",
+    "train.model_learning_rate=0.01",
+    "train.model_batch=2",
+]
 
 
 def _run(command, out, extra=()):
@@ -332,6 +343,8 @@ def test_flags_and_keys_only_where_they_are_read(tmp_path):
         ("train-adversary", "adversary_checkpoint=adversaries.npz"),
         ("evaluate", "experiment.seeds=1,2"),
         ("evaluate", "train.learning_rate=0.5"),
+        # phase 1 reads no bystander reward, so it refuses every key of one
+        *[(command, key) for command in ("train-victim", "defend-retrain") for key in BYSTANDER_REWARD_KEYS],
     ],
 )
 def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, key):
@@ -343,8 +356,10 @@ def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, k
     elif command == "train-victim":
         given = TINY
     else:
-        # an absent checkpoint: a run that started would fail on it with exit 3
+        # absent checkpoints: a run that started would fail on them with exit 3
         given = [*(TINY_EVAL if command == "evaluate" else TINY), f"victim_checkpoint={tmp_path / 'victims.npz'}"]
+        if command == "defend-retrain":
+            given.append(f"adversary_checkpoint={tmp_path / 'adversaries.npz'}")
     for item in [*given, key]:
         argv += ["--set", item]
     assert dispatch(argv) == EXIT_CONFIG

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from bystander.cli import EXIT_CONFIG, dispatch
+from bystander.cli import EXIT_CONFIG, REWARD_FIELDS, dispatch
 from bystander.config import (
     RunManifest,
     apply_overrides,
@@ -135,7 +135,8 @@ def test_env_needs_a_known_preset():
 
 
 def test_training_values_are_converted_or_refused():
-    cfg = build_training_config({"train.episodes": "40", "train.reward_mode": "rule_immediate"}, seed=5)
+    kv = {"train.episodes": "40", "train.reward_mode": "rule_immediate", "train.victim_reward_access": "true"}
+    cfg = build_training_config(kv, seed=5)
     assert (cfg.episodes, cfg.reward_mode.value, cfg.seed) == (40, "rule_immediate", 5)
     with pytest.raises(ConfigError, match="bad value for train.episodes"):
         build_training_config({"train.episodes": "many"}, seed=0)
@@ -180,13 +181,27 @@ def test_sensing_range_below_one_is_refused(tmp_path):
     assert not (tmp_path / "train-victim").exists()
 
 
-def test_r_fail_must_be_positive(tmp_path):
+def _refused_where_it_enters(tmp_path, capsys, name, bad):
+    """A command that reads train.<name> exits 2 on the bad value through
+    TrainingConfig's range check, and writes nothing. A bystander-reward
+    field goes to train-adversary, given an absent victim checkpoint that a
+    started run would fail on with exit 3."""
+    if name in REWARD_FIELDS:
+        command, given = "train-adversary", ["--set", f"victim_checkpoint={tmp_path / 'victims.npz'}"]
+    else:
+        command, given = "train-victim", []
+    argv = [command, "--out", str(tmp_path), "--set", "env.preset=skirmish-small", *given]
+    capsys.readouterr()
+    assert dispatch([*argv, "--set", f"train.{name}={bad}"]) == EXIT_CONFIG
+    assert f"{name} must be" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
+
+
+def test_r_fail_must_be_positive(tmp_path, capsys):
     for r_fail in (0.0, -3.0, float("nan")):
         with pytest.raises(ConfigError, match="r_fail"):
             TrainingConfig(r_fail=r_fail)
-    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
-    assert dispatch([*argv, "--set", "train.r_fail=-3"]) == EXIT_CONFIG
-    assert not (tmp_path / "train-victim").exists()
+    _refused_where_it_enters(tmp_path, capsys, "r_fail", -3)
 
 
 @pytest.mark.parametrize(
@@ -208,12 +223,10 @@ def test_r_fail_must_be_positive(tmp_path):
         ("competence_floor", 1.2),
     ],
 )
-def test_training_values_out_of_range_are_refused(tmp_path, name, bad):
+def test_training_values_out_of_range_are_refused(tmp_path, capsys, name, bad):
     with pytest.raises(ConfigError, match=name):
         TrainingConfig(**{name: bad})
-    argv = ["train-victim", "--out", str(tmp_path), "--set", "env.preset=skirmish-small"]
-    assert dispatch([*argv, "--set", f"train.{name}={bad}"]) == EXIT_CONFIG
-    assert not (tmp_path / "train-victim").exists()
+    _refused_where_it_enters(tmp_path, capsys, name, bad)
 
 
 def test_experiment_settings():

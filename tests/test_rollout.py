@@ -10,7 +10,7 @@ from bystander.neural import MLP
 from bystander.qmix import MASK_SENTINEL, masked_q
 from bystander.rewards import RewardModel
 from bystander.rollout import Controller, EpsilonGreedyController, RandomController, run_episode
-from bystander.training import EstimationProvider, TrainingConfig
+from bystander.training import EstimationProvider, RewardMode, TrainingConfig
 
 PARTIES = (Party.VICTIM, Party.ADVERSARY)
 
@@ -143,7 +143,7 @@ def test_a_rollout_computes_no_reward_and_estimation_reads_the_post_step_bystand
         return np.zeros(len(rows))
 
     monkeypatch.setattr(training, "EstimationProvider", lambda model, cfg, rng: provider)
-    reward, _ = training._make_reward(env, TrainingConfig(r_fail=20.0))
+    reward, _ = training.REWARDS[RewardMode.ESTIMATION][1](env, TrainingConfig(r_fail=20.0))
     for traj in trajs:
         reward(traj)
         rows, truth = calls[-1]

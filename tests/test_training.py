@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bystander.envs import PRESETS, SkirmishEnv, make_env
 from bystander.neural import Adam, MLP
 from bystander.rollout import EpsilonGreedyController, RandomController
 from bystander.training import (
+    REWARDS,
     FrozenPolicy,
     RewardMode,
     TrainingConfig,
@@ -41,12 +43,12 @@ def tiny_victims():
     return train_victims(PRESETS["skirmish-small"], TrainingConfig(**TINY, seed=3)).policy
 
 
-@pytest.mark.parametrize("mode", ["traditional", "rule_immediate", "estimation"])
+@pytest.mark.parametrize("mode", [mode.value for mode in REWARDS])
 def test_same_seed_attack_is_bit_identical(tiny_victims, mode):
     cfg = TrainingConfig(
         **TINY,
         reward_mode=RewardMode(mode),
-        victim_reward_access=mode == "traditional",
+        victim_reward_access=bool(REWARDS[RewardMode(mode)][0]),
         warmup_episodes=4,
         model_hidden=16,
         model_batch=4,
@@ -82,47 +84,51 @@ def test_frozen_victims_changed_during_training_fault_it(tiny_victims, monkeypat
 
 
 class NoisySkirmish(SkirmishEnv):
-    """Skirmish whose victim task reward and failure signals are seeded
-    noise; its dynamics, terminal flags and victim success are skirmish's."""
+    """Skirmish whose oracle channel `channel` is seeded noise: the victim
+    task reward ("victim_reward") or the failure signals
+    ("failure_signals"); its dynamics, terminal flags and victim success
+    are skirmish's."""
 
-    def __init__(self, config):
+    def __init__(self, config, channel):
         super().__init__(config)
+        self.channel = channel
         self.noise = np.random.default_rng(2024)
 
     def victim_task_reward(self, prev, nxt, outcome):
+        if self.channel != "victim_reward":
+            return super().victim_task_reward(prev, nxt, outcome)
         return float(self.noise.normal())
 
     def _resolve(self, state, actions, occupied):
         nxt, outcome, events = super()._resolve(state, actions, occupied)
+        if self.channel != "failure_signals":
+            return nxt, outcome, events
         signals = self.noise.uniform(size=outcome.failure_signals.shape)
         return nxt, StepOutcome(outcome.terminal, outcome.victim_success, signals), events
 
 
-def _attack_checksums(victims, monkeypatch, noisy, **overrides):
+def _attack_checksums(victims, monkeypatch, channel, **overrides):
     """The checksums of the bystanders, and of the reward model if any, that
-    an attack on victims trains on plain or noisy skirmish."""
-    monkeypatch.setattr(training, "make_env", NoisySkirmish if noisy else make_env)
+    an attack on victims trains on skirmish, plain (channel None) or with
+    noise on one oracle channel."""
+    monkeypatch.setattr(training, "make_env", partial(NoisySkirmish, channel=channel) if channel else make_env)
     cfg = TrainingConfig(**TINY, model_hidden=16, model_batch=4, seed=5, **overrides)
     result = train_adversaries(PRESETS["skirmish-small"], victims, cfg)
     model = result.reward_model
     return result.policy.checksum(), model and b"".join(p.values.tobytes() for p in model.params())
 
 
-# the threat model: the estimation reward reads only the bystanders' own
-# observations and the terminal outcome; warmup_episodes = episodes, the
-# terminal ground truth alone, stands in for a terminal reward mode
-@pytest.mark.parametrize("warmup", [4, TINY["episodes"]])
-def test_estimation_reads_neither_the_victim_reward_nor_the_failure_signals(tiny_victims, monkeypatch, warmup):
-    plain = _attack_checksums(tiny_victims, monkeypatch, False, warmup_episodes=warmup)
-    assert _attack_checksums(tiny_victims, monkeypatch, True, warmup_episodes=warmup) == plain
-
-
-# the positive controls: the oracle baselines read them
-@pytest.mark.parametrize("mode", ["rule_immediate", "traditional"])
-def test_the_oracle_rewards_read_the_victim_reward_or_the_failure_signals(tiny_victims, monkeypatch, mode):
-    modes = dict(reward_mode=RewardMode(mode), victim_reward_access=mode == "traditional")
-    plain = _attack_checksums(tiny_victims, monkeypatch, False, **modes)
-    assert _attack_checksums(tiny_victims, monkeypatch, True, **modes) != plain
+# the threat model: a reward reads the oracle channels its REWARDS row
+# declares and no other; with warmup_episodes of 4, estimation's reward is
+# the terminal ground truth alone for 4 episodes and the estimate after them
+@pytest.mark.parametrize("channel", ["victim_reward", "failure_signals"])
+@pytest.mark.parametrize("mode", list(REWARDS), ids=lambda mode: mode.value)
+def test_reward_reads_only_its_oracle_channels(tiny_victims, monkeypatch, mode, channel):
+    channels = REWARDS[mode][0]
+    settings = dict(reward_mode=mode, victim_reward_access=bool(channels), warmup_episodes=4)
+    plain = _attack_checksums(tiny_victims, monkeypatch, None, **settings)
+    noisy = _attack_checksums(tiny_victims, monkeypatch, channel, **settings)
+    assert (noisy != plain) == (channel in channels)
 
 
 def _table(path):
@@ -147,10 +153,12 @@ def test_metrics_tables_hold_each_learner_step_and_the_curve(tmp_path):
     assert len(curve) == cfg.episodes // 3
 
 
-def test_traditional_mode_needs_victim_reward_access():
-    with pytest.raises(ConfigError, match="victim_reward_access"):
-        TrainingConfig(reward_mode=RewardMode.TRADITIONAL)
-    TrainingConfig(reward_mode=RewardMode.TRADITIONAL, victim_reward_access=True)
+@pytest.mark.parametrize("mode", [mode for mode, (channels, _) in REWARDS.items() if channels], ids=lambda m: m.value)
+def test_a_mode_with_oracle_channels_needs_victim_reward_access(mode):
+    with pytest.raises(ConfigError, match="victim_reward_access") as refused:
+        TrainingConfig(reward_mode=mode)
+    assert all(channel in str(refused.value) for channel in REWARDS[mode][0])
+    TrainingConfig(reward_mode=mode, victim_reward_access=True)
 
 
 # --- frozen policies and their checkpoints -----------------------------------
