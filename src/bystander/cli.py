@@ -6,7 +6,7 @@ output root that --out sets (default ./runs).
 
 The config keys each run command reads, from --config and --set:
 - train-victim: env.*, train.* but the bystander-reward fields
-- train-adversary: env.*, train.*, victim_checkpoint
+- train-adversary: env.*, train.* but competence_floor, victim_checkpoint
 - evaluate: env.*, train.eval_episodes, victim_checkpoint,
   adversary_checkpoint (optional: a checkpoint, or "random")
 - defend-retrain: env.*, train.* but the bystander-reward fields,
@@ -32,7 +32,8 @@ adversary_checkpoint in place of random bystanders, on the same seed
 streams. Its rq5_table.csv holds the original (before) and the retrained
 (after) victims' win rates under_attack, with no_attack and with random
 bystanders. Victims that miss train.competence_floor without bystanders
-are a training fault, in either command.
+are a training fault, in either command; train-adversary trains no victims
+and leaves the floor unread.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _train_victim(args, kv):
 
 def _train_adversary(args, kv):
     env_cfg = build_env_config(kv)
-    cfg = build_training_config(kv, seed=args.seed)
+    cfg = build_training_config(kv, seed=args.seed, leave=("competence_floor",))
     victim_path = _required(kv, "victim_checkpoint")
 
     def work(out: Path) -> list[str]:

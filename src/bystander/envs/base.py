@@ -28,13 +28,18 @@ environment instance owns only its configuration and derived lookup tables.
 An environment supplies its unit type and its dynamics (`reset`,
 `_resolve`, `_terminal`, the scripted third-party action, the tick-start
 occupied cells), its mask rows (`_mask_rows`) and the two observation hooks
-(`_own_features`, `_sees`).
+(`_own_features`, `_sees`). It may also override `stacked_views`.
 
 Policies and learners read a state only through `observe_party` and
 `masks_party`: each walks one party once, by unit position, and returns one
 (n, obs_dim) or (n, n_actions) array; a party with no agents gives (0, ...)
 arrays. The per-agent `observe` and `available_actions` are an agent's row
-of these. There is no global-state view: bystanders have none, and each
+of these. `stacked_views` gives the views of K states in one call, (K, n,
+...) per party, row k bit for bit the per-state arrays; lockstep evaluation
+reads it once per tick. This class stacks the per-state arrays (corridor
+uses that); skirmish computes all K rows together on unit columns. The
+per-state methods stay the reference that run_episode, the audits and the
+tests read. There is no global-state view: bystanders have none, and each
 party's mixer reads its own agents' observations. `positions` and
 `step_events` exist for audits.
 """
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -292,6 +297,17 @@ class Environment(ABC):
         """The party's (n, n_actions) action masks in agent-index order."""
         rows = self._mask_rows(state, party)
         return np.array(rows, dtype=bool).reshape(len(self._agents[party]), self._n_actions[party])
+
+    def stacked_views(self, states: Sequence, parties: Sequence[Party]) -> dict[Party, tuple[np.ndarray, np.ndarray]]:
+        """Each party's views of a non-empty run of K states: {party: (obs
+        (K, n, obs_dim), masks (K, n, n_actions))}, row k bit for bit
+        `observe_party(states[k], party)` and `masks_party(states[k],
+        party)`. This version stacks those per-state arrays; an env may
+        compute all K rows at once instead."""
+        return {
+            p: (np.stack([self.observe_party(s, p) for s in states]), np.stack([self.masks_party(s, p) for s in states]))
+            for p in parties
+        }
 
     def observe(self, state, agent: AgentId) -> np.ndarray:
         """The agent's row of `observe_party`; KeyError for an unknown agent."""

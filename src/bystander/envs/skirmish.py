@@ -17,6 +17,12 @@ attack opponents and opponents attack victims. Bystanders are neutral by
 construction: their table has no victim target at all, and opponent targets
 only when `adversaries_may_attack_opponents` is set, so their influence is
 positional: standing in cells victims or opponents want.
+
+`stacked_views` computes the views of K states on numpy unit columns, from
+index tables built once per env out of the base slot layout and the decoded
+action tables; `observe_party` and `masks_party` stay its per-state
+reference. A step stays per state: it resolves one state's moves and
+attacks in Python, and the step each caller makes is one `Environment.step`.
 """
 
 from __future__ import annotations
@@ -103,6 +109,19 @@ class SkirmishState(State):
     """A skirmish state; its units are `Unit`s."""
 
 
+class _ColumnTable(NamedTuple):
+    """One party's index arrays for stacked_views, built once per env."""
+
+    observers: np.ndarray  # (n,) unit position of each agent
+    slot_observers: np.ndarray  # (S,) per slot block: its observer's unit position
+    slot_units: np.ndarray  # (S,) the unit position it shows
+    slot_cells: np.ndarray  # (S, 1 + slot features) its cells in the flattened (n * obs_dim) row
+    moves: np.ndarray  # action ids of the moves
+    move_deltas: np.ndarray  # (moves, 2) their (dx, dy)
+    targets: np.ndarray  # action ids of the attacks
+    target_units: np.ndarray  # the unit position each attack targets
+
+
 def _chebyshev(a: Unit, b: Unit) -> int:
     return max(abs(a.x - b.x), abs(a.y - b.y))
 
@@ -157,6 +176,33 @@ class SkirmishEnv(Environment):
         self._noop_rows = {p: [True] + [False] * (len(table) - 1) for p, table in self._actions.items()}
         w, h = config.grid_size
         self._scale = (max(w - 1, 1), max(h - 1, 1))
+        self._columns = {p: self._column_table(p) for p in Party}
+
+    def _column_table(self, party: Party) -> _ColumnTable:
+        """The index arrays stacked_views reads for `party`, from the base
+        slot layout `_views` and the decoded action table."""
+        views = self._views[party]
+        dim = self._obs_dim[party]
+        n_seen = 1 + len(self.SLOT_FEATURES)
+        # one entry per slot block: observer row, the block's offset in the
+        # party's flattened (n * dim) observations, the unit it shows
+        entries = np.array(
+            [(row, row * dim + i, j) for row, (_, slots) in enumerate(views) for i, j in slots], dtype=np.intp
+        ).reshape(-1, 3)
+        observers = np.array([k for k, _ in views], dtype=np.intp)
+        table = self._decoded[party]
+        moves = [(a, move) for a, (move, _) in enumerate(table) if move is not None]
+        targets = [(a, target) for a, (_, target) in enumerate(table) if target is not None]
+        return _ColumnTable(
+            observers=observers,
+            slot_observers=observers[entries[:, 0]],
+            slot_units=entries[:, 2],
+            slot_cells=entries[:, 1, None] + np.arange(n_seen),
+            moves=np.array([a for a, _ in moves], dtype=np.intp),
+            move_deltas=np.array([move for _, move in moves], dtype=np.int64).reshape(-1, 2),
+            targets=np.array([a for a, _ in targets], dtype=np.intp),
+            target_units=np.array([t for _, t in targets], dtype=np.intp),
+        )
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -220,6 +266,46 @@ class SkirmishEnv(Environment):
                 else:
                     rows.append(True)  # noop is always legal
         return rows
+
+    def stacked_views(self, states, parties):
+        """The base contract, computed on unit columns: x, y and health of
+        every unit of every state, gathered once as (K, U) int arrays, then
+        each party's features and masks from its index table. numpy's int
+        true division rounds as Python's does, so the floats are the
+        per-state ones bit for bit."""
+        c = self.config
+        w, h = c.grid_size
+        sx, sy = self._scale
+        r, hp, reach = c.sensing_radius, c.unit_health, c.attack_range
+        cols = np.array([(u.x, u.y, u.health) for s in states for u in s.units]).reshape(len(states), -1, 3)
+        x, y, health = cols[..., 0], cols[..., 1], cols[..., 2]
+        alive = health > 0
+        views = {}
+        for party in parties:
+            t = self._columns[party]
+            n, dim = len(t.observers), self._obs_dim[party]
+            me_x, me_y, me_alive = x[:, t.observers], y[:, t.observers], alive[:, t.observers]
+
+            obs = np.zeros((len(states), n, dim))
+            own = np.stack([me_x / sx, me_y / sy, health[:, t.observers] / hp], axis=-1)
+            obs[..., : len(self.SELF_FEATURES)] = np.where(me_alive[..., None], own, 0.0)
+            dx = x[:, t.slot_units] - x[:, t.slot_observers]
+            dy = y[:, t.slot_units] - y[:, t.slot_observers]
+            seen = alive[:, t.slot_observers] & alive[:, t.slot_units] & (np.abs(dx) <= r) & (np.abs(dy) <= r)
+            blocks = np.stack([np.ones(dx.shape), dx / r, dy / r, health[:, t.slot_units] / hp], axis=-1)
+            obs.reshape(len(states), n * dim)[:, t.slot_cells] = np.where(seen[..., None], blocks, 0.0)
+
+            masks = np.zeros((len(states), n, self._n_actions[party]), dtype=bool)
+            masks[..., 0] = True  # noop, first in every table, is always legal
+            to_x = me_x[..., None] + t.move_deltas[:, 0]
+            to_y = me_y[..., None] + t.move_deltas[:, 1]
+            masks[..., t.moves] = me_alive[..., None] & (0 <= to_x) & (to_x < w) & (0 <= to_y) & (to_y < h)
+            gap = np.maximum(
+                np.abs(x[:, None, t.target_units] - me_x[..., None]), np.abs(y[:, None, t.target_units] - me_y[..., None])
+            )
+            masks[..., t.targets] = me_alive[..., None] & alive[:, None, t.target_units] & (gap <= reach)
+            views[party] = (obs, masks)
+        return views
 
     # --- scripted opponents ---------------------------------------------------
 

@@ -8,16 +8,20 @@ and one list of their per-party views (observations and action masks), which
 it stacks into the trajectory's per-party arrays. Learners, rewards and
 audits all read the trajectory; the rollout computes no reward.
 
-evaluate_party steps its live episodes together. Each tick, each playing
-party's controller acts once on the stacked views of the live episodes,
-(K, n, D) and (K, n, A); each live state steps with its row of the actions
-and the masks it was acted on, and an episode leaves the batch when it ends.
-It keeps a live episode's current state and views and a finished one's
+evaluate_party steps its live episodes together. Each tick one
+`env.stacked_views` call computes the views of all K live episodes, (K, n,
+D) and (K, n, A) per playing party (skirmish computes them on unit
+columns), and each party's controller acts once on them; each live state
+then steps through env.step with its row of the actions and of the masks
+they were acted on, and an episode leaves the batch when it ends. Stepping
+stays per state: env.step is the one checked step that run_episode, the
+audits and the replays also make, and the benchmark counts env steps as its
+calls. The loop keeps a live episode's current state and a finished one's
 victim success, and nothing else: no trajectory is built and no terminal
 state is observed. A controller that draws from an rng it keeps across
 episodes (its class sets `draws`) gets its episodes one after another, in
-seed order, as run_episode would play them, so each episode sees the draws
-it would get there; the loop then acts on the lone view as run_episode does.
+seed order, on the per-state views, as run_episode would play them, so each
+episode sees the draws it would get there.
 """
 
 from __future__ import annotations
@@ -136,11 +140,6 @@ def run_episode(
     return RolloutResult(trajectory=trajectory, outcome=outcome)
 
 
-def _stack(views: list[np.ndarray]) -> np.ndarray:
-    # a lone view goes as it is, so one-at-a-time play costs what run_episode does
-    return views[0] if len(views) == 1 else np.stack(views)
-
-
 def evaluate_party(
     env: Environment,
     controllers: Mapping[Party, Controller],
@@ -152,36 +151,37 @@ def evaluate_party(
     env.reset(derive_seed(seed, stream, k)) as run_episode would play it: an
     (episodes,) bool array in k order.
 
-    The episodes run in the lockstep loop the module docstring describes:
-    all of them together, or one after another when a playing controller
-    `draws`."""
+    The episodes run in lockstep, as the module docstring describes, or one
+    after another when a playing controller `draws`."""
     parties = [p for p in (Party.VICTIM, Party.ADVERSARY) if env.agents(p) and p in controllers]
-    width = 1 if any(controllers[p].draws for p in parties) else episodes
-
-    def party_views(st):
-        return {p: (env.observe_party(st, p), env.masks_party(st, p)) for p in parties}
-
+    seeds = [derive_seed(seed, stream, k) for k in range(episodes)]
+    if any(controllers[p].draws for p in parties):
+        return np.array([_play_alone(env, controllers, parties, s) for s in seeds], dtype=bool)
     success = np.zeros(episodes, dtype=bool)
-    live: list[tuple[int, object, dict]] = []  # (k, state, its views)
-    started = 0
-    while started < episodes or live:
-        while started < episodes and len(live) < width:
-            state = env.reset(derive_seed(seed, stream, started))
-            live.append((started, state, party_views(state)))
-            started += 1
-        joint = {
-            p: np.asarray(
-                controllers[p].act(_stack([v[p][0] for _, _, v in live]), _stack([v[p][1] for _, _, v in live])),
-                dtype=int,
-            ).reshape(len(live), -1)
-            for p in parties
-        }
-        still = []
-        for i, (k, state, views) in enumerate(live):
-            state, outcome = env.step(state, {p: joint[p][i] for p in parties}, {p: views[p][1] for p in parties})
+    live = list(range(episodes))
+    states = [env.reset(s) for s in seeds]
+    while live:
+        views = env.stacked_views(states, parties)
+        joint = {p: np.asarray(controllers[p].act(*views[p]), dtype=int) for p in parties}
+        still, nxt = [], []
+        for i, (k, state) in enumerate(zip(live, states)):
+            state, outcome = env.step(state, {p: joint[p][i] for p in parties}, {p: views[p][1][i] for p in parties})
             if outcome.terminal:
                 success[k] = outcome.victim_success
             else:
-                still.append((k, state, party_views(state)))
-        live = still
+                still.append(k)
+                nxt.append(state)
+        live, states = still, nxt
     return success
+
+
+def _play_alone(env: Environment, controllers: Mapping[Party, Controller], parties: list[Party], seed: int) -> bool:
+    """Victim success of one episode played as run_episode plays it, on the
+    per-state views, keeping nothing else."""
+    state = env.reset(seed)
+    while True:
+        views = {p: (env.observe_party(state, p), env.masks_party(state, p)) for p in parties}
+        joint = {p: np.asarray(controllers[p].act(*views[p]), dtype=int) for p in parties}
+        state, outcome = env.step(state, joint, {p: views[p][1] for p in parties})
+        if outcome.terminal:
+            return outcome.victim_success

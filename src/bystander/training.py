@@ -76,8 +76,9 @@ class TrainingConfig:
             "hidden_size", "mix_embed", "eval_interval", "eval_episodes",
             "model_hidden", "model_batch", "warmup_episodes",
         ):
-            if getattr(self, name) < (0 if name == "warmup_episodes" else 1):
-                raise ConfigError(f"{name} must be positive")
+            floor = 0 if name == "warmup_episodes" else 1
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name} must be >= {floor}")
         # negated comparisons, so that NaN is refused too
         for name in ("r_fail", "estimate_clip", "learning_rate", "model_learning_rate"):
             if not 0.0 < getattr(self, name) < np.inf:
@@ -85,6 +86,11 @@ class TrainingConfig:
         for name in ("gamma", "epsilon_start", "epsilon_end", "epsilon_decay_frac", "competence_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
+        # a string is refused, not converted: the CLI converts its values
+        if not isinstance(self.reward_mode, RewardMode):
+            raise ConfigError(
+                f"reward_mode {self.reward_mode!r} is not a RewardMode: one of {', '.join(map(str, RewardMode))}"
+            )
         channels = REWARDS[self.reward_mode][0]
         if channels and not self.victim_reward_access:
             raise ConfigError(

@@ -21,6 +21,8 @@ TINY_TRAIN = [
     "train.competence_floor=0.0",
 ]
 TINY = ["env.preset=skirmish-small", *TINY_TRAIN]
+# train-adversary trains no victims, so it reads no competence floor
+TINY_ADVERSARY = [item for item in TINY if not item.startswith("train.competence_floor=")]
 # evaluate reads one train.* key
 TINY_EVAL = ["env.preset=skirmish-small", "train.eval_episodes=2"]
 # a valid value of each field that only the bystanders' reward reads
@@ -36,9 +38,14 @@ BYSTANDER_REWARD_KEYS = [
 ]
 
 
+def _given(command):
+    """The tiny config keys that `command` reads."""
+    return {"evaluate": TINY_EVAL, "train-adversary": TINY_ADVERSARY}.get(command, TINY)
+
+
 def _run(command, out, extra=()):
     argv = [command, "--seed", "1", "--out", str(out)]
-    for item in [*(TINY_EVAL if command == "evaluate" else TINY), *extra]:
+    for item in [*_given(command), *extra]:
         argv += ["--set", item]
     return dispatch(argv)
 
@@ -341,6 +348,7 @@ def test_flags_and_keys_only_where_they_are_read(tmp_path):
         ("train-victim", "experiment.seeds=1,2"),
         ("train-victim", "train.seed=9"),  # the seed is --seed
         ("train-adversary", "adversary_checkpoint=adversaries.npz"),
+        ("train-adversary", "train.competence_floor=0.99"),  # it trains no victims
         ("evaluate", "experiment.seeds=1,2"),
         ("evaluate", "train.learning_rate=0.5"),
         # phase 1 reads no bystander reward, so it refuses every key of one
@@ -357,7 +365,7 @@ def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, command, k
         given = TINY
     else:
         # absent checkpoints: a run that started would fail on them with exit 3
-        given = [*(TINY_EVAL if command == "evaluate" else TINY), f"victim_checkpoint={tmp_path / 'victims.npz'}"]
+        given = [*_given(command), f"victim_checkpoint={tmp_path / 'victims.npz'}"]
         if command == "defend-retrain":
             given.append(f"adversary_checkpoint={tmp_path / 'adversaries.npz'}")
     for item in [*given, key]:

@@ -229,6 +229,23 @@ def test_training_values_out_of_range_are_refused(tmp_path, capsys, name, bad):
     _refused_where_it_enters(tmp_path, capsys, name, bad)
 
 
+@pytest.mark.parametrize("mode", ["traditional", "estimation", None])
+def test_a_reward_mode_that_is_no_reward_mode_is_refused(mode):
+    """No string is converted, so "estimation" is refused as "traditional"
+    is, each by a ConfigError that names the modes."""
+    modes = "RewardMode.TRADITIONAL, RewardMode.RULE_IMMEDIATE, RewardMode.ESTIMATION"
+    with pytest.raises(ConfigError, match=f"reward_mode {mode!r} is not a RewardMode: one of {modes}"):
+        TrainingConfig(reward_mode=mode, victim_reward_access=True)
+
+
+def test_warmup_episodes_may_be_zero_and_no_fewer():
+    assert TrainingConfig(warmup_episodes=0).warmup_episodes == 0
+    with pytest.raises(ConfigError, match="warmup_episodes must be >= 0"):
+        TrainingConfig(warmup_episodes=-1)
+    with pytest.raises(ConfigError, match="episodes must be >= 1"):
+        TrainingConfig(episodes=0)
+
+
 def test_experiment_settings():
     assert build_experiment_seeds({}) is None
     assert build_experiment_seeds({"experiment.seeds": "3, 4"}) == [3, 4]

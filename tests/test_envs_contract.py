@@ -190,8 +190,8 @@ def reference_mask(env, state, agent):
     return mask
 
 
-def random_play_states(name, seeds=range(3)):
-    env = make_env(PRESETS[name])
+def random_play_states(config, seeds=range(3)):
+    env = make_env(config)
     states = []
     for seed in seeds:
         traj = run_episode(env, random_controllers(seed), seed).trajectory
@@ -255,22 +255,43 @@ def corridor_edge_states():
 
 
 def reference_cases():
-    for name in sorted(PRESETS):
-        yield random_play_states(name)
+    """Random play on every preset, on skirmish with bystander attacks on
+    opponents and on both envs with the bystanders absent, then the edge
+    states."""
+    small, med = PRESETS["skirmish-small"], PRESETS["corridor-med"]
+    for config in (
+        *(PRESETS[name] for name in sorted(PRESETS)),
+        replace(small, adversaries_may_attack_opponents=True),
+        replace(small, adversary_count=0),
+        replace(med, adversary_count=0),
+    ):
+        yield random_play_states(config)
     yield from skirmish_edge_states()
     yield from corridor_edge_states()
 
 
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_party_arrays_match_a_per_slot_reference():
+    """observe_party and masks_party state by state, and stacked_views over
+    the case's whole stack of states byte for byte."""
     for env, states in reference_cases():
-        for state in states:
-            for party in Party:
-                agents = env.agents(party)
-                obs = np.array([reference_observation(env, state, a) for a in agents]).reshape(len(agents), -1)
-                masks = np.array([reference_mask(env, state, a) for a in agents]).reshape(len(agents), -1)
-                assert np.array_equal(env.observe_party(state, party), obs)
-                assert np.array_equal(env.masks_party(state, party), masks)
-                assert env.masks_party(state, party).dtype == bool
+        stacked = env.stacked_views(states, list(Party))
+        for party in Party:
+            agents = env.agents(party)
+            obs = np.array(
+                [[reference_observation(env, s, a) for a in agents] for s in states], dtype=float
+            ).reshape(len(states), len(agents), env.descriptor.obs_dim(party))
+            masks = np.array(
+                [[reference_mask(env, s, a) for a in agents] for s in states], dtype=bool
+            ).reshape(len(states), len(agents), env.descriptor.n_actions(party))
+            for k, state in enumerate(states):
+                assert same_bytes(env.observe_party(state, party), obs[k])
+                assert same_bytes(env.masks_party(state, party), masks[k])
+            assert same_bytes(stacked[party][0], obs)
+            assert same_bytes(stacked[party][1], masks)
 
 
 def test_the_edge_states_reach_both_sides_of_each_boundary():
@@ -278,13 +299,28 @@ def test_the_edge_states_reach_both_sides_of_each_boundary():
     sensing edge and not one past it, targets at and one past attack range,
     moves refused at the edges, and units out of play."""
 
+    (env, skirmish), (armed, armed_states) = skirmish_edge_states()
+    [(road, corridor)] = corridor_edge_states()
+    stacks = {env: skirmish, armed: armed_states, road: corridor}
+
+    def row(env, state, agent):
+        """The agent's observation and mask in the stacked views of its
+        env's edge states, byte for byte its per-state rows."""
+        states = stacks[env]
+        k = next(k for k, s in enumerate(states) if s is state)
+        obs, masks = (a[k, agent.index] for a in env.stacked_views(states, [agent.party])[agent.party])
+        assert same_bytes(obs, env.observe(state, agent))
+        assert same_bytes(masks, env.available_actions(state, agent))
+        return obs, masks
+
     def obs(env, state, agent, label):
-        return env.observe(state, agent)[env.descriptor.obs_labels[agent.party].index(label)]
+        return row(env, state, agent)[0][env.descriptor.obs_labels[agent.party].index(label)]
 
     def allowed(env, state, agent, label):
-        return env.available_actions(state, agent)[env.descriptor.action_labels[agent.party].index(label)]
+        return row(env, state, agent)[1][env.descriptor.action_labels[agent.party].index(label)]
 
-    (env, (edge, dead, _)), (armed, (armed_edge, *_)) = skirmish_edge_states()
+    edge, dead, _ = skirmish
+    armed_edge = armed_states[0]
     assert obs(env, edge, V0, "victim_slot0_present") == 1.0  # V1 at the radius
     assert obs(env, edge, V0, "third_slot0_present") == 0.0  # T0 one past
     assert allowed(env, edge, V2, "attack_opponent_1") and not allowed(env, edge, V2, "attack_opponent_0")
@@ -292,20 +328,20 @@ def test_the_edge_states_reach_both_sides_of_each_boundary():
     assert not allowed(armed, armed_edge, A0, "attack_opponent_1")
     assert [allowed(env, edge, V0, m) for m in ("north", "south", "east", "west")] == [False, True, True, False]
     assert [allowed(env, edge, A0, m) for m in ("north", "south", "east", "west")] == [True, False, False, True]
-    assert not env.observe(dead, V1).any() and env.available_actions(dead, V1).tolist() == [True] + [False] * 6
+    assert not row(env, dead, V1)[0].any() and row(env, dead, V1)[1].tolist() == [True] + [False] * 6
     assert obs(env, dead, V0, "victim_slot0_present") == 0.0  # V1 dead beside V0
 
-    [(env, (base, crashed, exited))] = corridor_edge_states()
-    assert obs(env, base, V0, "victim_slot0_present") == 1.0  # V1 at the sensing columns
-    assert obs(env, base, V0, "adversary_slot0_present") == 0.0  # A0 one past
+    base, crashed, exited = corridor
+    assert obs(road, base, V0, "victim_slot0_present") == 1.0  # V1 at the sensing columns
+    assert obs(road, base, V0, "adversary_slot0_present") == 0.0  # A0 one past
     maneuvers = ("faster", "slower", "lane_up", "lane_down")
-    assert [allowed(env, base, V0, m) for m in maneuvers] == [True, False, False, False]
-    assert [allowed(env, base, A1, m) for m in maneuvers] == [False, True, False, True]
-    assert allowed(env, crashed, V0, "lane_up")  # the crashed T0 no longer blocks
-    assert obs(env, crashed, V0, "victim_slot0_present") == 0.0
+    assert [allowed(road, base, V0, m) for m in maneuvers] == [True, False, False, False]
+    assert [allowed(road, base, A1, m) for m in maneuvers] == [False, True, False, True]
+    assert allowed(road, crashed, V0, "lane_up")  # the crashed T0 no longer blocks
+    assert obs(road, crashed, V0, "victim_slot0_present") == 0.0
     for state, agent in ((crashed, V1), (exited, V2)):
-        assert not env.observe(state, agent).any()
-        assert env.available_actions(state, agent).tolist() == [True] + [False] * 4
+        assert not row(road, state, agent)[0].any()
+        assert row(road, state, agent)[1].tolist() == [True] + [False] * 4
 
 
 @pytest.mark.parametrize(

@@ -196,7 +196,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 LOCKSTEP = dict(episodes=8, batch_size=4, hidden_size=16, mix_embed=8, eval_interval=10**6, eval_episodes=2)
 
 
-@pytest.fixture(scope="module", params=["skirmish-small", "corridor-med"])
+@pytest.fixture(scope="module", params=["skirmish-small", "skirmish-hard", "corridor-med"])
 def tiny_pair(request):
     """Tiny trained victims and bystanders on a preset."""
     env_cfg = PRESETS[request.param]
@@ -210,8 +210,9 @@ def test_lockstep_evaluation_is_one_at_a_time_play(tiny_pair, monkeypatch, leg):
     """evaluate_win_rate is the mean over `run_episode` replays of its
     documented episode seeds, as the benchmark's recount replays them, and
     each episode's outcome is the replay's; frozen policies act once per
-    tick on the stack of live episodes, a drawing controller once per
-    episode-tick."""
+    tick on the stack of live episodes, whose views the env computes in one
+    `stacked_views` call, a drawing controller once per episode-tick on the
+    per-state views."""
     env_cfg, victims, bystanders = tiny_pair
     adversary = {"trained": bystanders, "absent": None, "random": "random"}[leg]
     episodes, seed = 24, 17
@@ -228,12 +229,21 @@ def test_lockstep_evaluation_is_one_at_a_time_play(tiny_pair, monkeypatch, leg):
         return act(self, obs, masks)
 
     monkeypatch.setattr(FrozenPolicy, "act", counted)
+    widths = []
+    env_type = type(make_env(env_cfg))
+    stacked_views = env_type.stacked_views
+
+    def counted_views(self, states, parties):
+        widths.append(len(states))
+        return stacked_views(self, states, parties)
+
+    monkeypatch.setattr(env_type, "stacked_views", counted_views)
     assert evaluate_win_rate(env_cfg, victims, adversary, episodes, seed)[0] == sum(outcomes) / episodes
     victim_calls = calls if leg != "trained" else calls[0::2]
     if leg == "random":
-        assert len(victim_calls) == sum(lengths)
+        assert len(victim_calls) == sum(lengths) and not widths
     else:
-        assert len(victim_calls) == max(lengths) and victim_calls[0][0] == episodes
+        assert len(victim_calls) == len(widths) == max(lengths) and victim_calls[0][0] == widths[0] == episodes
 
     env = make_env(env_cfg if adversary is not None else dataclasses.replace(env_cfg, adversary_count=0))
     controllers = {Party.VICTIM: victims.as_controller()}
