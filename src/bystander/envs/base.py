@@ -6,12 +6,13 @@ environment instance owns only its configuration and derived lookup tables.
 
 `Environment` holds what every environment shares, written once:
   - the step contract: a terminal state cannot be stepped (LifecycleError).
-    The joint action holds one (n,) array per controllable party, laid out
-    as `masks_party` (a party left out plays noop); any other key, a wrong
-    length or an action its mask refuses is a ContractViolation. The check
-    reads the masks the caller already holds (the rollout passes the ones
-    its controllers acted on) and computes each missing party's with one
-    `masks_party` call. The scripted third party then acts, and the
+    The joint action holds one (n,) integer array per controllable party,
+    laid out as `masks_party` (a party left out plays noop); any other key,
+    a wrong length, a float or bool array or an action its mask refuses is a
+    ContractViolation. The check reads the masks the caller already holds
+    (the rollout passes the ones its controllers acted on), refusing a held
+    array that is not (n, n_actions), and computes each missing party's with
+    one `masks_party` call. The scripted third party then acts, and the
     resolver gets every unit's action in the state's unit order, with the
     cells occupied at tick start, found once per step;
   - the observation layout: an observer's own features, then fixed
@@ -37,7 +38,8 @@ arrays. The per-agent `observe` and `available_actions` are an agent's row
 of these. `stacked_views` gives the views of K states in one call, (K, n,
 ...) per party, row k bit for bit the per-state arrays; lockstep evaluation
 reads it once per tick. This class stacks the per-state arrays (corridor
-uses that); skirmish computes all K rows together on unit columns. The
+uses that); skirmish computes each unit's and each unit pair's quantities
+once for all K states and gathers every party's rows from them. The
 per-state methods stay the reference that run_episode, the audits and the
 tests read. There is no global-state view: bystanders have none, and each
 party's mixer reads its own agents' observations. `positions` and
@@ -226,16 +228,20 @@ class Environment(ABC):
                 span = self._span[party]
                 unit_actions += [self._scripted_action(state, k, occupied) for k in range(span.start, span.stop)]
                 continue
-            chosen = np.asarray(actions.get(party, [0] * len(agents)))
+            chosen = np.asarray(actions.get(party, np.zeros(len(agents), dtype=int)))
             if chosen.shape != (len(agents),):
                 raise ContractViolation(f"{party.label} actions have shape {chosen.shape}, not ({len(agents)},)")
+            if chosen.dtype.kind not in "iu":
+                raise ContractViolation(f"{party.label} actions are {chosen.dtype}, not integers")
             if not agents:
                 continue
             held = masks.get(party)
+            shape = (len(agents), self._n_actions[party])
             if held is None:
                 held = self.masks_party(state, party)
+            elif held.shape != shape:
+                raise ContractViolation(f"{party.label} masks have shape {held.shape}, not {shape}")
             for agent, a, mask in zip(agents, chosen.tolist(), held.tolist()):
-                a = int(a)
                 if not (0 <= a < len(mask)) or not mask[a]:
                     raise ContractViolation(f"agent {agent.key} chose unavailable action {a}")
                 unit_actions.append(a)

@@ -10,10 +10,11 @@ audits all read the trajectory; the rollout computes no reward.
 
 evaluate_party steps its live episodes together. Each tick one
 `env.stacked_views` call computes the views of all K live episodes, (K, n,
-D) and (K, n, A) per playing party (skirmish computes them on unit
-columns), and each party's controller acts once on them; each live state
-then steps through env.step with its row of the actions and of the masks
-they were acted on, and an episode leaves the batch when it ends. Stepping
+D) and (K, n, A) per playing party (skirmish gathers them from per-unit
+and per-pair tables built once per call), and each party's controller
+acts once on them; each live state then steps through env.step with its
+row of the actions and of the masks they were acted on, and an episode
+leaves the batch when it ends. Stepping
 stays per state: env.step is the one checked step that run_episode, the
 audits and the replays also make, and the benchmark counts env steps as its
 calls. The loop keeps a live episode's current state and a finished one's

@@ -410,10 +410,7 @@ def train_victims(
     episode is played; victims below cfg.competence_floor without
     bystanders are a TrainingFault."""
     env = make_env(env_config)
-    other: dict[Party, Controller] = {}
-    # random bystanders play only where the env has some
-    if bystanders != "random" or env.agents(Party.ADVERSARY):
-        other[Party.ADVERSARY] = _bystander_controller(env, bystanders, cfg.seed, _phase_label(Party.VICTIM))
+    other = {Party.ADVERSARY: _bystander_controller(env, bystanders, cfg.seed, _phase_label(Party.VICTIM))}
     policy, curve = train_party(env, Party.VICTIM, cfg, other, partial(victim_task_rewards, env), out_dir)
     no_attack = evaluate_win_rate(env_config, policy, None, cfg.eval_episodes, cfg.seed)[0]
     if no_attack < cfg.competence_floor:

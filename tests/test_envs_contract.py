@@ -76,9 +76,23 @@ def test_a_joint_action_of_another_form_is_refused(env):
         {Party.THIRD: np.zeros(len(env.agents(Party.THIRD)), dtype=int)},
         {Party.VICTIM: np.zeros(n - 1, dtype=int)},
         {Party.VICTIM: np.zeros(n + 1, dtype=int)},
+        {Party.VICTIM: np.full(n, 0.9)},  # not truncated to noops
+        {Party.VICTIM: np.zeros(n, dtype=bool)},
     ):
         with pytest.raises(ContractViolation):
             env.step(state, joint)
+
+
+def test_a_held_mask_of_another_shape_is_refused(env):
+    """A held mask a row short or a column wide is refused: read as it is,
+    it would pair each agent with another agent's mask and action."""
+    state = env.reset(0)
+    for party in PARTIES:
+        n = len(env.agents(party))
+        masks = env.masks_party(state, party)
+        for held in (masks[:-1], np.hstack([masks, np.ones((n, 1), dtype=bool)])):
+            with pytest.raises(ContractViolation, match=f"{party.label} masks have shape"):
+                env.step(state, {party: np.zeros(n, dtype=int)}, {party: held})
 
 
 def test_observation_width_matches_labels(env):
@@ -276,9 +290,11 @@ def same_bytes(a, b):
 
 def test_party_arrays_match_a_per_slot_reference():
     """observe_party and masks_party state by state, and stacked_views over
-    the case's whole stack of states byte for byte."""
+    the case's whole stack of states and over each state alone, byte for
+    byte."""
     for env, states in reference_cases():
         stacked = env.stacked_views(states, list(Party))
+        alone = [env.stacked_views([state], list(Party)) for state in states]
         for party in Party:
             agents = env.agents(party)
             obs = np.array(
@@ -290,6 +306,8 @@ def test_party_arrays_match_a_per_slot_reference():
             for k, state in enumerate(states):
                 assert same_bytes(env.observe_party(state, party), obs[k])
                 assert same_bytes(env.masks_party(state, party), masks[k])
+                assert same_bytes(alone[k][party][0], obs[k : k + 1])
+                assert same_bytes(alone[k][party][1], masks[k : k + 1])
             assert same_bytes(stacked[party][0], obs)
             assert same_bytes(stacked[party][1], masks)
 
@@ -362,6 +380,8 @@ def test_a_party_with_no_agents_gives_empty_arrays(name, overrides):
     noops = np.zeros(len(env.agents(Party.VICTIM)), dtype=int)
     nxt, _ = env.step(state, {Party.VICTIM: noops, Party.ADVERSARY: np.zeros(0, dtype=int)})
     assert nxt.step_count == 1
+    # and so is leaving it out
+    assert env.step(state, {Party.VICTIM: noops})[0] == nxt
 
 
 def random_play_digest(episodes: int) -> str:
